@@ -12,14 +12,17 @@ value sequence is nonempty, and freshly fired states wait again.
 Waiting is strictly positive (see `zone.up`), so a fired state can
 never refire at the same instant.  Weighing the graph once yields both
 the carried table (states pinned at the boundary) and the partial view
-used for match harvesting (states strictly inside the segment).
+used for match harvesting (states strictly inside the segment).  The
+weighing (`shortest_distance`) peels the acyclic prefix in topological
+order and takes the `star` closure only inside the strongly connected
+components that remain, walked in topological order (Mohri, JALC
+2002), so it costs O(n + e + sum |C|^3) over the components C.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,77 +84,159 @@ class EngineContext:
 def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
     """Sum the weights of all paths from the sources to every node.
 
-    Parallel edges are merged additively first.  Acyclic graphs get a
-    single topological pass; otherwise the all-pairs closure is taken,
-    with `star` summing each cycle's unrolling.  The empty path
-    contributes each source's own weight to its node.  Nodes whose
-    total is the additive identity are left out of the result.
+    Nodes are any hashable values; small ints hash cheapest.  The
+    generic scheme of Mohri ("Semiring Frameworks and Algorithms for
+    Shortest-Distance Problems", JALC 2002) runs on the condensation of
+    the graph, in one pass order:
+
+    1. parallel edges are merged additively, zero-weight edges dropped;
+    2. the acyclic prefix (nodes no cycle reaches) is peeled and relaxed
+       in topological order (Kahn);
+    3. the remaining nodes are split into strongly connected components
+       by an iterative Tarjan;
+    4. the components are walked in topological order.  A singleton
+       without a self-loop just relaxes its out-edges; inside any other
+       component the all-pairs closure is taken (Lehmann, with `star`
+       summing each cycle's unrolling) and applied to the weight that
+       has arrived at its nodes before the out-edges are relaxed.
+
+    The cost is O(n + e + sum |C|^3) semiring operations over the
+    non-trivial components C.  The empty path contributes each source's
+    own weight to its node.  Nodes whose total is the additive identity
+    are left out of the result, which lists the rest in node order.
     """
     sr = semiring
+    zero = sr.zero
+    oplus = sr.oplus
+    otimes = sr.otimes
     order = list(nodes)
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
-    adj: dict = {}
+    out = [{} for _ in range(n)]  # node -> {successor: merged weight}
     for u, v, w in edges:
-        if w == sr.zero:
+        if w == zero:
             continue
-        key = (pos[u], pos[v])
-        adj[key] = sr.oplus(adj[key], w) if key in adj else w
-    src = [sr.zero] * n
+        u, v = pos[u], pos[v]
+        ou = out[u]
+        ou[v] = oplus(ou[v], w) if v in ou else w
+    dist = [zero] * n
     for v, w in sources.items():
         i = pos[v]
-        src[i] = sr.oplus(src[i], w)
+        dist[i] = oplus(dist[i], w)
 
-    out = [[] for _ in range(n)]
+    # acyclic prefix: a node's total is final once all its predecessors are
     indeg = [0] * n
-    for (ui, vi), w in adj.items():
-        out[ui].append((vi, w))
-        indeg[vi] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    topo = []
-    while queue:
-        i = queue.popleft()
-        topo.append(i)
-        for vi, _ in out[i]:
-            indeg[vi] -= 1
-            if indeg[vi] == 0:
-                queue.append(vi)
+    for ou in out:
+        for v in ou:
+            indeg[v] += 1
+    queue = [i for i in range(n) if indeg[i] == 0]
+    for i in queue:  # grows while it is walked
+        di = dist[i]
+        for v, w in out[i].items():
+            if di != zero:
+                dist[v] = oplus(dist[v], otimes(di, w))
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
 
-    if len(topo) == n:
-        dist = list(src)
-        for i in topo:
-            di = dist[i]
-            if di == sr.zero:
-                continue
-            for vi, w in out[i]:
-                dist[vi] = sr.oplus(dist[vi], sr.otimes(di, w))
-        return {order[i]: dist[i] for i in range(n) if dist[i] != sr.zero}
+    if len(queue) < n:
+        # every node left lies on a cycle or downstream of one, and so
+        # does each of its successors
+        for comp in _tarjan_components(out, (i for i in range(n) if indeg[i])):
+            _close_component(comp, out, dist, sr)
+    return {order[i]: d for i, d in enumerate(dist) if d != zero}
 
-    # cyclic: Lehmann closure over the node matrix
-    mat = [[sr.zero] * n for _ in range(n)]
-    for (ui, vi), w in adj.items():
-        mat[ui][vi] = w
-    for k in range(n):
-        s = sr.star(mat[k][k])
-        row_k = mat[k]
-        for i in range(n):
-            wik = sr.otimes(mat[i][k], s)
-            if wik == sr.zero:
-                continue
-            row_i = mat[i]
-            for j in range(n):
-                if row_k[j] != sr.zero:
-                    row_i[j] = sr.oplus(row_i[j], sr.otimes(wik, row_k[j]))
-    dist = list(src)
-    for i in range(n):
-        si = src[i]
-        if si == sr.zero:
+
+def _tarjan_components(out, roots) -> list:
+    """Strongly connected components reachable from `roots`, in
+    topological order of the condensation (iterative Tarjan)."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    comps: list = []
+    for root in roots:
+        if root in index:
             continue
-        row = mat[i]
-        for j in range(n):
-            if row[j] != sr.zero:
-                dist[j] = sr.oplus(dist[j], sr.otimes(si, row[j]))
-    return {order[j]: dist[j] for j in range(n) if dist[j] != sr.zero}
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    # Tarjan emits a component only after every component it reaches
+    comps.reverse()
+    return comps
+
+
+def _close_component(comp, out, dist, sr: Semiring) -> None:
+    """Fold one component's internal paths into `dist`, then relax the
+    edges that leave it."""
+    zero = sr.zero
+    oplus = sr.oplus
+    otimes = sr.otimes
+    if len(comp) == 1 and comp[0] not in out[comp[0]]:
+        members = {}
+    else:
+        members = {v: k for k, v in enumerate(comp)}
+        c = len(comp)
+        mat = [[zero] * c for _ in range(c)]
+        for k, u in enumerate(comp):
+            row = mat[k]
+            for v, w in out[u].items():
+                j = members.get(v)
+                if j is not None:
+                    row[j] = w
+        # Lehmann: mat becomes the sum over all nonempty internal paths
+        for k in range(c):
+            s = sr.star(mat[k][k])
+            row_k = mat[k]
+            for row_i in mat:
+                wik = otimes(row_i[k], s)
+                if wik == zero:
+                    continue
+                for j in range(c):
+                    if row_k[j] != zero:
+                        row_i[j] = oplus(row_i[j], otimes(wik, row_k[j]))
+        arrived = [dist[u] for u in comp]
+        for i, ai in enumerate(arrived):
+            if ai == zero:
+                continue
+            row = mat[i]
+            for j in range(c):
+                if row[j] != zero:
+                    dist[comp[j]] = oplus(dist[comp[j]], otimes(ai, row[j]))
+    for u in comp:
+        du = dist[u]
+        if du == zero:
+            continue
+        for v, w in out[u].items():
+            if v not in members:
+                dist[v] = oplus(dist[v], otimes(du, w))
 
 
 def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int):
@@ -163,24 +248,30 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     sr = ctx.semiring
     t = ctx.t_index
     appended = (values,)
-    nodes: dict = {}  # state -> pinned-at-cur flag
-    roles: dict = {}
+    # states are numbered as they are discovered, so the graph handed
+    # to shortest_distance never hashes a (loc, zone, seq) tuple again
+    ids: dict = {}  # state -> id
+    states: list = []  # id -> state
+    at_wall: list = []  # id -> pinned at `cur`
+    roles: list = []
     edges: list = []
     stack: list = []
 
-    def discover(state, role, at_wall):
-        if state in nodes:
-            return
-        nodes[state] = at_wall
-        roles[state] = role
-        stack.append(state)
-        if ctx.audit is not None:
-            ctx.audit(state[1], ctx.scale, cur)
+    def discover(state, role, wall):
+        i = ids.get(state)
+        if i is None:
+            i = ids[state] = len(states)
+            states.append(state)
+            at_wall.append(wall)
+            roles.append(role)
+            stack.append(i)
+            if ctx.audit is not None:
+                ctx.audit(state[1], ctx.scale, cur)
+        return i
 
     sources = {}
     for state, s in weight.items():
-        discover(state, "input", False)
-        sources[state] = s
+        sources[discover(state, "input", False)] = s
 
     cost_cache: dict = {}
 
@@ -191,9 +282,9 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
         return cost_cache[key]
 
     while stack:
-        state = stack.pop()
-        loc, z, seq = state
-        if roles[state] == "elapsed":
+        i = stack.pop()
+        loc, z, seq = states[i]
+        if roles[i] == "elapsed":
             # a nonempty dwell is on record, so transitions may fire
             w = cost(loc, seq)
             if w == sr.zero:
@@ -203,31 +294,23 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                 if z2.m is None:
                     continue
                 succ = (tr.target, zn.reset(z2, ctx.resets(tr)), EMPTY_SEQ)
-                discover(succ, "fired", nodes[state])
-                edges.append((state, succ, w))
+                edges.append((i, discover(succ, "fired", at_wall[i]), w))
         else:
             # inputs and freshly fired states wait before anything else
             zu = zn.up(z)
             seq2 = absorbing_concat(seq, appended)
             band = zn.clamp_time(zu, t, prev, cur, True, True)
             if band.m is not None:
-                succ = (loc, band, seq2)
-                discover(succ, "elapsed", False)
-                edges.append((state, succ, sr.one))
+                edges.append((i, discover((loc, band, seq2), "elapsed", False), sr.one))
             wall = zn.clamp_time(zu, t, cur, cur)
             if wall.m is not None:
-                succ = (loc, wall, seq2)
-                discover(succ, "elapsed", True)
-                edges.append((state, succ, sr.one))
+                edges.append((i, discover((loc, wall, seq2), "elapsed", True), sr.one))
 
-    dist = shortest_distance(nodes, edges, sources, sr)
+    dist = shortest_distance(range(len(states)), edges, sources, sr)
     partial: Weight = {}
     final: Weight = {}
-    for state, at_wall in nodes.items():
-        d = dist.get(state)
-        if d is None:
-            continue
-        (final if at_wall else partial)[state] = d
+    for i, d in dist.items():
+        (final if at_wall[i] else partial)[states[i]] = d
     return partial, final
 
 
@@ -242,11 +325,6 @@ def initial_weight(ctx: EngineContext) -> Weight:
 def advance(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int) -> Weight:
     """One boundary step: the entries pinned at `cur` (scaled units)."""
     return _explore(ctx, weight, values, prev, cur)[1]
-
-
-def advance_partial(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int) -> Weight:
-    """Everything strictly before `cur`, carried inputs included."""
-    return _explore(ctx, weight, values, prev, cur)[0]
 
 
 def time_scale(sig: Signal) -> int:
@@ -481,6 +559,7 @@ class OnlineMatcher:
         self.scale = 1
         self._ctx = EngineContext(self._expanded, 1, audit)
         self._elapsed = Fraction(0)
+        self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
         z0 = zn.point_zone(self._ctx.clock_names, 0)
         self._weight: Weight = {(self._start, z0, EMPTY_SEQ): wa.semiring.one}
@@ -490,7 +569,17 @@ class OnlineMatcher:
             self._weight[(l.name, z0, EMPTY_SEQ)] = wa.semiring.one
 
     def feed(self, seg: Segment) -> list:
-        """Consume one segment; report match-set rows that changed."""
+        """Consume one segment; report match-set rows that changed.
+
+        Every segment must carry the variable set of the first one.
+        """
+        names = tuple(n for n, _ in seg.values)
+        if self._names is None:
+            self._names = names
+        elif names != self._names:
+            raise ValueError(
+                f"segment variable set {names} differs from the first segment's {self._names}"
+            )
         sr = self.semiring
         new_end = self._elapsed + seg.duration
         s2 = math.lcm(self.scale, new_end.denominator)

@@ -120,10 +120,6 @@ class MatchSet:
             v for r, v in self._pieces.items() if zn.contains(r, (t, tp))
         )
 
-    def export_text(self, stream) -> None:
-        for piece in self.pieces():
-            stream.write(format_piece(piece) + "\n")
-
     def export_grid(self, stream, delta) -> None:
         """Tab-separated t, t', value samples on a delta grid."""
         delta = Fraction(delta)

@@ -49,6 +49,13 @@ class Segment:
     values: Valuation
     duration: Fraction
 
+    def __post_init__(self):
+        if not self.duration > 0:
+            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        for name, v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"segment value {name}={v} is not finite")
+
 
 def segment(values: Mapping[str, float], duration) -> Segment:
     """Convenience constructor taking a plain mapping and any rational."""
@@ -71,8 +78,6 @@ class Signal:
         segs = tuple(segments)
         names = None
         for i, s in enumerate(segs):
-            if s.duration <= 0:
-                raise ValueError(f"segment {i}: duration must be positive")
             seg_names = tuple(n for n, _ in s.values)
             if names is None:
                 names = seg_names

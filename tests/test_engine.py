@@ -19,8 +19,8 @@ from quantimatch.automaton import (
 from quantimatch.engine import (
     EngineContext,
     OnlineMatcher,
+    _explore,
     advance,
-    advance_partial,
     initial_weight,
     reachable_graph,
     shortest_distance,
@@ -106,6 +106,47 @@ def test_shortest_distance_cycle_stabilizes_supinf():
     assert dist == {"a": INF, "b": 3.0}
 
 
+def test_shortest_distance_self_loop_singleton():
+    nodes = ["a", "b", "c"]
+    edges = [("a", "b", 1.0), ("b", "b", 2.0), ("b", "c", 3.0)]
+    dist = shortest_distance(nodes, edges, {"a": 0.0}, TROPICAL)
+    assert dist == {"a": 0.0, "b": 1.0, "c": 4.0}
+    edges = [("a", "b", 1.0), ("b", "b", -2.0), ("b", "c", 3.0)]
+    dist = shortest_distance(nodes, edges, {"a": 0.0}, TROPICAL)
+    assert dist == {"a": 0.0, "b": -INF, "c": -INF}
+    edges = [("a", "b", 4.0), ("b", "b", 6.0), ("b", "c", 5.0)]
+    dist = shortest_distance(nodes, edges, {"a": INF}, SUPINF)
+    assert dist == {"a": INF, "b": 4.0, "c": 4.0}
+
+
+def test_shortest_distance_negative_cycle_in_middle_component():
+    # components in order: {s}, {a, b}, {f}, {c, d}, {e}; only {c, d}
+    # has a negative cycle
+    nodes = ["s", "a", "b", "c", "d", "e", "f"]
+    edges = [
+        ("s", "a", 0.0), ("a", "b", 1.0), ("b", "a", 2.0), ("a", "f", 2.0),
+        ("b", "c", 1.0), ("c", "d", 1.0), ("d", "c", -3.0),
+        ("d", "e", 5.0), ("b", "e", 1.0),
+    ]
+    dist = shortest_distance(nodes, edges, {"s": 0.0}, TROPICAL)
+    assert dist == {
+        "s": 0.0, "a": 0.0, "b": 1.0, "f": 2.0,
+        "c": -INF, "d": -INF, "e": -INF,
+    }
+
+
+def test_shortest_distance_node_reached_only_through_cycle():
+    nodes = ["s", "a", "b", "c", "z"]
+    edges = [("s", "a", 1.0), ("a", "b", 2.0), ("b", "a", 3.0), ("b", "c", 4.0)]
+    dist = shortest_distance(nodes, edges, {"s": 0.0}, TROPICAL)
+    assert dist == {"s": 0.0, "a": 1.0, "b": 3.0, "c": 7.0}
+    supinf_edges = [("s", "a", 5.0), ("a", "b", 4.0), ("b", "a", 1.0), ("b", "c", 3.0)]
+    dist = shortest_distance(nodes, supinf_edges, {"s": INF}, SUPINF)
+    assert dist == {"s": INF, "a": 5.0, "b": 4.0, "c": 3.0}
+    dist = shortest_distance(nodes, [(u, v, True) for u, v, _ in edges], {"s": True}, BOOLEAN)
+    assert dist == {"s": True, "a": True, "b": True, "c": True}
+
+
 def test_advance_first_segment_exact(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
@@ -126,16 +167,16 @@ def test_advance_first_segment_exact(wa_supinf):
     }
 
 
-def test_advance_partial_keeps_inputs(wa_supinf):
+def test_explore_partial_keeps_inputs(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    partial = advance_partial(ctx, w0, valuation({"x": 7.0}), 0, 7)
+    partial, _ = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
     key = ("l0", zn.point_zone(CT, 0), EMPTY_SEQ)
     assert partial[key] == INF
-    # and the band states are strictly inside the segment
-    for (loc, z, q), _ in partial.items():
-        hi = z.m[2][0]
-        assert hi[0] <= 7 and (hi[0] < 7 or hi[1] or z is key[1] or True)
+    # every other state of the partial view lies strictly inside the segment
+    for state in partial:
+        if state != key:
+            assert state[1].m[2][0] == (7, True)
 
 
 def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton):
@@ -223,6 +264,36 @@ def test_matcher_variants_agree():
             assert tables[0] == tables[1] == tables[2] == tables[3]
 
 
+def test_harvested_regions_are_final_once_their_segment_ends():
+    """Segment k only inserts regions with t' in (b_{k-1}, b_k], and no
+    later segment inserts a region equal to an earlier one."""
+    rng = random.Random(34)
+    harvested = 0
+    for _ in range(40):
+        a = random_automaton(rng)
+        sig = random_signal(rng, max_segments=4)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            inserted = []
+            insert = m.matchset.insert
+            m.matchset.insert = lambda region, value: (
+                inserted.append(region) or insert(region, value)
+            )
+            earlier = set()
+            for k, seg in enumerate(sig):
+                inserted.clear()
+                m.feed(seg)
+                lo, hi = sig.boundaries[k], sig.boundaries[k + 1]
+                for region in inserted:
+                    tp_lo, lo_strict = -region.m[0][2][0], region.m[0][2][1]
+                    assert tp_lo > lo or (tp_lo == lo and lo_strict), (k, region)
+                    assert region.m[2][0][0] <= hi, (k, region)
+                    assert region not in earlier, (k, region)
+                earlier.update(inserted)
+                harvested += len(inserted)
+    assert harvested > 0
+
+
 def test_matcher_rescales_midstream(wa_supinf):
     m = OnlineMatcher(wa_supinf)
     segs = [
@@ -272,6 +343,19 @@ def test_matcher_audit_hook_runs(wa_supinf, two_step_signal):
     assert seen
     assert all(n == 3 for (n, _, _) in seen)  # c, T', T
     assert {s for (_, s, _) in seen} == {2}
+
+
+def test_feed_rejects_changed_variable_set(wa_supinf):
+    m = OnlineMatcher(wa_supinf)
+    m.feed(segment({"x": 7.0}, 1))
+    rows = m.matchset.pieces()
+    for values in ({"x": 7.0, "y": 1.0}, {"y": 7.0}):
+        with pytest.raises(ValueError, match="variable set"):
+            m.feed(segment(values, 1))
+    # a rejected segment leaves the matcher as it was
+    assert m.elapsed == 1 and m.matchset.pieces() == rows
+    m.feed(segment({"x": 12.0}, 1))
+    assert m.elapsed == 2
 
 
 def test_footprint_counts_entries_and_history(wa_supinf):

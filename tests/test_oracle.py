@@ -48,13 +48,60 @@ def random_graph(rng, sr, n, dag):
     return nodes, edges, sources
 
 
+def random_scc_dag(rng, sr, n):
+    """A DAG of small strongly connected components (sizes 1-4, as in
+    the engine's move graphs) joined by forward cross edges only.
+
+    Node numbers are shuffled, so neither the numbering nor the node
+    order follows the components' topological order.
+    """
+    pool = POOLS[sr.name]
+
+    def weight(internal):
+        w = rng.choice(pool)
+        if sr is TROPICAL and internal and w < 0:
+            w = -w  # nonnegative cycles, so layering stabilizes
+        return w
+
+    label = list(range(n))
+    rng.shuffle(label)
+    comps = []
+    first = 0
+    while first < n:
+        size = min(rng.randint(1, 4), n - first)
+        comps.append(label[first : first + size])
+        first += size
+    edges = []
+    for comp in comps:
+        if len(comp) > 1:
+            # a ring makes the component strongly connected
+            for u, v in zip(comp, comp[1:] + comp[:1]):
+                edges.append((u, v, weight(True)))
+        for _ in range(rng.randint(0, len(comp))):  # chords and self-loops
+            edges.append((rng.choice(comp), rng.choice(comp), weight(True)))
+    for k, comp in enumerate(comps[:-1]):
+        for _ in range(rng.randint(1, 2)):
+            later = rng.choice(comps[k + 1 :])
+            edges.append((rng.choice(comp), rng.choice(later), weight(False)))
+    rng.shuffle(edges)
+    nodes = list(label)
+    rng.shuffle(nodes)
+    sources = {comps[0][0]: sr.one}
+    if rng.random() < 0.5:
+        sources[rng.randrange(n)] = rng.choice(pool)
+    return nodes, edges, sources
+
+
 @pytest.mark.parametrize("sr", [BOOLEAN, SUPINF, TROPICAL], ids=lambda s: s.name)
-@pytest.mark.parametrize("dag", [True, False], ids=["dag", "cyclic"])
-def test_layered_oracle_agrees_with_engine_distance(sr, dag):
-    rng = random.Random(41 if dag else 42)
+@pytest.mark.parametrize("shape", ["dag", "cyclic", "scc-dag"])
+def test_layered_oracle_agrees_with_engine_distance(sr, shape):
+    rng = random.Random({"dag": 41, "cyclic": 42, "scc-dag": 45}[shape])
     for _ in range(60):
-        n = rng.randint(2, 8)
-        nodes, edges, sources = random_graph(rng, sr, n, dag)
+        if shape == "scc-dag":
+            nodes, edges, sources = random_scc_dag(rng, sr, rng.randint(2, 30))
+        else:
+            n = rng.randint(2, 8)
+            nodes, edges, sources = random_graph(rng, sr, n, shape == "dag")
         want = bf_shortest_distance(nodes, edges, sources, sr)
         got = shortest_distance(nodes, edges, sources, sr)
         assert got == want, (nodes, edges, sources, sr.name)

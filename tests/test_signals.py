@@ -7,6 +7,7 @@ import pytest
 
 from quantimatch.signals import (
     EMPTY_SEQ,
+    Segment,
     Signal,
     SignalFormatError,
     absorbing_concat,
@@ -39,6 +40,20 @@ def test_signal_validation():
         Signal([segment({"x": 1.0}, 0)])
     with pytest.raises(ValueError, match="variable set"):
         Signal([segment({"x": 1.0}, 1), segment({"y": 1.0}, 1)])
+
+
+def test_segment_rejects_nonpositive_duration():
+    for d in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            segment({"x": 1.0}, d)
+        with pytest.raises(ValueError, match="positive"):
+            Segment(valuation({"x": 1.0}), Fraction(d))
+
+
+def test_segment_rejects_non_finite_value():
+    for v in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            segment({"x": 1.0, "y": v}, 1)
 
 
 def test_boundaries_and_value_at():

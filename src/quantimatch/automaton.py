@@ -78,10 +78,6 @@ class Automaton:
     def initial_locations(self) -> tuple[Location, ...]:
         return tuple(l for l in self.locations if l.initial)
 
-    @property
-    def accepting_locations(self) -> tuple[Location, ...]:
-        return tuple(l for l in self.locations if l.accepting)
-
 
 class CostKind(Enum):
     SAT = "b"
@@ -116,6 +112,14 @@ class WeightedAutomaton:
                 f"cost kind {self.cost.value!r} requires the {expected} semiring, "
                 f"not {self.semiring.name}"
             )
+        # the engine's zones keep integral bounds only for integer guards
+        for tr in self.automaton.transitions:
+            for at in tr.guard:
+                if at.const.denominator != 1:
+                    raise ValueError(
+                        f"transition {tr.source} -> {tr.target}: clock guard "
+                        f"constant {at.var} {at.op} {at.const} is not an integer"
+                    )
 
 
 def _eval_atom(atom: Atom, value: float) -> bool:

@@ -88,11 +88,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _feed_all(matcher: OnlineMatcher, sig) -> None:
-    for seg in sig:
-        matcher.feed(seg)
-
-
 def main(argv=None) -> int:
     try:
         return _dispatch(argv)
@@ -145,6 +140,7 @@ def _dispatch(argv=None) -> int:
             return _fail(2, str(exc))
         return 0
 
+    # usage errors are reported before any evaluation
     if args.command == "query":
         try:
             t, tp = Fraction(args.query[0]), Fraction(args.query[1])
@@ -152,26 +148,24 @@ def _dispatch(argv=None) -> int:
             return _fail(USAGE_EXIT, "query times must be rational numbers")
         if not 0 <= t < tp:
             return _fail(USAGE_EXIT, "need 0 <= T < TPRIME")
-        matcher = OnlineMatcher(wa)
+    else:
         try:
-            _feed_all(matcher, sig)
-        except EvaluationError as exc:
-            return _fail(2, str(exc))
-        print(format_value(matcher.matchset.query(t, tp)))
-        return 0
+            delta = Fraction(args.grid)
+        except (ValueError, ZeroDivisionError):
+            return _fail(USAGE_EXIT, "grid spacing must be a rational number")
+        if delta <= 0:
+            return _fail(USAGE_EXIT, "grid spacing must be positive")
 
-    try:
-        delta = Fraction(args.grid)
-    except (ValueError, ZeroDivisionError):
-        return _fail(USAGE_EXIT, "grid spacing must be a rational number")
-    if delta <= 0:
-        return _fail(USAGE_EXIT, "grid spacing must be positive")
     matcher = OnlineMatcher(wa)
     try:
-        _feed_all(matcher, sig)
+        for seg in sig:
+            matcher.feed(seg)
     except EvaluationError as exc:
         return _fail(2, str(exc))
-    matcher.matchset.export_grid(sys.stdout, delta)
+    if args.command == "query":
+        print(format_value(matcher.matchset.query(t, tp)))
+    else:
+        matcher.matchset.export_grid(sys.stdout, delta)
     return 0
 
 

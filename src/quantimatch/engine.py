@@ -1,4 +1,4 @@
-"""Weighted reachability over timed symbolic automata.
+"""The online fold: weighted reachability over timed symbolic automata.
 
 The engine advances a weight table (location, clock zone, value
 sequence) -> semiring value across one signal segment at a time.  Time
@@ -17,13 +17,15 @@ weighing (`shortest_distance`) peels the acyclic prefix in topological
 order and takes the `star` closure only inside the strongly connected
 components that remain, walked in topological order (Mohri, JALC
 2002), so it costs O(n + e + sum |C|^3) over the components C.
+
+`trace_value` folds a whole signal; `OnlineMatcher` folds a stream and
+harvests the match set.  The whole-trace transition system the fold is
+checked against is built independently, in `oracle.py`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import zone as zn
@@ -47,7 +49,6 @@ class EngineContext:
 
     def __init__(self, wa: WeightedAutomaton, scale: int = 1, audit=None):
         a = wa.automaton
-        self.wa = wa
         self.automaton = a
         self.semiring = wa.semiring
         self.kind = wa.cost
@@ -64,21 +65,14 @@ class EngineContext:
         for tr in a.transitions:
             self.out[tr.source].append(tr)
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
-        self._guards = {}
-        self._resets = {}
+        self.guards = {}
+        self.resets = {}
         for tr in a.transitions:
-            atoms = []
-            for at in tr.guard:
-                k = at.const * scale
-                atoms.append((idx[at.var], at.op, int(k) if k.denominator == 1 else k))
-            self._guards[tr] = tuple(atoms)
-            self._resets[tr] = tuple(idx[c] for c in tr.resets)
-
-    def guards(self, tr):
-        return self._guards[tr]
-
-    def resets(self, tr):
-        return self._resets[tr]
+            # guard constants are integers, as WeightedAutomaton checks
+            self.guards[tr] = tuple(
+                (idx[at.var], at.op, int(at.const) * scale) for at in tr.guard
+            )
+            self.resets[tr] = tuple(idx[c] for c in tr.resets)
 
 
 def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
@@ -290,10 +284,10 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             if w == sr.zero:
                 continue
             for tr in ctx.out[loc]:
-                z2 = zn.intersect_guard(z, ctx.guards(tr))
+                z2 = zn.intersect_guard(z, ctx.guards[tr])
                 if z2.m is None:
                     continue
-                succ = (tr.target, zn.reset(z2, ctx.resets(tr)), EMPTY_SEQ)
+                succ = (tr.target, zn.reset(z2, ctx.resets[tr]), EMPTY_SEQ)
                 edges.append((i, discover(succ, "fired", at_wall[i]), w))
         else:
             # inputs and freshly fired states wait before anything else
@@ -322,11 +316,6 @@ def initial_weight(ctx: EngineContext) -> Weight:
     }
 
 
-def advance(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int) -> Weight:
-    """One boundary step: the entries pinned at `cur` (scaled units)."""
-    return _explore(ctx, weight, values, prev, cur)[1]
-
-
 def time_scale(sig: Signal) -> int:
     """Smallest integer multiplier that makes every boundary integral."""
     return math.lcm(*(b.denominator for b in sig.boundaries))
@@ -341,119 +330,12 @@ def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
     prev = 0
     for seg, bound in zip(sig.segments, sig.boundaries[1:]):
         cur = int(bound * ctx.scale)
-        weight = advance(ctx, weight, seg.values, prev, cur)
+        weight = _explore(ctx, weight, seg.values, prev, cur)[1]
         prev = cur
     return ctx.semiring.big_oplus(
         s
         for (loc, _, seq), s in weight.items()
         if seq == EMPTY_SEQ and loc in ctx.accepting
-    )
-
-
-def symbolic_successors(ctx: EngineContext, state: State, bounds, vals):
-    """Moves of one state relative to the scaled segment boundaries.
-
-    Returns (successor, weight, kind) triples with kind "fire" or
-    "elapse".  A state pinned at a boundary waits into the following
-    segment; an unpinned state waits within its own segment only while
-    its sequence is still empty (later waits from the same origin are
-    subsumed by longer direct ones); any state with a nonempty sequence
-    may fire.
-    """
-    sr = ctx.semiring
-    t = ctx.t_index
-    loc, z, seq = state
-    moves = []
-    if seq:
-        w = cost_value(ctx.kind, ctx.labels[loc], seq)
-        if w != sr.zero:
-            for tr in ctx.out[loc]:
-                z2 = zn.intersect_guard(z, ctx.guards(tr))
-                if z2.m is None:
-                    continue
-                succ = (tr.target, zn.reset(z2, ctx.resets(tr)), EMPTY_SEQ)
-                moves.append((succ, w, "fire"))
-    hi = z.m[t][0]
-    lo = z.m[0][t]
-    if not hi[1] and not lo[1] and hi[0] == -lo[0]:
-        k = bisect_left(bounds, hi[0])
-    elif not seq:
-        k = bisect_right(bounds, -lo[0]) - 1
-    else:
-        k = None
-    if k is not None and k < len(vals):
-        zu = zn.up(z)
-        seq2 = absorbing_concat(seq, (vals[k],))
-        band = zn.clamp_time(zu, t, bounds[k], bounds[k + 1], True, True)
-        if band.m is not None:
-            moves.append(((loc, band, seq2), sr.one, "elapse"))
-        wall = zn.clamp_time(zu, t, bounds[k + 1], bounds[k + 1])
-        if wall.m is not None:
-            moves.append(((loc, wall, seq2), sr.one, "elapse"))
-    return moves
-
-
-@dataclass
-class ReachableGraph:
-    nodes: dict  # state -> aggregated weight of paths from the initial states
-    edges: list  # (source, target, weight, kind)
-    initial: tuple
-    accepting: tuple
-    scale: int
-    clock_names: tuple
-
-
-def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> ReachableGraph:
-    """The whole-trace transition system, for inspection and checking.
-
-    State count grows quickly with trace length; this is meant for
-    small inputs, while `trace_value` folds segment by segment.
-    """
-    if len(sig) == 0:
-        raise EvaluationError("empty signal")
-    ctx = EngineContext(wa, time_scale(sig), audit)
-    sr = ctx.semiring
-    bounds = [int(b * ctx.scale) for b in sig.boundaries]
-    vals = [s.values for s in sig.segments]
-    z0 = zn.point_zone(ctx.clock_names, 0)
-    initial = tuple((l.name, z0, EMPTY_SEQ) for l in ctx.automaton.initial_locations)
-
-    seen = set(initial)
-    stack = list(initial)
-    edges = []
-    if ctx.audit is not None:
-        for state in initial:
-            ctx.audit(state[1], ctx.scale, bounds[-1])
-    while stack:
-        state = stack.pop()
-        for succ, w, kind in symbolic_successors(ctx, state, bounds, vals):
-            edges.append((state, succ, w, kind))
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-                if ctx.audit is not None:
-                    ctx.audit(succ[1], ctx.scale, bounds[-1])
-
-    sources = {state: sr.one for state in initial}
-    dist = shortest_distance(seen, [(u, v, w) for u, v, w, _ in edges], sources, sr)
-    end = bounds[-1]
-    accepting = []
-    for state in seen:
-        loc, z, seq = state
-        hi = z.m[ctx.t_index][0]
-        lo = z.m[0][ctx.t_index]
-        if (
-            seq == EMPTY_SEQ
-            and loc in ctx.accepting
-            and not hi[1]
-            and not lo[1]
-            and hi[0] == end
-            and lo[0] == -end
-        ):
-            accepting.append(state)
-    nodes = {state: dist.get(state, sr.zero) for state in seen}
-    return ReachableGraph(
-        nodes, edges, initial, tuple(accepting), ctx.scale, ctx.clock_names
     )
 
 
@@ -464,27 +346,13 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
     resets never take a bound below its zone floor again, so an upper
     guard atom whose constant the floor already exceeds stays violated
     forever.  Lower guard atoms are treated as always satisfiable
-    (waiting can meet them), which keeps the check conservative.
+    (waiting can meet them), which keeps the check conservative.  With
+    no guarded clock the bound tuples are empty and the search runs
+    over the location graph alone.
     """
     guarded = sorted(
-        {i for atoms in ctx._guards.values() for (i, _, _) in atoms}
+        {i for atoms in ctx.guards.values() for (i, _, _) in atoms}
     )
-    if not guarded:
-        # no guards: an entry is live iff an accepting location is
-        # reachable over the location graph
-        live_locs = set()
-        frontier = list(ctx.accepting)
-        incoming: dict = {}
-        for tr in ctx.automaton.transitions:
-            incoming.setdefault(tr.target, []).append(tr.source)
-        while frontier:
-            l = frontier.pop()
-            for src in incoming.get(l, ()):
-                if src not in live_locs:
-                    live_locs.add(src)
-                    frontier.append(src)
-        return {st: w for st, w in weight.items() if st[0] in live_locs}
-
     pos = {i: p for p, i in enumerate(guarded)}
     verdicts: dict = {}
 
@@ -501,7 +369,7 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
                 return True
             for tr in ctx.out[cur_loc]:
                 ok = True
-                for i, op, k in ctx.guards(tr):
+                for i, op, k in ctx.guards[tr]:
                     if op in ("<", "<=") and cur_lbs[pos[i]] > k:
                         ok = False
                         break
@@ -510,7 +378,7 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
                 if tr.target in ctx.accepting:
                     verdicts[root] = True
                     return True
-                resets = ctx.resets(tr)
+                resets = ctx.resets[tr]
                 nxt = tuple(
                     0 if guarded[p] in resets else v for p, v in enumerate(cur_lbs)
                 )
@@ -547,7 +415,6 @@ class OnlineMatcher:
 
     def __init__(self, wa: WeightedAutomaton, prune: bool = True,
                  reseed: bool = True, audit=None):
-        self.wa = wa
         self.semiring = wa.semiring
         expanded = matching_automaton(wa.automaton)
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)

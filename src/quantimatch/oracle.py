@@ -1,7 +1,9 @@
 """Reference implementations used to cross-check the engine.
 
 Everything here favors directness over speed: path sums by explicit
-unrolling, matching decided by enumerating transition sequences and
+unrolling, the whole-trace transition system (`reachable_graph`) built
+in one pass over all segment boundaries instead of folded segment by
+segment, matching decided by enumerating transition sequences and
 firing-time placements, feasibility by Fourier-Motzkin elimination
 over exact rationals.  Intended for small inputs in tests.
 """
@@ -9,13 +11,15 @@ over exact rationals.  Intended for small inputs in tests.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import engine
-from .automaton import Automaton, WeightedAutomaton
+from . import zone as zn
+from .automaton import Automaton, EvaluationError, WeightedAutomaton, cost_value
 from .semiring import INF, Semiring
-from .signals import Signal, value_of
+from .signals import EMPTY_SEQ, Signal, absorbing_concat, value_of
 
 
 def bf_shortest_distance(nodes, edges, sources, semiring: Semiring, k: int = 64) -> dict:
@@ -39,9 +43,116 @@ def bf_shortest_distance(nodes, edges, sources, semiring: Semiring, k: int = 64)
     return {v: w for v, w in total.items() if w != sr.zero}
 
 
+def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, vals):
+    """Moves of one state relative to the scaled segment boundaries.
+
+    Returns (successor, weight, kind) triples with kind "fire" or
+    "elapse".  A state pinned at a boundary waits into the following
+    segment; an unpinned state waits within its own segment only while
+    its sequence is still empty (later waits from the same origin are
+    subsumed by longer direct ones); any state with a nonempty sequence
+    may fire.
+    """
+    sr = ctx.semiring
+    t = ctx.t_index
+    loc, z, seq = state
+    moves = []
+    if seq:
+        w = cost_value(ctx.kind, ctx.labels[loc], seq)
+        if w != sr.zero:
+            for tr in ctx.out[loc]:
+                z2 = zn.intersect_guard(z, ctx.guards[tr])
+                if z2.m is None:
+                    continue
+                succ = (tr.target, zn.reset(z2, ctx.resets[tr]), EMPTY_SEQ)
+                moves.append((succ, w, "fire"))
+    hi = z.m[t][0]
+    lo = z.m[0][t]
+    if not hi[1] and not lo[1] and hi[0] == -lo[0]:
+        k = bisect_left(bounds, hi[0])
+    elif not seq:
+        k = bisect_right(bounds, -lo[0]) - 1
+    else:
+        k = None
+    if k is not None and k < len(vals):
+        zu = zn.up(z)
+        seq2 = absorbing_concat(seq, (vals[k],))
+        band = zn.clamp_time(zu, t, bounds[k], bounds[k + 1], True, True)
+        if band.m is not None:
+            moves.append(((loc, band, seq2), sr.one, "elapse"))
+        wall = zn.clamp_time(zu, t, bounds[k + 1], bounds[k + 1])
+        if wall.m is not None:
+            moves.append(((loc, wall, seq2), sr.one, "elapse"))
+    return moves
+
+
+@dataclass
+class ReachableGraph:
+    nodes: dict  # state -> aggregated weight of paths from the initial states
+    edges: list  # (source, target, weight, kind)
+    initial: tuple
+    accepting: tuple
+    scale: int
+    clock_names: tuple
+
+
+def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> ReachableGraph:
+    """The whole-trace transition system, for inspection and checking.
+
+    State count grows quickly with trace length; this is meant for
+    small inputs, while `trace_value` folds segment by segment.
+    """
+    if len(sig) == 0:
+        raise EvaluationError("empty signal")
+    ctx = engine.EngineContext(wa, engine.time_scale(sig), audit)
+    sr = ctx.semiring
+    bounds = [int(b * ctx.scale) for b in sig.boundaries]
+    vals = [s.values for s in sig.segments]
+    z0 = zn.point_zone(ctx.clock_names, 0)
+    initial = tuple((l.name, z0, EMPTY_SEQ) for l in ctx.automaton.initial_locations)
+
+    seen = set(initial)
+    stack = list(initial)
+    edges = []
+    if ctx.audit is not None:
+        for state in initial:
+            ctx.audit(state[1], ctx.scale, bounds[-1])
+    while stack:
+        state = stack.pop()
+        for succ, w, kind in symbolic_successors(ctx, state, bounds, vals):
+            edges.append((state, succ, w, kind))
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+                if ctx.audit is not None:
+                    ctx.audit(succ[1], ctx.scale, bounds[-1])
+
+    sources = {state: sr.one for state in initial}
+    dist = engine.shortest_distance(seen, [(u, v, w) for u, v, w, _ in edges], sources, sr)
+    end = bounds[-1]
+    accepting = []
+    for state in seen:
+        loc, z, seq = state
+        hi = z.m[ctx.t_index][0]
+        lo = z.m[0][ctx.t_index]
+        if (
+            seq == EMPTY_SEQ
+            and loc in ctx.accepting
+            and not hi[1]
+            and not lo[1]
+            and hi[0] == end
+            and lo[0] == -end
+        ):
+            accepting.append(state)
+    nodes = {state: dist.get(state, sr.zero) for state in seen}
+    return ReachableGraph(
+        nodes, edges, initial, tuple(accepting), ctx.scale, ctx.clock_names
+    )
+
+
 def check_incremental(sig: Signal, wa: WeightedAutomaton):
     """Fold-by-segments value and whole-graph value; these must agree."""
-    g = engine.reachable_graph(sig, wa)
+    g = reachable_graph(sig, wa)
     whole = wa.semiring.big_oplus(g.nodes[s] for s in g.accepting)
     return engine.trace_value(sig, wa), whole
 
@@ -256,8 +367,3 @@ def accepts_subsignal(a: Automaton, sig: Signal, t, t_prime) -> bool:
             if labels_ok(path, cells) and feasible(path, cells):
                 return True
     return False
-
-
-def qualitative_match(a: Automaton, sig: Signal, points) -> list:
-    """Verdicts of `accepts_subsignal` at the given (t, t') samples."""
-    return [accepts_subsignal(a, sig, t, tp) for (t, tp) in points]

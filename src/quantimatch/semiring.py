@@ -46,10 +46,6 @@ class Semiring:
             acc = self.oplus(acc, v)
         return acc
 
-    def leq(self, a: Any, b: Any) -> bool:
-        """Canonical order of an idempotent semiring: a <= b iff a + b = b."""
-        return self.oplus(a, b) == b
-
     def __repr__(self) -> str:
         return f"Semiring({self.name})"
 

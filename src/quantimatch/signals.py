@@ -109,14 +109,6 @@ class Signal:
         parts = " ".join(f"{dict(s.values)}^{s.duration}" for s in self.segments)
         return f"Signal({parts})"
 
-    def value_at(self, t) -> Valuation:
-        """Value of the segment whose [start, end) interval contains t."""
-        t = Fraction(t)
-        if not 0 <= t < self.duration:
-            raise ValueError(f"time {t} outside signal domain [0,{self.duration})")
-        k = bisect_right(self.boundaries, t) - 1
-        return self.segments[k].values
-
     def restrict(self, t, t_prime) -> "Signal":
         """Sub-signal on [t, t'); duration of the result is exactly t'-t."""
         t, t_prime = Fraction(t), Fraction(t_prime)
@@ -132,41 +124,19 @@ class Signal:
         last = Segment(self.segments[l].values, t_prime - self.boundaries[l])
         return Signal([first, *self.segments[k + 1 : l], last])
 
-    def values(self) -> ValueSeq:
-        seq: ValueSeq = EMPTY_SEQ
-        for s in self.segments:
-            seq = absorbing_concat(seq, (s.values,))
-        return seq
-
-    def normalize(self) -> "Signal":
-        """Merge adjacent equal-valued segments, summing durations."""
-        merged: list[Segment] = []
-        for s in self.segments:
-            if merged and merged[-1].values == s.values:
-                merged[-1] = Segment(s.values, merged[-1].duration + s.duration)
-            else:
-                merged.append(s)
-        return Signal(merged)
-
 
 def _parse_duration(field: str, lineno: int) -> Fraction:
     try:
-        d = Fraction(field)
+        return Fraction(field)
     except (ValueError, ZeroDivisionError):
         raise SignalFormatError(lineno, f"bad duration {field!r}") from None
-    if d <= 0:
-        raise SignalFormatError(lineno, f"duration must be > 0, got {field!r}")
-    return d
 
 
 def _parse_value(field: str, lineno: int) -> float:
     try:
-        v = float(field)
+        return float(field)
     except ValueError:
         raise SignalFormatError(lineno, f"bad value {field!r}") from None
-    if not math.isfinite(v):
-        raise SignalFormatError(lineno, f"value {field!r} is not finite")
-    return v
 
 
 def read_stream(lines: Iterable[str]) -> Iterator[Segment]:
@@ -176,7 +146,9 @@ def read_stream(lines: Iterable[str]) -> Iterator[Segment]:
     a header of variable names, and every later line is
     `duration v1 v2 ...` with one value per header variable.  Durations
     accept decimal or p/q literals; values are decimals.  Blank lines
-    are skipped.
+    are skipped.  Syntax errors are reported here; a duration that is
+    not positive or a value that is not finite is rejected by `Segment`,
+    whose message is passed on with the line number.
     """
     header: tuple[str, ...] | None = None
     for lineno, raw in enumerate(lines, 1):
@@ -195,7 +167,11 @@ def read_stream(lines: Iterable[str]) -> Iterator[Segment]:
             )
         dur = _parse_duration(fields[0], lineno)
         vals = [_parse_value(f, lineno) for f in fields[1:]]
-        yield Segment(tuple(sorted(zip(header, vals))), dur)
+        try:
+            seg = Segment(tuple(sorted(zip(header, vals))), dur)
+        except ValueError as exc:
+            raise SignalFormatError(lineno, str(exc)) from None
+        yield seg
     if header is None:
         raise SignalFormatError(0, "missing header line")
 

@@ -16,7 +16,7 @@ Floyd-Warshall pass.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 INF = float("inf")
 
@@ -139,14 +139,6 @@ def point_zone(clocks: Sequence[str], value=0) -> Zone:
     return Zone(clocks, _freeze(rows))
 
 
-def zero_zone(clocks: Sequence[str]) -> Zone:
-    return point_zone(clocks, 0)
-
-
-def is_empty(z: Zone) -> bool:
-    return z.m is None
-
-
 def constrain(z: Zone, i: int, j: int, value, strict: bool) -> Zone:
     """Intersect with c_i - c_j <(=) value; O(n^2) incremental tightening."""
     if z.m is None:
@@ -170,9 +162,6 @@ def constrain(z: Zone, i: int, j: int, value, strict: bool) -> Zone:
             if bound_lt(cand, rp[q]):
                 rp[q] = cand
     return Zone(z.clocks, _freeze(rows))
-
-
-_OPS = {"<", "<=", ">", ">="}
 
 
 def intersect_guard(z: Zone, atoms: Iterable[tuple]) -> Zone:
@@ -248,23 +237,6 @@ def project_match(z: Zone, t_idx: int, tp_idx: int) -> Zone:
         (m[t_idx][0], m[tp_idx][0], BOUND_ZERO),
     )
     return Zone(("t", "t'"), rows)
-
-
-def includes(z1: Zone, z2: Zone) -> bool:
-    """Set inclusion z2 subseteq z1 on canonical forms."""
-    if z2.m is None:
-        return True
-    if z1.m is None:
-        return False
-    return all(
-        bound_le(z2.m[i][j], z1.m[i][j])
-        for i in range(len(z1.m))
-        for j in range(len(z1.m))
-    )
-
-
-def equals(z1: Zone, z2: Zone) -> bool:
-    return z1 == z2
 
 
 def contains(z: Zone, values: Sequence) -> bool:

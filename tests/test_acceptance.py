@@ -12,11 +12,12 @@ from fractions import Fraction
 import quantimatch.zone as zn
 from quantimatch import cli
 from quantimatch.automaton import CostKind, WeightedAutomaton, parse_automaton
-from quantimatch.engine import OnlineMatcher, reachable_graph, trace_value
+from quantimatch.engine import OnlineMatcher, trace_value
 from quantimatch.oracle import (
     accepts_subsignal,
     arrangement_points,
     check_qtpm_pointwise,
+    reachable_graph,
 )
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 from quantimatch.signals import Signal, segment, value_of

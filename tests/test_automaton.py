@@ -42,7 +42,7 @@ def test_parse_overshoot_structure(fig_automaton):
     assert t12.guard == (Atom("c", "<", Fraction(10)),)
     assert t12.resets == ()
     assert a.initial_locations == (l0,)
-    assert a.accepting_locations == (l2,)
+    assert [l for l in a.locations if l.accepting] == [l2]
     assert a.location("l1") is l1
     with pytest.raises(KeyError):
         a.location("zz")
@@ -108,6 +108,24 @@ def test_pairing_enforced(fig_automaton):
     ]:
         with pytest.raises(PairingError):
             WeightedAutomaton(fig_automaton, sr, kind)
+
+
+def test_fractional_clock_guard_is_rejected():
+    def automaton(guard_const, label_const):
+        return Automaton(
+            ("x",),
+            ("c",),
+            (
+                Location("l0", (Atom("x", "<", label_const),), True, False),
+                Location("l1", (), False, True),
+            ),
+            (Transition("l0", (Atom("c", "<", guard_const),), ("c",), "l1"),),
+        )
+
+    with pytest.raises(ValueError, match=r"l0 -> l1.*c < 5/2"):
+        WeightedAutomaton(automaton(Fraction(5, 2), Fraction(15)), SUPINF, CostKind.MIN_MARGIN)
+    # data constants in location labels may be fractional
+    WeightedAutomaton(automaton(Fraction(5), Fraction(5, 2)), SUPINF, CostKind.MIN_MARGIN)
 
 
 LOW = (Atom("x", "<", Fraction(15)),)

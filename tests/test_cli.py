@@ -164,6 +164,18 @@ def test_grid_usage_errors(capsys, tmp_path, spec_path):
         assert code == 64 and err
 
 
+def test_usage_errors_come_before_evaluation(capsys, tmp_path, spec_path):
+    # the pattern reads x, which this signal lacks
+    sig = sig_path(tmp_path, "y\n1 7\n2 12\n")
+    base = ["--spec", spec_path, "--semiring", "supinf", "--cost", "r", "--signal", sig]
+    code, _, err = run(capsys, "grid", *base, "--grid", "1")
+    assert code == 2 and "missing" in err
+    code, out, err = run(capsys, "grid", *base, "--grid", "0")
+    assert (code, out) == (64, "") and "positive" in err
+    code, out, err = run(capsys, "query", *base, "--query", "5", "5")
+    assert (code, out) == (64, "") and err
+
+
 def test_monitor_streams_rows(capsys, tmp_path, spec_path):
     code, out, err = run(
         capsys, "monitor", "--spec", spec_path, "--semiring", "supinf",

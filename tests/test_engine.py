@@ -1,4 +1,5 @@
-"""Streaming evaluation engine and the symbolic transition system."""
+"""The online fold, checked in places against the whole-trace
+reference construction in `oracle`."""
 
 import random
 from fractions import Fraction
@@ -20,13 +21,13 @@ from quantimatch.engine import (
     EngineContext,
     OnlineMatcher,
     _explore,
-    advance,
+    _prune,
     initial_weight,
-    reachable_graph,
     shortest_distance,
     time_scale,
     trace_value,
 )
+from quantimatch.oracle import reachable_graph
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 from quantimatch.signals import EMPTY_SEQ, Signal, segment, valuation
 
@@ -45,10 +46,10 @@ def test_context_tables(wa_supinf):
     assert ctx.t_index == 2
     assert ctx.accepting == frozenset({"l2"})
     t01, t12 = wa_supinf.automaton.transitions
-    assert ctx.guards(t01) == ((1, "<", 10),)
-    assert ctx.guards(t12) == ((1, "<", 20),)
-    assert ctx.resets(t01) == (1,)
-    assert ctx.resets(t12) == ()
+    assert ctx.guards[t01] == ((1, "<", 10),)
+    assert ctx.guards[t12] == ((1, "<", 20),)
+    assert ctx.resets[t01] == (1,)
+    assert ctx.resets[t12] == ()
 
 
 def test_context_engine_clock_never_collides():
@@ -152,7 +153,7 @@ def test_advance_first_segment_exact(wa_supinf):
     w0 = initial_weight(ctx)
     assert w0 == {("l0", zn.point_zone(CT, 0), EMPTY_SEQ): INF}
     x7 = valuation({"x": 7.0})
-    final = advance(ctx, w0, x7, 0, 7)
+    _, final = _explore(ctx, w0, x7, 0, 7)
 
     pinned7 = [(2, 0, 7, False), (0, 2, -7, False)]
     z_wall_input = zn.point_zone(CT, 7)
@@ -262,6 +263,45 @@ def test_matcher_variants_agree():
                         m.feed(seg)
                     tables.append(m.matchset.pieces())
             assert tables[0] == tables[1] == tables[2] == tables[3]
+
+
+def test_prune_without_guards_keeps_exactly_the_live_locations():
+    # no clock guards at all: d1 and d2 never reach acceptance, and l1
+    # has no way out, so only entries at l0 can still produce a match
+    a = parse_automaton(
+        """
+        var x;
+        location l0 init [x < 15];
+        location l1 accept [x > 5];
+        location d1 [true];
+        location d2 [true];
+        edge l0 -> l1;
+        edge l0 -> d1;
+        edge d1 -> d2;
+        edge d2 -> d2;
+        """
+    )
+    wa = WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN)
+    ctx = EngineContext(wa)
+    x7 = valuation({"x": 7.0})
+    weight = {
+        (loc, zn.point_zone(ctx.clock_names, t), seq): 1.0
+        for loc in ("l0", "l1", "d1", "d2")
+        for t in (0, 3)
+        for seq in (EMPTY_SEQ, (x7,))
+    }
+    assert _prune(ctx, weight) == {st: w for st, w in weight.items() if st[0] == "l0"}
+
+    sig = Signal([segment({"x": v}, d) for v, d in
+                  ((7.0, 1), (12.0, Fraction(1, 2)), (3.0, 2), (9.0, 1))])
+    pruned = OnlineMatcher(wa, prune=True)
+    full = OnlineMatcher(wa, prune=False)
+    for seg in sig:
+        pruned.feed(seg)
+        full.feed(seg)
+    assert pruned.matchset.pieces()
+    assert pruned.matchset.pieces() == full.matchset.pieces()
+    assert pruned.footprint() < full.footprint()
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():

@@ -77,7 +77,7 @@ def test_insert_merges_with_oplus():
 def test_insert_skips_empty_and_zero():
     ms = MatchSet(SUPINF)
     empty = zn.make(TT, [(1, 0, -1, False)])
-    assert zn.is_empty(empty)
+    assert empty.m is None
     assert ms.insert(empty, 4.0) is False
     assert ms.insert(region(0, 1, 0, 2), -INF) is False
     assert len(ms) == 0

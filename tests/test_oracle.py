@@ -13,7 +13,6 @@ from quantimatch.oracle import (
     bf_shortest_distance,
     check_incremental,
     check_qtpm_pointwise,
-    qualitative_match,
 )
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 
@@ -158,11 +157,6 @@ def test_accepts_subsignal_hand_verdicts(long_signal, fig_automaton):
         accepts_subsignal(a, long_signal, 5, 40)
     with pytest.raises(ValueError):
         accepts_subsignal(a, long_signal, 5, 5)
-
-
-def test_qualitative_wrapper(long_signal, fig_automaton):
-    verdicts = qualitative_match(fig_automaton, long_signal, [(3, 15), (10, 15)])
-    assert verdicts == [True, False]
 
 
 def test_qualitative_sign_agrees_with_margins(long_signal, fig_automaton, wa_supinf):

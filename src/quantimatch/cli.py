@@ -28,7 +28,7 @@ from .automaton import (
     parse_automaton,
 )
 from .engine import OnlineMatcher, trace_value
-from .matchset import format_piece, format_value
+from .matchset import format_piece, format_time, format_value
 from .signals import SignalFormatError, parse_signal, read_stream
 
 USAGE_EXIT = 64
@@ -146,8 +146,8 @@ def _dispatch(argv=None) -> int:
             t, tp = Fraction(args.query[0]), Fraction(args.query[1])
         except (ValueError, ZeroDivisionError):
             return _fail(USAGE_EXIT, "query times must be rational numbers")
-        if not 0 <= t < tp:
-            return _fail(USAGE_EXIT, "need 0 <= T < TPRIME")
+        if not 0 <= t < tp <= sig.duration:
+            return _fail(USAGE_EXIT, f"need 0 <= T < TPRIME <= {format_time(sig.duration)}")
     else:
         try:
             delta = Fraction(args.grid)

@@ -11,12 +11,13 @@ onto the boundary itself, transitions fire from states whose recorded
 value sequence is nonempty, and freshly fired states wait again.
 Waiting is strictly positive (see `zone.up`), so a fired state can
 never refire at the same instant.  Weighing the graph once yields both
-the carried table (states pinned at the boundary) and the partial view
-used for match harvesting (states strictly inside the segment).  The
-weighing (`shortest_distance`) peels the acyclic prefix in topological
-order and takes the `star` closure only inside the strongly connected
-components that remain, walked in topological order (Mohri, JALC
-2002), so it costs O(n + e + sum |C|^3) over the components C.
+the states the segment reached (all but its inputs), whose accepting
+ones are the segment's matches, and the carried table (states pinned
+at the boundary).  The weighing (`shortest_distance`) peels the acyclic
+prefix in topological order and takes the `star` closure only inside
+the strongly connected components that remain, walked in topological
+order (Mohri, JALC 2002), so it costs O(n + e + sum |C|^3) over the
+components C.
 
 `trace_value` folds a whole signal; `OnlineMatcher` folds a stream and
 harvests the match set.  The whole-trace transition system the fold is
@@ -37,7 +38,7 @@ from .automaton import (
 )
 from .matchset import MatchPiece, MatchSet, zone_sort_key
 from .semiring import Semiring
-from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat
+from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
 
 # engine state: (location name, Zone over clocks + absolute time, ValueSeq)
 State = tuple
@@ -237,7 +238,8 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     """Unfold one segment into a move graph and weigh both views.
 
     `prev` and `cur` are scaled boundary times; input entries are
-    expected to be pinned at `prev`.  Returns (partial, final).
+    expected to be pinned at `prev`.  Returns (reached, final): every
+    weighed state except the inputs, and the states pinned at `cur`.
     """
     sr = ctx.semiring
     t = ctx.t_index
@@ -301,11 +303,14 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                 edges.append((i, discover((loc, wall, seq2), "elapsed", True), sr.one))
 
     dist = shortest_distance(range(len(states)), edges, sources, sr)
-    partial: Weight = {}
+    reached: Weight = {}
     final: Weight = {}
     for i, d in dist.items():
-        (final if at_wall[i] else partial)[states[i]] = d
-    return partial, final
+        if i >= len(sources):  # the inputs were discovered first
+            reached[states[i]] = d
+            if at_wall[i]:
+                final[states[i]] = d
+    return reached, final
 
 
 def initial_weight(ctx: EngineContext) -> Weight:
@@ -405,12 +410,13 @@ class OnlineMatcher:
     """Incremental match-set computation over a segment stream.
 
     The automaton is wrapped with a fresh start location that records
-    the match start on its own clock; every harvested accepting state
-    projects onto the (start, end) plane and folds into the match set.
-    Between segments the weight table keeps only states pinned at the
-    latest boundary.  A fresh start copy is re-seeded there (older
-    copies can produce nothing new) and dead entries are discarded,
-    both optional for cross-checking.
+    the match start on its own clock; the accepting states a segment
+    reaches project onto the (start, end) plane as that segment's rows,
+    final since they end after the previous boundary.  Between segments
+    the weight table keeps only states pinned at the latest boundary.
+    A fresh start copy is re-seeded there (older copies can produce
+    nothing new) and dead entries are discarded, both optional for
+    cross-checking.
     """
 
     def __init__(self, wa: WeightedAutomaton, prune: bool = True,
@@ -436,17 +442,10 @@ class OnlineMatcher:
             self._weight[(l.name, z0, EMPTY_SEQ)] = wa.semiring.one
 
     def feed(self, seg: Segment) -> list:
-        """Consume one segment; report match-set rows that changed.
-
-        Every segment must carry the variable set of the first one.
-        """
-        names = tuple(n for n, _ in seg.values)
-        if self._names is None:
-            self._names = names
-        elif names != self._names:
-            raise ValueError(
-                f"segment variable set {names} differs from the first segment's {self._names}"
-            )
+        """Consume one segment; return the rows it adds to the match set,
+        in `zone_sort_key` order.  No later segment changes them.  Every
+        segment must carry the variable set of the first one."""
+        self._names = check_variables(seg, self._names)
         sr = self.semiring
         new_end = self._elapsed + seg.duration
         s2 = math.lcm(self.scale, new_end.denominator)
@@ -460,20 +459,18 @@ class OnlineMatcher:
         prev = int(self._elapsed * self.scale)
         cur = int(new_end * self.scale)
 
-        partial, final = _explore(self._ctx, self._weight, seg.values, prev, cur)
-        changed = set()
+        reached, final = _explore(self._ctx, self._weight, seg.values, prev, cur)
+        rows: dict = {}  # integer-scale region -> value
+        for (loc, z, q), w in reached.items():
+            if q == EMPTY_SEQ and loc in self._ctx.accepting:
+                region = zn.project_match(z, self._ctx.t_index, self._tp_index)
+                rows[region] = sr.oplus(rows[region], w) if region in rows else w
         unscale = Fraction(1, self.scale)
-        for view in (partial, final):
-            for (loc, z, q), w in view.items():
-                if q != EMPTY_SEQ or loc not in self._ctx.accepting:
-                    continue
-                if (loc, z, q) in self._weight:
-                    continue  # carried input, harvested previously
-                region = zn.scale(
-                    zn.project_match(z, self._ctx.t_index, self._tp_index), unscale
-                )
-                if self.matchset.insert(region, w):
-                    changed.add(region)
+        pieces = []
+        for region in sorted(rows, key=zone_sort_key):
+            piece = MatchPiece(zn.scale(region, unscale), rows[region])
+            self.matchset.insert(piece.region, piece.value)
+            pieces.append(piece)
 
         self._weight = final
         if self.reseed_enabled:
@@ -486,10 +483,7 @@ class OnlineMatcher:
             self._weight = _prune(self._ctx, self._weight)
         self._elapsed = new_end
         self.matchset.horizon = new_end
-        return [
-            MatchPiece(region, self.matchset.get(region))
-            for region in sorted(changed, key=zone_sort_key)
-        ]
+        return pieces
 
     @property
     def elapsed(self) -> Fraction:

@@ -102,9 +102,6 @@ class MatchSet:
         self._pieces[region] = merged
         return True
 
-    def get(self, region: zn.Zone):
-        return self._pieces.get(region, self.semiring.zero)
-
     def pieces(self) -> list:
         return [
             MatchPiece(r, v)
@@ -112,10 +109,11 @@ class MatchSet:
         ]
 
     def query(self, t, t_prime):
-        """Fold every region containing the point (t, t')."""
+        """Fold every region containing the point (t, t'), which must not
+        end past the horizon: later segments may still match there."""
         t, tp = Fraction(t), Fraction(t_prime)
-        if not 0 <= t < tp:
-            raise ValueError(f"need 0 <= t < t', got ({t}, {tp})")
+        if not 0 <= t < tp <= self.horizon:
+            raise ValueError(f"need 0 <= t < t' <= {self.horizon}, got ({t}, {tp})")
         return self.semiring.big_oplus(
             v for r, v in self._pieces.items() if zn.contains(r, (t, tp))
         )

@@ -57,6 +57,16 @@ class Segment:
                 raise ValueError(f"segment value {name}={v} is not finite")
 
 
+def check_variables(seg: Segment, names: tuple[str, ...] | None) -> tuple[str, ...]:
+    """The variable names of `seg`; unless it comes first, they must be `names`."""
+    seg_names = tuple(n for n, _ in seg.values)
+    if names is not None and seg_names != names:
+        raise ValueError(
+            f"segment variable set {seg_names} differs from the first segment's {names}"
+        )
+    return seg_names
+
+
 def segment(values: Mapping[str, float], duration) -> Segment:
     """Convenience constructor taking a plain mapping and any rational."""
     return Segment(valuation(values), Fraction(duration))
@@ -77,12 +87,8 @@ class Signal:
     def __init__(self, segments: Iterable[Segment]):
         segs = tuple(segments)
         names = None
-        for i, s in enumerate(segs):
-            seg_names = tuple(n for n, _ in s.values)
-            if names is None:
-                names = seg_names
-            elif seg_names != names:
-                raise ValueError(f"segment {i}: variable set differs from first segment")
+        for s in segs:
+            names = check_variables(s, names)
         bounds = [Fraction(0)]
         for s in segs:
             bounds.append(bounds[-1] + s.duration)

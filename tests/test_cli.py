@@ -139,7 +139,7 @@ def test_query_usage_errors(capsys, tmp_path, spec_path):
     sig = sig_path(tmp_path, LONG_SIGNAL)
     base = ["query", "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
             "--signal", sig, "--query"]
-    for t, tp in [("abc", "2"), ("5", "5"), ("7", "3"), ("-1", "4")]:
+    for t, tp in [("abc", "2"), ("5", "5"), ("7", "3"), ("-1", "4"), ("3", "31")]:
         code, out, err = run(capsys, *base, t, tp)
         assert code == 64 and out == ""
         assert err

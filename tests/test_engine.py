@@ -168,16 +168,17 @@ def test_advance_first_segment_exact(wa_supinf):
     }
 
 
-def test_explore_partial_keeps_inputs(wa_supinf):
+def test_explore_reached_leaves_out_inputs(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    partial, _ = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
-    key = ("l0", zn.point_zone(CT, 0), EMPTY_SEQ)
-    assert partial[key] == INF
-    # every other state of the partial view lies strictly inside the segment
-    for state in partial:
-        if state != key:
-            assert state[1].m[2][0] == (7, True)
+    reached, final = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
+    assert reached and not set(w0) & set(reached)
+    # every reached state lies strictly after `prev`, within the segment
+    for state in reached:
+        (neg_lo, lo_strict), hi = state[1].m[0][2], state[1].m[2][0]
+        assert -neg_lo > 0 or (neg_lo == 0 and lo_strict), state
+        assert hi in ((7, True), (7, False)), state
+    assert final == {st: w for st, w in reached.items() if st[1].m[2][0] == (7, False)}
 
 
 def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton):
@@ -334,6 +335,24 @@ def test_harvested_regions_are_final_once_their_segment_ends():
     assert harvested > 0
 
 
+def test_feed_returns_exactly_the_rows_its_segment_adds():
+    """Each feed returns the pieces its segment adds to `pieces()`, the
+    after-minus-before difference, in `zone_sort_key` order."""
+    rng = random.Random(35)
+    returned = 0
+    for _ in range(40):
+        a = random_automaton(rng)
+        sig = random_signal(rng, max_segments=4)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            for seg in sig:
+                before = set(m.matchset.pieces())
+                rows = m.feed(seg)
+                assert rows == [p for p in m.matchset.pieces() if p not in before]
+                returned += len(rows)
+    assert returned > 0
+
+
 def test_matcher_rescales_midstream(wa_supinf):
     m = OnlineMatcher(wa_supinf)
     segs = [
@@ -361,8 +380,7 @@ def test_feed_reports_changed_rows_sorted(two_step_signal, wa_supinf):
     assert first
     keys = [zone_sort_key(p.region) for p in first]
     assert keys == sorted(keys)
-    for p in first:
-        assert m.matchset.get(p.region) == p.value
+    assert first == m.matchset.pieces()
 
 
 def test_feed_without_matches_reports_nothing(wa_boolean):

@@ -69,7 +69,7 @@ def test_insert_merges_with_oplus():
     r = region(0, 2, 1, 3)
     assert ms.insert(r, 3.0) is True
     assert ms.insert(r, 5.0) is True
-    assert ms.get(r) == 5.0
+    assert ms.pieces() == [MatchPiece(r, 5.0)]
     assert ms.insert(r, 2.0) is False  # max already dominates
     assert len(ms) == 1
 
@@ -88,26 +88,30 @@ def test_tropical_insert_prefers_min():
     r = region(0, 2, 1, 3)
     ms.insert(r, 5.0)
     assert ms.insert(r, -2.0) is True
-    assert ms.get(r) == -2.0
+    assert ms.pieces() == [MatchPiece(r, -2.0)]
     assert ms.insert(r, 7.0) is False
 
 
 def test_query_validates_window():
     ms = MatchSet(SUPINF)
-    for t, tp in [(-1, 2), (2, 2), (3, 1)]:
+    ms.horizon = Fraction(10)
+    for t, tp in [(-1, 2), (2, 2), (3, 1), (3, Fraction(21, 2))]:
         with pytest.raises(ValueError):
             ms.query(t, tp)
+    assert ms.query(3, 10) == -INF
 
 
 def test_query_folds_overlapping_regions():
     ms = MatchSet(SUPINF)
     ms.insert(region(0, 5, 0, 10), 1.0)
     ms.insert(region(2, 8, 2, 12), 4.0)
+    ms.horizon = Fraction(12)
     assert ms.query(3, 9) == 4.0
     assert ms.query(1, 2) == 1.0
     assert ms.query(Fraction(19, 2), 10) == -INF
     b = MatchSet(BOOLEAN)
     b.insert(region(0, 5, 0, 10), True)
+    b.horizon = Fraction(10)
     assert b.query(1, 2) is True
     assert b.query(6, 9) is False
 

@@ -287,7 +287,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                 continue
             for tr in ctx.out[loc]:
                 z2 = zn.intersect_guard(z, ctx.guards[tr])
-                if z2.m is None:
+                if z2.dbm is None:
                     continue
                 succ = (tr.target, zn.reset(z2, ctx.resets[tr]), EMPTY_SEQ)
                 edges.append((i, discover(succ, "fired", at_wall[i]), w))
@@ -296,10 +296,10 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             zu = zn.up(z)
             seq2 = absorbing_concat(seq, appended)
             band = zn.clamp_time(zu, t, prev, cur, True, True)
-            if band.m is not None:
+            if band.dbm is not None:
                 edges.append((i, discover((loc, band, seq2), "elapsed", False), sr.one))
             wall = zn.clamp_time(zu, t, cur, cur)
-            if wall.m is not None:
+            if wall.dbm is not None:
                 edges.append((i, discover((loc, wall, seq2), "elapsed", True), sr.one))
 
     dist = shortest_distance(range(len(states)), edges, sources, sr)
@@ -400,7 +400,8 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
     out: Weight = {}
     for state, w in weight.items():
         loc, z, _ = state
-        lbs = tuple(-z.m[0][i][0] for i in guarded)
+        # row 0 of the encoding bounds -c_i, so its value is minus the floor
+        lbs = tuple(-(z.dbm[i] >> 1) for i in guarded)
         if is_live(loc, lbs):
             out[state] = w
     return out

@@ -8,6 +8,7 @@ table never needs geometric splitting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,22 +21,27 @@ def format_time(x) -> str:
     if x == INF:
         return "inf"
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    den = f.denominator
+    return _format_ratio(f.numerator, f.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    # num/den in lowest terms, den positive
+    if den == 1:
+        return str(num)
+    rest = den
     d2 = d5 = 0
-    while den % 2 == 0:
-        den //= 2
+    while rest % 2 == 0:
+        rest //= 2
         d2 += 1
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         d5 += 1
-    if den != 1:
-        return f"{f.numerator}/{f.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(d2, d5)
-    scaled = abs(f.numerator) * 10**digits // f.denominator
+    scaled = abs(num) * 10**digits // den
     whole, frac = divmod(scaled, 10**digits)
-    sign = "-" if f < 0 else ""
+    sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
 
 
@@ -52,15 +58,25 @@ def format_value(v) -> str:
 
 
 def zone_sort_key(z: zn.Zone):
-    """Structural ordering of zones, for deterministic output."""
-    return tuple((b[0] == INF, b[0], b[1]) for row in z.m for b in row)
+    """Structural ordering of zones, for deterministic output: entry by
+    entry, by value, then weak before strict, with INF last."""
+    den = z.den
+    return tuple(zn.decode(e, den) for e in z.dbm)
 
 
-def _interval(lo_bound, hi_bound) -> str:
-    # lo_bound constrains the negated coordinate, hi_bound the plain one
-    left = "(" if lo_bound[1] else "["
-    right = ")" if hi_bound[1] else "]"
-    return f"{left}{format_time(-lo_bound[0])},{format_time(hi_bound[0])}{right}"
+def _bound_time(v: int, den: int) -> str:
+    g = math.gcd(v, den)
+    return _format_ratio(v // g, den // g)
+
+
+def _interval(lo, hi, den) -> str:
+    # encoded entries: lo bounds the negated coordinate, hi the plain
+    # one, which alone may be INF
+    left = "[" if lo & 1 else "("
+    if hi is zn.INF:
+        return f"{left}{_bound_time(-(lo >> 1), den)},inf)"
+    right = "]" if hi & 1 else ")"
+    return f"{left}{_bound_time(-(lo >> 1), den)},{_bound_time(hi >> 1, den)}{right}"
 
 
 @dataclass(frozen=True)
@@ -70,10 +86,10 @@ class MatchPiece:
 
 
 def format_piece(piece: MatchPiece) -> str:
-    m = piece.region.m
-    t_iv = _interval(m[0][1], m[1][0])
-    tp_iv = _interval(m[0][2], m[2][0])
-    diff_iv = _interval(m[1][2], m[2][1])
+    d, den = piece.region.dbm, piece.region.den  # row-major 3x3 over (0, t, t')
+    t_iv = _interval(d[1], d[3], den)
+    tp_iv = _interval(d[2], d[6], den)
+    diff_iv = _interval(d[5], d[7], den)
     return f"t in {t_iv}, t' in {tp_iv}, t'-t in {diff_iv} : {format_value(piece.value)}"
 
 
@@ -90,7 +106,7 @@ class MatchSet:
 
     def insert(self, region: zn.Zone, value) -> bool:
         """Fold a value in; True when the stored table changed."""
-        if region.m is None or value == self.semiring.zero:
+        if region.dbm is None or value == self.semiring.zero:
             return False
         old = self._pieces.get(region)
         if old is None:

@@ -66,8 +66,9 @@ def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, 
                     continue
                 succ = (tr.target, zn.reset(z2, ctx.resets[tr]), EMPTY_SEQ)
                 moves.append((succ, w, "fire"))
-    hi = z.m[t][0]
-    lo = z.m[0][t]
+    m = z.m
+    hi = m[t][0]
+    lo = m[0][t]
     if not hi[1] and not lo[1] and hi[0] == -lo[0]:
         k = bisect_left(bounds, hi[0])
     elif not seq:
@@ -133,8 +134,9 @@ def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> Reachable
     accepting = []
     for state in seen:
         loc, z, seq = state
-        hi = z.m[ctx.t_index][0]
-        lo = z.m[0][ctx.t_index]
+        m = z.m
+        hi = m[ctx.t_index][0]
+        lo = m[0][ctx.t_index]
         if (
             seq == EMPTY_SEQ
             and loc in ctx.accepting

@@ -1,167 +1,232 @@
-"""Difference-bound matrices over a named clock list.
+"""Difference-bound matrices over a named clock list, one int per bound.
 
 A zone is the set of nonnegative clock valuations satisfying a
-conjunction of constraints `c_i - c_j < d` or `<= d`.  The matrix entry
-`m[i][j]` is the bound on `c_i - c_j` as a `(value, strict)` pair;
-index 0 is the constant-zero reference, so `m[i][0]` caps clock i from
-above and `m[0][i]` from below.  `value` is an exact rational (or int)
-with `float('inf')` for the absent bound.
+conjunction of constraints `c_i - c_j < d` or `<= d`.  Index 0 is the
+constant-zero reference, so the bound on `c_i - c_j` caps clock i from
+above when j = 0 and from below when i = 0.
 
-Zone objects are immutable and always canonical (all-pairs tightened),
+`Zone.dbm` holds the matrix row-major as a flat tuple of n*n entries,
+n = len(clocks) + 1: entry `i*n + j` bounds `c_i - c_j`.  A bound
+`(v, strict)` is the single int `2v` when strict and `2v + 1` when weak,
+the encoding of the UPPAAL DBM library (Bengtsson & Yi, "Timed Automata:
+Semantics, Algorithms and Tools", LNCS 3098, 2004).  The absent bound is
+the one sentinel `INF`, a float infinity above every int, told apart
+by identity (`e is INF`).  On finite entries bound addition is
+`a + b - ((a | b) & 1)` and "tighter than" is plain `<`; `(0, weak)`
+is 1.
+
+The v of every entry is a numerator over the zone's positive integer
+denominator `Zone.den`, kept reduced (the smallest denominator that makes
+every bound integral).  Engine zones live at an integer time scale and
+have `den == 1`; `scale` by a rational moves only the denominator, and
+`make` and `constrain` take rational constants by raising it.
+
+`Zone.m` decodes the matrix into rows of `(value, strict)` pairs (value
+an int, a Fraction, or `INF`) for readers outside the kernel; no
+operation here uses it.
+
+Zone objects are immutable, canonical (all-pairs tightened) and reduced,
 which makes structural equality coincide with set equality; the empty
-zone carries `m = None`.  Every public operation returns a canonical
-zone, mostly via O(n^2) incremental tightening rather than a full
-Floyd-Warshall pass.
+zone carries `dbm = None` (so `m` is None too).  Every public operation
+returns such a zone, mostly via O(n^2) incremental tightening rather
+than a full Floyd-Warshall pass.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 INF = float("inf")
 
-Bound = tuple  # (value, strict)
 
-BOUND_INF: Bound = (INF, True)
-BOUND_ZERO: Bound = (0, False)
-
-
-def bound_add(a: Bound, b: Bound) -> Bound:
-    if a[0] == INF or b[0] == INF:
-        return BOUND_INF
-    return (a[0] + b[0], a[1] or b[1])
+def encode(value, strict: bool):
+    """The int for the bound (value, strict); `value` an int, or INF."""
+    if value == INF:
+        return INF
+    return 2 * value + (not strict)
 
 
-def bound_lt(a: Bound, b: Bound) -> bool:
-    """a strictly tighter than b."""
-    return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
+def decode(e, den: int = 1) -> tuple:
+    """The (value, strict) pair of an entry over denominator `den`;
+    the value is a Fraction only when it is not an integer."""
+    if e is INF:
+        return (INF, True)
+    v = e >> 1
+    if den != 1:
+        v = v // den if v % den == 0 else Fraction(v, den)
+    return (v, not e & 1)
 
 
-def bound_le(a: Bound, b: Bound) -> bool:
-    """a at least as tight as b."""
-    return a[0] < b[0] or (a[0] == b[0] and (a[1] or not b[1]))
+def _add(a, b):
+    """Bound addition, absorbing at INF; `constrain` inlines it."""
+    if a is INF or b is INF:
+        return INF
+    return a + b - ((a | b) & 1)
 
 
 class Zone:
     """Canonical DBM; construct via the module-level factories."""
 
-    __slots__ = ("clocks", "m", "_hash")
+    __slots__ = ("clocks", "dbm", "den", "_hash")
 
-    def __init__(self, clocks: tuple[str, ...], m):
+    def __init__(self, clocks: tuple[str, ...], dbm, den: int = 1):
         self.clocks = clocks
-        self.m = m
-        self._hash = hash((clocks, m))
+        self.dbm = dbm
+        self.den = den
+        self._hash = None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Zone)
+            and self.dbm == other.dbm
+            and self.den == other.den
             and self.clocks == other.clocks
-            and self.m == other.m
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.clocks, self.dbm, self.den))
+        return h
+
+    @property
+    def m(self):
+        """The matrix as rows of decoded (value, strict) pairs, or None."""
+        d = self.dbm
+        if d is None:
+            return None
+        n = len(self.clocks) + 1
+        pairs = [decode(e, self.den) for e in d]
+        return tuple(tuple(pairs[i * n:(i + 1) * n]) for i in range(n))
 
     def __repr__(self) -> str:
-        if self.m is None:
+        m = self.m
+        if m is None:
             return "Zone(empty)"
         parts = []
         for i, name in enumerate(self.clocks, 1):
-            lo, los = self.m[0][i]
-            hi, his = self.m[i][0]
+            lo, los = m[0][i]
+            hi, his = m[i][0]
             left = "(" if los else "["
             right = ")" if his else "]"
             parts.append(f"{name} in {left}{-lo},{hi}{right}")
         return f"Zone({', '.join(parts)})"
 
 
-def _freeze(rows) -> tuple:
-    return tuple(tuple(r) for r in rows)
+def _reduced(clocks, d: tuple, den: int) -> Zone:
+    """Zone over `den`, with the common factor of den and every
+    numerator divided out."""
+    if den != 1:
+        g = math.gcd(den, *[e >> 1 for e in d if e is not INF])
+        if g != 1:
+            den //= g
+            d = tuple(e if e is INF else (e >> 1) // g * 2 + (e & 1) for e in d)
+    return Zone(clocks, d, den)
 
 
-def _full_canonicalize(clocks, rows) -> Zone:
-    n = len(rows)
+def _times(d: tuple, k: int) -> tuple:
+    """Every finite numerator multiplied by the positive int k."""
+    return tuple(e if e is INF else (e & -2) * k + (e & 1) for e in d)
+
+
+def _full_canonicalize(clocks, rows: list, den: int) -> Zone:
+    n = len(clocks) + 1
     for k in range(n):
-        rk = rows[k]
+        rk = k * n
         for i in range(n):
-            ik = rows[i][k]
-            if ik[0] == INF:
+            ik = rows[i * n + k]
+            if ik is INF:
                 continue
-            ri = rows[i]
+            ri = i * n
             for j in range(n):
-                kj = rk[j]
-                if kj[0] == INF:
-                    continue
-                cand = (ik[0] + kj[0], ik[1] or kj[1])
-                if bound_lt(cand, ri[j]):
-                    ri[j] = cand
-    for i in range(n):
-        if bound_lt(rows[i][i], BOUND_ZERO):
+                cand = _add(ik, rows[rk + j])
+                if cand < rows[ri + j]:
+                    rows[ri + j] = cand
+    for i in range(0, n * n, n + 1):
+        if rows[i] < 1:
             return Zone(clocks, None)
-        rows[i][i] = BOUND_ZERO
-    return Zone(clocks, _freeze(rows))
+        rows[i] = 1
+    return _reduced(clocks, tuple(rows), den)
 
 
 def make(clocks: Sequence[str], constraints: Iterable[tuple] = ()) -> Zone:
     """Zone from constraints (i, j, value, strict) meaning c_i - c_j bound.
 
+    Values may be rational; the zone's denominator is the lcm of theirs.
     Clocks default to the nonnegative orthant with no upper bounds.
     """
     clocks = tuple(clocks)
     n = len(clocks) + 1
-    rows = [[BOUND_INF] * n for _ in range(n)]
+    constraints = [(i, j, Fraction(v), s) for i, j, v, s in constraints if v != INF]
+    den = math.lcm(*(v.denominator for _, _, v, _ in constraints))
+    rows = [INF] * (n * n)
     for i in range(n):
-        rows[i][i] = BOUND_ZERO
-        if i:
-            rows[0][i] = BOUND_ZERO
+        rows[i * n + i] = 1
+        rows[i] = 1
     for i, j, value, strict in constraints:
-        b = (value, strict)
-        if bound_lt(b, rows[i][j]):
-            rows[i][j] = b
-    return _full_canonicalize(clocks, rows)
+        b = encode(int(value * den), strict)
+        if b < rows[i * n + j]:
+            rows[i * n + j] = b
+    return _full_canonicalize(clocks, rows, den)
 
 
 def canonicalize(z: Zone) -> Zone:
     """All-pairs tightening; public operations already return canonical zones."""
-    if z.m is None:
+    if z.dbm is None:
         return z
-    return _full_canonicalize(z.clocks, [list(r) for r in z.m])
+    return _full_canonicalize(z.clocks, list(z.dbm), z.den)
 
 
 def point_zone(clocks: Sequence[str], value=0) -> Zone:
-    """The single valuation with every clock equal to `value`."""
+    """The single valuation with every clock equal to `value`, an int or
+    a Fraction."""
     clocks = tuple(clocks)
     n = len(clocks) + 1
-    rows = [[BOUND_ZERO] * n for _ in range(n)]
+    v = value.numerator
+    rows = [1] * (n * n)
     for i in range(1, n):
-        rows[i][0] = (value, False)
-        rows[0][i] = (-value, False)
-    return Zone(clocks, _freeze(rows))
+        rows[i * n] = 2 * v + 1
+        rows[i] = 1 - 2 * v
+    return Zone(clocks, tuple(rows), value.denominator)
 
 
 def constrain(z: Zone, i: int, j: int, value, strict: bool) -> Zone:
     """Intersect with c_i - c_j <(=) value; O(n^2) incremental tightening."""
-    if z.m is None:
+    d = z.dbm
+    if d is None:
         return z
-    b = (value, strict)
-    m = z.m
-    if bound_le(m[i][j], b):
+    den = z.den
+    if den == 1 and type(value) is int:
+        b = 2 * value + (not strict)
+    else:
+        # a rational constant: move the zone to a denominator it fits
+        v = Fraction(value) * den
+        if v.denominator != 1:
+            d = _times(d, v.denominator)
+            den *= v.denominator
+        b = 2 * v.numerator + (not strict)
+    n = len(z.clocks) + 1
+    if d[i * n + j] <= b:
         return z
-    if bound_lt(bound_add(b, m[j][i]), BOUND_ZERO):
+    ji = d[j * n + i]
+    if ji is not INF and b + ji - ((b | ji) & 1) < 1:
         return Zone(z.clocks, None)
-    rows = [list(r) for r in m]
-    for p in range(len(rows)):
-        pi = m[p][i]
-        if pi[0] == INF:
+    rows = list(d)
+    row_j = d[j * n:j * n + n]
+    for p in range(n):
+        pi = d[p * n + i]
+        if pi is INF:
             continue
-        head = bound_add(pi, b)
-        rp = rows[p]
-        mj = m[j]
-        for q in range(len(rows)):
-            cand = bound_add(head, mj[q])
-            if bound_lt(cand, rp[q]):
-                rp[q] = cand
-    return Zone(z.clocks, _freeze(rows))
+        head = pi + b - ((pi | b) & 1)
+        base = p * n
+        for k, x in enumerate(row_j, base):
+            if x is not INF:
+                cand = head + x - ((head | x) & 1)
+                if cand < rows[k]:
+                    rows[k] = cand
+    return _reduced(z.clocks, tuple(rows), den)
 
 
 def intersect_guard(z: Zone, atoms: Iterable[tuple]) -> Zone:
@@ -177,7 +242,7 @@ def intersect_guard(z: Zone, atoms: Iterable[tuple]) -> Zone:
             z = constrain(z, 0, i, -k, False)
         else:
             raise ValueError(f"unknown comparison {op!r}")
-        if z.m is None:
+        if z.dbm is None:
             return z
     return z
 
@@ -185,16 +250,18 @@ def intersect_guard(z: Zone, atoms: Iterable[tuple]) -> Zone:
 def reset(z: Zone, indices: Iterable[int]) -> Zone:
     """Set the given clocks to 0; canonical form is preserved."""
     indices = tuple(indices)
-    if z.m is None or not indices:
+    d = z.dbm
+    if d is None or not indices:
         return z
-    rows = [list(r) for r in z.m]
-    n = len(rows)
+    rows = list(d)
+    n = len(z.clocks) + 1
     for c in indices:
+        cn = c * n
         for j in range(n):
-            rows[c][j] = rows[0][j]
-            rows[j][c] = rows[j][0]
-        rows[c][c] = BOUND_ZERO
-    return Zone(z.clocks, _freeze(rows))
+            rows[cn + j] = rows[j]
+            rows[j * n + c] = rows[j * n]
+        rows[cn + c] = 1
+    return _reduced(z.clocks, tuple(rows), z.den)
 
 
 def up(z: Zone) -> Zone:
@@ -204,15 +271,17 @@ def up(z: Zone) -> Zone:
     difference bounds are unaffected.  The result is canonical, so no
     tightening pass is needed.
     """
-    if z.m is None:
+    d = z.dbm
+    if d is None:
         return z
-    rows = [list(r) for r in z.m]
-    for i in range(1, len(rows)):
-        rows[i][0] = BOUND_INF
-        lo = rows[0][i]
-        if lo[0] != INF and not lo[1]:
-            rows[0][i] = (lo[0], True)
-    return Zone(z.clocks, _freeze(rows))
+    rows = list(d)
+    n = len(z.clocks) + 1
+    for i in range(1, n):
+        rows[i * n] = INF
+        lo = rows[i]
+        if lo is not INF:
+            rows[i] = lo & -2
+    return _reduced(z.clocks, tuple(rows), z.den)
 
 
 def clamp_time(z: Zone, i: int, lo, hi, left_strict: bool = False, right_strict: bool = False) -> Zone:
@@ -228,39 +297,53 @@ def project_match(z: Zone, t_idx: int, tp_idx: int) -> Zone:
     clock T and the match-start clock T'.  Selecting differences of
     canonical entries yields a canonical 3x3 matrix directly.
     """
-    if z.m is None:
+    d = z.dbm
+    if d is None:
         return Zone(("t", "t'"), None)
-    m = z.m
+    n = len(z.clocks) + 1
+    t, tp = t_idx * n, tp_idx * n
     rows = (
-        (BOUND_ZERO, m[tp_idx][t_idx], m[0][t_idx]),
-        (m[t_idx][tp_idx], BOUND_ZERO, m[0][tp_idx]),
-        (m[t_idx][0], m[tp_idx][0], BOUND_ZERO),
+        1, d[tp + t_idx], d[t_idx],
+        d[t + tp_idx], 1, d[tp_idx],
+        d[t], d[tp], 1,
     )
-    return Zone(("t", "t'"), rows)
+    return _reduced(("t", "t'"), rows, z.den)
 
 
 def contains(z: Zone, values: Sequence) -> bool:
     """Membership of the valuation (aligned with z.clocks) in the zone."""
-    if z.m is None:
+    d = z.dbm
+    if d is None:
         return False
-    vals = (0, *values)
-    n = len(vals)
-    for i in range(n):
-        for j in range(n):
-            b, strict = z.m[i][j]
-            if b == INF:
+    point = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    # with q the lcm of the point's denominators and x_k its coordinates
+    # times q * den, c_i - c_j meets the bound (v, strict) over den iff
+    # x_i - x_j < v*q, or equals it and the bound is weak: iff
+    # 2(x_i - x_j) < the bound's encoding over q * den
+    q = math.lcm(*(v.denominator for v in point))
+    den = z.den
+    xs = [0, *(2 * v.numerator * (q // v.denominator) * den for v in point)]
+    n = len(xs)
+    for i, xi in enumerate(xs):
+        base = i * n
+        for j, xj in enumerate(xs):
+            e = d[base + j]
+            if e is INF:
                 continue
-            d = vals[i] - vals[j]
-            if d > b or (strict and d == b):
+            if q != 1:
+                e = (e & -2) * q + (e & 1)
+            if xi - xj >= e:
                 return False
     return True
 
 
 def scale(z: Zone, factor) -> Zone:
-    """Multiply all finite bounds by a positive factor; stays canonical."""
-    if z.m is None:
+    """Multiply all finite bounds by a positive int or Fraction; stays
+    canonical.  Only the numerators and the denominator change."""
+    d = z.dbm
+    if d is None:
         return z
-    rows = tuple(
-        tuple(b if b[0] == INF else (b[0] * factor, b[1]) for b in r) for r in z.m
-    )
-    return Zone(z.clocks, rows)
+    p, q = factor.numerator, factor.denominator
+    if p != 1:
+        d = _times(d, p)
+    return _reduced(z.clocks, d, z.den * q)

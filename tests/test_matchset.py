@@ -156,3 +156,18 @@ def test_grid_of_empty_set_is_all_zero():
     ms.export_grid(out, 1)
     lines = out.getvalue().splitlines()[1:]
     assert lines and all(l.endswith("\tinf") for l in lines)
+
+
+def test_weak_bound_sorts_before_strict_of_equal_value():
+    # the two regions differ only in whether t' < 3 or t' <= 3; then the
+    # same at a half-integer value, which lives over denominator 2
+    for hi in (3, Fraction(7, 2)):
+        weak = region(0, 2, 1, hi)
+        strict = region(0, 2, 1, hi, strict=(False, False, False, True))
+        assert weak != strict
+        assert zone_sort_key(weak) < zone_sort_key(strict)
+        for order in ((weak, strict), (strict, weak)):
+            ms = MatchSet(SUPINF)
+            for r in order:
+                ms.insert(r, 1.0)
+            assert [p.region for p in ms.pieces()] == [weak, strict]

@@ -2,7 +2,8 @@
 
 Zones are generated from explicit constraint lists (c_i - c_j <= k), so
 every operation can be phrased as a small linear system over exact
-rationals and decided independently of the DBM code.
+rationals and decided independently of the DBM code.  The one-int bound
+encoding is checked against (value, strict) pair arithmetic.
 """
 
 import random
@@ -289,3 +290,71 @@ def test_empty_zone_behavior():
     assert zn.reset(empty, (1,)).m is None
     assert zn.up(empty).m is None
     assert zn.intersect_guard(empty, [(1, "<", 99)]).m is None
+
+
+def _pair_add(a, b):
+    if a[0] == zn.INF or b[0] == zn.INF:
+        return (zn.INF, True)
+    return (a[0] + b[0], a[1] or b[1])
+
+
+def _pair_tighter(a, b):
+    return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
+
+
+def test_bound_encoding_matches_pair_arithmetic():
+    rng = random.Random(21)
+
+    def draw():
+        r = rng.random()
+        if r < 0.1:
+            return (zn.INF, True)
+        # small values collide often, so equal values of both
+        # strictnesses meet; large ones stand for a grown time scale
+        value = rng.randint(-6, 6) if r < 0.8 else rng.randint(-10**15, 10**15)
+        return (value, rng.random() < 0.5)
+
+    ties = 0
+    for _ in range(4000):
+        a, b = draw(), draw()
+        ea, eb = zn.encode(*a), zn.encode(*b)
+        assert zn.decode(ea) == a and zn.decode(eb) == b
+        assert zn.decode(zn._add(ea, eb)) == _pair_add(a, b), (a, b)
+        assert (ea < eb) == _pair_tighter(a, b), (a, b)
+        ties += a[0] == b[0] != zn.INF and a[1] != b[1]
+    assert ties > 50
+
+
+def _at_point(rows, point):
+    """FM rows plus v_k == point[k-1] for every variable."""
+    rows = list(rows)
+    for k, x in enumerate(point, 1):
+        rows.append(({f"v{k}": 1}, Fraction(x), False))
+        rows.append(({f"v{k}": -1}, -Fraction(x), False))
+    return rows
+
+
+def test_rational_bounds_equal_scaled_integer_zone():
+    rng = random.Random(22)
+    half = Fraction(1, 2)
+    cases = 0
+    while cases < 30:
+        doubled = random_constraints(rng, 2, rng.randint(1, 6))
+        halves = [(i, j, Fraction(k, 2), strict) for i, j, k, strict in doubled]
+        integral = zn.make(CLOCKS2, doubled)
+        z = zn.make(CLOCKS2, halves)
+        scaled = zn.scale(integral, half)
+        assert z == scaled and hash(z) == hash(scaled), doubled
+        if z.m is None:
+            continue
+        cases += 1
+        for row, int_row in zip(z.m, integral.m):
+            for (value, strict), (k, int_strict) in zip(row, int_row):
+                assert strict == int_strict
+                if k == zn.INF:
+                    assert value == zn.INF
+                else:
+                    assert value == Fraction(k, 2)
+                    assert isinstance(value, Fraction if k % 2 else int)
+        for p in grid(2, step=half, hi=5):
+            assert zn.contains(z, p) == fm(_at_point(raw_rows(2, halves), p), 2), (halves, p)

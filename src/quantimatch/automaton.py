@@ -197,7 +197,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>//[^\n]*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<number>-?\d+(?:\.\d+)?)
       | (?P<sym><=|>=|->|&&|[<>,;\[\]{}])
     """,
     re.VERBOSE,

@@ -36,7 +36,7 @@ from .automaton import (
     cost_value,
     matching_automaton,
 )
-from .matchset import MatchPiece, MatchSet, zone_sort_key
+from .matchset import MatchSet, scaled_piece, zone_sort_key
 from .semiring import Semiring
 from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
 
@@ -62,18 +62,18 @@ class EngineContext:
         self.audit = audit
         self.labels = {l.name: l.label for l in a.locations}
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
-        self.out = {l.name: [] for l in a.locations}
-        for tr in a.transitions:
-            self.out[tr.source].append(tr)
+        # location -> its transitions compiled to (target, guard atoms
+        # (clock index, op, scaled constant), reset clock indices)
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
-        self.guards = {}
-        self.resets = {}
+        out = {l.name: [] for l in a.locations}
         for tr in a.transitions:
             # guard constants are integers, as WeightedAutomaton checks
-            self.guards[tr] = tuple(
-                (idx[at.var], at.op, int(at.const) * scale) for at in tr.guard
-            )
-            self.resets[tr] = tuple(idx[c] for c in tr.resets)
+            out[tr.source].append((
+                tr.target,
+                tuple((idx[at.var], at.op, int(at.const) * scale) for at in tr.guard),
+                tuple(idx[c] for c in tr.resets),
+            ))
+        self.out = {loc: tuple(moves) for loc, moves in out.items()}
 
 
 def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
@@ -285,11 +285,11 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             w = cost(loc, seq)
             if w == sr.zero:
                 continue
-            for tr in ctx.out[loc]:
-                z2 = zn.intersect_guard(z, ctx.guards[tr])
+            for target, guard, resets in ctx.out[loc]:
+                z2 = zn.intersect_guard(z, guard)
                 if z2.dbm is None:
                     continue
-                succ = (tr.target, zn.reset(z2, ctx.resets[tr]), EMPTY_SEQ)
+                succ = (target, zn.reset(z2, resets), EMPTY_SEQ)
                 edges.append((i, discover(succ, "fired", at_wall[i]), w))
         else:
             # inputs and freshly fired states wait before anything else
@@ -356,7 +356,7 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
     over the location graph alone.
     """
     guarded = sorted(
-        {i for atoms in ctx.guards.values() for (i, _, _) in atoms}
+        {i for moves in ctx.out.values() for _, atoms, _ in moves for i, _, _ in atoms}
     )
     pos = {i: p for p, i in enumerate(guarded)}
     verdicts: dict = {}
@@ -372,22 +372,21 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
             if verdicts.get((cur_loc, cur_lbs)):
                 verdicts[root] = True
                 return True
-            for tr in ctx.out[cur_loc]:
+            for target, atoms, resets in ctx.out[cur_loc]:
                 ok = True
-                for i, op, k in ctx.guards[tr]:
+                for i, op, k in atoms:
                     if op in ("<", "<=") and cur_lbs[pos[i]] > k:
                         ok = False
                         break
                 if not ok:
                     continue
-                if tr.target in ctx.accepting:
+                if target in ctx.accepting:
                     verdicts[root] = True
                     return True
-                resets = ctx.resets[tr]
                 nxt = tuple(
                     0 if guarded[p] in resets else v for p, v in enumerate(cur_lbs)
                 )
-                node = (tr.target, nxt)
+                node = (target, nxt)
                 if node not in visited:
                     visited.add(node)
                     frontier.append(node)
@@ -466,12 +465,12 @@ class OnlineMatcher:
             if q == EMPTY_SEQ and loc in self._ctx.accepting:
                 region = zn.project_match(z, self._ctx.t_index, self._tp_index)
                 rows[region] = sr.oplus(rows[region], w) if region in rows else w
-        unscale = Fraction(1, self.scale)
-        pieces = []
-        for region in sorted(rows, key=zone_sort_key):
-            piece = MatchPiece(zn.scale(region, unscale), rows[region])
-            self.matchset.insert(piece.region, piece.value)
-            pieces.append(piece)
+        pieces = [
+            scaled_piece(region, rows[region], self.scale)
+            for region in sorted(rows, key=zone_sort_key)
+        ]
+        for piece in pieces:
+            self.matchset.insert(piece)
 
         self._weight = final
         if self.reseed_enabled:

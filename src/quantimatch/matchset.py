@@ -4,6 +4,10 @@ A region is a two-dimensional zone over the coordinates (t, t') of a
 match start and end.  Regions from different harvests may overlap; a
 point query folds every region containing the point, so the stored
 table never needs geometric splitting.
+
+The engine computes regions at an integer time scale; `scaled_piece`,
+the one place where a region's bounds become rationals, turns each into
+a `MatchPiece` over a denominator.
 """
 
 from __future__ import annotations
@@ -57,11 +61,16 @@ def format_value(v) -> str:
     return repr(v)
 
 
-def zone_sort_key(z: zn.Zone):
-    """Structural ordering of zones, for deterministic output: entry by
-    entry, by value, then weak before strict, with INF last."""
-    den = z.den
-    return tuple(zn.decode(e, den) for e in z.dbm)
+def zone_sort_key(z: zn.Zone, den: int = 1):
+    """Structural ordering of zones whose bounds are numerators over
+    `den`, for deterministic output: entry by entry, by value, then weak
+    before strict, with INF last."""
+    if den == 1:
+        return tuple(zn.decode(e) for e in z.dbm)
+    return tuple(
+        (zn.INF, True) if e is zn.INF else (Fraction(e >> 1, den), not e & 1)
+        for e in z.dbm
+    )
 
 
 def _bound_time(v: int, den: int) -> str:
@@ -81,12 +90,32 @@ def _interval(lo, hi, den) -> str:
 
 @dataclass(frozen=True)
 class MatchPiece:
+    """A value on a region of the (t, t') plane.  The region's int bounds
+    are numerators over the positive int `den`, in lowest terms: no
+    integer above 1 divides `den` and every finite bound, so equal
+    regions have equal pieces."""
+
     region: zn.Zone
     value: object
+    den: int
+
+
+def scaled_piece(region: zn.Zone, value, scale: int) -> MatchPiece:
+    """The piece for a nonempty `region` computed at time scale `scale`,
+    whose bounds count units of 1/scale."""
+    d = region.dbm
+    g = math.gcd(scale, *[e >> 1 for e in d if e is not zn.INF])
+    if g != 1:
+        # e & -2 is twice the bound's value, which g divides; dividing
+        # every bound by the same positive g keeps the zone canonical
+        region = zn.Zone(region.clocks, tuple(
+            e if e is zn.INF else (e & -2) // g + (e & 1) for e in d
+        ))
+    return MatchPiece(region, value, scale // g)
 
 
 def format_piece(piece: MatchPiece) -> str:
-    d, den = piece.region.dbm, piece.region.den  # row-major 3x3 over (0, t, t')
+    d, den = piece.region.dbm, piece.den  # row-major 3x3 over (0, t, t')
     t_iv = _interval(d[1], d[3], den)
     tp_iv = _interval(d[2], d[6], den)
     diff_iv = _interval(d[5], d[7], den)
@@ -94,34 +123,38 @@ def format_piece(piece: MatchPiece) -> str:
 
 
 class MatchSet:
-    """Insertion-merged map from match-plane zones to semiring values."""
+    """Insertion-merged map from match-plane regions to semiring values."""
 
     def __init__(self, semiring: Semiring):
         self.semiring = semiring
-        self._pieces: dict = {}
+        self._pieces: dict = {}  # (region, den) -> value
         self.horizon = Fraction(0)
 
     def __len__(self) -> int:
         return len(self._pieces)
 
-    def insert(self, region: zn.Zone, value) -> bool:
-        """Fold a value in; True when the stored table changed."""
-        if region.dbm is None or value == self.semiring.zero:
+    def insert(self, piece: MatchPiece) -> bool:
+        """Fold a piece in; True when the stored table changed."""
+        value = piece.value
+        if piece.region.dbm is None or value == self.semiring.zero:
             return False
-        old = self._pieces.get(region)
+        key = (piece.region, piece.den)
+        old = self._pieces.get(key)
         if old is None:
-            self._pieces[region] = value
+            self._pieces[key] = value
             return True
         merged = self.semiring.oplus(old, value)
         if merged == old:
             return False
-        self._pieces[region] = merged
+        self._pieces[key] = merged
         return True
 
     def pieces(self) -> list:
         return [
-            MatchPiece(r, v)
-            for r, v in sorted(self._pieces.items(), key=lambda kv: zone_sort_key(kv[0]))
+            MatchPiece(r, v, den)
+            for (r, den), v in sorted(
+                self._pieces.items(), key=lambda kv: zone_sort_key(*kv[0])
+            )
         ]
 
     def query(self, t, t_prime):
@@ -131,7 +164,7 @@ class MatchSet:
         if not 0 <= t < tp <= self.horizon:
             raise ValueError(f"need 0 <= t < t' <= {self.horizon}, got ({t}, {tp})")
         return self.semiring.big_oplus(
-            v for r, v in self._pieces.items() if zn.contains(r, (t, tp))
+            v for (r, den), v in self._pieces.items() if zn.contains(r, (t, tp), den)
         )
 
     def export_grid(self, stream, delta) -> None:

@@ -60,11 +60,11 @@ def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, 
     if seq:
         w = cost_value(ctx.kind, ctx.labels[loc], seq)
         if w != sr.zero:
-            for tr in ctx.out[loc]:
-                z2 = zn.intersect_guard(z, ctx.guards[tr])
+            for target, guard, resets in ctx.out[loc]:
+                z2 = zn.intersect_guard(z, guard)
                 if z2.m is None:
                     continue
-                succ = (tr.target, zn.reset(z2, ctx.resets[tr]), EMPTY_SEQ)
+                succ = (target, zn.reset(z2, resets), EMPTY_SEQ)
                 moves.append((succ, w, "fire"))
     m = z.m
     hi = m[t][0]
@@ -166,9 +166,9 @@ def arrangement_points(sig: Signal, matchset) -> list:
         m = piece.region.m
         for i in (1, 2):
             if m[i][0][0] != INF:
-                coords.add(Fraction(m[i][0][0]))
+                coords.add(Fraction(m[i][0][0], piece.den))
             if m[0][i][0] != INF:
-                coords.add(Fraction(-m[0][i][0]))
+                coords.add(Fraction(-m[0][i][0], piece.den))
     pts = sorted(c for c in coords if 0 <= c <= sig.duration)
     mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
     return sorted(set(pts) | set(mids))

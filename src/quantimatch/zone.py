@@ -15,19 +15,19 @@ by identity (`e is INF`).  On finite entries bound addition is
 `a + b - ((a | b) & 1)` and "tighter than" is plain `<`; `(0, weak)`
 is 1.
 
-The v of every entry is a numerator over the zone's positive integer
-denominator `Zone.den`, kept reduced (the smallest denominator that makes
-every bound integral).  Engine zones live at an integer time scale and
-have `den == 1`; `scale` by a rational moves only the denominator, and
-`make` and `constrain` take rational constants by raising it.
+Every bound is an integer: the engine rescales time until every segment
+boundary and guard constant is one (`engine.time_scale`).  So `make`,
+`constrain` and `point_zone` take int constants and `scale` a positive
+int.  A match-set row keeps its denominator beside its zone
+(`matchset.MatchPiece`); `contains` reads bounds over such a denominator.
 
 `Zone.m` decodes the matrix into rows of `(value, strict)` pairs (value
-an int, a Fraction, or `INF`) for readers outside the kernel; no
-operation here uses it.
+an int, or `INF`) for readers outside the kernel; no operation here
+uses it.
 
-Zone objects are immutable, canonical (all-pairs tightened) and reduced,
-which makes structural equality coincide with set equality; the empty
-zone carries `dbm = None` (so `m` is None too).  Every public operation
+Zone objects are immutable and canonical (all-pairs tightened), which
+makes structural equality coincide with set equality; the empty zone
+carries `dbm = None` (so `m` is None too).  Every public operation
 returns such a zone, mostly via O(n^2) incremental tightening rather
 than a full Floyd-Warshall pass.
 """
@@ -48,15 +48,11 @@ def encode(value, strict: bool):
     return 2 * value + (not strict)
 
 
-def decode(e, den: int = 1) -> tuple:
-    """The (value, strict) pair of an entry over denominator `den`;
-    the value is a Fraction only when it is not an integer."""
+def decode(e) -> tuple:
+    """The (value, strict) pair of an entry."""
     if e is INF:
         return (INF, True)
-    v = e >> 1
-    if den != 1:
-        v = v // den if v % den == 0 else Fraction(v, den)
-    return (v, not e & 1)
+    return (e >> 1, not e & 1)
 
 
 def _add(a, b):
@@ -69,26 +65,24 @@ def _add(a, b):
 class Zone:
     """Canonical DBM; construct via the module-level factories."""
 
-    __slots__ = ("clocks", "dbm", "den", "_hash")
+    __slots__ = ("clocks", "dbm", "_hash")
 
-    def __init__(self, clocks: tuple[str, ...], dbm, den: int = 1):
+    def __init__(self, clocks: tuple[str, ...], dbm):
         self.clocks = clocks
         self.dbm = dbm
-        self.den = den
         self._hash = None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Zone)
             and self.dbm == other.dbm
-            and self.den == other.den
             and self.clocks == other.clocks
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.clocks, self.dbm, self.den))
+            h = self._hash = hash((self.clocks, self.dbm))
         return h
 
     @property
@@ -98,7 +92,7 @@ class Zone:
         if d is None:
             return None
         n = len(self.clocks) + 1
-        pairs = [decode(e, self.den) for e in d]
+        pairs = [decode(e) for e in d]
         return tuple(tuple(pairs[i * n:(i + 1) * n]) for i in range(n))
 
     def __repr__(self) -> str:
@@ -115,23 +109,7 @@ class Zone:
         return f"Zone({', '.join(parts)})"
 
 
-def _reduced(clocks, d: tuple, den: int) -> Zone:
-    """Zone over `den`, with the common factor of den and every
-    numerator divided out."""
-    if den != 1:
-        g = math.gcd(den, *[e >> 1 for e in d if e is not INF])
-        if g != 1:
-            den //= g
-            d = tuple(e if e is INF else (e >> 1) // g * 2 + (e & 1) for e in d)
-    return Zone(clocks, d, den)
-
-
-def _times(d: tuple, k: int) -> tuple:
-    """Every finite numerator multiplied by the positive int k."""
-    return tuple(e if e is INF else (e & -2) * k + (e & 1) for e in d)
-
-
-def _full_canonicalize(clocks, rows: list, den: int) -> Zone:
+def _full_canonicalize(clocks, rows: list) -> Zone:
     n = len(clocks) + 1
     for k in range(n):
         rk = k * n
@@ -148,65 +126,58 @@ def _full_canonicalize(clocks, rows: list, den: int) -> Zone:
         if rows[i] < 1:
             return Zone(clocks, None)
         rows[i] = 1
-    return _reduced(clocks, tuple(rows), den)
+    return Zone(clocks, tuple(rows))
 
 
 def make(clocks: Sequence[str], constraints: Iterable[tuple] = ()) -> Zone:
     """Zone from constraints (i, j, value, strict) meaning c_i - c_j bound.
 
-    Values may be rational; the zone's denominator is the lcm of theirs.
-    Clocks default to the nonnegative orthant with no upper bounds.
+    Values are integers (or INF, no bound); any other value raises
+    ValueError.  Clocks default to the nonnegative orthant with no upper
+    bounds.
     """
     clocks = tuple(clocks)
     n = len(clocks) + 1
-    constraints = [(i, j, Fraction(v), s) for i, j, v, s in constraints if v != INF]
-    den = math.lcm(*(v.denominator for _, _, v, _ in constraints))
     rows = [INF] * (n * n)
     for i in range(n):
         rows[i * n + i] = 1
         rows[i] = 1
     for i, j, value, strict in constraints:
-        b = encode(int(value * den), strict)
+        if value == INF:
+            continue
+        if value != int(value):
+            raise ValueError(f"zone constant {value} is not an integer")
+        b = encode(int(value), strict)
         if b < rows[i * n + j]:
             rows[i * n + j] = b
-    return _full_canonicalize(clocks, rows, den)
+    return _full_canonicalize(clocks, rows)
 
 
 def canonicalize(z: Zone) -> Zone:
     """All-pairs tightening; public operations already return canonical zones."""
     if z.dbm is None:
         return z
-    return _full_canonicalize(z.clocks, list(z.dbm), z.den)
+    return _full_canonicalize(z.clocks, list(z.dbm))
 
 
-def point_zone(clocks: Sequence[str], value=0) -> Zone:
-    """The single valuation with every clock equal to `value`, an int or
-    a Fraction."""
+def point_zone(clocks: Sequence[str], value: int = 0) -> Zone:
+    """The single valuation with every clock equal to the int `value`."""
     clocks = tuple(clocks)
     n = len(clocks) + 1
-    v = value.numerator
     rows = [1] * (n * n)
     for i in range(1, n):
-        rows[i * n] = 2 * v + 1
-        rows[i] = 1 - 2 * v
-    return Zone(clocks, tuple(rows), value.denominator)
+        rows[i * n] = 2 * value + 1
+        rows[i] = 1 - 2 * value
+    return Zone(clocks, tuple(rows))
 
 
-def constrain(z: Zone, i: int, j: int, value, strict: bool) -> Zone:
-    """Intersect with c_i - c_j <(=) value; O(n^2) incremental tightening."""
+def constrain(z: Zone, i: int, j: int, value: int, strict: bool) -> Zone:
+    """Intersect with c_i - c_j <(=) value, an int; O(n^2) incremental
+    tightening."""
     d = z.dbm
     if d is None:
         return z
-    den = z.den
-    if den == 1 and type(value) is int:
-        b = 2 * value + (not strict)
-    else:
-        # a rational constant: move the zone to a denominator it fits
-        v = Fraction(value) * den
-        if v.denominator != 1:
-            d = _times(d, v.denominator)
-            den *= v.denominator
-        b = 2 * v.numerator + (not strict)
+    b = 2 * value + (not strict)
     n = len(z.clocks) + 1
     if d[i * n + j] <= b:
         return z
@@ -226,7 +197,7 @@ def constrain(z: Zone, i: int, j: int, value, strict: bool) -> Zone:
                 cand = head + x - ((head | x) & 1)
                 if cand < rows[k]:
                     rows[k] = cand
-    return _reduced(z.clocks, tuple(rows), den)
+    return Zone(z.clocks, tuple(rows))
 
 
 def intersect_guard(z: Zone, atoms: Iterable[tuple]) -> Zone:
@@ -261,7 +232,7 @@ def reset(z: Zone, indices: Iterable[int]) -> Zone:
             rows[cn + j] = rows[j]
             rows[j * n + c] = rows[j * n]
         rows[cn + c] = 1
-    return _reduced(z.clocks, tuple(rows), z.den)
+    return Zone(z.clocks, tuple(rows))
 
 
 def up(z: Zone) -> Zone:
@@ -281,7 +252,7 @@ def up(z: Zone) -> Zone:
         lo = rows[i]
         if lo is not INF:
             rows[i] = lo & -2
-    return _reduced(z.clocks, tuple(rows), z.den)
+    return Zone(z.clocks, tuple(rows))
 
 
 def clamp_time(z: Zone, i: int, lo, hi, left_strict: bool = False, right_strict: bool = False) -> Zone:
@@ -307,11 +278,12 @@ def project_match(z: Zone, t_idx: int, tp_idx: int) -> Zone:
         d[t + tp_idx], 1, d[tp_idx],
         d[t], d[tp], 1,
     )
-    return _reduced(("t", "t'"), rows, z.den)
+    return Zone(("t", "t'"), rows)
 
 
-def contains(z: Zone, values: Sequence) -> bool:
-    """Membership of the valuation (aligned with z.clocks) in the zone."""
+def contains(z: Zone, values: Sequence, den: int = 1) -> bool:
+    """Membership of the valuation (aligned with z.clocks) in the zone
+    whose bounds are numerators over the positive int `den`."""
     d = z.dbm
     if d is None:
         return False
@@ -321,7 +293,6 @@ def contains(z: Zone, values: Sequence) -> bool:
     # x_i - x_j < v*q, or equals it and the bound is weak: iff
     # 2(x_i - x_j) < the bound's encoding over q * den
     q = math.lcm(*(v.denominator for v in point))
-    den = z.den
     xs = [0, *(2 * v.numerator * (q // v.denominator) * den for v in point)]
     n = len(xs)
     for i, xi in enumerate(xs):
@@ -337,13 +308,9 @@ def contains(z: Zone, values: Sequence) -> bool:
     return True
 
 
-def scale(z: Zone, factor) -> Zone:
-    """Multiply all finite bounds by a positive int or Fraction; stays
-    canonical.  Only the numerators and the denominator change."""
+def scale(z: Zone, k: int) -> Zone:
+    """Multiply all finite bounds by the positive int k; stays canonical."""
     d = z.dbm
     if d is None:
         return z
-    p, q = factor.numerator, factor.denominator
-    if p != 1:
-        d = _times(d, p)
-    return _reduced(z.clocks, d, z.den * q)
+    return Zone(z.clocks, tuple(e if e is INF else (e & -2) * k + (e & 1) for e in d))

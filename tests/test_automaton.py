@@ -83,6 +83,21 @@ def test_parse_diagnostics(text, line, col, fragment):
         assert (e.value.line, e.value.col) == (line, col)
 
 
+def test_negative_constants_parse():
+    # a leading minus belongs to the number; "->" stays an arrow, with or
+    # without spaces around it
+    a = parse_automaton(
+        "var x;\nclock c;\nlocation a init [x > -2 && x<=-0.5];\n"
+        "location b accept [true];\nedge a->b when c >= -1;\n"
+    )
+    assert a.locations[0].label == (
+        Atom("x", ">", Fraction(-2)), Atom("x", "<=", Fraction(-1, 2)),
+    )
+    assert a.transitions == (Transition("a", (Atom("c", ">=", Fraction(-1)),), (), "b"),)
+    with pytest.raises(ParseError, match="unexpected character '-'"):
+        parse_automaton("var x;\nlocation a [x > - 2];\n")
+
+
 def test_cost_kind_codes():
     assert CostKind.from_code("b") is CostKind.SAT
     assert CostKind.from_code("r") is CostKind.MIN_MARGIN

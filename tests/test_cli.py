@@ -22,6 +22,79 @@ EXPECTED_GRID = (
     "20\t30\t-45\n"
 )
 
+# every row `monitor` prints for LONG_SIGNAL
+EXPECTED_MONITOR = (
+    "t in [0,0], t' in [7.5,7.5], t'-t in [7.5,7.5] : 5\n"
+    "t in [0,0], t' in (0,7.5), t'-t in (0,7.5) : 5\n"
+    "t in (0,7.5), t' in [7.5,7.5], t'-t in (0,7.5) : 5\n"
+    "t in (0,7.5), t' in (0,7.5), t'-t in (0,7.5) : 5\n"
+    "t in [7.5,7.5], t' in [17.5,17.5], t'-t in [10,10] : -25\n"
+    "t in [7.5,7.5], t' in (7.5,17.5), t'-t in (0,10) : -25\n"
+    "t in (7.5,17.5), t' in [17.5,17.5], t'-t in (0,10) : -25\n"
+    "t in (7.5,17.5), t' in (7.5,17.5), t'-t in (0,10) : -25\n"
+    "t in (2.5,7.5), t' in [17.5,17.5], t'-t in (10,15) : -25\n"
+    "t in (2.5,7.5), t' in (7.5,17.5), t'-t in (0,15) : 5\n"
+    "t in [0,0], t' in (7.5,15), t'-t in (7.5,15) : 5\n"
+    "t in (0,7.5), t' in (7.5,17.5), t'-t in (0,15) : 5\n"
+    "t in [17.5,17.5], t' in [30.5,30.5], t'-t in [13,13] : -45\n"
+    "t in [17.5,17.5], t' in (17.5,30.5), t'-t in (0,13) : -45\n"
+    "t in (17.5,30.5), t' in [30.5,30.5], t'-t in (0,13) : -45\n"
+    "t in (17.5,30.5), t' in (17.5,30.5), t'-t in (0,13) : -45\n"
+    "t in (15.5,17.5), t' in [30.5,30.5], t'-t in (13,15) : -45\n"
+    "t in (12.5,17.5), t' in (17.5,27.5), t'-t in (0,15) : -25\n"
+    "t in (12.5,17.5), t' in (17.5,30.5), t'-t in (0,15) : -45\n"
+    "t in [7.5,7.5], t' in (17.5,22.5), t'-t in (10,15) : -25\n"
+    "t in (7.5,17.5), t' in (17.5,27.5), t'-t in (0,15) : -25\n"
+    "t in (2.5,7.5), t' in (17.5,22.5), t'-t in (10,15) : -25\n"
+)
+
+# durations with denominators 3, 2, 6 and 4: bounds print as p/q and as
+# decimals
+FRACTIONAL_SIGNAL = "x\n7/3 10\n1/2 40\n5/6 3\n9/4 12\n"
+
+EXPECTED_MONITOR_FRACTIONAL = (
+    "t in [0,0], t' in [7/3,7/3], t'-t in [7/3,7/3] : 5\n"
+    "t in [0,0], t' in (0,7/3), t'-t in (0,7/3) : 5\n"
+    "t in (0,7/3), t' in [7/3,7/3], t'-t in (0,7/3) : 5\n"
+    "t in (0,7/3), t' in (0,7/3), t'-t in (0,7/3) : 5\n"
+    "t in [7/3,7/3], t' in [17/6,17/6], t'-t in [0.5,0.5] : -25\n"
+    "t in [7/3,7/3], t' in (7/3,17/6), t'-t in (0,0.5) : -25\n"
+    "t in (7/3,17/6), t' in [17/6,17/6], t'-t in (0,0.5) : -25\n"
+    "t in (7/3,17/6), t' in (7/3,17/6), t'-t in (0,0.5) : -25\n"
+    "t in [0,0], t' in [17/6,17/6], t'-t in [17/6,17/6] : 5\n"
+    "t in [0,0], t' in (7/3,17/6), t'-t in (7/3,17/6) : 5\n"
+    "t in (0,7/3), t' in [17/6,17/6], t'-t in (0.5,17/6) : 5\n"
+    "t in (0,7/3), t' in (7/3,17/6), t'-t in (0,17/6) : 5\n"
+    "t in [17/6,17/6], t' in [11/3,11/3], t'-t in [5/6,5/6] : -2\n"
+    "t in [17/6,17/6], t' in (17/6,11/3), t'-t in (0,5/6) : -2\n"
+    "t in (17/6,11/3), t' in [11/3,11/3], t'-t in (0,5/6) : -2\n"
+    "t in (17/6,11/3), t' in (17/6,11/3), t'-t in (0,5/6) : -2\n"
+    "t in [7/3,7/3], t' in [11/3,11/3], t'-t in [4/3,4/3] : -25\n"
+    "t in [7/3,7/3], t' in (17/6,11/3), t'-t in (0.5,4/3) : -25\n"
+    "t in (7/3,17/6), t' in [11/3,11/3], t'-t in (5/6,4/3) : -25\n"
+    "t in (7/3,17/6), t' in (17/6,11/3), t'-t in (0,4/3) : -25\n"
+    "t in [0,0], t' in [11/3,11/3], t'-t in [11/3,11/3] : -2\n"
+    "t in [0,0], t' in (17/6,11/3), t'-t in (17/6,11/3) : -2\n"
+    "t in (0,7/3), t' in [11/3,11/3], t'-t in (4/3,11/3) : -2\n"
+    "t in (0,7/3), t' in (17/6,11/3), t'-t in (0.5,11/3) : -2\n"
+    "t in [11/3,11/3], t' in [71/12,71/12], t'-t in [2.25,2.25] : 3\n"
+    "t in [11/3,11/3], t' in (11/3,71/12), t'-t in (0,2.25) : 3\n"
+    "t in (11/3,71/12), t' in [71/12,71/12], t'-t in (0,2.25) : 3\n"
+    "t in (11/3,71/12), t' in (11/3,71/12), t'-t in (0,2.25) : 3\n"
+    "t in [17/6,17/6], t' in [71/12,71/12], t'-t in [37/12,37/12] : 7\n"
+    "t in [17/6,17/6], t' in (11/3,71/12), t'-t in (5/6,37/12) : 7\n"
+    "t in (17/6,11/3), t' in [71/12,71/12], t'-t in (2.25,37/12) : 7\n"
+    "t in (17/6,11/3), t' in (11/3,71/12), t'-t in (0,37/12) : 7\n"
+    "t in [7/3,7/3], t' in [71/12,71/12], t'-t in [43/12,43/12] : -25\n"
+    "t in [7/3,7/3], t' in (11/3,71/12), t'-t in (4/3,43/12) : -25\n"
+    "t in (7/3,17/6), t' in [71/12,71/12], t'-t in (37/12,43/12) : -25\n"
+    "t in (7/3,17/6), t' in (11/3,71/12), t'-t in (5/6,43/12) : -25\n"
+    "t in [0,0], t' in [71/12,71/12], t'-t in [71/12,71/12] : -2\n"
+    "t in [0,0], t' in (11/3,71/12), t'-t in (11/3,71/12) : -2\n"
+    "t in (0,7/3), t' in [71/12,71/12], t'-t in (43/12,71/12) : -2\n"
+    "t in (0,7/3), t' in (11/3,71/12), t'-t in (4/3,71/12) : -2\n"
+)
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -70,6 +143,20 @@ def test_tracevalue_no_match_prints_zero(capsys, tmp_path, spec_path):
         "--cost", "r", "--signal", sig_path(tmp_path, LONG_SIGNAL),
     )
     assert (code, out) == (0, "-inf\n")
+
+
+def test_tracevalue_negative_threshold(capsys, tmp_path):
+    spec = tmp_path / "negative.tsa"
+    spec.write_text(
+        "var x;\nclock c;\nlocation l0 init [x > -2];\n"
+        "location l1 accept [true];\nedge l0 -> l1 when c < 5;\n"
+    )
+    sig = sig_path(tmp_path, "x\n1 -1.5\n2 -0.5\n")
+    code, out, err = run(
+        capsys, "tracevalue", "--spec", str(spec), "--semiring", "supinf",
+        "--cost", "r", "--signal", sig,
+    )
+    assert (code, out, err) == (0, "0.5\n", "")
 
 
 def test_tracevalue_reads_stdin(capsys, monkeypatch, spec_path):
@@ -182,12 +269,21 @@ def test_monitor_streams_rows(capsys, tmp_path, spec_path):
         "--cost", "r", "--signal", sig_path(tmp_path, LONG_SIGNAL),
     )
     assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert lines[0] == "t in [0,0], t' in [7.5,7.5], t'-t in [7.5,7.5] : 5"
-    assert lines[1] == "t in [0,0], t' in (0,7.5), t'-t in (0,7.5) : 5"
-    assert lines[2] == "t in (0,7.5), t' in [7.5,7.5], t'-t in (0,7.5) : 5"
-    assert len(lines) > 10
-    assert all(" : " in l for l in lines)
+    assert out == EXPECTED_MONITOR
+
+
+def test_monitor_fractional_durations_exact(capsys, tmp_path, spec_path):
+    sig = sig_path(tmp_path, FRACTIONAL_SIGNAL)
+    code, out, err = run(
+        capsys, "monitor", "--spec", spec_path, "--semiring", "supinf",
+        "--cost", "r", "--signal", sig,
+    )
+    assert (code, out, err) == (0, EXPECTED_MONITOR_FRACTIONAL, "")
+    base = ["query", "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+            "--signal", sig, "--query"]
+    for window, want in [(("7/3", "71/12"), "-25\n"), (("1/3", "35/12"), "-2\n"),
+                         (("0", "17/6"), "5\n")]:
+        assert run(capsys, *base, *window) == (0, want, "")
 
 
 def test_monitor_from_stdin(capsys, monkeypatch, spec_path):

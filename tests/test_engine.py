@@ -45,11 +45,10 @@ def test_context_tables(wa_supinf):
     assert ctx.clock_names == ("c", "T")
     assert ctx.t_index == 2
     assert ctx.accepting == frozenset({"l2"})
-    t01, t12 = wa_supinf.automaton.transitions
-    assert ctx.guards[t01] == ((1, "<", 10),)
-    assert ctx.guards[t12] == ((1, "<", 20),)
-    assert ctx.resets[t01] == (1,)
-    assert ctx.resets[t12] == ()
+    # (target, guard atoms at scale 2, reset indices) per location
+    assert ctx.out["l0"] == (("l1", ((1, "<", 10),), (1,)),)
+    assert ctx.out["l1"] == (("l2", ((1, "<", 20),), ()),)
+    assert ctx.out["l2"] == ()
 
 
 def test_context_engine_clock_never_collides():
@@ -317,19 +316,20 @@ def test_harvested_regions_are_final_once_their_segment_ends():
             m = OnlineMatcher(wa)
             inserted = []
             insert = m.matchset.insert
-            m.matchset.insert = lambda region, value: (
-                inserted.append(region) or insert(region, value)
+            m.matchset.insert = lambda piece: (
+                inserted.append((piece.region, piece.den)) or insert(piece)
             )
             earlier = set()
             for k, seg in enumerate(sig):
                 inserted.clear()
                 m.feed(seg)
                 lo, hi = sig.boundaries[k], sig.boundaries[k + 1]
-                for region in inserted:
-                    tp_lo, lo_strict = -region.m[0][2][0], region.m[0][2][1]
+                for region, den in inserted:
+                    tp_lo = -Fraction(region.m[0][2][0], den)
+                    lo_strict = region.m[0][2][1]
                     assert tp_lo > lo or (tp_lo == lo and lo_strict), (k, region)
-                    assert region.m[2][0][0] <= hi, (k, region)
-                    assert region not in earlier, (k, region)
+                    assert Fraction(region.m[2][0][0], den) <= hi, (k, region)
+                    assert (region, den) not in earlier, (k, region)
                 earlier.update(inserted)
                 harvested += len(inserted)
     assert harvested > 0
@@ -378,7 +378,7 @@ def test_feed_reports_changed_rows_sorted(two_step_signal, wa_supinf):
     m = OnlineMatcher(wa_supinf)
     first = m.feed(two_step_signal.segments[0])
     assert first
-    keys = [zone_sort_key(p.region) for p in first]
+    keys = [zone_sort_key(p.region, p.den) for p in first]
     assert keys == sorted(keys)
     assert first == m.matchset.pieces()
 

@@ -1,7 +1,7 @@
 """Match-set table: merging, querying, and text rendering."""
 
 import io
-import random
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,7 @@ from quantimatch.matchset import (
     format_piece,
     format_time,
     format_value,
+    scaled_piece,
     zone_sort_key,
 )
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
@@ -20,18 +21,25 @@ from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 TT = ("t", "t'")
 
 
-def region(t_lo, t_hi, tp_lo, tp_hi, strict=(False, False, False, False)):
+def piece(value, t_lo, t_hi, tp_lo, tp_hi, strict=(False, False, False, False)):
+    """The value on t in [t_lo, t_hi], t' in [tp_lo, tp_hi], t < t', with
+    the region computed at the time scale of its bounds, as the engine
+    does."""
     sl, sh, pl, ph = strict
-    return zn.make(
+    bounds = [Fraction(b) for b in (t_lo, t_hi, tp_lo, tp_hi)]
+    scale = math.lcm(*(b.denominator for b in bounds))
+    lo, hi, plo, phi = (int(b * scale) for b in bounds)
+    region = zn.make(
         TT,
         [
-            (0, 1, -Fraction(t_lo), sl),
-            (1, 0, Fraction(t_hi), sh),
-            (0, 2, -Fraction(tp_lo), pl),
-            (2, 0, Fraction(tp_hi), ph),
+            (0, 1, -lo, sl),
+            (1, 0, hi, sh),
+            (0, 2, -plo, pl),
+            (2, 0, phi, ph),
             (1, 2, 0, True),  # t < t'
         ],
     )
+    return scaled_piece(region, value, scale)
 
 
 def test_format_time():
@@ -56,21 +64,21 @@ def test_format_value():
 
 
 def test_format_piece_rendering():
-    r = region(0, 0, 0, Fraction(15, 2), strict=(False, False, True, True))
-    piece = MatchPiece(r, 5.0)
-    assert format_piece(piece) == "t in [0,0], t' in (0,7.5), t'-t in (0,7.5) : 5"
-    r2 = region(0, 3, 2, 4)
-    assert format_piece(MatchPiece(r2, -INF)).endswith(" : -inf")
-    assert "t in [0,3]" in format_piece(MatchPiece(r2, -INF))
+    p = piece(5.0, 0, 0, 0, Fraction(15, 2), strict=(False, False, True, True))
+    assert p.den == 2
+    assert format_piece(p) == "t in [0,0], t' in (0,7.5), t'-t in (0,7.5) : 5"
+    p2 = piece(-INF, 0, 3, 2, 4)
+    assert format_piece(p2).endswith(" : -inf")
+    assert "t in [0,3]" in format_piece(p2)
 
 
 def test_insert_merges_with_oplus():
     ms = MatchSet(SUPINF)
-    r = region(0, 2, 1, 3)
-    assert ms.insert(r, 3.0) is True
-    assert ms.insert(r, 5.0) is True
-    assert ms.pieces() == [MatchPiece(r, 5.0)]
-    assert ms.insert(r, 2.0) is False  # max already dominates
+    r = (0, 2, 1, 3)
+    assert ms.insert(piece(3.0, *r)) is True
+    assert ms.insert(piece(5.0, *r)) is True
+    assert ms.pieces() == [piece(5.0, *r)]
+    assert ms.insert(piece(2.0, *r)) is False  # max already dominates
     assert len(ms) == 1
 
 
@@ -78,18 +86,18 @@ def test_insert_skips_empty_and_zero():
     ms = MatchSet(SUPINF)
     empty = zn.make(TT, [(1, 0, -1, False)])
     assert empty.m is None
-    assert ms.insert(empty, 4.0) is False
-    assert ms.insert(region(0, 1, 0, 2), -INF) is False
+    assert ms.insert(MatchPiece(empty, 4.0, 1)) is False
+    assert ms.insert(piece(-INF, 0, 1, 0, 2)) is False
     assert len(ms) == 0
 
 
 def test_tropical_insert_prefers_min():
     ms = MatchSet(TROPICAL)
-    r = region(0, 2, 1, 3)
-    ms.insert(r, 5.0)
-    assert ms.insert(r, -2.0) is True
-    assert ms.pieces() == [MatchPiece(r, -2.0)]
-    assert ms.insert(r, 7.0) is False
+    r = (0, 2, 1, 3)
+    ms.insert(piece(5.0, *r))
+    assert ms.insert(piece(-2.0, *r)) is True
+    assert ms.pieces() == [piece(-2.0, *r)]
+    assert ms.insert(piece(7.0, *r)) is False
 
 
 def test_query_validates_window():
@@ -103,37 +111,40 @@ def test_query_validates_window():
 
 def test_query_folds_overlapping_regions():
     ms = MatchSet(SUPINF)
-    ms.insert(region(0, 5, 0, 10), 1.0)
-    ms.insert(region(2, 8, 2, 12), 4.0)
+    ms.insert(piece(1.0, 0, 5, 0, 10))
+    ms.insert(piece(4.0, 2, 8, 2, 12))
     ms.horizon = Fraction(12)
     assert ms.query(3, 9) == 4.0
     assert ms.query(1, 2) == 1.0
     assert ms.query(Fraction(19, 2), 10) == -INF
     b = MatchSet(BOOLEAN)
-    b.insert(region(0, 5, 0, 10), True)
+    b.insert(piece(True, 0, 5, 0, 10))
     b.horizon = Fraction(10)
     assert b.query(1, 2) is True
     assert b.query(6, 9) is False
 
 
 def test_pieces_order_is_insertion_independent():
-    regions = [region(0, i, 1, i + 3) for i in range(1, 6)]
+    # bounds at halves and at integers: the pieces' denominators differ
+    pieces = [piece(float(i), 0, Fraction(i, 2), 1, i + 3) for i in range(1, 6)]
+    assert {p.den for p in pieces} == {1, 2}
     ms1, ms2 = MatchSet(SUPINF), MatchSet(SUPINF)
-    for i, r in enumerate(regions):
-        ms1.insert(r, float(i))
-    for i, r in reversed(list(enumerate(regions))):
-        ms2.insert(r, float(i))
+    for p in pieces:
+        ms1.insert(p)
+    for p in reversed(pieces):
+        ms2.insert(p)
     assert ms1.pieces() == ms2.pieces()
     assert [format_piece(p) for p in ms1.pieces()] == [
         format_piece(p) for p in ms2.pieces()
     ]
-    keys = [zone_sort_key(p.region) for p in ms1.pieces()]
+    keys = [zone_sort_key(p.region, p.den) for p in ms1.pieces()]
     assert keys == sorted(keys)
+    assert ms1.pieces() == pieces
 
 
 def test_export_grid_rows_and_values():
     ms = MatchSet(SUPINF)
-    ms.insert(region(0, 10, 0, 10), 2.0)
+    ms.insert(piece(2.0, 0, 10, 0, 10))
     ms.horizon = Fraction(10)
     out = io.StringIO()
     ms.export_grid(out, Fraction(5, 2))
@@ -162,12 +173,29 @@ def test_weak_bound_sorts_before_strict_of_equal_value():
     # the two regions differ only in whether t' < 3 or t' <= 3; then the
     # same at a half-integer value, which lives over denominator 2
     for hi in (3, Fraction(7, 2)):
-        weak = region(0, 2, 1, hi)
-        strict = region(0, 2, 1, hi, strict=(False, False, False, True))
-        assert weak != strict
-        assert zone_sort_key(weak) < zone_sort_key(strict)
+        weak = piece(1.0, 0, 2, 1, hi)
+        strict = piece(1.0, 0, 2, 1, hi, strict=(False, False, False, True))
+        assert weak.region != strict.region
+        assert zone_sort_key(weak.region, weak.den) < zone_sort_key(strict.region, strict.den)
         for order in ((weak, strict), (strict, weak)):
             ms = MatchSet(SUPINF)
-            for r in order:
-                ms.insert(r, 1.0)
-            assert [p.region for p in ms.pieces()] == [weak, strict]
+            for p in order:
+                ms.insert(p)
+            assert ms.pieces() == [weak, strict]
+
+
+def test_query_reads_bounds_over_the_piece_denominator():
+    # the same ints over denominators 1 and 2 are different regions
+    ints = piece(3.0, 0, 3, 1, 7)
+    halves = scaled_piece(ints.region, 5.0, 2)  # t in [0,1.5], t' in [0.5,3.5]
+    assert halves.den == 2
+    ms = MatchSet(SUPINF)
+    ms.insert(ints)
+    ms.insert(halves)
+    ms.horizon = Fraction(7)
+    assert len(ms) == 2
+    assert ms.query(1, 3) == 5.0
+    assert ms.query(Fraction(3, 2), Fraction(7, 2)) == 5.0
+    assert ms.query(2, 6) == 3.0
+    assert ms.query(Fraction(1, 2), 4) == 3.0
+    assert ms.query(4, 6) == -INF

@@ -3,7 +3,8 @@
 Zones are generated from explicit constraint lists (c_i - c_j <= k), so
 every operation can be phrased as a small linear system over exact
 rationals and decided independently of the DBM code.  The one-int bound
-encoding is checked against (value, strict) pair arithmetic.
+encoding is checked against (value, strict) pair arithmetic.  Bounds are
+integers; match-set pieces read them over a denominator.
 """
 
 import random
@@ -13,6 +14,7 @@ from itertools import product
 import pytest
 
 import quantimatch.zone as zn
+from quantimatch.matchset import scaled_piece
 from quantimatch.oracle import _fm_feasible
 
 CLOCKS2 = ("a", "b")
@@ -262,7 +264,14 @@ def test_scale_membership():
         s = zn.scale(z, 3)
         for p in grid(2, step=1, hi=5):
             assert zn.contains(s, (3 * p[0], 3 * p[1])) == zn.contains(z, p)
-        assert zn.scale(s, Fraction(1, 3)) == z
+
+
+def test_make_rejects_non_integer_constant():
+    for value in (Fraction(1, 2), 2.5, Fraction(-7, 3)):
+        with pytest.raises(ValueError, match="not an integer"):
+            zn.make(CLOCKS2, [(1, 0, 3, False), (0, 2, value, True)])
+    # integral values of other types are taken as the int they equal
+    assert zn.make(CLOCKS2, [(1, 0, Fraction(4), False)]) == zn.make(CLOCKS2, [(1, 0, 4, False)])
 
 
 def test_point_and_zero_zones():
@@ -334,27 +343,34 @@ def _at_point(rows, point):
     return rows
 
 
-def test_rational_bounds_equal_scaled_integer_zone():
+def test_pieces_at_scales_2_and_4_are_equal():
+    """A region at time scale 2 and the same region at scale 4 give one
+    piece, in lowest terms, whose membership on a 1/2 grid is exact."""
     rng = random.Random(22)
     half = Fraction(1, 2)
-    cases = 0
+    cases = reduced = 0
     while cases < 30:
         doubled = random_constraints(rng, 2, rng.randint(1, 6))
-        halves = [(i, j, Fraction(k, 2), strict) for i, j, k, strict in doubled]
-        integral = zn.make(CLOCKS2, doubled)
-        z = zn.make(CLOCKS2, halves)
-        scaled = zn.scale(integral, half)
-        assert z == scaled and hash(z) == hash(scaled), doubled
-        if z.m is None:
+        z2 = zn.make(CLOCKS2, doubled)
+        if z2.m is None:
             continue
         cases += 1
-        for row, int_row in zip(z.m, integral.m):
+        z4 = zn.make(CLOCKS2, [(i, j, 2 * k, strict) for i, j, k, strict in doubled])
+        p2, p4 = scaled_piece(z2, 1.0, 2), scaled_piece(z4, 1.0, 4)
+        assert p2 == p4 and hash(p2) == hash(p4), doubled
+        # the denominator is 1 exactly when every bound of z2 is even
+        finite = [v for row in z2.m for v, _ in row if v != zn.INF]
+        assert p2.den == (1 if all(v % 2 == 0 for v in finite) else 2)
+        reduced += p2.den == 1
+        for row, int_row in zip(p2.region.m, z2.m):
             for (value, strict), (k, int_strict) in zip(row, int_row):
                 assert strict == int_strict
                 if k == zn.INF:
                     assert value == zn.INF
                 else:
-                    assert value == Fraction(k, 2)
-                    assert isinstance(value, Fraction if k % 2 else int)
+                    assert Fraction(value, p2.den) == Fraction(k, 2)
+        halves = [(i, j, Fraction(k, 2), strict) for i, j, k, strict in doubled]
         for p in grid(2, step=half, hi=5):
-            assert zn.contains(z, p) == fm(_at_point(raw_rows(2, halves), p), 2), (halves, p)
+            want = fm(_at_point(raw_rows(2, halves), p), 2)
+            assert zn.contains(p2.region, p, p2.den) == want, (halves, p)
+    assert 0 < reduced < cases

@@ -36,7 +36,7 @@ from .automaton import (
     cost_value,
     matching_automaton,
 )
-from .matchset import MatchSet, scaled_piece, zone_sort_key
+from .matchset import MatchPiece, MatchSet, zone_sort_key
 from .semiring import Semiring
 from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
 
@@ -412,8 +412,10 @@ class OnlineMatcher:
     The automaton is wrapped with a fresh start location that records
     the match start on its own clock; the accepting states a segment
     reaches project onto the (start, end) plane as that segment's rows,
-    final since they end after the previous boundary.  Between segments
-    the weight table keeps only states pinned at the latest boundary.
+    final since they end after the previous boundary.  Each segment's
+    rows, at the current time scale, are one batch of `matchset`.
+    Between segments the weight table keeps only states pinned at the
+    latest boundary.
     A fresh start copy is re-seeded there (older copies can produce
     nothing new) and dead entries are discarded, both optional for
     cross-checking.
@@ -442,9 +444,9 @@ class OnlineMatcher:
             self._weight[(l.name, z0, EMPTY_SEQ)] = wa.semiring.one
 
     def feed(self, seg: Segment) -> list:
-        """Consume one segment; return the rows it adds to the match set,
-        in `zone_sort_key` order.  No later segment changes them.  Every
-        segment must carry the variable set of the first one."""
+        """Consume one segment; return the rows it adds to the match set
+        as its batch, in `zone_sort_key` order.  No later segment changes
+        them.  Every segment must carry the variable set of the first one."""
         self._names = check_variables(seg, self._names)
         sr = self.semiring
         new_end = self._elapsed + seg.duration
@@ -466,11 +468,10 @@ class OnlineMatcher:
                 region = zn.project_match(z, self._ctx.t_index, self._tp_index)
                 rows[region] = sr.oplus(rows[region], w) if region in rows else w
         pieces = [
-            scaled_piece(region, rows[region], self.scale)
+            MatchPiece(region, rows[region], self.scale)
             for region in sorted(rows, key=zone_sort_key)
         ]
-        for piece in pieces:
-            self.matchset.insert(piece)
+        self.matchset.insert(new_end, pieces)
 
         self._weight = final
         if self.reseed_enabled:
@@ -482,7 +483,6 @@ class OnlineMatcher:
         if self.prune_enabled:
             self._weight = _prune(self._ctx, self._weight)
         self._elapsed = new_end
-        self.matchset.horizon = new_end
         return pieces
 
     @property

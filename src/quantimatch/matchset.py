@@ -1,18 +1,18 @@
-"""Match sets: semiring values aggregated over regions of the match plane.
+"""Match sets: semiring values over regions of the match plane.
 
 A region is a two-dimensional zone over the coordinates (t, t') of a
-match start and end.  Regions from different harvests may overlap; a
-point query folds every region containing the point, so the stored
-table never needs geometric splitting.
-
-The engine computes regions at an integer time scale; `scaled_piece`,
-the one place where a region's bounds become rationals, turns each into
-a `MatchPiece` over a denominator.
+match start and end.  The online matcher yields, for each segment
+(b_{k-1}, b_k], the rows whose regions have t' in that interval; such a
+row is final, as every later segment only yields rows with a later t'.
+The match set keeps those rows as one batch per segment, in the order
+they arrived, so a point query reads only the batch whose interval holds
+t' and folds every region there containing the point.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,16 +61,11 @@ def format_value(v) -> str:
     return repr(v)
 
 
-def zone_sort_key(z: zn.Zone, den: int = 1):
-    """Structural ordering of zones whose bounds are numerators over
-    `den`, for deterministic output: entry by entry, by value, then weak
-    before strict, with INF last."""
-    if den == 1:
-        return tuple(zn.decode(e) for e in z.dbm)
-    return tuple(
-        (zn.INF, True) if e is zn.INF else (Fraction(e >> 1, den), not e & 1)
-        for e in z.dbm
-    )
+def zone_sort_key(z: zn.Zone):
+    """Structural ordering of zones at one time scale, for deterministic
+    output: entry by entry, by value, then weak before strict, with INF
+    last."""
+    return tuple(zn.decode(e) for e in z.dbm)
 
 
 def _bound_time(v: int, den: int) -> str:
@@ -90,28 +85,12 @@ def _interval(lo, hi, den) -> str:
 
 @dataclass(frozen=True)
 class MatchPiece:
-    """A value on a region of the (t, t') plane.  The region's int bounds
-    are numerators over the positive int `den`, in lowest terms: no
-    integer above 1 divides `den` and every finite bound, so equal
-    regions have equal pieces."""
+    """A value on a region of the (t, t') plane.  `den` is the time scale
+    the region was computed at: its int bounds count units of 1/den."""
 
     region: zn.Zone
     value: object
     den: int
-
-
-def scaled_piece(region: zn.Zone, value, scale: int) -> MatchPiece:
-    """The piece for a nonempty `region` computed at time scale `scale`,
-    whose bounds count units of 1/scale."""
-    d = region.dbm
-    g = math.gcd(scale, *[e >> 1 for e in d if e is not zn.INF])
-    if g != 1:
-        # e & -2 is twice the bound's value, which g divides; dividing
-        # every bound by the same positive g keeps the zone canonical
-        region = zn.Zone(region.clocks, tuple(
-            e if e is zn.INF else (e & -2) // g + (e & 1) for e in d
-        ))
-    return MatchPiece(region, value, scale // g)
 
 
 def format_piece(piece: MatchPiece) -> str:
@@ -123,39 +102,37 @@ def format_piece(piece: MatchPiece) -> str:
 
 
 class MatchSet:
-    """Insertion-merged map from match-plane regions to semiring values."""
+    """The rows of a segment stream, one batch per segment.
+
+    Batch k holds the rows whose regions have t' in (b_{k-1}, b_k],
+    b_k being the k-th segment end, in the order they were inserted.
+    """
 
     def __init__(self, semiring: Semiring):
         self.semiring = semiring
-        self._pieces: dict = {}  # (region, den) -> value
-        self.horizon = Fraction(0)
+        self._ends: list = []  # increasing segment ends b_k
+        self._batches: list = []  # rows with t' in (b_{k-1}, b_k]
+
+    @property
+    def horizon(self) -> Fraction:
+        """The end of the last batch: no query may end past it."""
+        return self._ends[-1] if self._ends else Fraction(0)
 
     def __len__(self) -> int:
-        return len(self._pieces)
+        return sum(map(len, self._batches))
 
-    def insert(self, piece: MatchPiece) -> bool:
-        """Fold a piece in; True when the stored table changed."""
-        value = piece.value
-        if piece.region.dbm is None or value == self.semiring.zero:
-            return False
-        key = (piece.region, piece.den)
-        old = self._pieces.get(key)
-        if old is None:
-            self._pieces[key] = value
-            return True
-        merged = self.semiring.oplus(old, value)
-        if merged == old:
-            return False
-        self._pieces[key] = merged
-        return True
+    def insert(self, end, rows) -> None:
+        """Append the batch of rows for the segment ending at `end`,
+        which must lie past the horizon."""
+        end = Fraction(end)
+        if not end > self.horizon:
+            raise ValueError(f"batch end {end} is not past the horizon {self.horizon}")
+        self._ends.append(end)
+        self._batches.append(tuple(rows))
 
     def pieces(self) -> list:
-        return [
-            MatchPiece(r, v, den)
-            for (r, den), v in sorted(
-                self._pieces.items(), key=lambda kv: zone_sort_key(*kv[0])
-            )
-        ]
+        """Every row, batch by batch."""
+        return [p for batch in self._batches for p in batch]
 
     def query(self, t, t_prime):
         """Fold every region containing the point (t, t'), which must not
@@ -163,8 +140,10 @@ class MatchSet:
         t, tp = Fraction(t), Fraction(t_prime)
         if not 0 <= t < tp <= self.horizon:
             raise ValueError(f"need 0 <= t < t' <= {self.horizon}, got ({t}, {tp})")
+        # the batch whose interval (b_{k-1}, b_k] holds t', right end included
+        batch = self._batches[bisect_left(self._ends, tp)]
         return self.semiring.big_oplus(
-            v for (r, den), v in self._pieces.items() if zn.contains(r, (t, tp), den)
+            p.value for p in batch if zn.contains(p.region, (t, tp), p.den)
         )
 
     def export_grid(self, stream, delta) -> None:

@@ -18,8 +18,9 @@ is 1.
 Every bound is an integer: the engine rescales time until every segment
 boundary and guard constant is one (`engine.time_scale`).  So `make`,
 `constrain` and `point_zone` take int constants and `scale` a positive
-int.  A match-set row keeps its denominator beside its zone
-(`matchset.MatchPiece`); `contains` reads bounds over such a denominator.
+int.  A match-set row keeps the time scale its zone was computed at
+beside it (`matchset.MatchPiece.den`); `contains` reads bounds over such
+a denominator.
 
 `Zone.m` decodes the matrix into rows of `(value, strict)` pairs (value
 an int, or `INF`) for readers outside the kernel; no operation here

@@ -305,8 +305,8 @@ def test_prune_without_guards_keeps_exactly_the_live_locations():
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():
-    """Segment k only inserts regions with t' in (b_{k-1}, b_k], and no
-    later segment inserts a region equal to an earlier one."""
+    """Segment k only returns regions with t' in (b_{k-1}, b_k], and no
+    later segment returns a region equal to an earlier one."""
     rng = random.Random(34)
     harvested = 0
     for _ in range(40):
@@ -314,24 +314,24 @@ def test_harvested_regions_are_final_once_their_segment_ends():
         sig = random_signal(rng, max_segments=4)
         for wa in weighted_variants(a):
             m = OnlineMatcher(wa)
-            inserted = []
-            insert = m.matchset.insert
-            m.matchset.insert = lambda piece: (
-                inserted.append((piece.region, piece.den)) or insert(piece)
-            )
             earlier = set()
             for k, seg in enumerate(sig):
-                inserted.clear()
-                m.feed(seg)
+                rows = m.feed(seg)
                 lo, hi = sig.boundaries[k], sig.boundaries[k + 1]
-                for region, den in inserted:
+                for p in rows:
+                    region, den = p.region, p.den
                     tp_lo = -Fraction(region.m[0][2][0], den)
                     lo_strict = region.m[0][2][1]
                     assert tp_lo > lo or (tp_lo == lo and lo_strict), (k, region)
                     assert Fraction(region.m[2][0][0], den) <= hi, (k, region)
-                    assert (region, den) not in earlier, (k, region)
-                earlier.update(inserted)
-                harvested += len(inserted)
+                    # the region's bounds as times, whatever its scale
+                    key = tuple(
+                        (v if v == zn.INF else Fraction(v, den), strict)
+                        for row in region.m for v, strict in row
+                    )
+                    assert key not in earlier, (k, region)
+                    earlier.add(key)
+                harvested += len(rows)
     assert harvested > 0
 
 
@@ -378,7 +378,9 @@ def test_feed_reports_changed_rows_sorted(two_step_signal, wa_supinf):
     m = OnlineMatcher(wa_supinf)
     first = m.feed(two_step_signal.segments[0])
     assert first
-    keys = [zone_sort_key(p.region, p.den) for p in first]
+    # the rows of one feed share its time scale, so their int keys compare
+    assert {p.den for p in first} == {m.scale}
+    keys = [zone_sort_key(p.region) for p in first]
     assert keys == sorted(keys)
     assert first == m.matchset.pieces()
 

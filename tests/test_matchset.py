@@ -1,22 +1,26 @@
-"""Match-set table: merging, querying, and text rendering."""
+"""Match-set batches: inserting, querying, and text rendering."""
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import quantimatch.zone as zn
+from quantimatch.engine import OnlineMatcher
 from quantimatch.matchset import (
     MatchPiece,
     MatchSet,
     format_piece,
     format_time,
     format_value,
-    scaled_piece,
     zone_sort_key,
 )
+from quantimatch.oracle import arrangement_points
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
+
+from conftest import random_automaton, random_signal, weighted_variants
 
 TT = ("t", "t'")
 
@@ -39,7 +43,7 @@ def piece(value, t_lo, t_hi, tp_lo, tp_hi, strict=(False, False, False, False)):
             (1, 2, 0, True),  # t < t'
         ],
     )
-    return scaled_piece(region, value, scale)
+    return MatchPiece(region, value, scale)
 
 
 def test_format_time():
@@ -72,37 +76,61 @@ def test_format_piece_rendering():
     assert "t in [0,3]" in format_piece(p2)
 
 
-def test_insert_merges_with_oplus():
+def test_insert_rejects_an_end_not_past_the_horizon():
     ms = MatchSet(SUPINF)
-    r = (0, 2, 1, 3)
-    assert ms.insert(piece(3.0, *r)) is True
-    assert ms.insert(piece(5.0, *r)) is True
-    assert ms.pieces() == [piece(5.0, *r)]
-    assert ms.insert(piece(2.0, *r)) is False  # max already dominates
-    assert len(ms) == 1
+    assert ms.horizon == 0 and len(ms) == 0
+    r = piece(3.0, 0, 2, 1, 3)
+    with pytest.raises(ValueError):
+        ms.insert(0, [r])
+    ms.insert(3, [r])
+    for end in (3, Fraction(5, 2), -1):
+        with pytest.raises(ValueError):
+            ms.insert(end, [piece(4.0, 0, 2, 1, 2)])
+    assert ms.horizon == 3 and ms.pieces() == [r] and len(ms) == 1
+    ms.insert(Fraction(7, 2), [])
+    assert ms.horizon == Fraction(7, 2) and ms.pieces() == [r]
 
 
-def test_insert_skips_empty_and_zero():
+def test_query_at_a_batch_end_reads_that_batch():
+    # batch 1 is (0, 2], batch 2 is (2, 4]; a piece of batch 1 closed at
+    # t' = 2 holds there, and nothing of batch 2 does
     ms = MatchSet(SUPINF)
-    empty = zn.make(TT, [(1, 0, -1, False)])
-    assert empty.m is None
-    assert ms.insert(MatchPiece(empty, 4.0, 1)) is False
-    assert ms.insert(piece(-INF, 0, 1, 0, 2)) is False
-    assert len(ms) == 0
+    ms.insert(2, [piece(3.0, 0, 1, 1, 2, strict=(False, False, True, False))])
+    ms.insert(4, [piece(7.0, 0, 1, 2, 4, strict=(False, False, True, False))])
+    assert ms.query(Fraction(1, 2), 2) == 3.0
+    assert ms.query(Fraction(1, 2), Fraction(5, 2)) == 7.0
+    assert ms.query(Fraction(1, 2), 4) == 7.0
+    assert ms.query(Fraction(3, 2), 2) == -INF
 
 
-def test_tropical_insert_prefers_min():
-    ms = MatchSet(TROPICAL)
-    r = (0, 2, 1, 3)
-    ms.insert(piece(5.0, *r))
-    assert ms.insert(piece(-2.0, *r)) is True
-    assert ms.pieces() == [piece(-2.0, *r)]
-    assert ms.insert(piece(7.0, *r)) is False
+def test_batched_query_folds_every_piece_containing_the_point():
+    """Reading one batch is exact: every row of segment k has t' in
+    (b_{k-1}, b_k], so no other batch holds a region containing a point
+    with such a t'."""
+    rng = random.Random(36)
+    checked = 0
+    for _ in range(6):
+        a = random_automaton(rng)
+        sig = random_signal(rng, max_segments=3)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            for seg in sig:
+                m.feed(seg)
+            ms, pieces = m.matchset, m.matchset.pieces()
+            pts = arrangement_points(sig, ms)
+            for i, t in enumerate(pts):
+                for tp in pts[i + 1:]:
+                    want = wa.semiring.big_oplus(
+                        p.value for p in pieces if zn.contains(p.region, (t, tp), p.den)
+                    )
+                    assert ms.query(t, tp) == want, (t, tp)
+                    checked += 1
+    assert checked > 0
 
 
 def test_query_validates_window():
     ms = MatchSet(SUPINF)
-    ms.horizon = Fraction(10)
+    ms.insert(10, [])
     for t, tp in [(-1, 2), (2, 2), (3, 1), (3, Fraction(21, 2))]:
         with pytest.raises(ValueError):
             ms.query(t, tp)
@@ -111,41 +139,19 @@ def test_query_validates_window():
 
 def test_query_folds_overlapping_regions():
     ms = MatchSet(SUPINF)
-    ms.insert(piece(1.0, 0, 5, 0, 10))
-    ms.insert(piece(4.0, 2, 8, 2, 12))
-    ms.horizon = Fraction(12)
+    ms.insert(12, [piece(1.0, 0, 5, 0, 10), piece(4.0, 2, 8, 2, 12)])
     assert ms.query(3, 9) == 4.0
     assert ms.query(1, 2) == 1.0
     assert ms.query(Fraction(19, 2), 10) == -INF
     b = MatchSet(BOOLEAN)
-    b.insert(piece(True, 0, 5, 0, 10))
-    b.horizon = Fraction(10)
+    b.insert(10, [piece(True, 0, 5, 0, 10)])
     assert b.query(1, 2) is True
     assert b.query(6, 9) is False
 
 
-def test_pieces_order_is_insertion_independent():
-    # bounds at halves and at integers: the pieces' denominators differ
-    pieces = [piece(float(i), 0, Fraction(i, 2), 1, i + 3) for i in range(1, 6)]
-    assert {p.den for p in pieces} == {1, 2}
-    ms1, ms2 = MatchSet(SUPINF), MatchSet(SUPINF)
-    for p in pieces:
-        ms1.insert(p)
-    for p in reversed(pieces):
-        ms2.insert(p)
-    assert ms1.pieces() == ms2.pieces()
-    assert [format_piece(p) for p in ms1.pieces()] == [
-        format_piece(p) for p in ms2.pieces()
-    ]
-    keys = [zone_sort_key(p.region, p.den) for p in ms1.pieces()]
-    assert keys == sorted(keys)
-    assert ms1.pieces() == pieces
-
-
 def test_export_grid_rows_and_values():
     ms = MatchSet(SUPINF)
-    ms.insert(piece(2.0, 0, 10, 0, 10))
-    ms.horizon = Fraction(10)
+    ms.insert(10, [piece(2.0, 0, 10, 0, 10)])
     out = io.StringIO()
     ms.export_grid(out, Fraction(5, 2))
     lines = out.getvalue().splitlines()
@@ -162,7 +168,7 @@ def test_export_grid_rows_and_values():
 
 def test_grid_of_empty_set_is_all_zero():
     ms = MatchSet(TROPICAL)
-    ms.horizon = Fraction(2)
+    ms.insert(2, [])
     out = io.StringIO()
     ms.export_grid(out, 1)
     lines = out.getvalue().splitlines()[1:]
@@ -171,28 +177,21 @@ def test_grid_of_empty_set_is_all_zero():
 
 def test_weak_bound_sorts_before_strict_of_equal_value():
     # the two regions differ only in whether t' < 3 or t' <= 3; then the
-    # same at a half-integer value, which lives over denominator 2
+    # same at a half-integer value, where both regions are at time scale 2
     for hi in (3, Fraction(7, 2)):
         weak = piece(1.0, 0, 2, 1, hi)
         strict = piece(1.0, 0, 2, 1, hi, strict=(False, False, False, True))
+        assert weak.den == strict.den
         assert weak.region != strict.region
-        assert zone_sort_key(weak.region, weak.den) < zone_sort_key(strict.region, strict.den)
-        for order in ((weak, strict), (strict, weak)):
-            ms = MatchSet(SUPINF)
-            for p in order:
-                ms.insert(p)
-            assert ms.pieces() == [weak, strict]
+        assert zone_sort_key(weak.region) < zone_sort_key(strict.region)
 
 
 def test_query_reads_bounds_over_the_piece_denominator():
     # the same ints over denominators 1 and 2 are different regions
     ints = piece(3.0, 0, 3, 1, 7)
-    halves = scaled_piece(ints.region, 5.0, 2)  # t in [0,1.5], t' in [0.5,3.5]
-    assert halves.den == 2
+    halves = MatchPiece(ints.region, 5.0, 2)  # t in [0,1.5], t' in [0.5,3.5]
     ms = MatchSet(SUPINF)
-    ms.insert(ints)
-    ms.insert(halves)
-    ms.horizon = Fraction(7)
+    ms.insert(7, [ints, halves])
     assert len(ms) == 2
     assert ms.query(1, 3) == 5.0
     assert ms.query(Fraction(3, 2), Fraction(7, 2)) == 5.0

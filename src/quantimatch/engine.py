@@ -9,15 +9,28 @@ Per segment the table unfolds into a finite move graph: entries wait
 into the open band between the previous and the current boundary or
 onto the boundary itself, transitions fire from states whose recorded
 value sequence is nonempty, and freshly fired states wait again.
-Waiting is strictly positive (see `zone.up`), so a fired state can
-never refire at the same instant.  Weighing the graph once yields both
-the states the segment reached (all but its inputs), whose accepting
-ones are the segment's matches, and the carried table (states pinned
-at the boundary).  The weighing (`shortest_distance`) peels the acyclic
-prefix in topological order and takes the `star` closure only inside
-the strongly connected components that remain, walked in topological
-order (Mohri, JALC 2002), so it costs O(n + e + sum |C|^3) over the
-components C.
+Waiting is strictly positive, so a fired state can never refire at the
+same instant.  `zone.elapse` gives both waiting targets at once: the
+time clock of an engine zone never passes the current boundary, so
+each target differs from its source only in its absolute bounds (row
+0 and column 0), which elapse rewrites in O(n).  Weighing the graph
+once yields both the states the segment reached (all but its inputs),
+whose accepting ones are the segment's matches, and the carried table
+(states pinned at the boundary).  The weighing (`shortest_distance`)
+peels the acyclic prefix in topological order and takes the `star`
+closure only inside the strongly connected components that remain,
+walked in topological order (Mohri, JALC 2002), so it costs
+O(n + e + sum |C|^3) over the components C.
+
+A fired state forgets the clocks that are dead at its target: no path
+from there reads them in a guard before resetting them (Daws & Yovine,
+"Reducing the Number of Clock Variables of Timed Automata", RTSS 1996).
+`EngineContext` finds them once by a backward fixpoint over the
+transitions, and `zone.free` drops their constraints.  Runs that differ
+only in a dead clock then share one state, whose weight is the ⊕ of
+theirs; the value sequences, the time clock and any clock the caller
+keeps (the matcher's match-start clock) are untouched, so every row
+and value stays the same.
 
 `trace_value` folds a whole signal; `OnlineMatcher` folds a stream and
 harvests the match set.  The whole-trace transition system the fold is
@@ -48,7 +61,7 @@ Weight = dict
 class EngineContext:
     """Lookup tables for one weighted automaton at a fixed time scale."""
 
-    def __init__(self, wa: WeightedAutomaton, scale: int = 1, audit=None):
+    def __init__(self, wa: WeightedAutomaton, scale: int = 1, audit=None, keep=()):
         a = wa.automaton
         self.automaton = a
         self.semiring = wa.semiring
@@ -62,9 +75,27 @@ class EngineContext:
         self.audit = audit
         self.labels = {l.name: l.label for l in a.locations}
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
-        # location -> its transitions compiled to (target, guard atoms
-        # (clock index, op, scaled constant), reset clock indices)
+        # a clock is live at a location when some path from there reads
+        # it in a guard before resetting it (backward fixpoint)
+        live = {l.name: set() for l in a.locations}
+        changed = True
+        while changed:
+            changed = False
+            for tr in a.transitions:
+                need = {at.var for at in tr.guard} | (live[tr.target] - set(tr.resets))
+                if not need <= live[tr.source]:
+                    live[tr.source] |= need
+                    changed = True
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
+        # location -> indices of the clocks dead there, `keep` excepted;
+        # the time clock is not an automaton clock, so it is never one
+        self.dead = {
+            loc: tuple(idx[c] for c in a.clocks if c not in used and c not in keep)
+            for loc, used in live.items()
+        }
+        # location -> its transitions compiled to (target, guard atoms
+        # (clock index, op, scaled constant), reset clock indices, clock
+        # indices dead at the target)
         out = {l.name: [] for l in a.locations}
         for tr in a.transitions:
             # guard constants are integers, as WeightedAutomaton checks
@@ -72,8 +103,13 @@ class EngineContext:
                 tr.target,
                 tuple((idx[at.var], at.op, int(at.const) * scale) for at in tr.guard),
                 tuple(idx[c] for c in tr.resets),
+                self.dead[tr.target],
             ))
         self.out = {loc: tuple(moves) for loc, moves in out.items()}
+        # the clocks some guard reads, and their positions in `_prune`'s
+        # lower-bound tuples
+        self.guarded = tuple(sorted({idx[at.var] for tr in a.transitions for at in tr.guard}))
+        self.guarded_pos = {i: p for p, i in enumerate(self.guarded)}
 
 
 def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
@@ -254,9 +290,8 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     stack: list = []
 
     def discover(state, role, wall):
-        i = ids.get(state)
-        if i is None:
-            i = ids[state] = len(states)
+        i = ids.setdefault(state, len(states))
+        if i == len(states):
             states.append(state)
             at_wall.append(wall)
             roles.append(role)
@@ -285,20 +320,18 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             w = cost(loc, seq)
             if w == sr.zero:
                 continue
-            for target, guard, resets in ctx.out[loc]:
+            for target, guard, resets, dead in ctx.out[loc]:
                 z2 = zn.intersect_guard(z, guard)
                 if z2.dbm is None:
                     continue
-                succ = (target, zn.reset(z2, resets), EMPTY_SEQ)
+                succ = (target, zn.free(zn.reset(z2, resets), dead), EMPTY_SEQ)
                 edges.append((i, discover(succ, "fired", at_wall[i]), w))
         else:
             # inputs and freshly fired states wait before anything else
-            zu = zn.up(z)
+            band, wall = zn.elapse(z, t, prev, cur)
             seq2 = absorbing_concat(seq, appended)
-            band = zn.clamp_time(zu, t, prev, cur, True, True)
             if band.dbm is not None:
                 edges.append((i, discover((loc, band, seq2), "elapsed", False), sr.one))
-            wall = zn.clamp_time(zu, t, cur, cur)
             if wall.dbm is not None:
                 edges.append((i, discover((loc, wall, seq2), "elapsed", True), sr.one))
 
@@ -355,10 +388,8 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
     no guarded clock the bound tuples are empty and the search runs
     over the location graph alone.
     """
-    guarded = sorted(
-        {i for moves in ctx.out.values() for _, atoms, _ in moves for i, _, _ in atoms}
-    )
-    pos = {i: p for p, i in enumerate(guarded)}
+    guarded = ctx.guarded
+    pos = ctx.guarded_pos
     verdicts: dict = {}
 
     def is_live(loc, lbs) -> bool:
@@ -372,7 +403,7 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
             if verdicts.get((cur_loc, cur_lbs)):
                 verdicts[root] = True
                 return True
-            for target, atoms, resets in ctx.out[cur_loc]:
+            for target, atoms, resets, _ in ctx.out[cur_loc]:
                 ok = True
                 for i, op, k in atoms:
                     if op in ("<", "<=") and cur_lbs[pos[i]] > k:
@@ -428,11 +459,13 @@ class OnlineMatcher:
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
         self._start = expanded.locations[-1].name
         self._tp_index = len(wa.automaton.clocks) + 1
+        # the projection reads the match-start clock, so it is never freed
+        self._keep = (expanded.clocks[-1],)
         self.prune_enabled = prune
         self.reseed_enabled = reseed
         self.audit = audit
         self.scale = 1
-        self._ctx = EngineContext(self._expanded, 1, audit)
+        self._ctx = EngineContext(self._expanded, 1, audit, self._keep)
         self._elapsed = Fraction(0)
         self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
@@ -457,7 +490,7 @@ class OnlineMatcher:
                 (l, zn.scale(z, f), q): w for (l, z, q), w in self._weight.items()
             }
             self.scale = s2
-            self._ctx = EngineContext(self._expanded, s2, self.audit)
+            self._ctx = EngineContext(self._expanded, s2, self.audit, self._keep)
         prev = int(self._elapsed * self.scale)
         cur = int(new_end * self.scale)
 

@@ -60,7 +60,7 @@ def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, 
     if seq:
         w = cost_value(ctx.kind, ctx.labels[loc], seq)
         if w != sr.zero:
-            for target, guard, resets in ctx.out[loc]:
+            for target, guard, resets, _ in ctx.out[loc]:
                 z2 = zn.intersect_guard(z, guard)
                 if z2.m is None:
                     continue

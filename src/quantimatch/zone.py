@@ -31,6 +31,16 @@ makes structural equality coincide with set equality; the empty zone
 carries `dbm = None` (so `m` is None too).  Every public operation
 returns such a zone, mostly via O(n^2) incremental tightening rather
 than a full Floyd-Warshall pass.
+
+The engine's two per-state operations skip even that.  `elapse` waits
+into a segment (prev, cur] of the time clock and returns the open band
+and the wall at cur; it requires the time clock to be at most cur
+(else ValueError).  Then every bound it adds passes through row 0 and
+column 0, which it rewrites from the time clock's row and column in
+O(n), where `up` and two `clamp_time` calls take four `constrain`
+passes.  Only a zone that reaches cur without being pinned there needs
+one more O(n^2) pass; engine zones never do.  `free` forgets clocks,
+keeping only c >= 0 on each, in O(n) per clock.
 """
 
 from __future__ import annotations
@@ -260,6 +270,85 @@ def clamp_time(z: Zone, i: int, lo, hi, left_strict: bool = False, right_strict:
     """Intersect with lo <(=) c_i <(=) hi; punctual windows use lo == hi."""
     z = constrain(z, 0, i, -lo, left_strict)
     return constrain(z, i, 0, hi, right_strict)
+
+
+def elapse(z: Zone, t: int, prev: int, cur: int) -> tuple:
+    """Wait from z into a segment (prev, cur] of the time clock c_t.
+
+    Returns (band, wall): `up(z)` restricted to prev < c_t < cur and to
+    c_t = cur, i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
+    `clamp_time(up(z), t, cur, cur)`.  Precondition: c_t <= cur on z,
+    else ValueError.  The bounds the clamps add, c_t - 0 and 0 - c_t,
+    both meet row 0 and column 0, so every path they shorten runs
+    through there: each output rewrites row 0 from row t and column 0
+    from column t, O(n) bound additions.  Only a zone that reaches
+    c_t = cur without being pinned there loses points to the strict
+    wait and has its differences re-tightened through row 0 and column
+    0 as well, in O(n^2); engine zones lie either below cur or on it.
+    """
+    d = z.dbm
+    if d is None:
+        return z, z
+    n = len(z.clocks) + 1
+    tn = t * n
+    top = 2 * cur + 1  # c_t <= cur
+    if d[tn] > top:
+        raise ValueError(f"clock {z.clocks[t - 1]} may exceed the boundary {cur}")
+    touches = d[tn] == top
+    row_t = d[tn:tn + n]
+    col_t = d[t::n]
+    # row 0 of up(z): every finite lower bound turns strict
+    up0 = [e if e is INF else e & -2 for e in d[:n]]
+    out = []
+    for lo, hi in ((-2 * prev, 2 * cur), (1 - 2 * cur, top)):
+        rows = list(d)
+        for j in range(1, n):
+            e = up0[j]
+            x = row_t[j]
+            if x is not INF:
+                x = lo + x - ((lo | x) & 1)
+                if x < e:
+                    e = x
+            rows[j] = e
+        r = rows[t]  # the only way back to 0 is column t, so test 0 -> t -> 0
+        if r + hi - ((r | hi) & 1) < 1:
+            out.append(Zone(z.clocks, None))
+            continue
+        for i in range(1, n):
+            x = col_t[i]
+            rows[i * n] = x if x is INF else x + hi - ((x | hi) & 1)
+        if touches:
+            for i in range(1, n):
+                a = rows[i * n]
+                if a is INF:
+                    continue
+                base = i * n
+                for j in range(1, n):
+                    b = rows[j]
+                    if b is not INF:
+                        cand = a + b - ((a | b) & 1)
+                        if cand < rows[base + j]:
+                            rows[base + j] = cand
+        out.append(Zone(z.clocks, tuple(rows)))
+    return tuple(out)
+
+
+def free(z: Zone, indices: Sequence[int]) -> Zone:
+    """Forget the given clocks, keeping only c >= 0 on each: the
+    projection of z onto the other clocks, extended by the freed ones.
+    Canonical form is preserved."""
+    d = z.dbm
+    if d is None or not indices:
+        return z
+    rows = list(d)
+    n = len(z.clocks) + 1
+    for c in indices:
+        cn = c * n
+        for j in range(n):
+            rows[cn + j] = INF
+            rows[j * n + c] = rows[j * n]
+        rows[cn + c] = 1
+    return Zone(z.clocks, tuple(rows))
 
 
 def project_match(z: Zone, t_idx: int, tp_idx: int) -> Zone:

@@ -27,6 +27,7 @@ from quantimatch.engine import (
     time_scale,
     trace_value,
 )
+from quantimatch.matchset import format_piece
 from quantimatch.oracle import reachable_graph
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 from quantimatch.signals import EMPTY_SEQ, Signal, segment, valuation
@@ -45,10 +46,58 @@ def test_context_tables(wa_supinf):
     assert ctx.clock_names == ("c", "T")
     assert ctx.t_index == 2
     assert ctx.accepting == frozenset({"l2"})
-    # (target, guard atoms at scale 2, reset indices) per location
-    assert ctx.out["l0"] == (("l1", ((1, "<", 10),), (1,)),)
-    assert ctx.out["l1"] == (("l2", ((1, "<", 20),), ()),)
+    # (target, guard atoms at scale 2, reset indices, clocks dead at the
+    # target) per location
+    assert ctx.out["l0"] == (("l1", ((1, "<", 10),), (1,), ()),)
+    assert ctx.out["l1"] == (("l2", ((1, "<", 20),), (), (1,)),)
     assert ctx.out["l2"] == ()
+
+
+def test_dead_clock_table_of_the_overshoot(wa_supinf):
+    """c is read on the way out of l0 and l1 only, and the start
+    location resets it on its way to l0; T' and T are never freed."""
+    m = OnlineMatcher(wa_supinf)
+    ctx = m._ctx
+    assert ctx.clock_names == ("c", "T'", "T")
+    assert ctx.dead == {"l0": (), "l1": (), "l2": (1,), "start": (1,)}
+    for moves in ctx.out.values():
+        for target, _, _, dead in moves:
+            assert dead == ctx.dead[target]
+    # without the matcher's keep, T' would be dead everywhere
+    assert all(2 in dead for dead in EngineContext(m._expanded).dead.values())
+
+
+def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
+    """Rows are byte-identical with dead-clock freeing switched off."""
+    rng = random.Random(36)
+    real_free = zn.free
+    cases = []
+    for _ in range(30):
+        a = random_automaton(rng)
+        cases.append((a, random_signal(rng, max_segments=4)))
+
+    def rows_of(a, sig):
+        out = []
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            for seg in sig:
+                out.append([format_piece(p) for p in m.feed(seg)])
+        return out
+
+    freed = 0
+
+    def counting_free(z, indices):
+        nonlocal freed
+        f = real_free(z, indices)
+        freed += f != z
+        return f
+
+    monkeypatch.setattr(zn, "free", counting_free)
+    with_free = [rows_of(a, sig) for a, sig in cases]
+    monkeypatch.setattr(zn, "free", lambda z, indices: z)
+    without = [rows_of(a, sig) for a, sig in cases]
+    assert with_free == without
+    assert freed > 0 and any(any(batch) for rows in with_free for batch in rows)
 
 
 def test_context_engine_clock_never_collides():
@@ -158,12 +207,16 @@ def test_advance_first_segment_exact(wa_supinf):
     z_wall_input = zn.point_zone(CT, 7)
     z_fired_wall = zone2(*pinned7, (1, 0, 0, False))
     z_band_c = zone2(*pinned7, (1, 0, 7, True), (0, 1, 0, True))
+    # c is dead at l2, so firing into l2 frees it: only c >= 0 is left,
+    # and waiting turns that strict
+    z_l2 = zone2(*pinned7)
+    z_l2_waited = zone2(*pinned7, (0, 1, 0, True))
     assert final == {
         ("l0", z_wall_input, (x7,)): INF,
         ("l1", z_fired_wall, EMPTY_SEQ): 8.0,
         ("l1", z_band_c, (x7,)): 8.0,
-        ("l2", z_band_c, EMPTY_SEQ): 2.0,
-        ("l2", z_band_c, (x7,)): 2.0,
+        ("l2", z_l2, EMPTY_SEQ): 2.0,
+        ("l2", z_l2_waited, (x7,)): 2.0,
     }
 
 

@@ -360,3 +360,99 @@ def test_pieces_at_scales_2_and_4_are_equal():
             want = fm(_at_point(raw_rows(2, halves), p), 2)
             assert zn.contains(z2, p, 2) == want, (halves, p)
             assert zn.contains(z4, p, 4) == want, (halves, p)
+
+
+def _time_capped_zones(rng, cases):
+    """Random canonical zones over 1-3 clocks plus a last clock T, with
+    T <= cur, and a prev <= cur."""
+    out = []
+    while len(out) < cases:
+        k = rng.randint(1, 3)
+        clocks = ("a", "b", "c")[:k] + ("T",)
+        t = k + 1
+        cur = rng.randint(0, 8)
+        prev = rng.randint(0, cur)
+        cons = random_constraints(rng, t, rng.randint(0, 6))
+        cons.append((t, 0, cur, rng.random() < 0.3))
+        out.append((zn.make(clocks, cons), t, prev, cur))
+    return out
+
+
+def _elapse_by_clamps(z, t, prev, cur):
+    u = zn.up(z)
+    return zn.clamp_time(u, t, prev, cur, True, True), zn.clamp_time(u, t, cur, cur)
+
+
+def test_elapse_equals_up_then_both_clamps():
+    rng = random.Random(23)
+    bands = walls = retightened = 0
+    for z, t, prev, cur in _time_capped_zones(rng, 3000):
+        band, wall = zn.elapse(z, t, prev, cur)
+        assert (band, wall) == _elapse_by_clamps(z, t, prev, cur), (z, prev, cur)
+        bands += band.dbm is not None
+        walls += wall.dbm is not None
+        n = t + 1
+        # differences the strict wait tightens, where z touches T = cur
+        retightened += wall.dbm is not None and any(
+            wall.dbm[i * n + j] != z.dbm[i * n + j] for i in range(1, n) for j in range(1, n)
+        )
+    assert bands > 500 and walls > 500 and retightened > 100
+
+
+def test_elapse_edges():
+    clocks = ("a", "T")
+    empty = zn.make(clocks, [(1, 0, -1, False)])
+    assert zn.elapse(empty, 2, 0, 3) == (empty, empty)
+    # pinned at cur: waiting leaves the segment at once
+    at_cur = zn.make(clocks, [(2, 0, 3, False), (0, 2, -3, False), (1, 0, 2, False)])
+    band, wall = zn.elapse(at_cur, 2, 1, 3)
+    assert band.dbm is None and wall.dbm is None
+    assert (band, wall) == _elapse_by_clamps(at_cur, 2, 1, 3)
+    # pinned at prev, as every input entry of a segment is
+    at_prev = zn.make(clocks, [(2, 0, 1, False), (0, 2, -1, False), (1, 0, 0, False)])
+    band, wall = zn.elapse(at_prev, 2, 1, 3)
+    assert (band, wall) == _elapse_by_clamps(at_prev, 2, 1, 3)
+    assert zn.contains(band, (1, 2)) and not zn.contains(band, (2, 3))
+    assert zn.contains(wall, (2, 3)) and not zn.contains(wall, (1, 2))
+
+
+def test_elapse_rejects_time_past_the_boundary():
+    clocks = ("a", "T")
+    for cap in ([(2, 0, 4, False)], [(2, 0, 4, True)], []):
+        z = zn.make(clocks, cap)
+        with pytest.raises(ValueError, match="exceed the boundary 3"):
+            zn.elapse(z, 2, 0, 3)
+
+
+def test_free_is_the_canonical_cylinder_of_the_projection():
+    rng = random.Random(24)
+    cases = 0
+    for _ in range(120):
+        cons = random_constraints(rng, 2, rng.randint(0, 6))
+        z = zn.make(CLOCKS2, cons)
+        c = rng.randint(1, 2)
+        f = zn.free(z, (c,))
+        assert zn.canonicalize(f) == f
+        if z.dbm is None:
+            assert f.dbm is None
+            continue
+        cases += 1
+        # the other clocks' submatrix, with c left at c >= 0
+        kept = [
+            (i, j, *zn.decode(z.dbm[i * 3 + j]))
+            for i in range(3) for j in range(3) if c not in (i, j) and i != j
+        ]
+        assert f == zn.make(CLOCKS2, kept), (cons, c)
+        # membership: some nonnegative value of c puts the point in z
+        for p in grid(2, hi=5):
+            fixed = [x for k, x in enumerate(p, 1) if k != c]
+            rows = raw_rows(2, cons)
+            for k, x in zip([k for k in (1, 2) if k != c], fixed):
+                rows.append(({f"v{k}": 1}, Fraction(x), False))
+                rows.append(({f"v{k}": -1}, -Fraction(x), False))
+            assert zn.contains(f, p) == fm(rows, 2), (cons, c, p)
+    assert cases > 40
+    # freeing several clocks at once equals freeing them one by one
+    z = zn.make(CLOCKS3, [(1, 2, 1, False), (2, 3, -2, True), (3, 0, 6, False)])
+    assert zn.free(z, (1, 2)) == zn.free(zn.free(z, (1,)), (2,))
+    assert zn.free(z, ()) is z

@@ -53,7 +53,8 @@ from .matchset import MatchPiece, MatchSet, zone_sort_key
 from .semiring import Semiring
 from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
 
-# engine state: (location name, Zone over clocks + absolute time, ValueSeq)
+# engine state: (location name, zone over clocks + absolute time, ValueSeq);
+# the zone is a flat bound tuple (zone.py), never None
 State = tuple
 Weight = dict
 
@@ -322,7 +323,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                 continue
             for target, guard, resets, dead in ctx.out[loc]:
                 z2 = zn.intersect_guard(z, guard)
-                if z2.dbm is None:
+                if z2 is None:
                     continue
                 succ = (target, zn.free(zn.reset(z2, resets), dead), EMPTY_SEQ)
                 edges.append((i, discover(succ, "fired", at_wall[i]), w))
@@ -330,9 +331,9 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             # inputs and freshly fired states wait before anything else
             band, wall = zn.elapse(z, t, prev, cur)
             seq2 = absorbing_concat(seq, appended)
-            if band.dbm is not None:
+            if band is not None:
                 edges.append((i, discover((loc, band, seq2), "elapsed", False), sr.one))
-            if wall.dbm is not None:
+            if wall is not None:
                 edges.append((i, discover((loc, wall, seq2), "elapsed", True), sr.one))
 
     dist = shortest_distance(range(len(states)), edges, sources, sr)
@@ -431,7 +432,7 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
     for state, w in weight.items():
         loc, z, _ = state
         # row 0 of the encoding bounds -c_i, so its value is minus the floor
-        lbs = tuple(-(z.dbm[i] >> 1) for i in guarded)
+        lbs = tuple(-(z[i] >> 1) for i in guarded)
         if is_live(loc, lbs):
             out[state] = w
     return out
@@ -448,12 +449,10 @@ class OnlineMatcher:
     Between segments the weight table keeps only states pinned at the
     latest boundary.
     A fresh start copy is re-seeded there (older copies can produce
-    nothing new) and dead entries are discarded, both optional for
-    cross-checking.
+    nothing new) and dead entries are discarded.
     """
 
-    def __init__(self, wa: WeightedAutomaton, prune: bool = True,
-                 reseed: bool = True, audit=None):
+    def __init__(self, wa: WeightedAutomaton, audit=None):
         self.semiring = wa.semiring
         expanded = matching_automaton(wa.automaton)
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
@@ -461,8 +460,6 @@ class OnlineMatcher:
         self._tp_index = len(wa.automaton.clocks) + 1
         # the projection reads the match-start clock, so it is never freed
         self._keep = (expanded.clocks[-1],)
-        self.prune_enabled = prune
-        self.reseed_enabled = reseed
         self.audit = audit
         self.scale = 1
         self._ctx = EngineContext(self._expanded, 1, audit, self._keep)
@@ -506,15 +503,9 @@ class OnlineMatcher:
         ]
         self.matchset.insert(new_end, pieces)
 
-        self._weight = final
-        if self.reseed_enabled:
-            self._weight = {
-                st: w for st, w in self._weight.items() if st[0] != self._start
-            }
-            z = zn.point_zone(self._ctx.clock_names, cur)
-            self._weight[(self._start, z, EMPTY_SEQ)] = sr.one
-        if self.prune_enabled:
-            self._weight = _prune(self._ctx, self._weight)
+        weight = {st: w for st, w in final.items() if st[0] != self._start}
+        weight[(self._start, zn.point_zone(self._ctx.clock_names, cur), EMPTY_SEQ)] = sr.one
+        self._weight = _prune(self._ctx, weight)
         self._elapsed = new_end
         return pieces
 

@@ -61,11 +61,11 @@ def format_value(v) -> str:
     return repr(v)
 
 
-def zone_sort_key(z: zn.Zone):
+def zone_sort_key(z: tuple):
     """Structural ordering of zones at one time scale, for deterministic
     output: entry by entry, by value, then weak before strict, with INF
     last."""
-    return tuple(zn.decode(e) for e in z.dbm)
+    return tuple(zn.decode(e) for e in z)
 
 
 def _bound_time(v: int, den: int) -> str:
@@ -88,13 +88,13 @@ class MatchPiece:
     """A value on a region of the (t, t') plane.  `den` is the time scale
     the region was computed at: its int bounds count units of 1/den."""
 
-    region: zn.Zone
+    region: tuple  # zone.py's flat 3x3 bound tuple over (0, t, t')
     value: object
     den: int
 
 
 def format_piece(piece: MatchPiece) -> str:
-    d, den = piece.region.dbm, piece.den  # row-major 3x3 over (0, t, t')
+    d, den = piece.region, piece.den
     t_iv = _interval(d[1], d[3], den)
     tp_iv = _interval(d[2], d[6], den)
     diff_iv = _interval(d[5], d[7], den)

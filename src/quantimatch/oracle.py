@@ -62,11 +62,11 @@ def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, 
         if w != sr.zero:
             for target, guard, resets, _ in ctx.out[loc]:
                 z2 = zn.intersect_guard(z, guard)
-                if z2.m is None:
+                if z2 is None:
                     continue
                 succ = (target, zn.reset(z2, resets), EMPTY_SEQ)
                 moves.append((succ, w, "fire"))
-    m = z.m
+    m = zn.matrix(z)
     hi = m[t][0]
     lo = m[0][t]
     if not hi[1] and not lo[1] and hi[0] == -lo[0]:
@@ -79,10 +79,10 @@ def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, 
         zu = zn.up(z)
         seq2 = absorbing_concat(seq, (vals[k],))
         band = zn.clamp_time(zu, t, bounds[k], bounds[k + 1], True, True)
-        if band.m is not None:
+        if band is not None:
             moves.append(((loc, band, seq2), sr.one, "elapse"))
         wall = zn.clamp_time(zu, t, bounds[k + 1], bounds[k + 1])
-        if wall.m is not None:
+        if wall is not None:
             moves.append(((loc, wall, seq2), sr.one, "elapse"))
     return moves
 
@@ -134,7 +134,7 @@ def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> Reachable
     accepting = []
     for state in seen:
         loc, z, seq = state
-        m = z.m
+        m = zn.matrix(z)
         hi = m[ctx.t_index][0]
         lo = m[0][ctx.t_index]
         if (
@@ -163,7 +163,7 @@ def arrangement_points(sig: Signal, matchset) -> list:
     """Segment boundaries, region endpoints, and midpoints in between."""
     coords = set(sig.boundaries)
     for piece in matchset.pieces():
-        m = piece.region.m
+        m = zn.matrix(piece.region)
         for i in (1, 2):
             if m[i][0][0] != INF:
                 coords.add(Fraction(m[i][0][0], piece.den))

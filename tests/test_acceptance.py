@@ -35,13 +35,16 @@ AUDIT = {"zones": 0, "violations": [], "sample": []}
 
 
 def bound_audit(zone, scale, cur):
-    """Every engine zone must satisfy 0 <= clock <= time <= elapsed,
-    with all finite bounds integral at the engine's time scale."""
+    """Every engine zone must satisfy 0 <= clock <= time <= elapsed for
+    every clock except those freed as dead, with all finite bounds
+    integral at the engine's time scale.  A freed clock keeps only
+    clock >= 0: it is the one kind of clock unbounded against the time
+    clock, and every other off-diagonal entry of its row is INF too."""
     AUDIT["zones"] += 1
-    m = zone.m
+    m = zn.matrix(zone)
     if m is None:
         return
-    n = len(zone.clocks)
+    n = len(m) - 1  # the time clock is the last one
     problems = []
     for i in range(1, n + 1):
         if m[0][i][0] > 0:
@@ -49,7 +52,12 @@ def bound_audit(zone, scale, cur):
         hi = m[i][0][0]
         if hi != INF and hi > cur:
             problems.append(f"clock {i} exceeds elapsed time {cur}")
-        if i != n and m[i][n][0] != INF and m[i][n][0] > 0:
+        if i == n:
+            continue
+        if m[i][n][0] == INF:
+            if any(m[i][j][0] != INF for j in range(n + 1) if j != i):
+                problems.append(f"clock {i} is unbounded against the time clock but not freed")
+        elif m[i][n][0] > 0:
             problems.append(f"clock {i} exceeds the time clock")
     for row in m:
         for value, _ in row:
@@ -103,7 +111,8 @@ def test_criterion_1_two_step_trace_and_transition_system():
     assert SUPINF.big_oplus(g.nodes[s] for s in g.accepting) == 7.0
     for loc, z, seq in g.accepting:
         assert loc == "l2" and seq == ()
-        assert z.m[2][0] == (14, False) and z.m[0][2] == (-14, False)
+        m = zn.matrix(z)
+        assert m[2][0] == (14, False) and m[0][2] == (-14, False)
     check_time(1.0, t0, "criterion 1")
     print("criterion 1: PASS (trace 7, jump weights {8,3,7,2})")
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import quantimatch.engine as engine
 import quantimatch.zone as zn
 from quantimatch.automaton import (
     Atom,
@@ -227,10 +228,11 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
     assert reached and not set(w0) & set(reached)
     # every reached state lies strictly after `prev`, within the segment
     for state in reached:
-        (neg_lo, lo_strict), hi = state[1].m[0][2], state[1].m[2][0]
+        m = zn.matrix(state[1])
+        (neg_lo, lo_strict), hi = m[0][2], m[2][0]
         assert -neg_lo > 0 or (neg_lo == 0 and lo_strict), state
         assert hi in ((7, True), (7, False)), state
-    assert final == {st: w for st, w in reached.items() if st[1].m[2][0] == (7, False)}
+    assert final == {st: w for st, w in reached.items() if zn.matrix(st[1])[2][0] == (7, False)}
 
 
 def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton):
@@ -266,7 +268,8 @@ def test_reachable_graph_two_step(two_step_signal, wa_supinf):
     for state in g.accepting:
         loc, z, q = state
         assert loc == "l2" and q == EMPTY_SEQ
-        assert z.m[2][0] == (14, False) and z.m[0][2] == (-14, False)
+        m = zn.matrix(z)
+        assert m[2][0] == (14, False) and m[0][2] == (-14, False)
 
 
 def test_guarded_loop_terminates():
@@ -302,23 +305,30 @@ def test_matcher_queries_match_offline_restriction(long_signal, wa_supinf):
         assert ms.query(t, tp) == trace_value(long_signal.restrict(t, tp), wa_supinf)
 
 
-def test_matcher_variants_agree():
+def test_matcher_variants_agree(monkeypatch):
+    """Rows are the same with pruning switched off."""
     rng = random.Random(32)
+    cases = []
     for _ in range(12):
         a = random_automaton(rng)
-        sig = random_signal(rng, max_segments=4)
-        for wa in weighted_variants(a):
-            tables = []
-            for prune in (False, True):
-                for reseed in (False, True):
-                    m = OnlineMatcher(wa, prune=prune, reseed=reseed)
-                    for seg in sig:
-                        m.feed(seg)
-                    tables.append(m.matchset.pieces())
-            assert tables[0] == tables[1] == tables[2] == tables[3]
+        cases.append((a, random_signal(rng, max_segments=4)))
+
+    def tables():
+        out = []
+        for a, sig in cases:
+            for wa in weighted_variants(a):
+                m = OnlineMatcher(wa)
+                for seg in sig:
+                    m.feed(seg)
+                out.append(m.matchset.pieces())
+        return out
+
+    pruned = tables()
+    monkeypatch.setattr(engine, "_prune", lambda ctx, weight: weight)
+    assert tables() == pruned
 
 
-def test_prune_without_guards_keeps_exactly_the_live_locations():
+def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
     # no clock guards at all: d1 and d2 never reach acceptance, and l1
     # has no way out, so only entries at l0 can still produce a match
     a = parse_automaton(
@@ -347,10 +357,12 @@ def test_prune_without_guards_keeps_exactly_the_live_locations():
 
     sig = Signal([segment({"x": v}, d) for v, d in
                   ((7.0, 1), (12.0, Fraction(1, 2)), (3.0, 2), (9.0, 1))])
-    pruned = OnlineMatcher(wa, prune=True)
-    full = OnlineMatcher(wa, prune=False)
+    pruned = OnlineMatcher(wa)
     for seg in sig:
         pruned.feed(seg)
+    monkeypatch.setattr(engine, "_prune", lambda ctx, weight: weight)
+    full = OnlineMatcher(wa)
+    for seg in sig:
         full.feed(seg)
     assert pruned.matchset.pieces()
     assert pruned.matchset.pieces() == full.matchset.pieces()
@@ -373,14 +385,15 @@ def test_harvested_regions_are_final_once_their_segment_ends():
                 lo, hi = sig.boundaries[k], sig.boundaries[k + 1]
                 for p in rows:
                     region, den = p.region, p.den
-                    tp_lo = -Fraction(region.m[0][2][0], den)
-                    lo_strict = region.m[0][2][1]
+                    mat = zn.matrix(region)
+                    tp_lo = -Fraction(mat[0][2][0], den)
+                    lo_strict = mat[0][2][1]
                     assert tp_lo > lo or (tp_lo == lo and lo_strict), (k, region)
-                    assert Fraction(region.m[2][0][0], den) <= hi, (k, region)
+                    assert Fraction(mat[2][0][0], den) <= hi, (k, region)
                     # the region's bounds as times, whatever its scale
                     key = tuple(
                         (v if v == zn.INF else Fraction(v, den), strict)
-                        for row in region.m for v, strict in row
+                        for row in mat for v, strict in row
                     )
                     assert key not in earlier, (k, region)
                     earlier.add(key)
@@ -448,13 +461,13 @@ def test_matcher_audit_hook_runs(wa_supinf, two_step_signal):
     seen = []
 
     def audit(zone, scale, cur):
-        seen.append((len(zone.clocks), scale, cur))
+        seen.append((len(zone), scale, cur))
 
     m = OnlineMatcher(wa_supinf, audit=audit)
     for seg in two_step_signal:
         m.feed(seg)
     assert seen
-    assert all(n == 3 for (n, _, _) in seen)  # c, T', T
+    assert all(n == 16 for (n, _, _) in seen)  # 4x4 over 0, c, T', T
     assert {s for (_, s, _) in seen} == {2}
 
 

@@ -87,25 +87,25 @@ def test_emptiness_matches_fm():
         cons = random_constraints(rng, 2, rng.randint(1, 7))
         z = zn.make(CLOCKS2, cons)
         feasible = fm(raw_rows(2, cons), 2)
-        assert (z.m is None) == (not feasible), cons
-        seen_empty += z.m is None
-        seen_full += z.m is not None
+        assert (z is None) == (not feasible), cons
+        seen_empty += z is None
+        seen_full += z is not None
     assert seen_empty > 5 and seen_full > 5
 
 
 def test_triangle_tightening():
     # a - b <= 2 and b <= 3 imply a <= 5
     z = zn.make(CLOCKS2, [(1, 2, 2, False), (2, 0, 3, False)])
-    assert z.m[1][0] == (5, False)
+    assert zn.matrix(z)[1][0] == (5, False)
     # strictness propagates through the sum
     z = zn.make(CLOCKS2, [(1, 2, 2, True), (2, 0, 3, False)])
-    assert z.m[1][0] == (5, True)
+    assert zn.matrix(z)[1][0] == (5, True)
     # contradictory strict pair is empty: a <= 1 and a > 2
     z = zn.make(CLOCKS2, [(1, 0, 1, False), (0, 1, -2, True)])
-    assert z.m is None
+    assert z is None
     # touching strict bounds: a < 1 and a >= 1
     z = zn.make(CLOCKS2, [(1, 0, 1, True), (0, 1, -1, False)])
-    assert z.m is None
+    assert z is None
 
 
 def test_constrain_incremental_equals_batch():
@@ -116,9 +116,9 @@ def test_constrain_incremental_equals_batch():
         step = zn.make(CLOCKS2)
         for i, j, k, strict in cons:
             step = zn.constrain(step, i, j, k, strict)
-            if step.m is None:
+            if step is None:
                 break
-        assert batch == step or (batch.m is None and step.m is None)
+        assert batch == step, cons
 
 
 def _up_rows(n, constraints, point):
@@ -142,7 +142,7 @@ def test_up_membership_matches_fm():
     while cases < 25:
         cons = random_constraints(rng, 2, rng.randint(0, 5))
         z = zn.make(CLOCKS2, cons)
-        if z.m is None:
+        if z is None:
             continue
         cases += 1
         u = zn.up(z)
@@ -157,7 +157,7 @@ def test_up_is_strict():
     assert not zn.contains(u, (1, 1))
     assert zn.contains(u, (Fraction(3, 2), Fraction(3, 2)))
     assert not zn.contains(u, (2, 1))
-    assert zn.up(zn.make(CLOCKS2, [(1, 0, -1, False)])).m is None
+    assert zn.up(zn.make(CLOCKS2, [(1, 0, -1, False)])) is None
 
 
 def test_reset_membership_matches_fm():
@@ -166,7 +166,7 @@ def test_reset_membership_matches_fm():
     while cases < 25:
         cons = random_constraints(rng, 2, rng.randint(0, 5))
         z = zn.make(CLOCKS2, cons)
-        if z.m is None:
+        if z is None:
             continue
         cases += 1
         r = zn.reset(z, (1,))
@@ -233,7 +233,7 @@ def test_project_match_membership_matches_fm():
     while cases < 20:
         cons = random_constraints(rng, 3, rng.randint(1, 6))
         z = zn.make(CLOCKS3, cons)
-        if z.m is None:
+        if z is None:
             continue
         cases += 1
         proj = zn.project_match(z, 3, 2)  # t = c3 - c2, t' = c3
@@ -292,12 +292,22 @@ def test_zone_equality_and_hash():
 
 
 def test_empty_zone_behavior():
+    """The empty zone is None, and every operation maps it to None."""
     empty = zn.make(CLOCKS2, [(1, 0, -1, False)])
-    assert empty.m is None
+    assert empty is None
+    assert zn.matrix(empty) is None
     assert not zn.contains(empty, (0, 0))
-    assert zn.reset(empty, (1,)).m is None
-    assert zn.up(empty).m is None
-    assert zn.intersect_guard(empty, [(1, "<", 99)]).m is None
+    assert not zn.contains(empty, (0, 0), 2)
+    assert zn.canonicalize(empty) is None
+    assert zn.constrain(empty, 1, 0, 5, False) is None
+    assert zn.intersect_guard(empty, [(1, "<", 99)]) is None
+    assert zn.reset(empty, (1,)) is None
+    assert zn.free(empty, (1,)) is None
+    assert zn.up(empty) is None
+    assert zn.clamp_time(empty, 2, 0, 3) is None
+    assert zn.elapse(empty, 2, 0, 3) == (None, None)
+    assert zn.scale(empty, 3) is None
+    assert zn.project_match(empty, 2, 1) is None
 
 
 def _pair_add(a, b):
@@ -351,7 +361,7 @@ def test_pieces_at_scales_2_and_4_are_equal():
     while cases < 30:
         doubled = random_constraints(rng, 2, rng.randint(1, 6))
         z2 = zn.make(CLOCKS2, doubled)
-        if z2.m is None:
+        if z2 is None:
             continue
         cases += 1
         z4 = zn.make(CLOCKS2, [(i, j, 2 * k, strict) for i, j, k, strict in doubled])
@@ -389,12 +399,12 @@ def test_elapse_equals_up_then_both_clamps():
     for z, t, prev, cur in _time_capped_zones(rng, 3000):
         band, wall = zn.elapse(z, t, prev, cur)
         assert (band, wall) == _elapse_by_clamps(z, t, prev, cur), (z, prev, cur)
-        bands += band.dbm is not None
-        walls += wall.dbm is not None
+        bands += band is not None
+        walls += wall is not None
         n = t + 1
         # differences the strict wait tightens, where z touches T = cur
-        retightened += wall.dbm is not None and any(
-            wall.dbm[i * n + j] != z.dbm[i * n + j] for i in range(1, n) for j in range(1, n)
+        retightened += wall is not None and any(
+            wall[i * n + j] != z[i * n + j] for i in range(1, n) for j in range(1, n)
         )
     assert bands > 500 and walls > 500 and retightened > 100
 
@@ -406,7 +416,7 @@ def test_elapse_edges():
     # pinned at cur: waiting leaves the segment at once
     at_cur = zn.make(clocks, [(2, 0, 3, False), (0, 2, -3, False), (1, 0, 2, False)])
     band, wall = zn.elapse(at_cur, 2, 1, 3)
-    assert band.dbm is None and wall.dbm is None
+    assert band is None and wall is None
     assert (band, wall) == _elapse_by_clamps(at_cur, 2, 1, 3)
     # pinned at prev, as every input entry of a segment is
     at_prev = zn.make(clocks, [(2, 0, 1, False), (0, 2, -1, False), (1, 0, 0, False)])
@@ -433,13 +443,13 @@ def test_free_is_the_canonical_cylinder_of_the_projection():
         c = rng.randint(1, 2)
         f = zn.free(z, (c,))
         assert zn.canonicalize(f) == f
-        if z.dbm is None:
-            assert f.dbm is None
+        if z is None:
+            assert f is None
             continue
         cases += 1
         # the other clocks' submatrix, with c left at c >= 0
         kept = [
-            (i, j, *zn.decode(z.dbm[i * 3 + j]))
+            (i, j, *zn.decode(z[i * 3 + j]))
             for i in range(3) for j in range(3) if c not in (i, j) and i != j
         ]
         assert f == zn.make(CLOCKS2, kept), (cons, c)

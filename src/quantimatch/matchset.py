@@ -6,7 +6,9 @@ match start and end.  The online matcher yields, for each segment
 row is final, as every later segment only yields rows with a later t'.
 The match set keeps those rows as one batch per segment, in the order
 they arrived, so a point query reads only the batch whose interval holds
-t' and folds every region there containing the point.
+t' and folds every region there containing the point.  A query converts
+its window once, to int numerators over one denominator, and tests each
+row with int arithmetic alone (`zone.contains`).
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ def format_value(v) -> str:
 def zone_sort_key(z: tuple):
     """Structural ordering of zones at one time scale, for deterministic
     output: entry by entry, by value, then weak before strict, with INF
-    last."""
-    return tuple(zn.decode(e) for e in z)
+    last.  Flipping the low bit of an encoded bound, 2v + weak, gives
+    2v + strict, which orders exactly so."""
+    return tuple(e if e is zn.INF else e ^ 1 for e in z)
 
 
 def _bound_time(v: int, den: int) -> str:
@@ -137,26 +140,37 @@ class MatchSet:
     def query(self, t, t_prime):
         """Fold every region containing the point (t, t'), which must not
         end past the horizon: later segments may still match there."""
-        t, tp = Fraction(t), Fraction(t_prime)
-        if not 0 <= t < tp <= self.horizon:
-            raise ValueError(f"need 0 <= t < t' <= {self.horizon}, got ({t}, {tp})")
+        try:
+            t, t_prime = Fraction(t), Fraction(t_prime)
+            inside = 0 <= t < t_prime <= self.horizon
+        except (OverflowError, ValueError):  # an infinite or NaN time
+            inside = False
+        if not inside:
+            raise ValueError(f"need 0 <= t < t' <= {self.horizon}, got ({t}, {t_prime})")
         # the batch whose interval (b_{k-1}, b_k] holds t', right end included
-        batch = self._batches[bisect_left(self._ends, tp)]
+        batch = self._batches[bisect_left(self._ends, t_prime)]
+        # the window as a / q, b / q; a row's bounds count units of 1 / den
+        q = math.lcm(t.denominator, t_prime.denominator)
+        a = t.numerator * (q // t.denominator)
+        b = t_prime.numerator * (q // t_prime.denominator)
         return self.semiring.big_oplus(
-            p.value for p in batch if zn.contains(p.region, (t, tp), p.den)
+            p.value for p in batch if zn.contains(p.region, (a * p.den, b * p.den), q)
         )
 
     def export_grid(self, stream, delta) -> None:
         """Tab-separated t, t', value samples on a delta grid."""
-        delta = Fraction(delta)
-        if delta <= 0:
+        try:
+            delta = Fraction(delta)
+            positive = delta > 0
+        except (OverflowError, ValueError):  # an infinite or NaN spacing
+            positive = False
+        if not positive:
             raise ValueError("delta must be positive")
         stream.write("t\tt'\tvalue\n")
         n = int(self.horizon / delta)
+        times = [i * delta for i in range(n + 1)]
+        labels = [format_time(x) for x in times]
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                value = self.query(i * delta, j * delta)
-                stream.write(
-                    f"{format_time(i * delta)}\t{format_time(j * delta)}\t"
-                    f"{format_value(value)}\n"
-                )
+                value = self.query(times[i], times[j])
+                stream.write(f"{labels[i]}\t{labels[j]}\t{format_value(value)}\n")

@@ -21,8 +21,11 @@ Every bound is an integer: the engine rescales time until every segment
 boundary and guard constant is one (`engine.time_scale`).  So `make`,
 `constrain` and `point_zone` take int constants and `scale` a positive
 int.  A match-set row keeps the time scale its zone was computed at
-beside it (`matchset.MatchPiece.den`); `contains` reads bounds over such
-a denominator.
+beside it (`matchset.MatchPiece.den`).  A point is int numerators over
+one positive int denominator: `contains(z, (x_1, ..., x_m), d)` tests
+the clock values x_k / d in units of z's bounds, with int arithmetic
+alone, so a caller converts a rational point once and tests it against
+many zones.
 
 `matrix(z)` decodes a zone into rows of `(value, strict)` pairs (value
 an int, or `INF`) for readers outside the kernel; no operation here
@@ -46,8 +49,8 @@ keeping only c >= 0 on each, in O(n) per clock.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
+from operator import index
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -325,28 +328,23 @@ def project_match(z, t_idx: int, tp_idx: int):
     )
 
 
-def contains(z, values: Sequence, den: int = 1) -> bool:
-    """Membership of the valuation (one value per clock, in order) in
-    the zone whose bounds are numerators over the positive int `den`."""
+def contains(z, numerators: Sequence[int], den: int = 1) -> bool:
+    """Membership in z of the point whose clocks, in order, are
+    `numerators[k] / den` in units of z's bounds.  The numerators and
+    the positive `den` are ints; any other type raises TypeError."""
+    den = index(den)
+    xs = [0, *map(index, numerators)]
     if z is None:
         return False
-    point = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    # with q the lcm of the point's denominators and x_k its coordinates
-    # times q * den, c_i - c_j meets the bound (v, strict) over den iff
-    # x_i - x_j < v*q, or equals it and the bound is weak: iff
-    # 2(x_i - x_j) < the bound's encoding over q * den
-    q = lcm(*(v.denominator for v in point))
-    xs = [0, *(2 * v.numerator * (q // v.denominator) * den for v in point)]
-    n = len(xs)
-    for i, xi in enumerate(xs):
-        base = i * n
-        for j, xj in enumerate(xs):
-            e = z[base + j]
-            if e is INF:
-                continue
-            if q != 1:
-                e = (e & -2) * q + (e & 1)
-            if xi - xj >= e:
+    # c_i - c_j meets the bound (v, strict) iff x_i - x_j < v*den, or
+    # equals it and the bound is weak: iff 2(x_i - x_j) < 2v*den + weak,
+    # the bound's encoding over den
+    k = 0
+    for xi in xs:
+        for xj in xs:
+            e = z[k]
+            k += 1
+            if e is not INF and 2 * (xi - xj) >= (e & -2) * den + (e & 1):
                 return False
     return True
 

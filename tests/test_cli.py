@@ -95,6 +95,47 @@ EXPECTED_MONITOR_FRACTIONAL = (
     "t in (0,7/3), t' in (11/3,71/12), t'-t in (4/3,71/12) : -2\n"
 )
 
+# `grid --grid 2/3` on FRACTIONAL_SIGNAL
+EXPECTED_GRID_FRACTIONAL = (
+    "t\tt'\tvalue\n"
+    "0\t2/3\t5\n"
+    "0\t4/3\t5\n"
+    "0\t2\t5\n"
+    "0\t8/3\t5\n"
+    "0\t10/3\t-2\n"
+    "0\t4\t-2\n"
+    "0\t14/3\t-2\n"
+    "0\t16/3\t-2\n"
+    "2/3\t4/3\t5\n"
+    "2/3\t2\t5\n"
+    "2/3\t8/3\t5\n"
+    "2/3\t10/3\t-2\n"
+    "2/3\t4\t-2\n"
+    "2/3\t14/3\t-2\n"
+    "2/3\t16/3\t-2\n"
+    "4/3\t2\t5\n"
+    "4/3\t8/3\t5\n"
+    "4/3\t10/3\t-2\n"
+    "4/3\t4\t-2\n"
+    "4/3\t14/3\t-2\n"
+    "4/3\t16/3\t-2\n"
+    "2\t8/3\t5\n"
+    "2\t10/3\t-2\n"
+    "2\t4\t-2\n"
+    "2\t14/3\t-2\n"
+    "2\t16/3\t-2\n"
+    "8/3\t10/3\t-25\n"
+    "8/3\t4\t-25\n"
+    "8/3\t14/3\t-25\n"
+    "8/3\t16/3\t-25\n"
+    "10/3\t4\t7\n"
+    "10/3\t14/3\t7\n"
+    "10/3\t16/3\t7\n"
+    "4\t14/3\t3\n"
+    "4\t16/3\t3\n"
+    "14/3\t16/3\t3\n"
+)
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -284,6 +325,15 @@ def test_monitor_fractional_durations_exact(capsys, tmp_path, spec_path):
     for window, want in [(("7/3", "71/12"), "-25\n"), (("1/3", "35/12"), "-2\n"),
                          (("0", "17/6"), "5\n")]:
         assert run(capsys, *base, *window) == (0, want, "")
+
+
+def test_grid_fractional_spacing_exact(capsys, tmp_path, spec_path):
+    # windows over q = 3 meet rows at time scales 3 to 12
+    code, out, err = run(
+        capsys, "grid", "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+        "--signal", sig_path(tmp_path, FRACTIONAL_SIGNAL), "--grid", "2/3",
+    )
+    assert (code, out, err) == (0, EXPECTED_GRID_FRACTIONAL, "")
 
 
 def test_monitor_from_stdin(capsys, monkeypatch, spec_path):

@@ -103,6 +103,29 @@ def test_query_at_a_batch_end_reads_that_batch():
     assert ms.query(Fraction(3, 2), 2) == -INF
 
 
+def caps(p: MatchPiece) -> list:
+    """p's region as decoded bounds (i, j, cap, strict): x_i - x_j is at
+    most cap, or below it if strict, over (x_0, x_1, x_2) = (0, t, t')."""
+    return [
+        (i, j, Fraction(v, p.den), strict)
+        for i, row in enumerate(zn.matrix(p.region))
+        for j, (v, strict) in enumerate(row)
+        if v != INF
+    ]
+
+
+def fold_at(sr, rows, t, tp):
+    """The fold of the values of the rows, (caps, value) pairs, whose
+    regions contain (t, t')."""
+    xs = (0, Fraction(t), Fraction(tp))
+    gaps = [[a - b for b in xs] for a in xs]
+    return sr.big_oplus(
+        value for bounds, value in rows
+        if not any(gaps[i][j] > cap or (strict and gaps[i][j] == cap)
+                   for i, j, cap, strict in bounds)
+    )
+
+
 def test_batched_query_folds_every_piece_containing_the_point():
     """Reading one batch is exact: every row of segment k has t' in
     (b_{k-1}, b_k], so no other batch holds a region containing a point
@@ -116,13 +139,12 @@ def test_batched_query_folds_every_piece_containing_the_point():
             m = OnlineMatcher(wa)
             for seg in sig:
                 m.feed(seg)
-            ms, pieces = m.matchset, m.matchset.pieces()
+            ms = m.matchset
+            rows = [(caps(p), p.value) for p in ms.pieces()]
             pts = arrangement_points(sig, ms)
             for i, t in enumerate(pts):
                 for tp in pts[i + 1:]:
-                    want = wa.semiring.big_oplus(
-                        p.value for p in pieces if zn.contains(p.region, (t, tp), p.den)
-                    )
+                    want = fold_at(wa.semiring, rows, t, tp)
                     assert ms.query(t, tp) == want, (t, tp)
                     checked += 1
     assert checked > 0
@@ -135,6 +157,18 @@ def test_query_validates_window():
         with pytest.raises(ValueError):
             ms.query(t, tp)
     assert ms.query(3, 10) == -INF
+
+
+def test_infinite_or_nan_input_is_a_value_error():
+    ms = MatchSet(SUPINF)
+    ms.insert(10, [])
+    nan = float("nan")
+    for t, tp in [(0, INF), (INF, 3), (nan, 3), (0, nan)]:
+        with pytest.raises(ValueError, match="need 0 <= t < t' <= 10"):
+            ms.query(t, tp)
+    for delta in (INF, nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            ms.export_grid(io.StringIO(), delta)
 
 
 def test_query_folds_overlapping_regions():
@@ -166,6 +200,40 @@ def test_export_grid_rows_and_values():
         ms.export_grid(io.StringIO(), 0)
 
 
+def test_export_grid_equals_pointwise_reference():
+    """Every grid line is the fold, over every row of every batch, of the
+    rows whose decoded regions hold the point."""
+    rng = random.Random(37)
+    lines = matched = 0
+    for _ in range(12):
+        a = random_automaton(rng)
+        sig = random_signal(rng, max_segments=2)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            for seg in sig:
+                m.feed(seg)
+            ms = m.matchset
+            rows = [(caps(p), p.value) for p in ms.pieces()]
+            for delta in (Fraction(1, 3), Fraction(2, 7), sig.duration / 5):
+                out = io.StringIO()
+                ms.export_grid(out, delta)
+                got = out.getvalue().splitlines()
+                n = int(sig.duration / delta)
+                want = ["t\tt'\tvalue"]
+                for i in range(n + 1):
+                    for j in range(i + 1, n + 1):
+                        t, tp = i * delta, j * delta
+                        value = fold_at(wa.semiring, rows, t, tp)
+                        want.append(
+                            f"{format_time(t)}\t{format_time(tp)}\t{format_value(value)}"
+                        )
+                assert got == want, (wa.semiring.name, delta)
+                lines += len(got) - 1
+                zero = f"\t{format_value(wa.semiring.zero)}"
+                matched += sum(not line.endswith(zero) for line in got[1:])
+    assert lines > 5000 and matched > 1000
+
+
 def test_grid_of_empty_set_is_all_zero():
     ms = MatchSet(TROPICAL)
     ms.insert(2, [])
@@ -173,6 +241,19 @@ def test_grid_of_empty_set_is_all_zero():
     ms.export_grid(out, 1)
     lines = out.getvalue().splitlines()[1:]
     assert lines and all(l.endswith("\tinf") for l in lines)
+
+
+def test_zone_sort_key_orders_as_decoded_bounds():
+    rng = random.Random(38)
+
+    def entry():
+        if rng.random() < 0.15:
+            return zn.INF
+        return zn.encode(rng.randint(-3, 3), rng.random() < 0.5)
+
+    zones = [tuple(entry() for _ in range(9)) for _ in range(2000)]
+    decoded = sorted(zones, key=lambda z: tuple(zn.decode(e) for e in z))
+    assert sorted(zones, key=zone_sort_key) == decoded
 
 
 def test_weak_bound_sorts_before_strict_of_equal_value():

@@ -4,12 +4,13 @@ Zones are generated from explicit constraint lists (c_i - c_j <= k), so
 every operation can be phrased as a small linear system over exact
 rationals and decided independently of the DBM code.  The one-int bound
 encoding is checked against (value, strict) pair arithmetic.  Bounds are
-integers; match-set pieces read them over a denominator.
+integers, and a point is int numerators over a denominator (`at`).
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -38,6 +39,15 @@ def grid(n, step=Fraction(1, 2), lo=0, hi=6):
         axis.append(v)
         v += step
     return product(axis, repeat=n)
+
+
+def at(point, scale=1):
+    """The rational `point` in units of 1/scale, as the int numerators
+    over their lcm and that lcm: the arguments `contains` takes after the
+    zone."""
+    xs = [Fraction(x) * scale for x in point]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def eval_raw(constraints, point):
@@ -77,7 +87,7 @@ def test_make_membership_matches_raw_constraints():
         cons = random_constraints(rng, 2, rng.randint(0, 6))
         z = zn.make(CLOCKS2, cons)
         for p in grid(2):
-            assert zn.contains(z, p) == eval_raw(cons, p), (cons, p)
+            assert zn.contains(z, *at(p)) == eval_raw(cons, p), (cons, p)
 
 
 def test_emptiness_matches_fm():
@@ -148,14 +158,14 @@ def test_up_membership_matches_fm():
         u = zn.up(z)
         for p in grid(2):
             want = _fm_feasible(_up_rows(2, cons, p), ["tau"])
-            assert zn.contains(u, p) == want, (cons, p)
+            assert zn.contains(u, *at(p)) == want, (cons, p)
 
 
 def test_up_is_strict():
     z = zn.point_zone(CLOCKS2, 1)
     u = zn.up(z)
     assert not zn.contains(u, (1, 1))
-    assert zn.contains(u, (Fraction(3, 2), Fraction(3, 2)))
+    assert zn.contains(u, *at((Fraction(3, 2), Fraction(3, 2))))
     assert not zn.contains(u, (2, 1))
     assert zn.up(zn.make(CLOCKS2, [(1, 0, -1, False)])) is None
 
@@ -171,7 +181,7 @@ def test_reset_membership_matches_fm():
         cases += 1
         r = zn.reset(z, (1,))
         for p in grid(2):
-            got = zn.contains(r, p)
+            got = zn.contains(r, *at(p))
             if p[0] != 0:
                 assert not got
                 continue
@@ -208,7 +218,7 @@ def test_intersect_guard_membership():
                 ">": p[0] > k,
                 ">=": p[0] >= k,
             }[op]
-            assert zn.contains(g, p) == (zn.contains(z, p) and holds)
+            assert zn.contains(g, *at(p)) == (zn.contains(z, *at(p)) and holds)
 
 
 def test_intersect_guard_rejects_unknown_op():
@@ -243,7 +253,7 @@ def test_project_match_membership_matches_fm():
             rows.append(({"v3": -1, "v2": 1}, -a, False))
             rows.append(({"v3": 1}, b, False))
             rows.append(({"v3": -1}, -b, False))
-            assert zn.contains(proj, (a, b)) == fm(rows, 3), (cons, a, b)
+            assert zn.contains(proj, *at((a, b))) == fm(rows, 3), (cons, a, b)
 
 
 def test_canonicalize_idempotent_on_op_results():
@@ -262,7 +272,7 @@ def test_scale_membership():
         z = zn.make(CLOCKS2, cons)
         s = zn.scale(z, 3)
         for p in grid(2, step=1, hi=5):
-            assert zn.contains(s, (3 * p[0], 3 * p[1])) == zn.contains(z, p)
+            assert zn.contains(s, *at(p, 3)) == zn.contains(z, *at(p))
 
 
 def test_make_rejects_non_integer_constant():
@@ -280,6 +290,31 @@ def test_point_and_zero_zones():
     zero = zn.point_zone(CLOCKS2, 0)
     assert zn.contains(zero, (0, 0))
     assert not zn.contains(zero, (0, 1))
+
+
+def test_contains_takes_int_numerators_only():
+    z = zn.make(CLOCKS2, [(1, 0, 3, False)])
+    for numerators, den in [((Fraction(1, 2), 1), 1), ((1, 1), Fraction(2)),
+                            ((1.0, 1), 1), ((1, 1), 2.0)]:
+        for zone in (z, None):
+            with pytest.raises(TypeError):
+                zn.contains(zone, numerators, den)
+
+
+def test_contains_is_invariant_under_a_common_factor():
+    """Numerators over den and their multiples over a multiple of den
+    are one point."""
+    rng = random.Random(25)
+    inside = 0
+    for _ in range(200):
+        z = zn.make(CLOCKS2, random_constraints(rng, 2, rng.randint(0, 5)))
+        d = rng.randint(1, 6)
+        xs = [rng.randint(0, 8 * d) for _ in range(2)]
+        k = rng.randint(2, 5)
+        got = zn.contains(z, xs, d)
+        assert got == zn.contains(z, [k * x for x in xs], k * d), (z, xs, d, k)
+        inside += got
+    assert inside > 20
 
 
 def test_zone_equality_and_hash():
@@ -368,8 +403,8 @@ def test_pieces_at_scales_2_and_4_are_equal():
         halves = [(i, j, Fraction(k, 2), strict) for i, j, k, strict in doubled]
         for p in grid(2, step=half, hi=5):
             want = fm(_at_point(raw_rows(2, halves), p), 2)
-            assert zn.contains(z2, p, 2) == want, (halves, p)
-            assert zn.contains(z4, p, 4) == want, (halves, p)
+            assert zn.contains(z2, *at(p, 2)) == want, (halves, p)
+            assert zn.contains(z4, *at(p, 4)) == want, (halves, p)
 
 
 def _time_capped_zones(rng, cases):
@@ -460,7 +495,7 @@ def test_free_is_the_canonical_cylinder_of_the_projection():
             for k, x in zip([k for k in (1, 2) if k != c], fixed):
                 rows.append(({f"v{k}": 1}, Fraction(x), False))
                 rows.append(({f"v{k}": -1}, -Fraction(x), False))
-            assert zn.contains(f, p) == fm(rows, 2), (cons, c, p)
+            assert zn.contains(f, *at(p)) == fm(rows, 2), (cons, c, p)
     assert cases > 40
     # freeing several clocks at once equals freeing them one by one
     z = zn.make(CLOCKS3, [(1, 2, 1, False), (2, 3, -2, True), (3, 0, 6, False)])

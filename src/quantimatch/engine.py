@@ -5,22 +5,23 @@ sequence) -> semiring value across one signal segment at a time.  Time
 is rescaled so that every segment boundary is an integer; zone bounds
 then stay integral, keeping zone identity exact under hashing.
 
-Per segment the table unfolds into a finite move graph: entries wait
-into the open band between the previous and the current boundary or
-onto the boundary itself, transitions fire from states whose recorded
-value sequence is nonempty, and freshly fired states wait again.
-Waiting is strictly positive, so a fired state can never refire at the
-same instant.  `zone.elapse` gives both waiting targets at once: the
-time clock of an engine zone never passes the current boundary, so
-each target differs from its source only in its absolute bounds (row
-0 and column 0), which elapse rewrites in O(n).  Weighing the graph
-once yields both the states the segment reached (all but its inputs),
-whose accepting ones are the segment's matches, and the carried table
-(states pinned at the boundary).  The weighing (`shortest_distance`)
-peels the acyclic prefix in topological order and takes the `star`
-closure only inside the strongly connected components that remain,
-walked in topological order (Mohri, JALC 2002), so it costs
-O(n + e + sum |C|^3) over the components C.
+Per segment the table unfolds into a finite move graph.  The states
+that wait are the entries and the states transitions fire into; each
+waits once, into the open band between the previous and the current
+boundary and onto the boundary itself, and each state it waits into
+fires at once, since its recorded value sequence is nonempty.  Waiting
+is strictly positive, so a fired state can never refire at the same
+instant; one fired at the boundary is carried and waits in the next
+segment.  `zone.elapse` gives both waiting targets at once: a waiting
+state's time clock lies below the current boundary, so each target
+differs from its source only in its absolute bounds (row 0 and column
+0), which elapse rewrites in O(n).  Weighing the graph once yields
+both the fired states, whose accepting ones are the segment's matches,
+and the carried table (the states pinned at the boundary).  The
+weighing (`shortest_distance`) peels the acyclic prefix in topological
+order and takes the `star` closure only inside the strongly connected
+components that remain, walked in topological order (Mohri, JALC
+2002), so it costs O(n + e + sum |C|^3) over the components C.
 
 A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
@@ -272,79 +273,67 @@ def _close_component(comp, out, dist, sr: Semiring) -> None:
 
 
 def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int):
-    """Unfold one segment into a move graph and weigh both views.
+    """Unfold one segment into a move graph and weigh it.
 
     `prev` and `cur` are scaled boundary times; input entries are
-    expected to be pinned at `prev`.  Returns (reached, final): every
-    weighed state except the inputs, and the states pinned at `cur`.
+    expected to be pinned at `prev`.  Returns (fired, final): the
+    weighed states a transition fired into, and those pinned at `cur`.
     """
     sr = ctx.semiring
     t = ctx.t_index
+    pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     appended = (values,)
     # states are numbered as they are discovered, so the graph handed
     # to shortest_distance never hashes a (loc, zone, seq) tuple again
     ids: dict = {}  # state -> id
     states: list = []  # id -> state
-    at_wall: list = []  # id -> pinned at `cur`
-    roles: list = []
     edges: list = []
-    stack: list = []
 
-    def discover(state, role, wall):
+    def number(state):
+        """The state's id, and whether it is new."""
         i = ids.setdefault(state, len(states))
-        if i == len(states):
-            states.append(state)
-            at_wall.append(wall)
-            roles.append(role)
-            stack.append(i)
-            if ctx.audit is not None:
-                ctx.audit(state[1], ctx.scale, cur)
-        return i
+        if i < len(states):
+            return i, False
+        states.append(state)
+        if ctx.audit is not None:
+            ctx.audit(state[1], ctx.scale, cur)
+        return i, True
 
-    sources = {}
-    for state, s in weight.items():
-        sources[discover(state, "input", False)] = s
-
-    cost_cache: dict = {}
-
-    def cost(loc, seq):
-        key = (loc, seq)
-        if key not in cost_cache:
-            cost_cache[key] = cost_value(ctx.kind, ctx.labels[loc], seq)
-        return cost_cache[key]
-
+    sources = {number(state)[0]: s for state, s in weight.items()}
+    stack = list(sources)  # states that wait: the inputs, then fired states
+    fired: list = []
+    costs: dict = {}
     while stack:
         i = stack.pop()
         loc, z, seq = states[i]
-        if roles[i] == "elapsed":
-            # a nonempty dwell is on record, so transitions may fire
-            w = cost(loc, seq)
+        if z[t] == pinned:  # carried: it waits in the next segment
+            continue
+        seq2 = absorbing_concat(seq, appended)
+        for z2 in zn.elapse(z, t, prev, cur):
+            if z2 is None:
+                continue
+            j, new = number((loc, z2, seq2))
+            edges.append((i, j, sr.one))
+            if not new:
+                continue
+            if (loc, seq2) not in costs:
+                costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
+            w = costs[loc, seq2]
             if w == sr.zero:
                 continue
             for target, guard, resets, dead in ctx.out[loc]:
-                z2 = zn.intersect_guard(z, guard)
-                if z2 is None:
+                z3 = zn.intersect_guard(z2, guard)
+                if z3 is None:
                     continue
-                succ = (target, zn.free(zn.reset(z2, resets), dead), EMPTY_SEQ)
-                edges.append((i, discover(succ, "fired", at_wall[i]), w))
-        else:
-            # inputs and freshly fired states wait before anything else
-            band, wall = zn.elapse(z, t, prev, cur)
-            seq2 = absorbing_concat(seq, appended)
-            if band is not None:
-                edges.append((i, discover((loc, band, seq2), "elapsed", False), sr.one))
-            if wall is not None:
-                edges.append((i, discover((loc, wall, seq2), "elapsed", True), sr.one))
+                k, new = number((target, zn.free(zn.reset(z3, resets), dead), EMPTY_SEQ))
+                edges.append((j, k, w))
+                if new:
+                    fired.append(k)
+                    stack.append(k)
 
     dist = shortest_distance(range(len(states)), edges, sources, sr)
-    reached: Weight = {}
-    final: Weight = {}
-    for i, d in dist.items():
-        if i >= len(sources):  # the inputs were discovered first
-            reached[states[i]] = d
-            if at_wall[i]:
-                final[states[i]] = d
-    return reached, final
+    final = {states[i]: d for i, d in dist.items() if states[i][1][t] == pinned}
+    return {states[k]: dist[k] for k in fired if k in dist}, final
 
 
 def initial_weight(ctx: EngineContext) -> Weight:
@@ -443,8 +432,9 @@ class OnlineMatcher:
 
     The automaton is wrapped with a fresh start location that records
     the match start on its own clock; the accepting states a segment
-    reaches project onto the (start, end) plane as that segment's rows,
-    final since they end after the previous boundary.  Each segment's
+    fires into project onto the (start, end) plane as that segment's
+    rows, final since they end after the previous boundary.  A region
+    with t' = t is no window and is dropped.  Each segment's
     rows, at the current time scale, are one batch of `matchset`.
     Between segments the weight table keeps only states pinned at the
     latest boundary.
@@ -491,11 +481,13 @@ class OnlineMatcher:
         prev = int(self._elapsed * self.scale)
         cur = int(new_end * self.scale)
 
-        reached, final = _explore(self._ctx, self._weight, seg.values, prev, cur)
+        fired, final = _explore(self._ctx, self._weight, seg.values, prev, cur)
         rows: dict = {}  # integer-scale region -> value
-        for (loc, z, q), w in reached.items():
-            if q == EMPTY_SEQ and loc in self._ctx.accepting:
+        for (loc, z, _), w in fired.items():
+            if loc in self._ctx.accepting:
                 region = zn.project_match(z, self._ctx.t_index, self._tp_index)
+                if region[7] == 1:  # t' - t <= 0: no window
+                    continue
                 rows[region] = sr.oplus(rows[region], w) if region in rows else w
         pieces = [
             MatchPiece(region, rows[region], self.scale)

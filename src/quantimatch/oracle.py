@@ -22,12 +22,15 @@ from .semiring import INF, Semiring
 from .signals import EMPTY_SEQ, Signal, absorbing_concat, value_of
 
 
-def bf_shortest_distance(nodes, edges, sources, semiring: Semiring, k: int = 64) -> dict:
-    """Sum the weights of every path of at most k edges from the sources."""
+BF_MAX_EDGES = 64  # the longest path bf_shortest_distance sums
+
+
+def bf_shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
+    """Sum the weights of every path of at most BF_MAX_EDGES edges."""
     sr = semiring
     total = {v: sources.get(v, sr.zero) for v in nodes}
     layer = dict(sources)
-    for _ in range(k):
+    for _ in range(BF_MAX_EDGES):
         nxt: dict = {}
         for u, v, w in edges:
             du = layer.get(u, sr.zero)
@@ -174,19 +177,20 @@ def arrangement_points(sig: Signal, matchset) -> list:
     return sorted(set(pts) | set(mids))
 
 
-def _value_close(sr: Semiring, a, b, tol: float) -> bool:
+TROPICAL_TOL = 1e-9  # finite tropical sums this close agree
+
+
+def _value_close(sr: Semiring, a, b) -> bool:
     if a == b:
         return True
     if sr.name != "tropical":
         return False
     if a in (INF, -INF) or b in (INF, -INF):
         return False
-    return abs(a - b) <= tol
+    return abs(a - b) <= TROPICAL_TOL
 
 
-def check_qtpm_pointwise(
-    sig: Signal, wa: WeightedAutomaton, tol: float = 1e-9, audit=None
-) -> list:
+def check_qtpm_pointwise(sig: Signal, wa: WeightedAutomaton, audit=None) -> list:
     """Match-set queries versus direct evaluation of each restriction.
 
     Samples the cross product of the arrangement points and returns
@@ -205,7 +209,7 @@ def check_qtpm_pointwise(
                 continue
             got = ms.query(t, tp)
             want = engine.trace_value(sig.restrict(t, tp), wa, audit)
-            if not _value_close(wa.semiring, got, want, tol):
+            if not _value_close(wa.semiring, got, want):
                 bad.append((t, tp, got, want))
     return bad
 

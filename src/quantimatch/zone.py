@@ -38,13 +38,11 @@ O(n^2) incremental tightening rather than a full Floyd-Warshall pass.
 
 The engine's two per-state operations skip even that.  `elapse` waits
 into a segment (prev, cur] of the time clock and returns the open band
-and the wall at cur; it requires the time clock to be at most cur
-(else ValueError).  Then every bound it adds passes through row 0 and
-column 0, which it rewrites from the time clock's row and column in
-O(n), where `up` and two `clamp_time` calls take four `constrain`
-passes.  Only a zone that reaches cur without being pinned there needs
-one more O(n^2) pass; engine zones never do.  `free` forgets clocks,
-keeping only c >= 0 on each, in O(n) per clock.
+and the wall at cur; it requires the time clock to lie below cur (else
+ValueError).  Then every bound it adds passes through row 0 and column
+0, which it rewrites from the time clock's row and column in O(n),
+where `up` and two `clamp_time` calls take four `constrain` passes.
+`free` forgets clocks, keeping only c >= 0 on each, in O(n) per clock.
 """
 
 from __future__ import annotations
@@ -238,29 +236,25 @@ def elapse(z, t: int, prev: int, cur: int) -> tuple:
 
     Returns (band, wall): `up(z)` restricted to prev < c_t < cur and to
     c_t = cur, i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
-    `clamp_time(up(z), t, cur, cur)`.  Precondition: c_t <= cur on z,
+    `clamp_time(up(z), t, cur, cur)`.  Precondition: c_t < cur on z,
     else ValueError.  The bounds the clamps add, c_t - 0 and 0 - c_t,
     both meet row 0 and column 0, so every path they shorten runs
     through there: each output rewrites row 0 from row t and column 0
-    from column t, O(n) bound additions.  Only a zone that reaches
-    c_t = cur without being pinned there loses points to the strict
-    wait and has its differences re-tightened through row 0 and column
-    0 as well, in O(n^2); engine zones lie either below cur or on it.
+    from column t, O(n) bound additions.  Since no point of z reaches
+    cur, the strict wait loses none, and no difference bound changes.
     """
     if z is None:
         return z, z
     n = isqrt(len(z))
     tn = t * n
-    top = 2 * cur + 1  # c_t <= cur
-    if z[tn] > top:
-        raise ValueError(f"clock {t} may exceed the boundary {cur}")
-    touches = z[tn] == top
+    if z[tn] > 2 * cur:  # c_t < cur encodes as 2 * cur
+        raise ValueError(f"clock {t} may reach the boundary {cur}")
     row_t = z[tn:tn + n]
     col_t = z[t::n]
     # row 0 of up(z): every finite lower bound turns strict
     up0 = [e if e is INF else e & -2 for e in z[:n]]
     out = []
-    for lo, hi in ((-2 * prev, 2 * cur), (1 - 2 * cur, top)):
+    for lo, hi in ((-2 * prev, 2 * cur), (1 - 2 * cur, 2 * cur + 1)):
         rows = list(z)
         for j in range(1, n):
             e = up0[j]
@@ -277,18 +271,6 @@ def elapse(z, t: int, prev: int, cur: int) -> tuple:
         for i in range(1, n):
             x = col_t[i]
             rows[i * n] = x if x is INF else x + hi - ((x | hi) & 1)
-        if touches:
-            for i in range(1, n):
-                a = rows[i * n]
-                if a is INF:
-                    continue
-                base = i * n
-                for j in range(1, n):
-                    b = rows[j]
-                    if b is not INF:
-                        cand = a + b - ((a | b) & 1)
-                        if cand < rows[base + j]:
-                            rows[base + j] = cand
         out.append(tuple(rows))
     return tuple(out)
 

@@ -258,7 +258,7 @@ def test_criterion_6_queries_equal_restricted_traces():
         a = random_automaton(rng)
         sig = random_signal(rng)
         for wa in weighted_variants(a):
-            mismatches = check_qtpm_pointwise(sig, wa, tol=1e-9, audit=bound_audit)
+            mismatches = check_qtpm_pointwise(sig, wa, audit=bound_audit)
             assert mismatches == [], (wa.semiring.name, mismatches[:3])
             count += 1
     elapsed = check_time(120.0, t0, "criterion 6")

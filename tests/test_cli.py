@@ -136,6 +136,123 @@ EXPECTED_GRID_FRACTIONAL = (
     "14/3\t16/3\t3\n"
 )
 
+# the overshoot pattern with a back edge: every move graph is cyclic
+CYCLIC_SPEC = OVERSHOOT_SPEC + "edge l1 -> l0 when c < 5 reset {c};\n"
+# the overshoot pattern without its deadline: live state grows
+UNBOUNDED_SPEC = OVERSHOOT_SPEC.replace(" when c < 10", "")
+# the start location's hand-off fires into an accepting location at
+# t' = t, which is no window
+ACCEPTING_INITIAL_SPEC = (
+    "var x; clock c; location l0 init accept [x < 15]; "
+    "location l1 accept [x > 5]; edge l0 -> l1 when c < 5;\n"
+)
+ACCEPTING_INITIAL_SIGNAL = "x\n2 10\n1 40\n"
+
+# `monitor` on FRACTIONAL_SIGNAL for CYCLIC_SPEC under tropical/t
+EXPECTED_MONITOR_CYCLIC = (
+    "t in [0,0], t' in [7/3,7/3], t'-t in [7/3,7/3] : 10\n"
+    "t in [0,0], t' in (0,7/3), t'-t in (0,7/3) : 10\n"
+    "t in (0,7/3), t' in [7/3,7/3], t'-t in (0,7/3) : 10\n"
+    "t in (0,7/3), t' in (0,7/3), t'-t in (0,7/3) : 10\n"
+    "t in [7/3,7/3], t' in [17/6,17/6], t'-t in [0.5,0.5] : 10\n"
+    "t in [7/3,7/3], t' in (7/3,17/6), t'-t in (0,0.5) : 10\n"
+    "t in (7/3,17/6), t' in [17/6,17/6], t'-t in (0,0.5) : 10\n"
+    "t in (7/3,17/6), t' in (7/3,17/6), t'-t in (0,0.5) : 10\n"
+    "t in [0,0], t' in [17/6,17/6], t'-t in [17/6,17/6] : 15\n"
+    "t in [0,0], t' in (7/3,17/6), t'-t in (7/3,17/6) : 15\n"
+    "t in (0,7/3), t' in [17/6,17/6], t'-t in (0.5,17/6) : 15\n"
+    "t in (0,7/3), t' in (7/3,17/6), t'-t in (0,17/6) : 15\n"
+    "t in [17/6,17/6], t' in [11/3,11/3], t'-t in [5/6,5/6] : 10\n"
+    "t in [17/6,17/6], t' in (17/6,11/3), t'-t in (0,5/6) : 10\n"
+    "t in (17/6,11/3), t' in [11/3,11/3], t'-t in (0,5/6) : 10\n"
+    "t in (17/6,11/3), t' in (17/6,11/3), t'-t in (0,5/6) : 10\n"
+    "t in [7/3,7/3], t' in [11/3,11/3], t'-t in [4/3,4/3] : -27\n"
+    "t in [7/3,7/3], t' in (17/6,11/3), t'-t in (0.5,4/3) : -27\n"
+    "t in (7/3,17/6), t' in [11/3,11/3], t'-t in (5/6,4/3) : -27\n"
+    "t in (7/3,17/6), t' in (17/6,11/3), t'-t in (0,4/3) : -27\n"
+    "t in [0,0], t' in [11/3,11/3], t'-t in [11/3,11/3] : -22\n"
+    "t in [0,0], t' in (17/6,11/3), t'-t in (17/6,11/3) : -22\n"
+    "t in (0,7/3), t' in [11/3,11/3], t'-t in (4/3,11/3) : -22\n"
+    "t in (0,7/3), t' in (17/6,11/3), t'-t in (0.5,11/3) : -22\n"
+    "t in [11/3,11/3], t' in [71/12,71/12], t'-t in [2.25,2.25] : 10\n"
+    "t in [11/3,11/3], t' in (11/3,71/12), t'-t in (0,2.25) : 10\n"
+    "t in (11/3,71/12), t' in [71/12,71/12], t'-t in (0,2.25) : 10\n"
+    "t in (11/3,71/12), t' in (11/3,71/12), t'-t in (0,2.25) : 10\n"
+    "t in [17/6,17/6], t' in [71/12,71/12], t'-t in [37/12,37/12] : 17\n"
+    "t in [17/6,17/6], t' in (11/3,71/12), t'-t in (5/6,37/12) : 17\n"
+    "t in (17/6,11/3), t' in [71/12,71/12], t'-t in (2.25,37/12) : 17\n"
+    "t in (17/6,11/3), t' in (11/3,71/12), t'-t in (0,37/12) : 17\n"
+    "t in [7/3,7/3], t' in [71/12,71/12], t'-t in [43/12,43/12] : -20\n"
+    "t in [7/3,7/3], t' in (11/3,71/12), t'-t in (4/3,43/12) : -20\n"
+    "t in (7/3,17/6), t' in [71/12,71/12], t'-t in (37/12,43/12) : -20\n"
+    "t in (7/3,17/6), t' in (11/3,71/12), t'-t in (5/6,43/12) : -20\n"
+    "t in [0,0], t' in [71/12,71/12], t'-t in [71/12,71/12] : -15\n"
+    "t in [0,0], t' in (11/3,71/12), t'-t in (11/3,71/12) : -15\n"
+    "t in (0,7/3), t' in [71/12,71/12], t'-t in (43/12,71/12) : -15\n"
+    "t in (0,7/3), t' in (11/3,71/12), t'-t in (4/3,71/12) : -15\n"
+)
+
+# `monitor` on FRACTIONAL_SIGNAL for UNBOUNDED_SPEC under supinf/r
+EXPECTED_MONITOR_UNBOUNDED = (
+    "t in [0,0], t' in [7/3,7/3], t'-t in [7/3,7/3] : 5\n"
+    "t in [0,0], t' in (0,7/3), t'-t in (0,7/3) : 5\n"
+    "t in (0,7/3), t' in [7/3,7/3], t'-t in (0,7/3) : 5\n"
+    "t in (0,7/3), t' in (0,7/3), t'-t in (0,7/3) : 5\n"
+    "t in [7/3,7/3], t' in [17/6,17/6], t'-t in [0.5,0.5] : -25\n"
+    "t in [7/3,7/3], t' in (7/3,17/6), t'-t in (0,0.5) : -25\n"
+    "t in (7/3,17/6), t' in [17/6,17/6], t'-t in (0,0.5) : -25\n"
+    "t in (7/3,17/6), t' in (7/3,17/6), t'-t in (0,0.5) : -25\n"
+    "t in [0,0], t' in [17/6,17/6], t'-t in [17/6,17/6] : 5\n"
+    "t in [0,0], t' in (7/3,17/6), t'-t in (7/3,17/6) : 5\n"
+    "t in (0,7/3), t' in [17/6,17/6], t'-t in (0.5,17/6) : 5\n"
+    "t in (0,7/3), t' in (7/3,17/6), t'-t in (0,17/6) : 5\n"
+    "t in [17/6,17/6], t' in [11/3,11/3], t'-t in [5/6,5/6] : -2\n"
+    "t in [17/6,17/6], t' in (17/6,11/3), t'-t in (0,5/6) : -2\n"
+    "t in (17/6,11/3), t' in [11/3,11/3], t'-t in (0,5/6) : -2\n"
+    "t in (17/6,11/3), t' in (17/6,11/3), t'-t in (0,5/6) : -2\n"
+    "t in [7/3,7/3], t' in [11/3,11/3], t'-t in [4/3,4/3] : -25\n"
+    "t in [7/3,7/3], t' in (17/6,11/3), t'-t in (0.5,4/3) : -25\n"
+    "t in (7/3,17/6), t' in [11/3,11/3], t'-t in (5/6,4/3) : -25\n"
+    "t in (7/3,17/6), t' in (17/6,11/3), t'-t in (0,4/3) : -25\n"
+    "t in [0,0], t' in [11/3,11/3], t'-t in [11/3,11/3] : -2\n"
+    "t in [0,0], t' in (17/6,11/3), t'-t in (17/6,11/3) : -2\n"
+    "t in (0,7/3), t' in [11/3,11/3], t'-t in (4/3,11/3) : -2\n"
+    "t in (0,7/3), t' in (17/6,11/3), t'-t in (0.5,11/3) : -2\n"
+    "t in [11/3,11/3], t' in [71/12,71/12], t'-t in [2.25,2.25] : 3\n"
+    "t in [11/3,11/3], t' in (11/3,71/12), t'-t in (0,2.25) : 3\n"
+    "t in (11/3,71/12), t' in [71/12,71/12], t'-t in (0,2.25) : 3\n"
+    "t in (11/3,71/12), t' in (11/3,71/12), t'-t in (0,2.25) : 3\n"
+    "t in [17/6,17/6], t' in [71/12,71/12], t'-t in [37/12,37/12] : 7\n"
+    "t in [17/6,17/6], t' in (11/3,71/12), t'-t in (5/6,37/12) : 7\n"
+    "t in (17/6,11/3), t' in [71/12,71/12], t'-t in (2.25,37/12) : 7\n"
+    "t in (17/6,11/3), t' in (11/3,71/12), t'-t in (0,37/12) : 7\n"
+    "t in [7/3,7/3], t' in [71/12,71/12], t'-t in [43/12,43/12] : -25\n"
+    "t in [7/3,7/3], t' in (11/3,71/12), t'-t in (4/3,43/12) : -25\n"
+    "t in (7/3,17/6), t' in [71/12,71/12], t'-t in (37/12,43/12) : -25\n"
+    "t in (7/3,17/6), t' in (11/3,71/12), t'-t in (5/6,43/12) : -25\n"
+    "t in [0,0], t' in [71/12,71/12], t'-t in [71/12,71/12] : -2\n"
+    "t in [0,0], t' in (11/3,71/12), t'-t in (11/3,71/12) : -2\n"
+    "t in (0,7/3), t' in [71/12,71/12], t'-t in (43/12,71/12) : -2\n"
+    "t in (0,7/3), t' in (11/3,71/12), t'-t in (4/3,71/12) : -2\n"
+)
+
+# `monitor` on ACCEPTING_INITIAL_SIGNAL for ACCEPTING_INITIAL_SPEC under
+# supinf/r: no row has t' - t = 0
+EXPECTED_MONITOR_ACCEPTING_INITIAL = (
+    "t in [0,0], t' in [2,2], t'-t in [2,2] : 5\n"
+    "t in [0,0], t' in (0,2), t'-t in (0,2) : 5\n"
+    "t in (0,2), t' in [2,2], t'-t in (0,2) : 5\n"
+    "t in (0,2), t' in (0,2), t'-t in (0,2) : 5\n"
+    "t in [2,2], t' in [3,3], t'-t in [1,1] : -25\n"
+    "t in [2,2], t' in (2,3), t'-t in (0,1) : -25\n"
+    "t in (2,3), t' in [3,3], t'-t in (0,1) : -25\n"
+    "t in (2,3), t' in (2,3), t'-t in (0,1) : -25\n"
+    "t in [0,0], t' in [3,3], t'-t in [3,3] : -25\n"
+    "t in [0,0], t' in (2,3), t'-t in (2,3) : -25\n"
+    "t in (0,2), t' in [3,3], t'-t in (1,3) : -25\n"
+    "t in (0,2), t' in (2,3), t'-t in (0,3) : -25\n"
+)
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -325,6 +442,34 @@ def test_monitor_fractional_durations_exact(capsys, tmp_path, spec_path):
     for window, want in [(("7/3", "71/12"), "-25\n"), (("1/3", "35/12"), "-2\n"),
                          (("0", "17/6"), "5\n")]:
         assert run(capsys, *base, *window) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "spec, semiring, cost, expected",
+    [
+        (CYCLIC_SPEC, "tropical", "t", EXPECTED_MONITOR_CYCLIC),
+        (UNBOUNDED_SPEC, "supinf", "r", EXPECTED_MONITOR_UNBOUNDED),
+    ],
+    ids=["cyclic", "unbounded"],
+)
+def test_monitor_other_specs_exact(capsys, tmp_path, spec, semiring, cost, expected):
+    spec_file = tmp_path / "spec.tsa"
+    spec_file.write_text(spec)
+    code, out, err = run(
+        capsys, "monitor", "--spec", str(spec_file), "--semiring", semiring,
+        "--cost", cost, "--signal", sig_path(tmp_path, FRACTIONAL_SIGNAL),
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_monitor_prints_no_zero_length_rows(capsys, tmp_path):
+    spec_file = tmp_path / "accepting-initial.tsa"
+    spec_file.write_text(ACCEPTING_INITIAL_SPEC)
+    code, out, err = run(
+        capsys, "monitor", "--spec", str(spec_file), "--semiring", "supinf",
+        "--cost", "r", "--signal", sig_path(tmp_path, ACCEPTING_INITIAL_SIGNAL),
+    )
+    assert (code, out, err) == (0, EXPECTED_MONITOR_ACCEPTING_INITIAL, "")
 
 
 def test_grid_fractional_spacing_exact(capsys, tmp_path, spec_path):

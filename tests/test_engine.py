@@ -222,17 +222,22 @@ def test_advance_first_segment_exact(wa_supinf):
 
 
 def test_explore_reached_leaves_out_inputs(wa_supinf):
+    """`fired` holds the states transitions fired into, inputs never;
+    `final` holds the states pinned at `cur`, fired ones included."""
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    reached, final = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
-    assert reached and not set(w0) & set(reached)
-    # every reached state lies strictly after `prev`, within the segment
-    for state in reached:
+    fired, final = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
+    assert fired and not set(w0) & set(fired)
+    # every fired state lies strictly after `prev`, within the segment
+    for state in fired:
+        assert state[2] == EMPTY_SEQ, state
         m = zn.matrix(state[1])
         (neg_lo, lo_strict), hi = m[0][2], m[2][0]
         assert -neg_lo > 0 or (neg_lo == 0 and lo_strict), state
         assert hi in ((7, True), (7, False)), state
-    assert final == {st: w for st, w in reached.items() if zn.matrix(st[1])[2][0] == (7, False)}
+    assert final and all(zn.matrix(st[1])[0][2] == (-7, False) for st in final)
+    pinned = {st: w for st, w in fired.items() if zn.matrix(st[1])[0][2] == (-7, False)}
+    assert pinned and {st: final.get(st) for st in pinned} == pinned
 
 
 def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton):
@@ -370,8 +375,9 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():
-    """Segment k only returns regions with t' in (b_{k-1}, b_k], and no
-    later segment returns a region equal to an earlier one."""
+    """Segment k only returns regions with t' in (b_{k-1}, b_k] and
+    t < t', and no later segment returns a region equal to an earlier
+    one."""
     rng = random.Random(34)
     harvested = 0
     for _ in range(40):
@@ -390,6 +396,8 @@ def test_harvested_regions_are_final_once_their_segment_ends():
                     lo_strict = mat[0][2][1]
                     assert tp_lo > lo or (tp_lo == lo and lo_strict), (k, region)
                     assert Fraction(mat[2][0][0], den) <= hi, (k, region)
+                    # a row is a window: t' - t is not bounded by 0
+                    assert mat[2][1] != (0, False), (k, region)
                     # the region's bounds as times, whatever its scale
                     key = tuple(
                         (v if v == zn.INF else Fraction(v, den), strict)

@@ -15,13 +15,17 @@ instant; one fired at the boundary is carried and waits in the next
 segment.  `zone.elapse` gives both waiting targets at once: a waiting
 state's time clock lies below the current boundary, so each target
 differs from its source only in its absolute bounds (row 0 and column
-0), which elapse rewrites in O(n).  Weighing the graph once yields
-both the fired states, whose accepting ones are the segment's matches,
-and the carried table (the states pinned at the boundary).  The
-weighing (`shortest_distance`) peels the acyclic prefix in topological
-order and takes the `star` closure only inside the strongly connected
-components that remain, walked in topological order (Mohri, JALC
-2002), so it costs O(n + e + sum |C|^3) over the components C.
+0), which elapse rewrites in O(n).  A state waits only at a location
+from which some path of transitions still reaches acceptance.
+
+The graph is weighed as it unfolds, one bucket at a time: the buckets
+are the strongly connected components of the location graph, walked
+in topological order.  This is the scheme of Mohri (JALC 2002) that
+`shortest_distance` applies to states, lifted to locations and found
+once per `EngineContext`; only a cyclic bucket builds a move graph for
+`shortest_distance` to weigh.  Weighing yields both the fired states,
+whose accepting ones are the segment's matches, and the carried table
+(the states pinned at the boundary).
 
 A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
@@ -78,8 +82,12 @@ class EngineContext:
         self.labels = {l.name: l.label for l in a.locations}
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
         # a clock is live at a location when some path from there reads
-        # it in a guard before resetting it (backward fixpoint)
+        # it in a guard before resetting it, and a location waits when
+        # some path of one or more transitions from there reaches
+        # acceptance: elsewhere no wait can lead to a match (one
+        # backward fixpoint)
         live = {l.name: set() for l in a.locations}
+        waits: set = set()
         changed = True
         while changed:
             changed = False
@@ -88,6 +96,10 @@ class EngineContext:
                 if not need <= live[tr.source]:
                     live[tr.source] |= need
                     changed = True
+                if tr.source not in waits and (tr.target in self.accepting or tr.target in waits):
+                    waits.add(tr.source)
+                    changed = True
+        self.waits = frozenset(waits)
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
         # location -> indices of the clocks dead there, `keep` excepted;
         # the time clock is not an automaton clock, so it is never one
@@ -108,6 +120,14 @@ class EngineContext:
                 self.dead[tr.target],
             ))
         self.out = {loc: tuple(moves) for loc, moves in out.items()}
+        # the location graph's strongly connected components in
+        # topological order, each flagged cyclic when a transition stays
+        # inside it
+        succ = {loc: [move[0] for move in moves] for loc, moves in self.out.items()}
+        self.buckets = tuple(
+            (tuple(comp), len(comp) > 1 or comp[0] in succ[comp[0]])
+            for comp in _tarjan_components(succ, succ)
+        )
         # the clocks some guard reads, and their positions in `_prune`'s
         # lower-bound tuples
         self.guarded = tuple(sorted({idx[at.var] for tr in a.transitions for at in tr.guard}))
@@ -273,67 +293,122 @@ def _close_component(comp, out, dist, sr: Semiring) -> None:
 
 
 def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int):
-    """Unfold one segment into a move graph and weigh it.
+    """Unfold one segment and weigh it, location bucket by bucket.
 
     `prev` and `cur` are scaled boundary times; input entries are
-    expected to be pinned at `prev`.  Returns (fired, final): the
-    weighed states a transition fired into, and those pinned at `cur`.
+    expected to be pinned at `prev`.  A state's weights are
+    ⊕-accumulated at its location as it arrives, the inputs first and
+    each fired state when a transition reaches it.  A trivial bucket's
+    arrivals then have their final weights: they wait, and each state
+    they wait into fires at once into later buckets.  A cyclic bucket
+    weighs its local move graph with `shortest_distance`, the arrived
+    weights as sources, and then relaxes the fires that leave it.
+    Returns (fired, final): the weighed states a transition fired into,
+    and those pinned at `cur`.
     """
     sr = ctx.semiring
+    oplus = sr.oplus
     t = ctx.t_index
+    at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     appended = (values,)
-    # states are numbered as they are discovered, so the graph handed
-    # to shortest_distance never hashes a (loc, zone, seq) tuple again
-    ids: dict = {}  # state -> id
-    states: list = []  # id -> state
-    edges: list = []
-
-    def number(state):
-        """The state's id, and whether it is new."""
-        i = ids.setdefault(state, len(states))
-        if i < len(states):
-            return i, False
-        states.append(state)
-        if ctx.audit is not None:
-            ctx.audit(state[1], ctx.scale, cur)
-        return i, True
-
-    sources = {number(state)[0]: s for state, s in weight.items()}
-    stack = list(sources)  # states that wait: the inputs, then fired states
-    fired: list = []
+    arrived: dict = {loc: {} for loc in ctx.out}  # location -> state -> weight
+    for state, s in weight.items():
+        arrived[state[0]][state] = s
     costs: dict = {}
-    while stack:
-        i = stack.pop()
-        loc, z, seq = states[i]
-        if z[t] == pinned:  # carried: it waits in the next segment
-            continue
-        seq2 = absorbing_concat(seq, appended)
-        for z2 in zn.elapse(z, t, prev, cur):
-            if z2 is None:
-                continue
-            j, new = number((loc, z2, seq2))
-            edges.append((i, j, sr.one))
-            if not new:
-                continue
-            if (loc, seq2) not in costs:
-                costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
-            w = costs[loc, seq2]
-            if w == sr.zero:
-                continue
-            for target, guard, resets, dead in ctx.out[loc]:
-                z3 = zn.intersect_guard(z2, guard)
-                if z3 is None:
-                    continue
-                k, new = number((target, zn.free(zn.reset(z3, resets), dead), EMPTY_SEQ))
-                edges.append((j, k, w))
-                if new:
-                    fired.append(k)
-                    stack.append(k)
+    fired: dict = {}
+    final: dict = {}
 
-    dist = shortest_distance(range(len(states)), edges, sources, sr)
-    final = {states[i]: d for i, d in dist.items() if states[i][1][t] == pinned}
-    return {states[k]: dist[k] for k in fired if k in dist}, final
+    def record(state, d):
+        """Audit a weighed state and file it as fired, final or both."""
+        z = state[1]
+        if ctx.audit is not None:
+            ctx.audit(z, ctx.scale, cur)
+        # T > prev and no value recorded: neither an input nor waited
+        if z[t] < at_prev and state[2] == EMPTY_SEQ:
+            fired[state] = d
+        if z[t] == pinned:
+            final[state] = d
+
+    for locs, cyclic in ctx.buckets:
+        if not cyclic:
+            (loc,) = locs
+            waited: dict = {}
+            for state, d in arrived[loc].items():
+                record(state, d)
+                _, z, seq = state
+                if z[t] != pinned and loc in ctx.waits:
+                    seq2 = absorbing_concat(seq, appended)
+                    for z2 in zn.elapse(z, t, prev, cur):
+                        if z2 is not None:
+                            st2 = (loc, z2, seq2)
+                            waited[st2] = oplus(waited[st2], d) if st2 in waited else d
+            for (_, z2, seq2), d in waited.items():
+                record((loc, z2, seq2), d)
+                if (loc, seq2) not in costs:
+                    costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
+                w = costs[loc, seq2]
+                if w == sr.zero:
+                    continue
+                dw = sr.otimes(d, w)
+                for target, guard, resets, dead in ctx.out[loc]:
+                    z3 = zn.intersect_guard(z2, guard)
+                    if z3 is not None:
+                        st3 = (target, zn.free(zn.reset(z3, resets), dead), EMPTY_SEQ)
+                        arr = arrived[target]
+                        arr[st3] = oplus(arr[st3], dw) if st3 in arr else dw
+            continue
+
+        # a cyclic bucket numbers its states as they are found, so its
+        # local graph never hashes a (loc, zone, seq) tuple again
+        states = [st for loc in locs for st in arrived[loc]]
+        ids = {st: i for i, st in enumerate(states)}
+        sources = {i: arrived[st[0]][st] for i, st in enumerate(states)}
+        edges: list = []
+        leaving: list = []  # (waited id, cost, target state) out of the bucket
+
+        stack = list(sources)
+        while stack:
+            i = stack.pop()
+            loc, z, seq = states[i]
+            if z[t] == pinned or loc not in ctx.waits:
+                continue
+            seq2 = absorbing_concat(seq, appended)
+            for z2 in zn.elapse(z, t, prev, cur):
+                if z2 is None:
+                    continue
+                j = ids.setdefault((loc, z2, seq2), len(states))
+                edges.append((i, j, sr.one))
+                if j < len(states):  # seen before
+                    continue
+                states.append((loc, z2, seq2))
+                if (loc, seq2) not in costs:
+                    costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
+                w = costs[loc, seq2]
+                if w == sr.zero:
+                    continue
+                for target, guard, resets, dead in ctx.out[loc]:
+                    z3 = zn.intersect_guard(z2, guard)
+                    if z3 is None:
+                        continue
+                    st3 = (target, zn.free(zn.reset(z3, resets), dead), EMPTY_SEQ)
+                    if target not in locs:
+                        leaving.append((j, w, st3))
+                        continue
+                    k = ids.setdefault(st3, len(states))
+                    edges.append((j, k, w))
+                    if k == len(states):
+                        states.append(st3)
+                        stack.append(k)
+        dist = shortest_distance(range(len(states)), edges, sources, sr)
+        for i, d in dist.items():
+            record(states[i], d)
+        for j, w, st3 in leaving:
+            if j in dist:
+                arr = arrived[st3[0]]
+                dw = sr.otimes(dist[j], w)
+                arr[st3] = oplus(arr[st3], dw) if st3 in arr else dw
+    return fired, final
 
 
 def initial_weight(ctx: EngineContext) -> Weight:

@@ -28,6 +28,24 @@ location l2 accept [true];
 edge l0 -> l1 when c < 5 reset {c};
 edge l1 -> l2 when c < 10;
 """
+# the overshoot pattern with a back edge: every move graph is cyclic
+CYCLIC_SPEC = OVERSHOOT_SPEC + "edge l1 -> l0 when c < 5 reset {c};\n"
+# two clocks and a self-loop on l1, whose location bucket is cyclic
+TWO_CLOCK_SPEC = """var x;
+clock c, d;
+location l0 init [x < 15];
+location l1 [x > 5];
+location l2 accept [true];
+edge l0 -> l1 when c < 5 reset {c, d};
+edge l1 -> l1 when d > 2 reset {d};
+edge l1 -> l2 when c < 10 && d < 4;
+"""
+# a self-looping branch from which no path reaches acceptance
+DEAD_BRANCH_SPEC = OVERSHOOT_SPEC + (
+    "location l3 [x < 3];\n"
+    "edge l0 -> l3 when c > 1;\n"
+    "edge l3 -> l3 when c < 4 reset {c};\n"
+)
 
 PAIRINGS = (
     (BOOLEAN, CostKind.SAT),

@@ -6,7 +6,7 @@ import pytest
 
 from quantimatch import cli
 
-from conftest import OVERSHOOT_SPEC
+from conftest import CYCLIC_SPEC, DEAD_BRANCH_SPEC, OVERSHOOT_SPEC, TWO_CLOCK_SPEC
 
 LONG_SIGNAL = "x\n7.5 10\n10 40\n13 60\n"
 SHORT_SIGNAL = "x\n2.5 10\n1 40\n3 60\n"
@@ -136,8 +136,6 @@ EXPECTED_GRID_FRACTIONAL = (
     "14/3\t16/3\t3\n"
 )
 
-# the overshoot pattern with a back edge: every move graph is cyclic
-CYCLIC_SPEC = OVERSHOOT_SPEC + "edge l1 -> l0 when c < 5 reset {c};\n"
 # the overshoot pattern without its deadline: live state grows
 UNBOUNDED_SPEC = OVERSHOOT_SPEC.replace(" when c < 10", "")
 # the start location's hand-off fires into an accepting location at
@@ -234,6 +232,98 @@ EXPECTED_MONITOR_UNBOUNDED = (
     "t in [0,0], t' in (11/3,71/12), t'-t in (11/3,71/12) : -2\n"
     "t in (0,7/3), t' in [71/12,71/12], t'-t in (43/12,71/12) : -2\n"
     "t in (0,7/3), t' in (11/3,71/12), t'-t in (4/3,71/12) : -2\n"
+)
+
+# `monitor` on FRACTIONAL_SIGNAL for TWO_CLOCK_SPEC under tropical/t
+EXPECTED_MONITOR_TWO_CLOCK = (
+    "t in [0,0], t' in [7/3,7/3], t'-t in [7/3,7/3] : 10\n"
+    "t in [0,0], t' in (2,7/3), t'-t in (2,7/3) : 15\n"
+    "t in [0,0], t' in (0,7/3), t'-t in (0,7/3) : 10\n"
+    "t in (0,1/3), t' in [7/3,7/3], t'-t in (2,7/3) : 15\n"
+    "t in (0,7/3), t' in [7/3,7/3], t'-t in (0,7/3) : 10\n"
+    "t in (0,1/3), t' in (2,7/3), t'-t in (2,7/3) : 15\n"
+    "t in (0,7/3), t' in (0,7/3), t'-t in (0,7/3) : 10\n"
+    "t in [7/3,7/3], t' in [17/6,17/6], t'-t in [0.5,0.5] : 10\n"
+    "t in [7/3,7/3], t' in (7/3,17/6), t'-t in (0,0.5) : 10\n"
+    "t in (7/3,17/6), t' in [17/6,17/6], t'-t in (0,0.5) : 10\n"
+    "t in (7/3,17/6), t' in (7/3,17/6), t'-t in (0,0.5) : 10\n"
+    "t in [0,0], t' in [17/6,17/6], t'-t in [17/6,17/6] : 15\n"
+    "t in [0,0], t' in (7/3,17/6), t'-t in (7/3,17/6) : 15\n"
+    "t in (0,1/3), t' in [17/6,17/6], t'-t in (2.5,17/6) : 45\n"
+    "t in (0,5/6), t' in [17/6,17/6], t'-t in (2,17/6) : 80\n"
+    "t in (0,7/3), t' in [17/6,17/6], t'-t in (0.5,17/6) : 15\n"
+    "t in (0,1/3), t' in (7/3,17/6), t'-t in (2,17/6) : 45\n"
+    "t in (0,5/6), t' in (7/3,17/6), t'-t in (2,17/6) : 80\n"
+    "t in (0,7/3), t' in (7/3,17/6), t'-t in (0,17/6) : 15\n"
+    "t in [17/6,17/6], t' in [11/3,11/3], t'-t in [5/6,5/6] : 10\n"
+    "t in [17/6,17/6], t' in (17/6,11/3), t'-t in (0,5/6) : 10\n"
+    "t in (17/6,11/3), t' in [11/3,11/3], t'-t in (0,5/6) : 10\n"
+    "t in (17/6,11/3), t' in (17/6,11/3), t'-t in (0,5/6) : 10\n"
+    "t in [7/3,7/3], t' in [11/3,11/3], t'-t in [4/3,4/3] : -27\n"
+    "t in [7/3,7/3], t' in (17/6,11/3), t'-t in (0.5,4/3) : -27\n"
+    "t in (7/3,17/6), t' in [11/3,11/3], t'-t in (5/6,4/3) : -27\n"
+    "t in (7/3,17/6), t' in (17/6,11/3), t'-t in (0,4/3) : -27\n"
+    "t in [0,0], t' in [11/3,11/3], t'-t in [11/3,11/3] : -22\n"
+    "t in [0,0], t' in (17/6,11/3), t'-t in (17/6,11/3) : -22\n"
+    "t in (0,1/3), t' in [11/3,11/3], t'-t in (10/3,11/3) : 43\n"
+    "t in (0,5/6), t' in [11/3,11/3], t'-t in (17/6,11/3) : 43\n"
+    "t in (0,5/3), t' in [11/3,11/3], t'-t in (2,11/3) : 41\n"
+    "t in (0,7/3), t' in [11/3,11/3], t'-t in (4/3,11/3) : -22\n"
+    "t in (0,1/3), t' in (17/6,11/3), t'-t in (2.5,11/3) : 43\n"
+    "t in (0,5/6), t' in (17/6,11/3), t'-t in (2,11/3) : 43\n"
+    "t in (0,5/3), t' in (17/6,11/3), t'-t in (2,11/3) : 41\n"
+    "t in (0,7/3), t' in (17/6,11/3), t'-t in (0.5,11/3) : -22\n"
+    "t in [11/3,11/3], t' in [71/12,71/12], t'-t in [2.25,2.25] : 10\n"
+    "t in [11/3,11/3], t' in (17/3,71/12), t'-t in (2,2.25) : 17\n"
+    "t in [11/3,11/3], t' in (11/3,71/12), t'-t in (0,2.25) : 10\n"
+    "t in (11/3,47/12), t' in [71/12,71/12], t'-t in (2,2.25) : 17\n"
+    "t in (11/3,71/12), t' in [71/12,71/12], t'-t in (0,2.25) : 10\n"
+    "t in (11/3,47/12), t' in (17/3,71/12), t'-t in (2,2.25) : 17\n"
+    "t in (11/3,71/12), t' in (11/3,71/12), t'-t in (0,2.25) : 10\n"
+    "t in [17/6,17/6], t' in [71/12,71/12], t'-t in [37/12,37/12] : 17\n"
+    "t in [17/6,17/6], t' in (17/3,71/12), t'-t in (17/6,37/12) : 26\n"
+    "t in [17/6,17/6], t' in (29/6,71/12), t'-t in (2,37/12) : 24\n"
+    "t in [17/6,17/6], t' in (11/3,71/12), t'-t in (5/6,37/12) : 17\n"
+    "t in (17/6,11/3), t' in [71/12,71/12], t'-t in (2.25,37/12) : 17\n"
+    "t in (17/6,11/3), t' in (17/3,71/12), t'-t in (2,37/12) : 26\n"
+    "t in (17/6,11/3), t' in (29/6,71/12), t'-t in (2,37/12) : 24\n"
+    "t in (17/6,11/3), t' in (11/3,71/12), t'-t in (0,37/12) : 17\n"
+    "t in [7/3,7/3], t' in [71/12,71/12], t'-t in [43/12,43/12] : -20\n"
+    "t in [7/3,7/3], t' in (17/3,71/12), t'-t in (10/3,43/12) : 1\n"
+    "t in [7/3,7/3], t' in (29/6,71/12), t'-t in (2.5,43/12) : -13\n"
+    "t in [7/3,7/3], t' in (13/3,71/12), t'-t in (2,43/12) : 22\n"
+    "t in [7/3,7/3], t' in (11/3,71/12), t'-t in (4/3,43/12) : -20\n"
+    "t in (7/3,17/6), t' in [71/12,71/12], t'-t in (37/12,43/12) : -20\n"
+    "t in (7/3,17/6), t' in (17/3,71/12), t'-t in (17/6,43/12) : 1\n"
+    "t in (7/3,17/6), t' in (29/6,71/12), t'-t in (2,43/12) : -13\n"
+    "t in (7/3,17/6), t' in (13/3,71/12), t'-t in (2,43/12) : 22\n"
+    "t in (7/3,17/6), t' in (11/3,71/12), t'-t in (5/6,43/12) : -20\n"
+    "t in [0,0], t' in [71/12,71/12], t'-t in [71/12,71/12] : -15\n"
+    "t in [0,0], t' in (17/3,71/12), t'-t in (17/3,71/12) : 6\n"
+    "t in [0,0], t' in (29/6,71/12), t'-t in (29/6,71/12) : -8\n"
+    "t in [0,0], t' in (13/3,71/12), t'-t in (13/3,71/12) : 27\n"
+    "t in [0,0], t' in (4,71/12), t'-t in (4,71/12) : 62\n"
+    "t in [0,0], t' in (11/3,71/12), t'-t in (11/3,71/12) : -15\n"
+    "t in (0,1/3), t' in [71/12,71/12], t'-t in (67/12,71/12) : 50\n"
+    "t in (0,5/6), t' in [71/12,71/12], t'-t in (61/12,71/12) : 50\n"
+    "t in (0,5/3), t' in [71/12,71/12], t'-t in (4.25,71/12) : 48\n"
+    "t in (0,23/12), t' in [71/12,71/12], t'-t in (4,71/12) : 64\n"
+    "t in (0,7/3), t' in [71/12,71/12], t'-t in (43/12,71/12) : -15\n"
+    "t in (0,5/3), t' in (17/3,71/12), t'-t in (4,71/12) : 57\n"
+    "t in (0,23/12), t' in (17/3,71/12), t'-t in (4,71/12) : 64\n"
+    "t in (0,7/3), t' in (17/3,71/12), t'-t in (10/3,71/12) : 6\n"
+    "t in (0,5/6), t' in (29/6,71/12), t'-t in (4,71/12) : 57\n"
+    "t in (0,5/3), t' in (29/6,71/12), t'-t in (4,71/12) : 55\n"
+    "t in (0,7/3), t' in (29/6,71/12), t'-t in (2.5,71/12) : -8\n"
+    "t in (0,1/3), t' in (13/3,71/12), t'-t in (4,71/12) : 57\n"
+    "t in (0,5/6), t' in (13/3,71/12), t'-t in (4,71/12) : 92\n"
+    "t in (0,7/3), t' in (13/3,71/12), t'-t in (2,71/12) : 27\n"
+    "t in (0,1/3), t' in (4,71/12), t'-t in (4,71/12) : 62\n"
+    "t in (0,1/3), t' in (11/3,71/12), t'-t in (10/3,71/12) : 50\n"
+    "t in (0,5/6), t' in (11/3,71/12), t'-t in (17/6,71/12) : 50\n"
+    "t in (0,5/3), t' in (11/3,71/12), t'-t in (2,71/12) : 48\n"
+    "t in (0,7/3), t' in (11/3,71/12), t'-t in (2,71/12) : 57\n"
+    "t in (0,7/3), t' in (11/3,71/12), t'-t in (4/3,71/12) : -15\n"
 )
 
 # `monitor` on ACCEPTING_INITIAL_SIGNAL for ACCEPTING_INITIAL_SPEC under
@@ -449,8 +539,9 @@ def test_monitor_fractional_durations_exact(capsys, tmp_path, spec_path):
     [
         (CYCLIC_SPEC, "tropical", "t", EXPECTED_MONITOR_CYCLIC),
         (UNBOUNDED_SPEC, "supinf", "r", EXPECTED_MONITOR_UNBOUNDED),
+        (TWO_CLOCK_SPEC, "tropical", "t", EXPECTED_MONITOR_TWO_CLOCK),
     ],
-    ids=["cyclic", "unbounded"],
+    ids=["cyclic", "unbounded", "two-clock"],
 )
 def test_monitor_other_specs_exact(capsys, tmp_path, spec, semiring, cost, expected):
     spec_file = tmp_path / "spec.tsa"
@@ -460,6 +551,26 @@ def test_monitor_other_specs_exact(capsys, tmp_path, spec, semiring, cost, expec
         "--cost", cost, "--signal", sig_path(tmp_path, FRACTIONAL_SIGNAL),
     )
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("signal", [LONG_SIGNAL, FRACTIONAL_SIGNAL], ids=["long", "fractional"])
+@pytest.mark.parametrize(
+    "semiring, cost", [("boolean", "b"), ("supinf", "r"), ("tropical", "t")]
+)
+def test_monitor_ignores_a_branch_that_never_accepts(
+    capsys, tmp_path, spec_path, signal, semiring, cost
+):
+    """States at l3 are fired but never waited, which changes no byte."""
+    dead = tmp_path / "dead-branch.tsa"
+    dead.write_text(DEAD_BRANCH_SPEC)
+    sig = sig_path(tmp_path, signal)
+    outputs = [
+        run(capsys, "monitor", "--spec", spec, "--semiring", semiring, "--cost", cost,
+            "--signal", sig)
+        for spec in (spec_path, str(dead))
+    ]
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert outputs[1] == outputs[0]
 
 
 def test_monitor_prints_no_zero_length_rows(capsys, tmp_path):

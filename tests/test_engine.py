@@ -33,7 +33,15 @@ from quantimatch.oracle import reachable_graph
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 from quantimatch.signals import EMPTY_SEQ, Signal, segment, valuation
 
-from conftest import random_automaton, random_signal, weighted_variants
+from conftest import (
+    CYCLIC_SPEC,
+    DEAD_BRANCH_SPEC,
+    OVERSHOOT_SPEC,
+    TWO_CLOCK_SPEC,
+    random_automaton,
+    random_signal,
+    weighted_variants,
+)
 
 CT = ("c", "T")
 
@@ -66,6 +74,81 @@ def test_dead_clock_table_of_the_overshoot(wa_supinf):
             assert dead == ctx.dead[target]
     # without the matcher's keep, T' would be dead everywhere
     assert all(2 in dead for dead in EngineContext(m._expanded).dead.values())
+
+
+def test_context_buckets_and_waits():
+    """Location buckets in topological order, flagged cyclic, and the
+    locations from which acceptance is still reachable, for the
+    matching automaton (with its start location) of four specs."""
+
+    def tables(spec):
+        ctx = OnlineMatcher(WeightedAutomaton(parse_automaton(spec), SUPINF,
+                                              CostKind.MIN_MARGIN))._ctx
+        return [(set(locs), cyclic) for locs, cyclic in ctx.buckets], ctx.waits
+
+    trivial = [({"start"}, False), ({"l0"}, False), ({"l1"}, False), ({"l2"}, False)]
+    assert tables(OVERSHOOT_SPEC) == (trivial, {"start", "l0", "l1"})
+    assert tables(CYCLIC_SPEC) == (
+        [({"start"}, False), ({"l0", "l1"}, True), ({"l2"}, False)],
+        {"start", "l0", "l1"},
+    )
+    assert tables(TWO_CLOCK_SPEC) == (
+        [({"start"}, False), ({"l0"}, False), ({"l1"}, True), ({"l2"}, False)],
+        {"start", "l0", "l1"},
+    )
+    buckets, waits = tables(DEAD_BRANCH_SPEC)
+    assert ({"l3"}, True) in buckets and "l3" not in waits
+    assert waits == {"start", "l0", "l1"}
+    # l3 comes after l0, the only location leading into it
+    assert buckets.index(({"l0"}, False)) < buckets.index(({"l3"}, True))
+    assert [b for b in buckets if b != ({"l3"}, True)] == trivial
+
+
+def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch):
+    """Rows and the pruned carried table are the same, segment by
+    segment, when every location waits."""
+    rng = random.Random(37)
+    cases = []
+    for i in range(30):
+        a = random_automaton(rng)
+        if i % 2:
+            # a self-looping branch that never leads to acceptance
+            c = rng.choice(a.clocks)
+            dead = Location("d", (Atom("x", "<", Fraction(rng.randint(0, 14))),))
+            into = Transition(rng.choice(a.locations).name, (Atom(c, ">", Fraction(1)),), (), "d")
+            loop = Transition("d", (Atom(c, "<", Fraction(4)),), (c,), "d")
+            a = Automaton(a.variables, a.clocks, a.locations + (dead,), a.transitions + (into, loop))
+        cases.append((a, random_signal(rng, max_segments=4)))
+    elapsed = 0
+
+    def counting_elapse(*args):
+        nonlocal elapsed
+        elapsed += 1
+        return real_elapse(*args)
+
+    def runs():
+        out = []
+        for a, sig in cases:
+            for wa in weighted_variants(a):
+                m = OnlineMatcher(wa)
+                out.append([([format_piece(p) for p in m.feed(seg)], m._weight) for seg in sig])
+        return out
+
+    real_elapse = zn.elapse
+    monkeypatch.setattr(zn, "elapse", counting_elapse)
+    skipping = runs()
+    skipping_elapsed, elapsed = elapsed, 0
+    real_init = EngineContext.__init__
+
+    def waiting_everywhere(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.waits = frozenset(self.out)
+
+    monkeypatch.setattr(EngineContext, "__init__", waiting_everywhere)
+    assert runs() == skipping
+    # the skip was taken, and some rows came out
+    assert skipping_elapsed < elapsed
+    assert any(rows for run in skipping for rows, _ in run)
 
 
 def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
@@ -208,16 +291,14 @@ def test_advance_first_segment_exact(wa_supinf):
     z_wall_input = zn.point_zone(CT, 7)
     z_fired_wall = zone2(*pinned7, (1, 0, 0, False))
     z_band_c = zone2(*pinned7, (1, 0, 7, True), (0, 1, 0, True))
-    # c is dead at l2, so firing into l2 frees it: only c >= 0 is left,
-    # and waiting turns that strict
+    # c is dead at l2, so firing into l2 frees it: only c >= 0 is left;
+    # no path leads on from l2, so nothing waits there
     z_l2 = zone2(*pinned7)
-    z_l2_waited = zone2(*pinned7, (0, 1, 0, True))
     assert final == {
         ("l0", z_wall_input, (x7,)): INF,
         ("l1", z_fired_wall, EMPTY_SEQ): 8.0,
         ("l1", z_band_c, (x7,)): 8.0,
         ("l2", z_l2, EMPTY_SEQ): 2.0,
-        ("l2", z_l2_waited, (x7,)): 2.0,
     }
 
 

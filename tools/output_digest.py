@@ -49,6 +49,12 @@ location l0 init accept [x < 15];
 location l1 accept [x > 5];
 edge l0 -> l1 when c < 5;
 """,
+    # a branch that can never reach acceptance, with a self-loop: its
+    # location waits nowhere, so the output is the overshoot's
+    "dead-branch": OVERSHOOT + """location l3 [x < 3];
+edge l0 -> l3 when c > 1;
+edge l3 -> l3 when c < 4 reset {c};
+""",
 }
 
 PAIRINGS = (("boolean", "b"), ("supinf", "r"), ("tropical", "t"))

@@ -15,8 +15,15 @@ instant; one fired at the boundary is carried and waits in the next
 segment.  `zone.elapse` gives both waiting targets at once: a waiting
 state's time clock lies below the current boundary, so each target
 differs from its source only in its absolute bounds (row 0 and column
-0), which elapse rewrites in O(n).  A state waits only at a location
-from which some path of transitions still reaches acceptance.
+0), which elapse rewrites in one O(n) pass over each.  A state waits
+only at a location from which some path of transitions still reaches
+acceptance.
+
+A move fires in two steps, both compiled once per `EngineContext`: its
+guard, kept as encoded bounds that `zone.constrain` takes as they are,
+and one index gather (`zone.gather`) that resets its clocks and frees
+those dead at its target.  Only the guard bounds depend on the time
+scale, so a rescale recompiles them alone (`EngineContext.set_scale`).
 
 The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
@@ -31,7 +38,8 @@ A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
 "Reducing the Number of Clock Variables of Timed Automata", RTSS 1996).
 `EngineContext` finds them once by a backward fixpoint over the
-transitions, and `zone.free` drops their constraints.  Runs that differ
+transitions, and each move's gather drops their constraints, as
+`zone.free` does.  Runs that differ
 only in a dead clock then share one state, whose weight is the ⊕ of
 theirs; the value sequences, the time clock and any clock the caller
 keeps (the matcher's match-start clock) are untouched, so every row
@@ -65,7 +73,8 @@ Weight = dict
 
 
 class EngineContext:
-    """Lookup tables for one weighted automaton at a fixed time scale."""
+    """Lookup tables for one weighted automaton at one time scale,
+    which `set_scale` changes."""
 
     def __init__(self, wa: WeightedAutomaton, scale: int = 1, audit=None, keep=()):
         a = wa.automaton
@@ -77,7 +86,6 @@ class EngineContext:
             t_name += "_"
         self.clock_names = a.clocks + (t_name,)
         self.t_index = len(a.clocks) + 1  # 1-based matrix index
-        self.scale = scale
         self.audit = audit
         self.labels = {l.name: l.label for l in a.locations}
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
@@ -107,23 +115,26 @@ class EngineContext:
             loc: tuple(idx[c] for c in a.clocks if c not in used and c not in keep)
             for loc, used in live.items()
         }
-        # location -> its transitions compiled to (target, guard atoms
-        # (clock index, op, scaled constant), reset clock indices, clock
-        # indices dead at the target)
-        out = {l.name: [] for l in a.locations}
+        # location -> its moves as in `out`, but with the guard atoms
+        # (clock index, op, unscaled constant); a move's resets and
+        # freeing are one gather, None when it has neither
+        n = len(self.clock_names) + 1
+        self._moves = {l.name: [] for l in a.locations}
         for tr in a.transitions:
-            # guard constants are integers, as WeightedAutomaton checks
-            out[tr.source].append((
+            resets = tuple(idx[c] for c in tr.resets)
+            dead = self.dead[tr.target]
+            get, pad = zn.gather(n, resets, dead) if resets or dead else (None, ())
+            self._moves[tr.source].append((
                 tr.target,
-                tuple((idx[at.var], at.op, int(at.const) * scale) for at in tr.guard),
-                tuple(idx[c] for c in tr.resets),
-                self.dead[tr.target],
+                # guard constants are integers, as WeightedAutomaton checks
+                tuple((idx[at.var], at.op, int(at.const)) for at in tr.guard),
+                resets, dead, get, pad,
             ))
-        self.out = {loc: tuple(moves) for loc, moves in out.items()}
+        self.set_scale(scale)
         # the location graph's strongly connected components in
         # topological order, each flagged cyclic when a transition stays
         # inside it
-        succ = {loc: [move[0] for move in moves] for loc, moves in self.out.items()}
+        succ = {loc: [move[0] for move in moves] for loc, moves in self._moves.items()}
         self.buckets = tuple(
             (tuple(comp), len(comp) > 1 or comp[0] in succ[comp[0]])
             for comp in _tarjan_components(succ, succ)
@@ -132,6 +143,23 @@ class EngineContext:
         # lower-bound tuples
         self.guarded = tuple(sorted({idx[at.var] for tr in a.transitions for at in tr.guard}))
         self.guarded_pos = {i: p for p, i in enumerate(self.guarded)}
+
+    def set_scale(self, scale: int) -> None:
+        """Move to another time scale; only the guard bounds depend on it.
+
+        `out` maps each location to its moves as (target, guard bounds
+        (i, j, b) for `zone.constrain` at this scale, reset clock
+        indices, indices of the clocks dead at the target, get, pad):
+        a guarded zone z fires into `get(z + pad)`, or z itself when
+        `get` is None (`zone.gather`)."""
+        self.scale = scale
+        self.out = {
+            loc: tuple(
+                (target, tuple(zn.guard_bound(i, op, k * scale) for i, op, k in atoms), *rest)
+                for target, atoms, *rest in moves
+            )
+            for loc, moves in self._moves.items()
+        }
 
 
 def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
@@ -308,6 +336,12 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     """
     sr = ctx.semiring
     oplus = sr.oplus
+    otimes = sr.otimes
+    zero = sr.zero
+    audit = ctx.audit
+    scale = ctx.scale
+    constrain = zn.constrain
+    elapse = zn.elapse
     t = ctx.t_index
     at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
@@ -315,48 +349,55 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     arrived: dict = {loc: {} for loc in ctx.out}  # location -> state -> weight
     for state, s in weight.items():
         arrived[state[0]][state] = s
-    costs: dict = {}
     fired: dict = {}
     final: dict = {}
-
-    def record(state, d):
-        """Audit a weighed state and file it as fired, final or both."""
-        z = state[1]
-        if ctx.audit is not None:
-            ctx.audit(z, ctx.scale, cur)
-        # T > prev and no value recorded: neither an input nor waited
-        if z[t] < at_prev and state[2] == EMPTY_SEQ:
-            fired[state] = d
-        if z[t] == pinned:
-            final[state] = d
 
     for locs, cyclic in ctx.buckets:
         if not cyclic:
             (loc,) = locs
+            waits = loc in ctx.waits
             waited: dict = {}
             for state, d in arrived[loc].items():
-                record(state, d)
                 _, z, seq = state
-                if z[t] != pinned and loc in ctx.waits:
+                if audit is not None:
+                    audit(z, scale, cur)
+                # T > prev and no value recorded: neither an input nor waited
+                if z[t] < at_prev and not seq:
+                    fired[state] = d
+                if z[t] == pinned:
+                    final[state] = d
+                elif waits:
                     seq2 = absorbing_concat(seq, appended)
-                    for z2 in zn.elapse(z, t, prev, cur):
+                    for z2 in elapse(z, t, prev, cur):
                         if z2 is not None:
                             st2 = (loc, z2, seq2)
-                            waited[st2] = oplus(waited[st2], d) if st2 in waited else d
-            for (_, z2, seq2), d in waited.items():
-                record((loc, z2, seq2), d)
-                if (loc, seq2) not in costs:
-                    costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
-                w = costs[loc, seq2]
-                if w == sr.zero:
+                            old = waited.get(st2)
+                            waited[st2] = d if old is None else oplus(old, d)
+            label = ctx.labels[loc]
+            moves = ctx.out[loc]
+            costs: dict = {}  # value sequence -> its cost at loc
+            for st2, d in waited.items():
+                _, z2, seq2 = st2
+                if audit is not None:
+                    audit(z2, scale, cur)
+                if z2[t] == pinned:
+                    final[st2] = d
+                w = costs.get(seq2)
+                if w is None:
+                    w = costs[seq2] = cost_value(ctx.kind, label, seq2)
+                if w == zero:
                     continue
-                dw = sr.otimes(d, w)
-                for target, guard, resets, dead in ctx.out[loc]:
-                    z3 = zn.intersect_guard(z2, guard)
-                    if z3 is not None:
-                        st3 = (target, zn.free(zn.reset(z3, resets), dead), EMPTY_SEQ)
-                        arr = arrived[target]
-                        arr[st3] = oplus(arr[st3], dw) if st3 in arr else dw
+                dw = otimes(d, w)
+                for target, bounds, _, _, get, pad in moves:
+                    z3 = z2
+                    for i, j, b in bounds:
+                        z3 = constrain(z3, i, j, b)
+                    if z3 is None:
+                        continue
+                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
+                    arr = arrived[target]
+                    old = arr.get(st3)
+                    arr[st3] = dw if old is None else oplus(old, dw)
             continue
 
         # a cyclic bucket numbers its states as they are found, so its
@@ -366,6 +407,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
         sources = {i: arrived[st[0]][st] for i, st in enumerate(states)}
         edges: list = []
         leaving: list = []  # (waited id, cost, target state) out of the bucket
+        costs = {}  # (location, value sequence) -> cost
 
         stack = list(sources)
         while stack:
@@ -374,7 +416,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             if z[t] == pinned or loc not in ctx.waits:
                 continue
             seq2 = absorbing_concat(seq, appended)
-            for z2 in zn.elapse(z, t, prev, cur):
+            for z2 in elapse(z, t, prev, cur):
                 if z2 is None:
                     continue
                 j = ids.setdefault((loc, z2, seq2), len(states))
@@ -385,13 +427,15 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                 if (loc, seq2) not in costs:
                     costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
                 w = costs[loc, seq2]
-                if w == sr.zero:
+                if w == zero:
                     continue
-                for target, guard, resets, dead in ctx.out[loc]:
-                    z3 = zn.intersect_guard(z2, guard)
+                for target, bounds, _, _, get, pad in ctx.out[loc]:
+                    z3 = z2
+                    for i3, j3, b in bounds:
+                        z3 = constrain(z3, i3, j3, b)
                     if z3 is None:
                         continue
-                    st3 = (target, zn.free(zn.reset(z3, resets), dead), EMPTY_SEQ)
+                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
                     if target not in locs:
                         leaving.append((j, w, st3))
                         continue
@@ -402,12 +446,20 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                         stack.append(k)
         dist = shortest_distance(range(len(states)), edges, sources, sr)
         for i, d in dist.items():
-            record(states[i], d)
+            state = states[i]
+            z = state[1]
+            if audit is not None:
+                audit(z, scale, cur)
+            if z[t] < at_prev and not state[2]:
+                fired[state] = d
+            if z[t] == pinned:
+                final[state] = d
         for j, w, st3 in leaving:
             if j in dist:
                 arr = arrived[st3[0]]
-                dw = sr.otimes(dist[j], w)
-                arr[st3] = oplus(arr[st3], dw) if st3 in arr else dw
+                dw = otimes(dist[j], w)
+                old = arr.get(st3)
+                arr[st3] = dw if old is None else oplus(old, dw)
     return fired, final
 
 
@@ -468,10 +520,11 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
             if verdicts.get((cur_loc, cur_lbs)):
                 verdicts[root] = True
                 return True
-            for target, atoms, resets, _ in ctx.out[cur_loc]:
+            for target, bounds, resets, *_ in ctx.out[cur_loc]:
                 ok = True
-                for i, op, k in atoms:
-                    if op in ("<", "<=") and cur_lbs[pos[i]] > k:
+                for i, j, b in bounds:
+                    # an upper atom c_i <(=) k, with k = b >> 1
+                    if not j and cur_lbs[pos[i]] > b >> 1:
                         ok = False
                         break
                 if not ok:
@@ -523,11 +576,9 @@ class OnlineMatcher:
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
         self._start = expanded.locations[-1].name
         self._tp_index = len(wa.automaton.clocks) + 1
-        # the projection reads the match-start clock, so it is never freed
-        self._keep = (expanded.clocks[-1],)
-        self.audit = audit
         self.scale = 1
-        self._ctx = EngineContext(self._expanded, 1, audit, self._keep)
+        # the projection reads the match-start clock, so it is never freed
+        self._ctx = EngineContext(self._expanded, 1, audit, (expanded.clocks[-1],))
         self._elapsed = Fraction(0)
         self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
@@ -552,7 +603,7 @@ class OnlineMatcher:
                 (l, zn.scale(z, f), q): w for (l, z, q), w in self._weight.items()
             }
             self.scale = s2
-            self._ctx = EngineContext(self._expanded, s2, self.audit, self._keep)
+            self._ctx.set_scale(s2)
         prev = int(self._elapsed * self.scale)
         cur = int(new_end * self.scale)
 

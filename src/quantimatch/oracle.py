@@ -63,11 +63,15 @@ def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, 
     if seq:
         w = cost_value(ctx.kind, ctx.labels[loc], seq)
         if w != sr.zero:
-            for target, guard, resets, _ in ctx.out[loc]:
+            idx = {c: i for i, c in enumerate(ctx.clock_names, 1)}
+            for tr in ctx.automaton.transitions:
+                if tr.source != loc:
+                    continue
+                guard = [(idx[at.var], at.op, int(at.const) * ctx.scale) for at in tr.guard]
                 z2 = zn.intersect_guard(z, guard)
                 if z2 is None:
                     continue
-                succ = (target, zn.reset(z2, resets), EMPTY_SEQ)
+                succ = (tr.target, zn.reset(z2, [idx[c] for c in tr.resets]), EMPTY_SEQ)
                 moves.append((succ, w, "fire"))
     m = zn.matrix(z)
     hi = m[t][0]

@@ -18,14 +18,15 @@ Clock names stay with the caller; `make` and `point_zone` read only
 how many there are.
 
 Every bound is an integer: the engine rescales time until every segment
-boundary and guard constant is one (`engine.time_scale`).  So `make`,
-`constrain` and `point_zone` take int constants and `scale` a positive
-int.  A match-set row keeps the time scale its zone was computed at
-beside it (`matchset.MatchPiece.den`).  A point is int numerators over
-one positive int denominator: `contains(z, (x_1, ..., x_m), d)` tests
-the clock values x_k / d in units of z's bounds, with int arithmetic
-alone, so a caller converts a rational point once and tests it against
-many zones.
+boundary and guard constant is one (`engine.time_scale`).  So `make`
+and `point_zone` take int constants, `constrain` an encoded bound and
+`scale` a positive int; `guard_bound` encodes a guard atom once, for
+`constrain` to take as it is.  A match-set row keeps the time scale
+its zone was computed at beside it (`matchset.MatchPiece.den`).  A
+point is int numerators over one positive int denominator:
+`contains(z, (x_1, ..., x_m), d)` tests the clock values x_k / d in
+units of z's bounds, with int arithmetic alone, so a caller converts a
+rational point once and tests it against many zones.
 
 `matrix(z)` decodes a zone into rows of `(value, strict)` pairs (value
 an int, or `INF`) for readers outside the kernel; no operation here
@@ -36,19 +37,23 @@ is tuple equality, coincides with set equality.  Every public operation
 maps `None` to `None` and otherwise returns a canonical zone, mostly via
 O(n^2) incremental tightening rather than a full Floyd-Warshall pass.
 
-The engine's two per-state operations skip even that.  `elapse` waits
+The engine's per-state operations skip even that.  `elapse` waits
 into a segment (prev, cur] of the time clock and returns the open band
 and the wall at cur; it requires the time clock to lie below cur (else
 ValueError).  Then every bound it adds passes through row 0 and column
-0, which it rewrites from the time clock's row and column in O(n),
-where `up` and two `clamp_time` calls take four `constrain` passes.
-`free` forgets clocks, keeping only c >= 0 on each, in O(n) per clock.
+0, which it fills for both outputs in one pass over each, from the
+time clock's row and column, where `up` and two `clamp_time` calls
+take four `constrain` passes.  A move fires with one `constrain` per
+guard bound and then one gather: resetting clocks and freeing them
+(forgetting all but c >= 0) only copy rows and columns, so any mix of
+both is one index map over the zone (`gather`), which `reset` and
+`free` apply too.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -144,12 +149,11 @@ def point_zone(clocks: Sequence[str], value: int = 0):
     return tuple(rows)
 
 
-def constrain(z, i: int, j: int, value: int, strict: bool):
-    """Intersect with c_i - c_j <(=) value, an int; O(n^2) incremental
-    tightening."""
+def constrain(z, i: int, j: int, b):
+    """Intersect with the encoded bound b on c_i - c_j; O(n^2)
+    incremental tightening."""
     if z is None:
         return z
-    b = 2 * value + (not strict)
     n = isqrt(len(z))
     if z[i * n + j] <= b:
         return z
@@ -172,22 +176,54 @@ def constrain(z, i: int, j: int, value: int, strict: bool):
     return tuple(rows)
 
 
+def guard_bound(i: int, op: str, k: int) -> tuple:
+    """The guard atom `c_i op k`, k an int, as (i, j, b) for `constrain`."""
+    if op == "<":
+        return (i, 0, 2 * k)
+    if op == "<=":
+        return (i, 0, 2 * k + 1)
+    if op == ">":
+        return (0, i, -2 * k)
+    if op == ">=":
+        return (0, i, 1 - 2 * k)
+    raise ValueError(f"unknown comparison {op!r}")
+
+
 def intersect_guard(z, atoms: Iterable[tuple]):
     """Intersect with a conjunction of (clock_index, op, constant) atoms."""
-    for i, op, k in atoms:
-        if op == "<":
-            z = constrain(z, i, 0, k, True)
-        elif op == "<=":
-            z = constrain(z, i, 0, k, False)
-        elif op == ">":
-            z = constrain(z, 0, i, -k, True)
-        elif op == ">=":
-            z = constrain(z, 0, i, -k, False)
-        else:
-            raise ValueError(f"unknown comparison {op!r}")
+    for atom in atoms:
+        z = constrain(z, *guard_bound(*atom))
         if z is None:
             return z
     return z
+
+
+def gather(n: int, resets: Iterable[int] = (), dead: Iterable[int] = ()) -> tuple:
+    """`free(reset(z, resets), dead)` on n x n zones as one index gather.
+
+    Returns (get, pad) with the result `get(z + pad)`.  Resetting a
+    clock copies row 0 and column 0 into its row and column; freeing
+    one fills its row with INF, read at index n*n of the padded z, and
+    copies column 0 into its column.  So each entry of the result is
+    one entry of z, or INF, and `pad` is `(INF,)` only when a clock is
+    freed.  Every diagonal entry reads z[0], which is 1 in every
+    nonempty canonical zone.
+    """
+    resets = set(resets)
+    dead = set(dead)
+    at = [0 if c in resets else c for c in range(n)]  # row and column read after the resets
+    idx = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                idx.append(0)
+            elif i in dead:
+                idx.append(n * n)
+            elif j in dead:
+                idx.append(at[i] * n)
+            else:
+                idx.append(at[i] * n + at[j])
+    return itemgetter(*idx), ((INF,) if dead else ())
 
 
 def reset(z, indices: Iterable[int]):
@@ -195,15 +231,8 @@ def reset(z, indices: Iterable[int]):
     indices = tuple(indices)
     if z is None or not indices:
         return z
-    rows = list(z)
-    n = isqrt(len(z))
-    for c in indices:
-        cn = c * n
-        for j in range(n):
-            rows[cn + j] = rows[j]
-            rows[j * n + c] = rows[j * n]
-        rows[cn + c] = 1
-    return tuple(rows)
+    get, _ = gather(isqrt(len(z)), indices)
+    return get(z)
 
 
 def up(z):
@@ -227,8 +256,8 @@ def up(z):
 
 def clamp_time(z, i: int, lo, hi, left_strict: bool = False, right_strict: bool = False):
     """Intersect with lo <(=) c_i <(=) hi; punctual windows use lo == hi."""
-    z = constrain(z, 0, i, -lo, left_strict)
-    return constrain(z, i, 0, hi, right_strict)
+    z = constrain(z, 0, i, encode(-lo, left_strict))
+    return constrain(z, i, 0, encode(hi, right_strict))
 
 
 def elapse(z, t: int, prev: int, cur: int) -> tuple:
@@ -239,40 +268,50 @@ def elapse(z, t: int, prev: int, cur: int) -> tuple:
     `clamp_time(up(z), t, cur, cur)`.  Precondition: c_t < cur on z,
     else ValueError.  The bounds the clamps add, c_t - 0 and 0 - c_t,
     both meet row 0 and column 0, so every path they shorten runs
-    through there: each output rewrites row 0 from row t and column 0
-    from column t, O(n) bound additions.  Since no point of z reaches
-    cur, the strict wait loses none, and no difference bound changes.
+    through there: both outputs are z with row 0 rewritten from row t
+    and column 0 from column t, filled together in one pass over each,
+    O(n) bound additions.  Since no point of z reaches cur, the strict
+    wait loses none, and no difference bound changes.
     """
     if z is None:
         return z, z
     n = isqrt(len(z))
     tn = t * n
-    if z[tn] > 2 * cur:  # c_t < cur encodes as 2 * cur
+    c2 = 2 * cur  # c_t < cur, and also the strict bound c_t - 0 < cur
+    if z[tn] > c2:
         raise ValueError(f"clock {t} may reach the boundary {cur}")
-    row_t = z[tn:tn + n]
-    col_t = z[t::n]
-    # row 0 of up(z): every finite lower bound turns strict
-    up0 = [e if e is INF else e & -2 for e in z[:n]]
-    out = []
-    for lo, hi in ((-2 * prev, 2 * cur), (1 - 2 * cur, 2 * cur + 1)):
-        rows = list(z)
-        for j in range(1, n):
-            e = up0[j]
-            x = row_t[j]
-            if x is not INF:
-                x = lo + x - ((lo | x) & 1)
-                if x < e:
-                    e = x
-            rows[j] = e
-        r = rows[t]  # the only way back to 0 is column t, so test 0 -> t -> 0
-        if r + hi - ((r | hi) & 1) < 1:
-            out.append(None)
-            continue
-        for i in range(1, n):
-            x = col_t[i]
-            rows[i * n] = x if x is INF else x + hi - ((x | hi) & 1)
-        out.append(tuple(rows))
-    return tuple(out)
+    p2 = 2 * prev
+    band = list(z)
+    wall = list(z)
+    # row 0: a lower bound turns strict on waiting (clocks are
+    # nonnegative, so row 0 is finite), then meets 0 - c_t < -prev
+    # (band) or <= -cur (wall) through row t
+    for j in range(1, n):
+        e = z[j] & -2
+        x = z[tn + j]
+        if x is INF:
+            band[j] = wall[j] = e
+        else:
+            lo = (x & -2) - p2
+            band[j] = lo if lo < e else e
+            lo = x - c2
+            wall[j] = lo if lo < e else e
+    # column 0: c_i - 0 through column t, with c_t - 0 < cur (band) or
+    # <= cur (wall)
+    for i in range(n, n * n, n):
+        x = z[i + t]
+        if x is INF:
+            band[i] = wall[i] = INF
+        else:
+            band[i] = (x & -2) + c2
+            wall[i] = x + c2
+    # the only way back to 0 is column t, so test 0 -> t -> 0: row 0's
+    # entry at t is even in the band and odd in the wall, so adding
+    # the bound c_t - 0 (2cur, or 2cur + 1) is adding 2cur either way
+    return (
+        None if band[t] + c2 < 1 else tuple(band),
+        None if wall[t] + c2 < 1 else tuple(wall),
+    )
 
 
 def free(z, indices: Sequence[int]):
@@ -281,15 +320,8 @@ def free(z, indices: Sequence[int]):
     Canonical form is preserved."""
     if z is None or not indices:
         return z
-    rows = list(z)
-    n = isqrt(len(z))
-    for c in indices:
-        cn = c * n
-        for j in range(n):
-            rows[cn + j] = INF
-            rows[j * n + c] = rows[j * n]
-        rows[cn + c] = 1
-    return tuple(rows)
+    get, pad = gather(isqrt(len(z)), (), indices)
+    return get(z + pad)
 
 
 def project_match(z, t_idx: int, tp_idx: int):

@@ -55,11 +55,14 @@ def test_context_tables(wa_supinf):
     assert ctx.clock_names == ("c", "T")
     assert ctx.t_index == 2
     assert ctx.accepting == frozenset({"l2"})
-    # (target, guard atoms at scale 2, reset indices, clocks dead at the
-    # target) per location
-    assert ctx.out["l0"] == (("l1", ((1, "<", 10),), (1,), ()),)
-    assert ctx.out["l1"] == (("l2", ((1, "<", 20),), (), (1,)),)
+    # (target, guard bounds at scale 2, reset indices, clocks dead at the
+    # target) per location: c < 10 encodes as c - 0 < 10, (1, 0, 20)
+    assert [move[:4] for move in ctx.out["l0"]] == [("l1", ((1, 0, 20),), (1,), ())]
+    assert [move[:4] for move in ctx.out["l1"]] == [("l2", ((1, 0, 40),), (), (1,))]
     assert ctx.out["l2"] == ()
+    assert (1, 0, 20) == zn.guard_bound(1, "<", 10)
+    # the gather pads only where a clock is freed
+    assert [move[5] for move in ctx.out["l0"] + ctx.out["l1"]] == [(), (zn.INF,)]
 
 
 def test_dead_clock_table_of_the_overshoot(wa_supinf):
@@ -70,7 +73,7 @@ def test_dead_clock_table_of_the_overshoot(wa_supinf):
     assert ctx.clock_names == ("c", "T'", "T")
     assert ctx.dead == {"l0": (), "l1": (), "l2": (1,), "start": (1,)}
     for moves in ctx.out.values():
-        for target, _, _, dead in moves:
+        for target, _, _, dead, _, _ in moves:
             assert dead == ctx.dead[target]
     # without the matcher's keep, T' would be dead everywhere
     assert all(2 in dead for dead in EngineContext(m._expanded).dead.values())
@@ -152,9 +155,9 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
 
 
 def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
-    """Rows are byte-identical with dead-clock freeing switched off."""
+    """Rows are byte-identical with dead-clock freeing switched off, by
+    keeping every clock."""
     rng = random.Random(36)
-    real_free = zn.free
     cases = []
     for _ in range(30):
         a = random_automaton(rng)
@@ -170,18 +173,103 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
 
     freed = 0
 
-    def counting_free(z, indices):
+    def counting_explore(ctx, *args):
+        # a freed clock c loses its bound c - T <= 0
         nonlocal freed
-        f = real_free(z, indices)
-        freed += f != z
-        return f
+        fired, final = real_explore(ctx, *args)
+        n = ctx.t_index + 1
+        for _, z, _ in fired:
+            freed += any(z[c * n + ctx.t_index] is zn.INF for c in range(1, ctx.t_index))
+        return fired, final
 
-    monkeypatch.setattr(zn, "free", counting_free)
+    real_explore = engine._explore
+    monkeypatch.setattr(engine, "_explore", counting_explore)
     with_free = [rows_of(a, sig) for a, sig in cases]
-    monkeypatch.setattr(zn, "free", lambda z, indices: z)
+    freed_with, freed = freed, 0
+    real_init = EngineContext.__init__
+
+    def keeping_every_clock(self, wa, scale=1, audit=None, keep=()):
+        real_init(self, wa, scale, audit, wa.automaton.clocks)
+
+    monkeypatch.setattr(EngineContext, "__init__", keeping_every_clock)
     without = [rows_of(a, sig) for a, sig in cases]
     assert with_free == without
-    assert freed > 0 and any(any(batch) for rows in with_free for batch in rows)
+    assert freed_with > 0 and freed == 0
+    assert any(any(batch) for rows in with_free for batch in rows)
+
+
+def _fire(z, move):
+    """The zone a compiled move fires z into, as `_explore` computes it."""
+    _, bounds, _, _, get, pad = move
+    for i, j, b in bounds:
+        z = zn.constrain(z, i, j, b)
+    if z is None or get is None:
+        return z
+    return get(z + pad)
+
+
+def test_compiled_move_equals_public_ops():
+    """A move's guard bounds and gather give `free(reset(intersect_guard(
+    z, atoms), resets), dead)` on random canonical zones with 1 to 3
+    clocks besides T: every guard op, guards that empty the zone, and
+    clocks both reset and dead at the target."""
+    rng = random.Random(41)
+    ops = ("<", "<=", ">", ">=")
+    seen = {"emptied": 0, "reset_and_dead": 0, "ops": set()}
+    for _ in range(300):
+        clocks = tuple("cde"[:rng.randint(1, 3)])
+        atoms = tuple(Atom(rng.choice(clocks), rng.choice(ops), Fraction(rng.randint(0, 6)))
+                      for _ in range(rng.randint(0, 3)))
+        resets = tuple(c for c in clocks if rng.random() < 0.5)
+        live = tuple(c for c in clocks if rng.random() < 0.5)
+        # l1's way out reads exactly the live clocks, so the rest are dead there
+        a = Automaton(
+            ("x",), clocks,
+            (Location("l0", (), True), Location("l1", ()), Location("l2", (), False, True)),
+            (Transition("l0", atoms, resets, "l1"),
+             Transition("l1", tuple(Atom(c, ">", Fraction(1)) for c in live), (), "l2")),
+        )
+        scale = rng.randint(1, 3)
+        ctx = EngineContext(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN), scale)
+        (move,) = ctx.out["l0"]
+        dead = ctx.dead["l1"]
+        assert move[2:4] == (tuple(ctx.clock_names.index(c) + 1 for c in resets), dead)
+        seen["reset_and_dead"] += bool(set(move[2]) & set(dead))
+        seen["ops"].update(at.op for at in atoms)
+        guard = [(ctx.clock_names.index(at.var) + 1, at.op, int(at.const) * scale) for at in atoms]
+        n = len(ctx.clock_names)
+        cons = [(i, j, rng.randint(-4, 8) * scale, rng.random() < 0.5)
+                for _ in range(rng.randint(0, 5))
+                for i, j in [rng.sample(range(n + 1), 2)]]
+        z = zn.make(ctx.clock_names, cons)
+        if z is None:
+            continue
+        want = zn.free(zn.reset(zn.intersect_guard(z, guard), move[2]), dead)
+        assert _fire(z, move) == want, (z, atoms, resets, dead)
+        seen["emptied"] += want is None
+    assert seen["emptied"] and seen["reset_and_dead"] and seen["ops"] == set(ops)
+
+
+def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
+    """Rescaling midstream recompiles the guard bounds and keeps the
+    rest: the tables equal a fresh context's at the new scale."""
+
+    def tables(ctx):
+        # an itemgetter has no value equality; compare its indices
+        out = {
+            loc: [(*move[:4], move[4] and move[4].__reduce__(), move[5]) for move in moves]
+            for loc, moves in ctx.out.items()
+        }
+        return (ctx.scale, out, ctx.dead, ctx.waits, ctx.buckets, ctx.guarded,
+                ctx.guarded_pos, ctx.clock_names)
+
+    m = OnlineMatcher(wa_supinf)
+    before = m._ctx
+    for duration in (Fraction(3, 2), Fraction(2, 3), Fraction(5, 4)):
+        m.feed(segment({"x": 7.0}, duration))
+    assert m.scale == 12 and m._ctx is before
+    fresh = EngineContext(m._expanded, 12, keep=(m._expanded.automaton.clocks[-1],))
+    assert tables(m._ctx) == tables(fresh)
 
 
 def test_context_engine_clock_never_collides():

@@ -125,7 +125,7 @@ def test_constrain_incremental_equals_batch():
         batch = zn.make(CLOCKS2, cons)
         step = zn.make(CLOCKS2)
         for i, j, k, strict in cons:
-            step = zn.constrain(step, i, j, k, strict)
+            step = zn.constrain(step, i, j, zn.encode(k, strict))
             if step is None:
                 break
         assert batch == step, cons
@@ -334,7 +334,7 @@ def test_empty_zone_behavior():
     assert not zn.contains(empty, (0, 0))
     assert not zn.contains(empty, (0, 0), 2)
     assert zn.canonicalize(empty) is None
-    assert zn.constrain(empty, 1, 0, 5, False) is None
+    assert zn.constrain(empty, 1, 0, zn.encode(5, False)) is None
     assert zn.intersect_guard(empty, [(1, "<", 99)]) is None
     assert zn.reset(empty, (1,)) is None
     assert zn.free(empty, (1,)) is None
@@ -501,3 +501,41 @@ def test_free_is_the_canonical_cylinder_of_the_projection():
     z = zn.make(CLOCKS3, [(1, 2, 1, False), (2, 3, -2, True), (3, 0, 6, False)])
     assert zn.free(z, (1, 2)) == zn.free(zn.free(z, (1,)), (2,))
     assert zn.free(z, ()) is z
+
+
+def test_every_operation_keeps_the_diagonal_at_one():
+    """A move's gather reads each diagonal entry from z[0], so every
+    nonempty zone an operation returns must hold (0, weak) = 1 on its
+    whole diagonal."""
+    rng = random.Random(25)
+    ops = ("<", "<=", ">", ">=")
+    checked = 0
+    for z, t, prev, cur in _time_capped_zones(rng, 200):
+        if z is None:
+            continue
+        clocks = ("a", "b", "c", "T")[:t]
+        n = t + 1
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(1, n - 1)
+        get, pad = zn.gather(n, (c,), (rng.randint(1, n - 1),))
+        produced = [
+            z,
+            zn.canonicalize(z),
+            zn.constrain(z, i, j, rng.randint(-12, 16)),
+            zn.intersect_guard(z, [(c, rng.choice(ops), rng.randint(0, 6))]),
+            zn.reset(z, (c,)),
+            zn.free(z, (c,)),
+            get(z + pad),
+            zn.up(z),
+            zn.clamp_time(z, t, prev, cur, True, False),
+            zn.scale(z, 3),
+            zn.point_zone(clocks, rng.randint(0, 5)),
+            zn.make(clocks, random_constraints(rng, t, 3)),
+        ]
+        if zn.clamp_time(z, t, cur, cur) is None:
+            produced.extend(zn.elapse(z, t, prev, cur))
+        for out in produced:
+            if out is not None:
+                assert all(out[k * n + k] == 1 for k in range(n)), (z, out)
+                checked += 1
+    assert checked > 1000

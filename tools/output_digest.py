@@ -55,6 +55,17 @@ edge l0 -> l1 when c < 5;
 edge l0 -> l3 when c > 1;
 edge l3 -> l3 when c < 4 reset {c};
 """,
+    # weak upper, weak lower and strict lower guards, and a move into
+    # acceptance that resets d, which is dead there
+    "three-clock": """var x;
+clock c, d, e;
+location l0 init [x < 15];
+location l1 [x > 5];
+location l2 accept [true];
+edge l0 -> l1 when c <= 4 reset {c, e};
+edge l1 -> l1 when d >= 2 reset {d};
+edge l1 -> l2 when c > 1 && e <= 6 reset {d};
+""",
 }
 
 PAIRINGS = (("boolean", "b"), ("supinf", "r"), ("tropical", "t"))

@@ -122,22 +122,20 @@ class WeightedAutomaton:
                     )
 
 
-def _eval_atom(atom: Atom, value: float) -> bool:
-    d = float(atom.const)
-    if atom.op == "<":
+def _eval_atom(op: str, d: float, value: float) -> bool:
+    if op == "<":
         return value < d
-    if atom.op == "<=":
+    if op == "<=":
         return value <= d
-    if atom.op == ">":
+    if op == ">":
         return value > d
     return value >= d
 
 
-def _margin(atom: Atom, value: float) -> float:
+def _margin(op: str, d: float, value: float) -> float:
     # signed distance to the constraint boundary: positive iff satisfied
     # (up to the boundary itself for strict atoms)
-    d = float(atom.const)
-    return value - d if atom.op in (">", ">=") else d - value
+    return value - d if op in (">", ">=") else d - value
 
 
 def cost_value(kind: CostKind, label: tuple[Atom, ...], seq: ValueSeq):
@@ -148,18 +146,20 @@ def cost_value(kind: CostKind, label: tuple[Atom, ...], seq: ValueSeq):
     SUM_MARGIN: sum over elements of the per-element margin sum.
     The empty label scores the multiplicative identity of its semiring.
     """
+    # each atom's constant as a float, converted once per call
+    atoms = [(at.var, at.op, float(at.const)) for at in label]
     try:
         if kind is CostKind.SAT:
             return all(
-                _eval_atom(at, value_of(a, at.var)) for a in seq for at in label
+                _eval_atom(op, d, value_of(a, var)) for a in seq for var, op, d in atoms
             )
         if kind is CostKind.MIN_MARGIN:
             return min(
-                (_margin(at, value_of(a, at.var)) for a in seq for at in label),
+                (_margin(op, d, value_of(a, var)) for a in seq for var, op, d in atoms),
                 default=INF,
             )
         return float(
-            sum(_margin(at, value_of(a, at.var)) for a in seq for at in label)
+            sum(_margin(op, d, value_of(a, var)) for a in seq for var, op, d in atoms)
         )
     except KeyError as exc:
         raise EvaluationError(

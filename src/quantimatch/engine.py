@@ -15,15 +15,26 @@ instant; one fired at the boundary is carried and waits in the next
 segment.  `zone.elapse` gives both waiting targets at once: a waiting
 state's time clock lies below the current boundary, so each target
 differs from its source only in its absolute bounds (row 0 and column
-0), which elapse rewrites in one O(n) pass over each.  A state waits
-only at a location from which some path of transitions still reaches
-acceptance.
+0), which elapse rewrites in one O(n) pass over each.
+
+Whether a state can still reach acceptance is decided once per
+automaton.  Waiting and resets never lower a clock's floor again, so
+an upper guard atom that a floor exceeds stays violated; lower atoms
+count as always satisfiable.  `EngineContext.caps` maps each location
+to the maximal vectors of caps on the guarded clocks' floors under
+which some path of one or more transitions reaches acceptance, like
+the per-location bounds of Behrmann, Bouyer, Larsen & Pelánek
+("Lower and Upper Bounds in Zone Based Abstractions of Timed
+Automata", TACAS 2004).  A state waits only at a location that has a
+cap vector, and a carried entry is kept only if its floors lie at or
+under one of its location's.
 
 A move fires in two steps, both compiled once per `EngineContext`: its
 guard, kept as encoded bounds that `zone.constrain` takes as they are,
 and one index gather (`zone.gather`) that resets its clocks and frees
-those dead at its target.  Only the guard bounds depend on the time
-scale, so a rescale recompiles them alone (`EngineContext.set_scale`).
+those dead at its target.  Only the guard bounds and the caps depend
+on the time scale, so a rescale recomputes those alone
+(`EngineContext.set_scale`).
 
 The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import ge, le
 
 from . import zone as zn
 from .automaton import (
@@ -89,13 +101,17 @@ class EngineContext:
         self.audit = audit
         self.labels = {l.name: l.label for l in a.locations}
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
-        # a clock is live at a location when some path from there reads
-        # it in a guard before resetting it, and a location waits when
-        # some path of one or more transitions from there reaches
-        # acceptance: elsewhere no wait can lead to a match (one
-        # backward fixpoint)
+        idx = {c: i + 1 for i, c in enumerate(a.clocks)}
+        # the clocks some guard reads, in the order of the `caps` vectors
+        self.guarded = tuple(sorted({idx[at.var] for tr in a.transitions for at in tr.guard}))
+        pos = {a.clocks[i - 1]: p for p, i in enumerate(self.guarded)}  # clock -> position
+        # one backward fixpoint: a clock is live at a location when some
+        # path from there reads it in a guard before resetting it, and
+        # `caps` holds a location's maximal cap vectors on the guarded
+        # clocks' floors (INF: no cap), as the module docstring says
+        top = (zn.INF,) * len(pos)
         live = {l.name: set() for l in a.locations}
-        waits: set = set()
+        caps = {l.name: [] for l in a.locations}
         changed = True
         while changed:
             changed = False
@@ -104,11 +120,22 @@ class EngineContext:
                 if not need <= live[tr.source]:
                     live[tr.source] |= need
                     changed = True
-                if tr.source not in waits and (tr.target in self.accepting or tr.target in waits):
-                    waits.add(tr.source)
-                    changed = True
-        self.waits = frozenset(waits)
-        idx = {c: i + 1 for i, c in enumerate(a.clocks)}
+                cap = list(top)
+                for at in tr.guard:
+                    if at.op in ("<", "<="):
+                        p = pos[at.var]
+                        cap[p] = min(cap[p], int(at.const))
+                resets = {pos[c] for c in tr.resets if c in pos}
+                # into acceptance, the transition's own caps alone suffice
+                for vec in caps[tr.target] + ([top] if tr.target in self.accepting else []):
+                    # a reset clock's floor is 0 at the target, so its
+                    # cap there must admit 0 and its own cap holds before
+                    if all(vec[p] >= 0 for p in resets):
+                        vec = tuple(c if p in resets else min(c, v)
+                                    for p, (c, v) in enumerate(zip(cap, vec)))
+                        changed |= _add_maximal(caps[tr.source], vec)
+        self._caps = {loc: tuple(sorted(vecs)) for loc, vecs in caps.items()}
+        self.waits = frozenset(loc for loc, vecs in caps.items() if vecs)
         # location -> indices of the clocks dead there, `keep` excepted;
         # the time clock is not an automaton clock, so it is never one
         self.dead = {
@@ -139,13 +166,10 @@ class EngineContext:
             (tuple(comp), len(comp) > 1 or comp[0] in succ[comp[0]])
             for comp in _tarjan_components(succ, succ)
         )
-        # the clocks some guard reads, and their positions in `_prune`'s
-        # lower-bound tuples
-        self.guarded = tuple(sorted({idx[at.var] for tr in a.transitions for at in tr.guard}))
-        self.guarded_pos = {i: p for p, i in enumerate(self.guarded)}
 
     def set_scale(self, scale: int) -> None:
-        """Move to another time scale; only the guard bounds depend on it.
+        """Move to another time scale; only the guard bounds and the
+        caps depend on it.
 
         `out` maps each location to its moves as (target, guard bounds
         (i, j, b) for `zone.constrain` at this scale, reset clock
@@ -153,6 +177,8 @@ class EngineContext:
         a guarded zone z fires into `get(z + pad)`, or z itself when
         `get` is None (`zone.gather`)."""
         self.scale = scale
+        self.caps = {loc: tuple(tuple(c * scale for c in vec) for vec in vecs)
+                     for loc, vecs in self._caps.items()}
         self.out = {
             loc: tuple(
                 (target, tuple(zn.guard_bound(i, op, k * scale) for i, op, k in atoms), *rest)
@@ -160,6 +186,16 @@ class EngineContext:
             )
             for loc, moves in self._moves.items()
         }
+
+
+def _add_maximal(vecs: list, vec: tuple) -> bool:
+    """Add `vec` to an antichain of vectors unless one of them lies at or
+    above it, dropping those it lies above; True if it was added."""
+    if any(all(map(ge, u, vec)) for u in vecs):
+        return False
+    vecs[:] = [u for u in vecs if not all(map(le, u, vec))]
+    vecs.append(vec)
+    return True
 
 
 def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
@@ -495,63 +531,19 @@ def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
 
 
 def _prune(ctx: EngineContext, weight: Weight) -> Weight:
-    """Drop entries that can never contribute another accepting state.
-
-    Feasibility is judged on clock lower bounds alone: waiting and
-    resets never take a bound below its zone floor again, so an upper
-    guard atom whose constant the floor already exceeds stays violated
-    forever.  Lower guard atoms are treated as always satisfiable
-    (waiting can meet them), which keeps the check conservative.  With
-    no guarded clock the bound tuples are empty and the search runs
-    over the location graph alone.
-    """
+    """Drop entries that can never contribute another accepting state:
+    those whose floors on the guarded clocks lie under none of their
+    location's caps."""
     guarded = ctx.guarded
-    pos = ctx.guarded_pos
-    verdicts: dict = {}
-
-    def is_live(loc, lbs) -> bool:
-        root = (loc, lbs)
-        if root in verdicts:
-            return verdicts[root]
-        visited = {root}
-        frontier = [root]
-        while frontier:
-            cur_loc, cur_lbs = frontier.pop()
-            if verdicts.get((cur_loc, cur_lbs)):
-                verdicts[root] = True
-                return True
-            for target, bounds, resets, *_ in ctx.out[cur_loc]:
-                ok = True
-                for i, j, b in bounds:
-                    # an upper atom c_i <(=) k, with k = b >> 1
-                    if not j and cur_lbs[pos[i]] > b >> 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if target in ctx.accepting:
-                    verdicts[root] = True
-                    return True
-                nxt = tuple(
-                    0 if guarded[p] in resets else v for p, v in enumerate(cur_lbs)
-                )
-                node = (target, nxt)
-                if node not in visited:
-                    visited.add(node)
-                    frontier.append(node)
-        # nothing reachable from the root can fire into acceptance, and
-        # every state seen along the way shares that fate
-        for node in visited:
-            verdicts[node] = False
-        return False
-
     out: Weight = {}
     for state, w in weight.items():
         loc, z, _ = state
         # row 0 of the encoding bounds -c_i, so its value is minus the floor
-        lbs = tuple(-(z[i] >> 1) for i in guarded)
-        if is_live(loc, lbs):
-            out[state] = w
+        floors = [-(z[i] >> 1) for i in guarded]
+        for cap in ctx.caps[loc]:
+            if all(map(le, floors, cap)):
+                out[state] = w
+                break
     return out
 
 

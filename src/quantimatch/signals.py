@@ -50,8 +50,13 @@ class Segment:
     duration: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.duration, (int, Fraction)):
+            raise ValueError(f"segment duration {self.duration!r} is not an int or Fraction")
         if not self.duration > 0:
             raise ValueError(f"segment duration must be positive, got {self.duration}")
+        names = [name for name, _ in self.values]
+        if any(a >= b for a, b in zip(names, names[1:])):
+            raise ValueError(f"segment variable names {tuple(names)} are not strictly increasing")
         for name, v in self.values:
             if not math.isfinite(v):
                 raise ValueError(f"segment value {name}={v} is not finite")

@@ -126,15 +126,16 @@ def _random_atoms(rng, var, count, lo, hi):
     )
 
 
-def random_automaton(rng, dag=False, max_locations=4, max_clocks=2, extra_edges=2):
-    """Small one-variable automaton with integer guard constants.
+def random_automaton(rng, dag=False, max_locations=4, max_clocks=2, extra_edges=2, guard_lo=0):
+    """Small one-variable automaton with integer guard constants from
+    `guard_lo` to 8.
 
     `dag=True` keeps every edge strictly forward so each run uses a
     transition at most once (what the enumerating reference matcher
     assumes).
     """
     n = rng.randint(2, max_locations)
-    clocks = ("c", "d")[: rng.randint(1, max_clocks)]
+    clocks = ("c", "d", "e")[: rng.randint(1, max_clocks)]
     locations = []
     for i in range(n):
         locations.append(
@@ -161,7 +162,7 @@ def random_automaton(rng, dag=False, max_locations=4, max_clocks=2, extra_edges=
         if dag and key in seen:
             continue
         seen.add(key)
-        guard = _random_atoms(rng, rng.choice(clocks), rng.randint(0, 2), 0, 8)
+        guard = _random_atoms(rng, rng.choice(clocks), rng.randint(0, 2), guard_lo, 8)
         resets = tuple(c for c in clocks if rng.random() < 0.4)
         transitions.append(Transition(f"l{i}", guard, resets, f"l{j}"))
     return Automaton(("x",), clocks, tuple(locations), tuple(transitions))

@@ -261,7 +261,7 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
             for loc, moves in ctx.out.items()
         }
         return (ctx.scale, out, ctx.dead, ctx.waits, ctx.buckets, ctx.guarded,
-                ctx.guarded_pos, ctx.clock_names)
+                ctx.caps, ctx.clock_names)
 
     m = OnlineMatcher(wa_supinf)
     before = m._ctx
@@ -541,6 +541,103 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
     assert pruned.matchset.pieces()
     assert pruned.matchset.pieces() == full.matchset.pieces()
     assert pruned.footprint() < full.footprint()
+
+
+def _searched_prune(ctx, weight):
+    """What `_prune` keeps, found by a search over (location, floors)
+    pairs: an upper guard atom closes a move when its clock's floor
+    exceeds its constant, and a reset clock's floor becomes 0."""
+    pos = {i: p for p, i in enumerate(ctx.guarded)}
+
+    def live(loc, floors):
+        seen = {(loc, floors)}
+        stack = [(loc, floors)]
+        while stack:
+            loc, floors = stack.pop()
+            for target, bounds, resets, *_ in ctx.out[loc]:
+                # an upper atom is (i, 0, b), with constant b >> 1
+                if any(not j and floors[pos[i]] > b >> 1 for i, j, b in bounds):
+                    continue
+                if target in ctx.accepting:
+                    return True
+                node = (target, tuple(0 if i in resets else f for i, f in zip(ctx.guarded, floors)))
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        return False
+
+    return {
+        st: w for st, w in weight.items()
+        if live(st[0], tuple(-(st[1][i] >> 1) for i in ctx.guarded))
+    }
+
+
+def test_prune_keeps_what_a_search_keeps():
+    """On random automata with cycles, resets and negative upper
+    constants, `_prune` keeps exactly the entries a search over floors
+    finds a way to acceptance from, at several time scales."""
+    rng = random.Random(38)
+    kept = dropped = 0
+    for _ in range(150):
+        a = random_automaton(rng, max_locations=5, max_clocks=3, extra_edges=4, guard_lo=-2)
+        ctx = EngineContext(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN))
+        ctx.set_scale(rng.randint(1, 3))
+        weight = {}
+        for _ in range(30):
+            floors = [rng.randint(0, 9 * ctx.scale) for _ in a.clocks]
+            z = zn.make(ctx.clock_names, [(0, i, -f, False) for i, f in enumerate(floors, 1)])
+            weight[(rng.choice(a.locations).name, z, EMPTY_SEQ)] = 1.0
+        want = _searched_prune(ctx, weight)
+        assert _prune(ctx, weight) == want, a
+        kept += len(want)
+        dropped += len(weight) - len(want)
+    assert kept > 500 and dropped > 500
+
+
+def test_context_caps_of_two_routes():
+    """Two routes to acceptance cap different clocks, so l0 keeps two
+    incomparable cap vectors; a route whose guard reads a just-reset
+    clock against a negative constant adds none."""
+    a = parse_automaton(
+        """
+        var x;
+        clock c, d;
+        location l0 init [x < 15];
+        location l1 [x > 5];
+        location l2 [x < 10];
+        location l3 accept [true];
+        location l4 [true];
+        edge l0 -> l1 when c < 5 && d > 1;
+        edge l1 -> l3 when d <= 9;
+        edge l0 -> l2 when d < 3 reset {c};
+        edge l2 -> l3 when c < 7;
+        edge l0 -> l4 reset {d};
+        edge l4 -> l3 when d < -2;
+        """
+    )
+    ctx = EngineContext(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN))
+    assert ctx.guarded == (1, 2)
+    want = {
+        "l0": ((5, 9), (INF, 3)),
+        "l1": ((INF, 9),),
+        "l2": ((7, INF),),
+        "l3": (),
+        "l4": ((INF, -2),),
+    }
+    assert ctx.caps == want
+    assert ctx.waits == {"l0", "l1", "l2", "l4"}
+    ctx.set_scale(2)
+    assert ctx.caps == {
+        loc: tuple(tuple(2 * c for c in vec) for vec in vecs) for loc, vecs in want.items()
+    }
+
+    def entry(c, d):  # an l0 entry with floors c and d
+        return ("l0", zn.make(ctx.clock_names, [(0, 1, -c, False), (0, 2, -d, False)]), EMPTY_SEQ)
+
+    # at scale 2, floors (12, 4) pass only the second route, (8, 16) only
+    # the first, and (12, 16) neither
+    weight = {entry(12, 4): 1.0, entry(8, 16): 1.0, entry(12, 16): 1.0}
+    assert _prune(ctx, weight) == {entry(12, 4): 1.0, entry(8, 16): 1.0}
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():

@@ -51,6 +51,19 @@ def test_segment_rejects_nonpositive_duration():
             Segment(valuation({"x": 1.0}), Fraction(d))
 
 
+def test_segment_rejects_a_duration_that_is_not_an_int_or_fraction():
+    for d in (0.5, 7.0, "1", None):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            Segment(valuation({"x": 7.0}), d)
+    assert Segment(valuation({"x": 7.0}), 2).duration == 2
+
+
+def test_segment_rejects_names_out_of_order():
+    for values in ((("y", 1.0), ("x", 2.0)), (("x", 1.0), ("x", 2.0))):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            Segment(values, Fraction(1))
+
+
 def test_segment_rejects_non_finite_value():
     for v in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="not finite"):

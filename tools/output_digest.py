@@ -66,6 +66,26 @@ edge l0 -> l1 when c <= 4 reset {c, e};
 edge l1 -> l1 when d >= 2 reset {d};
 edge l1 -> l2 when c > 1 && e <= 6 reset {d};
 """,
+    # l1 reaches acceptance by two routes whose upper guards cap
+    # different clocks, so its carried entries are kept under either of
+    # two incomparable cap vectors; the route through l5 reads c, just
+    # reset, against a negative constant and never fires
+    "two-caps": """var x;
+clock c, d;
+location l0 init [x < 15];
+location l1 [x > 3];
+location l2 [x < 10];
+location l3 [x > 8];
+location l4 accept [true];
+location l5 [true];
+edge l0 -> l1 when c > 1 reset {d};
+edge l1 -> l2 when c < 6;
+edge l2 -> l4 when d < 9;
+edge l1 -> l3 when d < 2;
+edge l3 -> l4 when c <= 12;
+edge l1 -> l5 reset {c};
+edge l5 -> l4 when c < -1;
+""",
 }
 
 PAIRINGS = (("boolean", "b"), ("supinf", "r"), ("tropical", "t"))

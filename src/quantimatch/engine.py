@@ -1,9 +1,13 @@
 """The online fold: weighted reachability over timed symbolic automata.
 
-The engine advances a weight table (location, clock zone, value
-sequence) -> semiring value across one signal segment at a time.  Time
-is rescaled so that every segment boundary is an integer; zone bounds
-then stay integral, keeping zone identity exact under hashing.
+The engine advances a weight table across one signal segment at a
+time.  A state is a location, a clock zone and the value sequence
+recorded since its last transition; the table maps each to a semiring
+value, grouped as {location: {value sequence: {zone: value}}}, so each
+sequence is stored, extended and costed once per group, and a state
+costs one zone-keyed dict operation.  Time is rescaled so that every
+segment boundary is an integer; zone bounds then stay integral, keeping
+zone identity exact under hashing.
 
 Per segment the table unfolds into a finite move graph.  The states
 that wait are the entries and the states transitions fire into; each
@@ -79,7 +83,8 @@ from .semiring import Semiring
 from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
 
 # engine state: (location name, zone over clocks + absolute time, ValueSeq);
-# the zone is a flat bound tuple (zone.py), never None
+# the zone is a flat bound tuple (zone.py), never None.  A weight table
+# holds states grouped as {location: {ValueSeq: {zone: semiring value}}}
 State = tuple
 Weight = dict
 
@@ -360,15 +365,16 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     """Unfold one segment and weigh it, location bucket by bucket.
 
     `prev` and `cur` are scaled boundary times; input entries are
-    expected to be pinned at `prev`.  A state's weights are
-    ⊕-accumulated at its location as it arrives, the inputs first and
-    each fired state when a transition reaches it.  A trivial bucket's
-    arrivals then have their final weights: they wait, and each state
-    they wait into fires at once into later buckets.  A cyclic bucket
-    weighs its local move graph with `shortest_distance`, the arrived
-    weights as sources, and then relaxes the fires that leave it.
-    Returns (fired, final): the weighed states a transition fired into,
-    and those pinned at `cur`.
+    expected to be pinned at `prev`, and are only read.  The states a
+    transition fires into are ⊕-accumulated at their location as they
+    arrive.  A trivial bucket's inputs and arrivals then have their
+    final weights: they wait, and each state they wait into fires at
+    once into later buckets.  A cyclic bucket weighs its local move
+    graph with `shortest_distance`, its inputs and arrivals as sources,
+    and then relaxes the fires that leave it.  Returns (fired, final):
+    the weighed states a transition fired into, as {location: {zone:
+    weight}} since their sequence is empty, and those pinned at `cur`,
+    grouped as the input is.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -379,71 +385,77 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     constrain = zn.constrain
     elapse = zn.elapse
     t = ctx.t_index
-    at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     appended = (values,)
-    arrived: dict = {loc: {} for loc in ctx.out}  # location -> state -> weight
-    for state, s in weight.items():
-        arrived[state[0]][state] = s
-    fired: dict = {}
+    fired: dict = {loc: {} for locs, _ in ctx.buckets for loc in locs}  # in bucket order
     final: dict = {}
 
     for locs, cyclic in ctx.buckets:
         if not cyclic:
             (loc,) = locs
-            waits = loc in ctx.waits
-            waited: dict = {}
-            for state, d in arrived[loc].items():
-                _, z, seq = state
-                if audit is not None:
-                    audit(z, scale, cur)
-                # T > prev and no value recorded: neither an input nor waited
-                if z[t] < at_prev and not seq:
-                    fired[state] = d
-                if z[t] == pinned:
-                    final[state] = d
-                elif waits:
-                    seq2 = absorbing_concat(seq, appended)
-                    for z2 in elapse(z, t, prev, cur):
-                        if z2 is not None:
-                            st2 = (loc, z2, seq2)
-                            old = waited.get(st2)
-                            waited[st2] = d if old is None else oplus(old, d)
-            label = ctx.labels[loc]
-            moves = ctx.out[loc]
-            costs: dict = {}  # value sequence -> its cost at loc
-            for st2, d in waited.items():
-                _, z2, seq2 = st2
-                if audit is not None:
-                    audit(z2, scale, cur)
-                if z2[t] == pinned:
-                    final[st2] = d
-                w = costs.get(seq2)
-                if w is None:
-                    w = costs[seq2] = cost_value(ctx.kind, label, seq2)
-                if w == zero:
+            out = {EMPTY_SEQ: {}}  # value sequence -> zone -> weight, pinned at cur
+            waited: dict = {}  # value sequence -> zone -> weight
+            for seq, zs in [*weight.get(loc, {}).items(), (EMPTY_SEQ, fired[loc])]:
+                waits = zs and loc in ctx.waits
+                grp = waited.setdefault(absorbing_concat(seq, appended), {}) if waits else None
+                for z, d in zs.items():
+                    if audit is not None:
+                        audit(z, scale, cur)
+                    if z[t] == pinned:  # only an arrival can be
+                        out[EMPTY_SEQ][z] = d
+                    elif waits:
+                        for z2 in elapse(z, t, prev, cur):
+                            if z2 is not None:
+                                old = grp.get(z2)
+                                grp[z2] = d if old is None else oplus(old, d)
+            for seq2, grp in waited.items():
+                if not grp:
                     continue
-                dw = otimes(d, w)
-                for target, bounds, _, _, get, pad in moves:
-                    z3 = z2
-                    for i, j, b in bounds:
-                        z3 = constrain(z3, i, j, b)
-                    if z3 is None:
+                w = cost_value(ctx.kind, ctx.labels[loc], seq2)
+                out[seq2] = done = {}
+                for z2, d in grp.items():
+                    if audit is not None:
+                        audit(z2, scale, cur)
+                    if z2[t] == pinned:
+                        done[z2] = d
+                    if w == zero:
                         continue
-                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
-                    arr = arrived[target]
-                    old = arr.get(st3)
-                    arr[st3] = dw if old is None else oplus(old, dw)
+                    dw = otimes(d, w)
+                    for target, bounds, _, _, get, pad in ctx.out[loc]:
+                        z3 = z2
+                        for i, j, b in bounds:
+                            z3 = constrain(z3, i, j, b)
+                        if z3 is None:
+                            continue
+                        z3 = z3 if get is None else get(z3 + pad)
+                        arr = fired[target]
+                        old = arr.get(z3)
+                        arr[z3] = dw if old is None else oplus(old, dw)
+            out = {seq: zs for seq, zs in out.items() if zs}
+            if out:
+                final[loc] = out
             continue
 
-        # a cyclic bucket numbers its states as they are found, so its
-        # local graph never hashes a (loc, zone, seq) tuple again
-        states = [st for loc in locs for st in arrived[loc]]
-        ids = {st: i for i, st in enumerate(states)}
-        sources = {i: arrived[st[0]][st] for i, st in enumerate(states)}
+        # a cyclic bucket numbers its states, inputs first, and finds a
+        # waited state again by zone within its (location, sequence)
+        # group in `waited`, a fired one within its location's `arrived`
+        states = []  # id -> (location, zone, value sequence)
+        sources = {}
+        for loc in locs:
+            for seq, zs in weight.get(loc, {}).items():
+                for z, d in zs.items():
+                    sources[len(states)] = d
+                    states.append((loc, z, seq))
+        arrived = {}  # location -> zone -> id of a state fired into
+        for loc in locs:
+            ids = arrived[loc] = {}
+            for z, d in fired[loc].items():
+                ids[z] = i = len(states)
+                sources[i] = d
+                states.append((loc, z, EMPTY_SEQ))
+        waited = {loc: {} for loc in locs}  # location -> sequence -> (zone -> id, cost)
         edges: list = []
-        leaving: list = []  # (waited id, cost, target state) out of the bucket
-        costs = {}  # (location, value sequence) -> cost
+        leaving: list = []  # (waited id, cost, target, zone) out of the bucket
 
         stack = list(sources)
         while stack:
@@ -452,17 +464,20 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             if z[t] == pinned or loc not in ctx.waits:
                 continue
             seq2 = absorbing_concat(seq, appended)
+            grp = waited[loc].get(seq2)
+            if grp is None:
+                grp = waited[loc][seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
+            ids, w = grp
             for z2 in elapse(z, t, prev, cur):
                 if z2 is None:
                     continue
-                j = ids.setdefault((loc, z2, seq2), len(states))
-                edges.append((i, j, sr.one))
-                if j < len(states):  # seen before
+                j = ids.get(z2)
+                if j is not None:
+                    edges.append((i, j, sr.one))
                     continue
+                ids[z2] = j = len(states)
                 states.append((loc, z2, seq2))
-                if (loc, seq2) not in costs:
-                    costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
-                w = costs[loc, seq2]
+                edges.append((i, j, sr.one))
                 if w == zero:
                     continue
                 for target, bounds, _, _, get, pad in ctx.out[loc]:
@@ -471,40 +486,38 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                         z3 = constrain(z3, i3, j3, b)
                     if z3 is None:
                         continue
-                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
+                    z3 = z3 if get is None else get(z3 + pad)
                     if target not in locs:
-                        leaving.append((j, w, st3))
+                        leaving.append((j, w, target, z3))
                         continue
-                    k = ids.setdefault(st3, len(states))
-                    edges.append((j, k, w))
-                    if k == len(states):
-                        states.append(st3)
+                    tids = arrived[target]
+                    k = tids.get(z3)
+                    if k is None:
+                        tids[z3] = k = len(states)
+                        states.append((target, z3, EMPTY_SEQ))
                         stack.append(k)
+                    edges.append((j, k, w))
         dist = shortest_distance(range(len(states)), edges, sources, sr)
         for i, d in dist.items():
-            state = states[i]
-            z = state[1]
+            loc, z, seq = states[i]
             if audit is not None:
                 audit(z, scale, cur)
-            if z[t] < at_prev and not state[2]:
-                fired[state] = d
             if z[t] == pinned:
-                final[state] = d
-        for j, w, st3 in leaving:
+                final.setdefault(loc, {}).setdefault(seq, {})[z] = d
+        for loc in locs:
+            fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
+        for j, w, target, z3 in leaving:
             if j in dist:
-                arr = arrived[st3[0]]
+                arr = fired[target]
                 dw = otimes(dist[j], w)
-                old = arr.get(st3)
-                arr[st3] = dw if old is None else oplus(old, dw)
-    return fired, final
+                old = arr.get(z3)
+                arr[z3] = dw if old is None else oplus(old, dw)
+    return {loc: zs for loc, zs in fired.items() if zs}, final
 
 
 def initial_weight(ctx: EngineContext) -> Weight:
     z0 = zn.point_zone(ctx.clock_names, 0)
-    return {
-        (l.name, z0, EMPTY_SEQ): ctx.semiring.one
-        for l in ctx.automaton.initial_locations
-    }
+    return {l.name: {EMPTY_SEQ: {z0: ctx.semiring.one}} for l in ctx.automaton.initial_locations}
 
 
 def time_scale(sig: Signal) -> int:
@@ -525,8 +538,9 @@ def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
         prev = cur
     return ctx.semiring.big_oplus(
         s
-        for (loc, _, seq), s in weight.items()
-        if seq == EMPTY_SEQ and loc in ctx.accepting
+        for loc, groups in weight.items()
+        if loc in ctx.accepting
+        for s in groups.get(EMPTY_SEQ, {}).values()
     )
 
 
@@ -536,14 +550,19 @@ def _prune(ctx: EngineContext, weight: Weight) -> Weight:
     location's caps."""
     guarded = ctx.guarded
     out: Weight = {}
-    for state, w in weight.items():
-        loc, z, _ = state
-        # row 0 of the encoding bounds -c_i, so its value is minus the floor
-        floors = [-(z[i] >> 1) for i in guarded]
-        for cap in ctx.caps[loc]:
-            if all(map(le, floors, cap)):
-                out[state] = w
-                break
+    for loc, groups in weight.items():
+        caps = ctx.caps[loc]
+        for seq, zs in groups.items():
+            kept = {}
+            for z, w in zs.items():
+                # row 0 of the encoding bounds -c_i, so its value is minus the floor
+                floors = [-(z[i] >> 1) for i in guarded]
+                for cap in caps:
+                    if all(map(le, floors, cap)):
+                        kept[z] = w
+                        break
+            if kept:
+                out.setdefault(loc, {})[seq] = kept
     return out
 
 
@@ -575,11 +594,11 @@ class OnlineMatcher:
         self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
         z0 = zn.point_zone(self._ctx.clock_names, 0)
-        self._weight: Weight = {(self._start, z0, EMPTY_SEQ): wa.semiring.one}
+        self._weight: Weight = {self._start: {EMPTY_SEQ: {z0: wa.semiring.one}}}
         for l in wa.automaton.initial_locations:
             # matches starting at time 0 exactly cannot come out of the
             # start location, whose hand-off needs a positive dwell
-            self._weight[(l.name, z0, EMPTY_SEQ)] = wa.semiring.one
+            self._weight[l.name] = {EMPTY_SEQ: {z0: wa.semiring.one}}
 
     def feed(self, seg: Segment) -> list:
         """Consume one segment; return the rows it adds to the match set
@@ -592,7 +611,8 @@ class OnlineMatcher:
         if s2 != self.scale:
             f = s2 // self.scale
             self._weight = {
-                (l, zn.scale(z, f), q): w for (l, z, q), w in self._weight.items()
+                loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
+                for loc, groups in self._weight.items()
             }
             self.scale = s2
             self._ctx.set_scale(s2)
@@ -601,8 +621,10 @@ class OnlineMatcher:
 
         fired, final = _explore(self._ctx, self._weight, seg.values, prev, cur)
         rows: dict = {}  # integer-scale region -> value
-        for (loc, z, _), w in fired.items():
-            if loc in self._ctx.accepting:
+        for loc, zs in fired.items():
+            if loc not in self._ctx.accepting:
+                continue
+            for z, w in zs.items():
                 region = zn.project_match(z, self._ctx.t_index, self._tp_index)
                 if region[7] == 1:  # t' - t <= 0: no window
                     continue
@@ -613,8 +635,8 @@ class OnlineMatcher:
         ]
         self.matchset.insert(new_end, pieces)
 
-        weight = {st: w for st, w in final.items() if st[0] != self._start}
-        weight[(self._start, zn.point_zone(self._ctx.clock_names, cur), EMPTY_SEQ)] = sr.one
+        weight = {loc: groups for loc, groups in final.items() if loc != self._start}
+        weight[self._start] = {EMPTY_SEQ: {zn.point_zone(self._ctx.clock_names, cur): sr.one}}
         self._weight = _prune(self._ctx, weight)
         self._elapsed = new_end
         return pieces
@@ -625,4 +647,6 @@ class OnlineMatcher:
 
     def footprint(self) -> int:
         """Entries retained plus their recorded sequence elements."""
-        return sum(1 + len(q) for (_, _, q) in self._weight)
+        return sum(
+            len(zs) * (1 + len(q)) for groups in self._weight.values() for q, zs in groups.items()
+        )

@@ -171,3 +171,22 @@ def random_automaton(rng, dag=False, max_locations=4, max_clocks=2, extra_edges=
 def weighted_variants(a):
     """The automaton under all three cost/semiring pairings."""
     return [WeightedAutomaton(a, sr, kind) for sr, kind in PAIRINGS]
+
+
+def flat(table):
+    """A grouped weight table {location: {sequence: {zone: weight}}} as
+    {(location, zone, sequence): weight}."""
+    return {
+        (loc, z, q): w
+        for loc, groups in table.items()
+        for q, zs in groups.items()
+        for z, w in zs.items()
+    }
+
+
+def grouped(weight):
+    """The inverse of `flat`."""
+    table = {}
+    for (loc, z, q), w in weight.items():
+        table.setdefault(loc, {}).setdefault(q, {})[z] = w
+    return table

@@ -1,7 +1,9 @@
 """The online fold, checked in places against the whole-trace
 reference construction in `oracle`."""
 
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from quantimatch.automaton import (
     Location,
     Transition,
     WeightedAutomaton,
+    cost_value,
     parse_automaton,
 )
 from quantimatch.engine import (
@@ -31,13 +34,15 @@ from quantimatch.engine import (
 from quantimatch.matchset import format_piece
 from quantimatch.oracle import reachable_graph
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
-from quantimatch.signals import EMPTY_SEQ, Signal, segment, valuation
+from quantimatch.signals import EMPTY_SEQ, Signal, absorbing_concat, segment, valuation
 
 from conftest import (
     CYCLIC_SPEC,
     DEAD_BRANCH_SPEC,
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
+    flat,
+    grouped,
     random_automaton,
     random_signal,
     weighted_variants,
@@ -48,6 +53,21 @@ CT = ("c", "T")
 
 def zone2(*constraints):
     return zn.make(CT, constraints)
+
+
+def flat_fired(fired):
+    """`_explore`'s fired table {location: {zone: weight}} as flat
+    states; a state a transition fires into has the empty sequence."""
+    return flat({loc: {EMPTY_SEQ: zs} for loc, zs in fired.items()})
+
+
+def _with_dead_branch(rng, a):
+    """`a` plus a self-looping branch that never leads to acceptance."""
+    c = rng.choice(a.clocks)
+    dead = Location("d", (Atom("x", "<", Fraction(rng.randint(0, 14))),))
+    into = Transition(rng.choice(a.locations).name, (Atom(c, ">", Fraction(1)),), (), "d")
+    loop = Transition("d", (Atom(c, "<", Fraction(4)),), (c,), "d")
+    return Automaton(a.variables, a.clocks, a.locations + (dead,), a.transitions + (into, loop))
 
 
 def test_context_tables(wa_supinf):
@@ -115,12 +135,7 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
     for i in range(30):
         a = random_automaton(rng)
         if i % 2:
-            # a self-looping branch that never leads to acceptance
-            c = rng.choice(a.clocks)
-            dead = Location("d", (Atom("x", "<", Fraction(rng.randint(0, 14))),))
-            into = Transition(rng.choice(a.locations).name, (Atom(c, ">", Fraction(1)),), (), "d")
-            loop = Transition("d", (Atom(c, "<", Fraction(4)),), (c,), "d")
-            a = Automaton(a.variables, a.clocks, a.locations + (dead,), a.transitions + (into, loop))
+            a = _with_dead_branch(rng, a)
         cases.append((a, random_signal(rng, max_segments=4)))
     elapsed = 0
 
@@ -178,7 +193,7 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
         nonlocal freed
         fired, final = real_explore(ctx, *args)
         n = ctx.t_index + 1
-        for _, z, _ in fired:
+        for _, z, _ in flat_fired(fired):
             freed += any(z[c * n + ctx.t_index] is zn.INF for c in range(1, ctx.t_index))
         return fired, final
 
@@ -371,7 +386,7 @@ def test_shortest_distance_node_reached_only_through_cycle():
 def test_advance_first_segment_exact(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    assert w0 == {("l0", zn.point_zone(CT, 0), EMPTY_SEQ): INF}
+    assert flat(w0) == {("l0", zn.point_zone(CT, 0), EMPTY_SEQ): INF}
     x7 = valuation({"x": 7.0})
     _, final = _explore(ctx, w0, x7, 0, 7)
 
@@ -382,7 +397,7 @@ def test_advance_first_segment_exact(wa_supinf):
     # c is dead at l2, so firing into l2 frees it: only c >= 0 is left;
     # no path leads on from l2, so nothing waits there
     z_l2 = zone2(*pinned7)
-    assert final == {
+    assert flat(final) == {
         ("l0", z_wall_input, (x7,)): INF,
         ("l1", z_fired_wall, EMPTY_SEQ): 8.0,
         ("l1", z_band_c, (x7,)): 8.0,
@@ -396,7 +411,8 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
     fired, final = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
-    assert fired and not set(w0) & set(fired)
+    fired, final = flat_fired(fired), flat(final)
+    assert fired and not set(flat(w0)) & set(fired)
     # every fired state lies strictly after `prev`, within the segment
     for state in fired:
         assert state[2] == EMPTY_SEQ, state
@@ -407,6 +423,212 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
     assert final and all(zn.matrix(st[1])[0][2] == (-7, False) for st in final)
     pinned = {st: w for st, w in fired.items() if zn.matrix(st[1])[0][2] == (-7, False)}
     assert pinned and {st: final.get(st) for st in pinned} == pinned
+
+
+def _flat_explore(ctx, weight, values, prev, cur):
+    """`_explore` over a flat table {(location, zone, sequence): weight},
+    as it was before the table was grouped: the reference the grouped
+    one is checked against.  Returns flat (fired, final)."""
+    sr = ctx.semiring
+    oplus = sr.oplus
+    otimes = sr.otimes
+    zero = sr.zero
+    audit = ctx.audit
+    scale = ctx.scale
+    constrain = zn.constrain
+    elapse = zn.elapse
+    t = ctx.t_index
+    at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
+    pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
+    appended = (values,)
+    arrived: dict = {loc: {} for loc in ctx.out}  # location -> state -> weight
+    for state, s in weight.items():
+        arrived[state[0]][state] = s
+    fired: dict = {}
+    final: dict = {}
+
+    for locs, cyclic in ctx.buckets:
+        if not cyclic:
+            (loc,) = locs
+            waits = loc in ctx.waits
+            waited: dict = {}
+            for state, d in arrived[loc].items():
+                _, z, seq = state
+                if audit is not None:
+                    audit(z, scale, cur)
+                # T > prev and no value recorded: neither an input nor waited
+                if z[t] < at_prev and not seq:
+                    fired[state] = d
+                if z[t] == pinned:
+                    final[state] = d
+                elif waits:
+                    seq2 = absorbing_concat(seq, appended)
+                    for z2 in elapse(z, t, prev, cur):
+                        if z2 is not None:
+                            st2 = (loc, z2, seq2)
+                            old = waited.get(st2)
+                            waited[st2] = d if old is None else oplus(old, d)
+            label = ctx.labels[loc]
+            moves = ctx.out[loc]
+            costs: dict = {}  # value sequence -> its cost at loc
+            for st2, d in waited.items():
+                _, z2, seq2 = st2
+                if audit is not None:
+                    audit(z2, scale, cur)
+                if z2[t] == pinned:
+                    final[st2] = d
+                w = costs.get(seq2)
+                if w is None:
+                    w = costs[seq2] = cost_value(ctx.kind, label, seq2)
+                if w == zero:
+                    continue
+                dw = otimes(d, w)
+                for target, bounds, _, _, get, pad in moves:
+                    z3 = z2
+                    for i, j, b in bounds:
+                        z3 = constrain(z3, i, j, b)
+                    if z3 is None:
+                        continue
+                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
+                    arr = arrived[target]
+                    old = arr.get(st3)
+                    arr[st3] = dw if old is None else oplus(old, dw)
+            continue
+
+        # a cyclic bucket numbers its states as they are found, so its
+        # local graph never hashes a (loc, zone, seq) tuple again
+        states = [st for loc in locs for st in arrived[loc]]
+        ids = {st: i for i, st in enumerate(states)}
+        sources = {i: arrived[st[0]][st] for i, st in enumerate(states)}
+        edges: list = []
+        leaving: list = []  # (waited id, cost, target state) out of the bucket
+        costs = {}  # (location, value sequence) -> cost
+
+        stack = list(sources)
+        while stack:
+            i = stack.pop()
+            loc, z, seq = states[i]
+            if z[t] == pinned or loc not in ctx.waits:
+                continue
+            seq2 = absorbing_concat(seq, appended)
+            for z2 in elapse(z, t, prev, cur):
+                if z2 is None:
+                    continue
+                j = ids.setdefault((loc, z2, seq2), len(states))
+                edges.append((i, j, sr.one))
+                if j < len(states):  # seen before
+                    continue
+                states.append((loc, z2, seq2))
+                if (loc, seq2) not in costs:
+                    costs[loc, seq2] = cost_value(ctx.kind, ctx.labels[loc], seq2)
+                w = costs[loc, seq2]
+                if w == zero:
+                    continue
+                for target, bounds, _, _, get, pad in ctx.out[loc]:
+                    z3 = z2
+                    for i3, j3, b in bounds:
+                        z3 = constrain(z3, i3, j3, b)
+                    if z3 is None:
+                        continue
+                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
+                    if target not in locs:
+                        leaving.append((j, w, st3))
+                        continue
+                    k = ids.setdefault(st3, len(states))
+                    edges.append((j, k, w))
+                    if k == len(states):
+                        states.append(st3)
+                        stack.append(k)
+        dist = shortest_distance(range(len(states)), edges, sources, sr)
+        for i, d in dist.items():
+            state = states[i]
+            z = state[1]
+            if audit is not None:
+                audit(z, scale, cur)
+            if z[t] < at_prev and not state[2]:
+                fired[state] = d
+            if z[t] == pinned:
+                final[state] = d
+        for j, w, st3 in leaving:
+            if j in dist:
+                arr = arrived[st3[0]]
+                dw = otimes(dist[j], w)
+                old = arr.get(st3)
+                arr[st3] = dw if old is None else oplus(old, dw)
+    return fired, final
+
+
+
+def test_grouped_explore_equals_flat_reference():
+    """On random automata with 1 to 3 clocks, cycles, resets and a dead
+    self-looping branch, under all three pairings and on integer-valued
+    signals with repeated values, `_explore` weighs the same states as the flat reference in
+    every segment, audits the same multiset of zones and leaves its
+    input table as it was; both the plain automaton and the matcher's
+    expanded one (with its start location) are folded."""
+    rng = random.Random(39)
+    fired_seen = cyclic_seen = 0
+    for _ in range(25):
+        a = _with_dead_branch(rng, random_automaton(rng, max_clocks=3, extra_edges=3))
+        # adjacent values are often equal, so that waiting absorbs the
+        # appended value and two sequence groups wait into one
+        values = [float(rng.randint(-2, 14))]
+        for _ in range(rng.randint(0, 4)):
+            values.append(values[-1] if rng.random() < 0.4 else float(rng.randint(-2, 14)))
+        sig = Signal([segment({"x": v}, Fraction(rng.randint(1, 10), rng.randint(1, 4)))
+                      for v in values])
+        scale = time_scale(sig)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            keep = (m._expanded.automaton.clocks[-1],)
+            for ctx, weight in ((EngineContext(wa, scale), None),
+                                (EngineContext(m._expanded, scale, keep=keep), m._weight)):
+                cyclic_seen += any(cyclic for _, cyclic in ctx.buckets)
+                weight = initial_weight(ctx) if weight is None else weight
+                zones = []
+                ctx.audit = lambda z, scale, cur: zones.append(z)
+                prev = 0
+                for seg, bound in zip(sig.segments, sig.boundaries[1:]):
+                    cur = int(bound * scale)
+                    before = copy.deepcopy(weight)
+                    want_fired, want_final = _flat_explore(ctx, flat(weight), seg.values, prev, cur)
+                    want_zones = Counter(zones)
+                    zones.clear()
+                    fired, final = _explore(ctx, weight, seg.values, prev, cur)
+                    assert weight == before
+                    assert flat_fired(fired) == want_fired
+                    assert flat(final) == want_final
+                    assert Counter(zones) == want_zones
+                    zones.clear()
+                    fired_seen += len(want_fired)
+                    weight, prev = final, cur
+    assert fired_seen > 1000 and cyclic_seen > 50
+
+
+def test_carried_table_invariants():
+    """After every feed of a random sweep the carried table holds no
+    empty location or sequence group, every carried zone is pinned at
+    the elapsed time, and `footprint` counts its flat entries."""
+    rng = random.Random(40)
+    carried = 0
+    for _ in range(30):
+        a = random_automaton(rng, max_clocks=3, extra_edges=3)
+        sig = random_signal(rng, max_segments=4)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            t = m._ctx.t_index
+            for seg in sig:
+                m.feed(seg)
+                cur = int(m.elapsed * m.scale)
+                assert all(m._weight.values())
+                assert all(zs for groups in m._weight.values() for zs in groups.values())
+                entries = flat(m._weight)
+                for _, z, _ in entries:
+                    mat = zn.matrix(z)
+                    assert mat[0][t] == (-cur, False) and mat[t][0] == (cur, False)
+                assert m.footprint() == sum(1 + len(q) for (_, _, q) in entries)
+                carried += len(entries)
+    assert carried > 1000
 
 
 def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton):
@@ -527,7 +749,9 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
         for t in (0, 3)
         for seq in (EMPTY_SEQ, (x7,))
     }
-    assert _prune(ctx, weight) == {st: w for st, w in weight.items() if st[0] == "l0"}
+    assert flat(_prune(ctx, grouped(weight))) == {
+        st: w for st, w in weight.items() if st[0] == "l0"
+    }
 
     sig = Signal([segment({"x": v}, d) for v, d in
                   ((7.0, 1), (12.0, Fraction(1, 2)), (3.0, 2), (9.0, 1))])
@@ -588,7 +812,7 @@ def test_prune_keeps_what_a_search_keeps():
             z = zn.make(ctx.clock_names, [(0, i, -f, False) for i, f in enumerate(floors, 1)])
             weight[(rng.choice(a.locations).name, z, EMPTY_SEQ)] = 1.0
         want = _searched_prune(ctx, weight)
-        assert _prune(ctx, weight) == want, a
+        assert flat(_prune(ctx, grouped(weight))) == want, a
         kept += len(want)
         dropped += len(weight) - len(want)
     assert kept > 500 and dropped > 500
@@ -637,7 +861,7 @@ def test_context_caps_of_two_routes():
     # at scale 2, floors (12, 4) pass only the second route, (8, 16) only
     # the first, and (12, 16) neither
     weight = {entry(12, 4): 1.0, entry(8, 16): 1.0, entry(12, 16): 1.0}
-    assert _prune(ctx, weight) == {entry(12, 4): 1.0, entry(8, 16): 1.0}
+    assert flat(_prune(ctx, grouped(weight))) == {entry(12, 4): 1.0, entry(8, 16): 1.0}
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():
@@ -762,5 +986,5 @@ def test_footprint_counts_entries_and_history(wa_supinf):
     m = OnlineMatcher(wa_supinf)
     m.feed(segment({"x": 7.0}, 2))
     fp = m.footprint()
-    assert fp == sum(1 + len(q) for (_, _, q) in m._weight)
+    assert fp == sum(1 + len(q) for (_, _, q) in flat(m._weight))
     assert fp > 0

@@ -53,12 +53,11 @@ A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
 "Reducing the Number of Clock Variables of Timed Automata", RTSS 1996).
 `EngineContext` finds them once by a backward fixpoint over the
-transitions, and each move's gather drops their constraints, as
-`zone.free` does.  Runs that differ
-only in a dead clock then share one state, whose weight is the ⊕ of
-theirs; the value sequences, the time clock and any clock the caller
-keeps (the matcher's match-start clock) are untouched, so every row
-and value stays the same.
+transitions, and each move's gather keeps only c >= 0 of each.  Runs
+that differ only in a dead clock then share one state, whose weight is
+the ⊕ of theirs; the value sequences, the time clock and any clock the
+caller keeps (the matcher's match-start clock) are untouched, so every
+row and value stays the same.
 
 `trace_value` folds a whole signal; `OnlineMatcher` folds a stream and
 harvests the match set.  The whole-trace transition system the fold is
@@ -81,12 +80,6 @@ from .automaton import (
 from .matchset import MatchPiece, MatchSet, zone_sort_key
 from .semiring import Semiring
 from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
-
-# engine state: (location name, zone over clocks + absolute time, ValueSeq);
-# the zone is a flat bound tuple (zone.py), never None.  A weight table
-# holds states grouped as {location: {ValueSeq: {zone: semiring value}}}
-State = tuple
-Weight = dict
 
 
 class EngineContext:
@@ -160,7 +153,7 @@ class EngineContext:
                 tr.target,
                 # guard constants are integers, as WeightedAutomaton checks
                 tuple((idx[at.var], at.op, int(at.const)) for at in tr.guard),
-                resets, dead, get, pad,
+                get, pad,
             ))
         self.set_scale(scale)
         # the location graph's strongly connected components in
@@ -176,11 +169,11 @@ class EngineContext:
         """Move to another time scale; only the guard bounds and the
         caps depend on it.
 
-        `out` maps each location to its moves as (target, guard bounds
-        (i, j, b) for `zone.constrain` at this scale, reset clock
-        indices, indices of the clocks dead at the target, get, pad):
-        a guarded zone z fires into `get(z + pad)`, or z itself when
-        `get` is None (`zone.gather`)."""
+        `out` maps each location to its moves, in transition order, as
+        (target, guard bounds (i, j, b) for `zone.constrain` at this
+        scale, get, pad): a guarded zone z fires into `get(z + pad)`,
+        with the resets done and the target's dead clocks freed, or into
+        z itself when `get` is None (`zone.gather`)."""
         self.scale = scale
         self.caps = {loc: tuple(tuple(c * scale for c in vec) for vec in vecs)
                      for loc, vecs in self._caps.items()}
@@ -361,7 +354,7 @@ def _close_component(comp, out, dist, sr: Semiring) -> None:
                 dist[v] = oplus(dist[v], otimes(du, w))
 
 
-def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, cur: int):
+def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur: int):
     """Unfold one segment and weigh it, location bucket by bucket.
 
     `prev` and `cur` are scaled boundary times; input entries are
@@ -421,7 +414,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                     if w == zero:
                         continue
                     dw = otimes(d, w)
-                    for target, bounds, _, _, get, pad in ctx.out[loc]:
+                    for target, bounds, get, pad in ctx.out[loc]:
                         z3 = z2
                         for i, j, b in bounds:
                             z3 = constrain(z3, i, j, b)
@@ -438,14 +431,17 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
 
         # a cyclic bucket numbers its states, inputs first, and finds a
         # waited state again by zone within its (location, sequence)
-        # group in `waited`, a fired one within its location's `arrived`
+        # group in `waited`, a fired one within its location's `arrived`.
+        # Only inputs and arrivals wait: an input, never pinned at cur,
+        # holds its sequence already extended by `values`, an arrival ε
         states = []  # id -> (location, zone, value sequence)
         sources = {}
         for loc in locs:
             for seq, zs in weight.get(loc, {}).items():
+                seq2 = absorbing_concat(seq, appended)
                 for z, d in zs.items():
                     sources[len(states)] = d
-                    states.append((loc, z, seq))
+                    states.append((loc, z, seq2))
         arrived = {}  # location -> zone -> id of a state fired into
         for loc in locs:
             ids = arrived[loc] = {}
@@ -463,7 +459,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
             loc, z, seq = states[i]
             if z[t] == pinned or loc not in ctx.waits:
                 continue
-            seq2 = absorbing_concat(seq, appended)
+            seq2 = seq or appended
             grp = waited[loc].get(seq2)
             if grp is None:
                 grp = waited[loc][seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
@@ -480,7 +476,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
                 edges.append((i, j, sr.one))
                 if w == zero:
                     continue
-                for target, bounds, _, _, get, pad in ctx.out[loc]:
+                for target, bounds, get, pad in ctx.out[loc]:
                     z3 = z2
                     for i3, j3, b in bounds:
                         z3 = constrain(z3, i3, j3, b)
@@ -515,7 +511,7 @@ def _explore(ctx: EngineContext, weight: Weight, values: Valuation, prev: int, c
     return {loc: zs for loc, zs in fired.items() if zs}, final
 
 
-def initial_weight(ctx: EngineContext) -> Weight:
+def initial_weight(ctx: EngineContext) -> dict:
     z0 = zn.point_zone(ctx.clock_names, 0)
     return {l.name: {EMPTY_SEQ: {z0: ctx.semiring.one}} for l in ctx.automaton.initial_locations}
 
@@ -544,12 +540,12 @@ def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
     )
 
 
-def _prune(ctx: EngineContext, weight: Weight) -> Weight:
+def _prune(ctx: EngineContext, weight: dict) -> dict:
     """Drop entries that can never contribute another accepting state:
     those whose floors on the guarded clocks lie under none of their
     location's caps."""
     guarded = ctx.guarded
-    out: Weight = {}
+    out: dict = {}
     for loc, groups in weight.items():
         caps = ctx.caps[loc]
         for seq, zs in groups.items():
@@ -594,7 +590,7 @@ class OnlineMatcher:
         self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
         z0 = zn.point_zone(self._ctx.clock_names, 0)
-        self._weight: Weight = {self._start: {EMPTY_SEQ: {z0: wa.semiring.one}}}
+        self._weight: dict = {self._start: {EMPTY_SEQ: {z0: wa.semiring.one}}}
         for l in wa.automaton.initial_locations:
             # matches starting at time 0 exactly cannot come out of the
             # start location, whose hand-off needs a positive dwell

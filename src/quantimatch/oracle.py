@@ -46,7 +46,7 @@ def bf_shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
     return {v: w for v, w in total.items() if w != sr.zero}
 
 
-def symbolic_successors(ctx: engine.EngineContext, state: engine.State, bounds, vals):
+def symbolic_successors(ctx: engine.EngineContext, state: tuple, bounds, vals):
     """Moves of one state relative to the scaled segment boundaries.
 
     Returns (successor, weight, kind) triples with kind "fire" or

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Iterator, Mapping
 
 Valuation = tuple[tuple[str, float], ...]
@@ -50,7 +51,7 @@ class Segment:
     duration: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.duration, (int, Fraction)):
+        if isinstance(self.duration, bool) or not isinstance(self.duration, (int, Fraction)):
             raise ValueError(f"segment duration {self.duration!r} is not an int or Fraction")
         if not self.duration > 0:
             raise ValueError(f"segment duration must be positive, got {self.duration}")
@@ -58,6 +59,8 @@ class Segment:
         if any(a >= b for a, b in zip(names, names[1:])):
             raise ValueError(f"segment variable names {tuple(names)} are not strictly increasing")
         for name, v in self.values:
+            if not isinstance(v, Real):
+                raise ValueError(f"segment value {name}={v!r} is not a real number")
             if not math.isfinite(v):
                 raise ValueError(f"segment value {name}={v} is not finite")
 

@@ -14,12 +14,12 @@ LNCS 3098, 2004).  The absent bound is the one sentinel `INF`, a float
 infinity above every int, told apart by identity (`e is INF`).  On
 finite entries bound addition is `a + b - ((a | b) & 1)` and "tighter
 than" is plain `<`; `(0, weak)` is 1.  The empty zone is `None`.
-Clock names stay with the caller; `make` and `point_zone` read only
-how many there are.
+Clock names stay with the caller; `point_zone` reads only how many
+there are.
 
 Every bound is an integer: the engine rescales time until every segment
-boundary and guard constant is one (`engine.time_scale`).  So `make`
-and `point_zone` take int constants, `constrain` an encoded bound and
+boundary and guard constant is one (`engine.time_scale`).  So
+`point_zone` takes an int constant, `constrain` an encoded bound and
 `scale` a positive int; `guard_bound` encodes a guard atom once, for
 `constrain` to take as it is.  A match-set row keeps the time scale
 its zone was computed at beside it (`matchset.MatchPiece.den`).  A
@@ -34,8 +34,8 @@ uses it.
 
 Zones are canonical (all-pairs tightened), so structural equality, which
 is tuple equality, coincides with set equality.  Every public operation
-maps `None` to `None` and otherwise returns a canonical zone, mostly via
-O(n^2) incremental tightening rather than a full Floyd-Warshall pass.
+maps `None` to `None` and otherwise returns a canonical zone, by O(n^2)
+incremental tightening at most, never a full Floyd-Warshall pass.
 
 The engine's per-state operations skip even that.  `elapse` waits
 into a segment (prev, cur] of the time clock and returns the open band
@@ -46,8 +46,8 @@ time clock's row and column, where `up` and two `clamp_time` calls
 take four `constrain` passes.  A move fires with one `constrain` per
 guard bound and then one gather: resetting clocks and freeing them
 (forgetting all but c >= 0) only copy rows and columns, so any mix of
-both is one index map over the zone (`gather`), which `reset` and
-`free` apply too.
+both is one index map over the zone (`gather`), which `reset`
+applies too.
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ def decode(e) -> tuple:
     return (e >> 1, not e & 1)
 
 
-def _add(a, b):
-    """Bound addition, absorbing at INF; `constrain` inlines it."""
-    if a is INF or b is INF:
-        return INF
-    return a + b - ((a | b) & 1)
-
-
 def matrix(z):
     """The zone as rows of decoded (value, strict) pairs, or None."""
     if z is None:
@@ -87,56 +80,6 @@ def matrix(z):
     n = isqrt(len(z))
     pairs = [decode(e) for e in z]
     return tuple(tuple(pairs[i * n:(i + 1) * n]) for i in range(n))
-
-
-def _full_canonicalize(rows: list):
-    n = isqrt(len(rows))
-    for k in range(n):
-        rk = k * n
-        for i in range(n):
-            ik = rows[i * n + k]
-            if ik is INF:
-                continue
-            ri = i * n
-            for j in range(n):
-                cand = _add(ik, rows[rk + j])
-                if cand < rows[ri + j]:
-                    rows[ri + j] = cand
-    for i in range(0, n * n, n + 1):
-        if rows[i] < 1:
-            return None
-        rows[i] = 1
-    return tuple(rows)
-
-
-def make(clocks: Sequence[str], constraints: Iterable[tuple] = ()):
-    """Zone from constraints (i, j, value, strict) meaning c_i - c_j bound.
-
-    Values are integers (or INF, no bound); any other value raises
-    ValueError.  Clocks default to the nonnegative orthant with no upper
-    bounds.
-    """
-    n = len(clocks) + 1
-    rows = [INF] * (n * n)
-    for i in range(n):
-        rows[i * n + i] = 1
-        rows[i] = 1
-    for i, j, value, strict in constraints:
-        if value == INF:
-            continue
-        if value != int(value):
-            raise ValueError(f"zone constant {value} is not an integer")
-        b = encode(int(value), strict)
-        if b < rows[i * n + j]:
-            rows[i * n + j] = b
-    return _full_canonicalize(rows)
-
-
-def canonicalize(z):
-    """All-pairs tightening; public operations already return canonical zones."""
-    if z is None:
-        return z
-    return _full_canonicalize(list(z))
 
 
 def point_zone(clocks: Sequence[str], value: int = 0):
@@ -193,13 +136,11 @@ def intersect_guard(z, atoms: Iterable[tuple]):
     """Intersect with a conjunction of (clock_index, op, constant) atoms."""
     for atom in atoms:
         z = constrain(z, *guard_bound(*atom))
-        if z is None:
-            return z
     return z
 
 
 def gather(n: int, resets: Iterable[int] = (), dead: Iterable[int] = ()) -> tuple:
-    """`free(reset(z, resets), dead)` on n x n zones as one index gather.
+    """Reset the clocks `resets` of n x n zones, then free `dead`, as one index gather.
 
     Returns (get, pad) with the result `get(z + pad)`.  Resetting a
     clock copies row 0 and column 0 into its row and column; freeing
@@ -312,16 +253,6 @@ def elapse(z, t: int, prev: int, cur: int) -> tuple:
         None if band[t] + c2 < 1 else tuple(band),
         None if wall[t] + c2 < 1 else tuple(wall),
     )
-
-
-def free(z, indices: Sequence[int]):
-    """Forget the given clocks, keeping only c >= 0 on each: the
-    projection of z onto the other clocks, extended by the freed ones.
-    Canonical form is preserved."""
-    if z is None or not indices:
-        return z
-    get, pad = gather(isqrt(len(z)), (), indices)
-    return get(z + pad)
 
 
 def project_match(z, t_idx: int, tp_idx: int):

@@ -1,7 +1,10 @@
-"""Shared fixtures: reference automata, reference signals, random instances."""
+"""Shared fixtures: reference automata, reference signals, random
+instances, and zone constructors and references that the engine never
+calls."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -16,6 +19,7 @@ from quantimatch.automaton import (
 )
 from quantimatch.semiring import BOOLEAN, SUPINF, TROPICAL
 from quantimatch.signals import Signal, segment
+from quantimatch.zone import INF, encode, gather
 
 # Two-step overshoot pattern: leave a low region quickly (c < 5), then
 # reach the high region within the deadline (c < 10).
@@ -190,3 +194,72 @@ def grouped(weight):
     for (loc, z, q), w in weight.items():
         table.setdefault(loc, {}).setdefault(q, {})[z] = w
     return table
+
+
+def add_bounds(a, b):
+    """Bound addition on encoded entries, absorbing at INF; `constrain`
+    inlines it."""
+    if a is INF or b is INF:
+        return INF
+    return a + b - ((a | b) & 1)
+
+
+def _full_canonicalize(rows: list):
+    n = isqrt(len(rows))
+    for k in range(n):
+        rk = k * n
+        for i in range(n):
+            ik = rows[i * n + k]
+            if ik is INF:
+                continue
+            ri = i * n
+            for j in range(n):
+                cand = add_bounds(ik, rows[rk + j])
+                if cand < rows[ri + j]:
+                    rows[ri + j] = cand
+    for i in range(0, n * n, n + 1):
+        if rows[i] < 1:
+            return None
+        rows[i] = 1
+    return tuple(rows)
+
+
+def make(clocks, constraints=()):
+    """Zone from constraints (i, j, value, strict) meaning c_i - c_j bound.
+
+    Values are integers (or INF, no bound); any other value raises
+    ValueError.  Clocks default to the nonnegative orthant with no upper
+    bounds.
+    """
+    n = len(clocks) + 1
+    rows = [INF] * (n * n)
+    for i in range(n):
+        rows[i * n + i] = 1
+        rows[i] = 1
+    for i, j, value, strict in constraints:
+        if value == INF:
+            continue
+        if value != int(value):
+            raise ValueError(f"zone constant {value} is not an integer")
+        b = encode(int(value), strict)
+        if b < rows[i * n + j]:
+            rows[i * n + j] = b
+    return _full_canonicalize(rows)
+
+
+def canonicalize(z):
+    """All-pairs tightening (Floyd-Warshall): the canonical form that
+    every zone operation must return."""
+    if z is None:
+        return z
+    return _full_canonicalize(list(z))
+
+
+def free(z, indices):
+    """Forget the given clocks, keeping only c >= 0 on each: the
+    projection of z onto the other clocks, extended by the freed ones.
+    The reference a move's gather is checked against."""
+    if z is None or not indices:
+        return z
+    get, pad = gather(isqrt(len(z)), (), indices)
+    return get(z + pad)

@@ -24,6 +24,8 @@ from quantimatch.signals import Signal, segment, value_of
 
 from conftest import (
     OVERSHOOT_SPEC,
+    canonicalize,
+    make,
     random_automaton,
     random_signal,
     weighted_variants,
@@ -104,7 +106,7 @@ def test_criterion_1_two_step_trace_and_transition_system():
     fires = {w for (_, _, w, kind) in g.edges if kind == "fire"}
     assert fires == {8.0, 3.0, 7.0, 2.0}
     pinned7 = [(2, 0, 7, False), (0, 2, -7, False)]
-    jump = ("l1", zn.make(("c", "T"), pinned7 + [(1, 0, 0, False)]), ())
+    jump = ("l1", make(("c", "T"), pinned7 + [(1, 0, 0, False)]), ())
     assert g.nodes[jump] == 8.0
     waited = ("l0", zn.point_zone(("c", "T"), 7), ((("x", 7.0),),))
     assert waited in g.nodes
@@ -353,7 +355,7 @@ def test_criterion_9_invariants(tmp_path, capsys):
 
     # canonical form is a fixpoint on engine zones and random ones
     for z in AUDIT["sample"]:
-        assert zn.canonicalize(z) == z
+        assert canonicalize(z) == z
     rng2 = random.Random(47)
     for _ in range(50):
         cons = [
@@ -361,8 +363,8 @@ def test_criterion_9_invariants(tmp_path, capsys):
             for _ in range(4)
         ]
         cons = [(i, j, v, s) for (i, j, v, s) in cons if i != j]
-        z = zn.make(("a", "b"), cons)
-        assert zn.canonicalize(z) == z
+        z = make(("a", "b"), cons)
+        assert canonicalize(z) == z
 
     # repeated command line runs are byte-identical
     spec = tmp_path / "overshoot.tsa"

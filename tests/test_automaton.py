@@ -164,6 +164,13 @@ def test_sum_margin_values():
     assert cost_value(CostKind.SUM_MARGIN, (), seq) == 0.0
 
 
+def test_sum_margin_counts_a_value_each_time_it_recurs():
+    """A sequence keeps no two adjacent values equal, but a value may
+    recur after another one; its margin is summed at each occurrence."""
+    seq = tuple(valuation({"x": v}) for v in (1.0, 2.0, 1.0))
+    assert cost_value(CostKind.SUM_MARGIN, (Atom("x", ">", Fraction(0)),), seq) == 4.0
+
+
 def test_sat_values():
     seq = tuple(valuation({"x": v}) for v in (10.0, 40.0))
     assert cost_value(CostKind.SAT, LOW, ()) is True

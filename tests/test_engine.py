@@ -42,7 +42,9 @@ from conftest import (
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
     flat,
+    free,
     grouped,
+    make,
     random_automaton,
     random_signal,
     weighted_variants,
@@ -52,7 +54,7 @@ CT = ("c", "T")
 
 
 def zone2(*constraints):
-    return zn.make(CT, constraints)
+    return make(CT, constraints)
 
 
 def flat_fired(fired):
@@ -70,19 +72,34 @@ def _with_dead_branch(rng, a):
     return Automaton(a.variables, a.clocks, a.locations + (dead,), a.transitions + (into, loop))
 
 
+def moves_with_resets(ctx, loc):
+    """The compiled moves out of `loc`, each beside the indices of the
+    clocks its transition resets; `out` keeps transition order."""
+    trs = [tr for tr in ctx.automaton.transitions if tr.source == loc]
+    assert [tr.target for tr in trs] == [move[0] for move in ctx.out[loc]]
+    return [(move, tuple(ctx.clock_names.index(c) + 1 for c in tr.resets))
+            for move, tr in zip(ctx.out[loc], trs)]
+
+
 def test_context_tables(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     assert ctx.clock_names == ("c", "T")
     assert ctx.t_index == 2
     assert ctx.accepting == frozenset({"l2"})
-    # (target, guard bounds at scale 2, reset indices, clocks dead at the
-    # target) per location: c < 10 encodes as c - 0 < 10, (1, 0, 20)
-    assert [move[:4] for move in ctx.out["l0"]] == [("l1", ((1, 0, 20),), (1,), ())]
-    assert [move[:4] for move in ctx.out["l1"]] == [("l2", ((1, 0, 40),), (), (1,))]
+    # (target, guard bounds at scale 2) per location: c < 10 encodes as
+    # c - 0 < 10, (1, 0, 20)
+    assert [move[:2] for move in ctx.out["l0"]] == [("l1", ((1, 0, 20),))]
+    assert [move[:2] for move in ctx.out["l1"]] == [("l2", ((1, 0, 40),))]
     assert ctx.out["l2"] == ()
     assert (1, 0, 20) == zn.guard_bound(1, "<", 10)
-    # the gather pads only where a clock is freed
-    assert [move[5] for move in ctx.out["l0"] + ctx.out["l1"]] == [(), (zn.INF,)]
+    assert ctx.dead == {"l0": (), "l1": (), "l2": (1,)}
+    # l0's move resets c and l1's frees it, dead at l2; the gather pads
+    # only where a clock is freed
+    assert [move[3] for move in ctx.out["l0"] + ctx.out["l1"]] == [(), (zn.INF,)]
+    z = zn.point_zone(ctx.clock_names, 3)
+    (into_l1,), (into_l2,) = ctx.out["l0"], ctx.out["l1"]
+    assert _fire(z, into_l1) == make(CT, [(1, 0, 0, False), (2, 0, 3, False), (0, 2, -3, False)])
+    assert _fire(z, into_l2) == make(CT, [(2, 0, 3, False), (0, 2, -3, False)])
 
 
 def test_dead_clock_table_of_the_overshoot(wa_supinf):
@@ -92,9 +109,12 @@ def test_dead_clock_table_of_the_overshoot(wa_supinf):
     ctx = m._ctx
     assert ctx.clock_names == ("c", "T'", "T")
     assert ctx.dead == {"l0": (), "l1": (), "l2": (1,), "start": (1,)}
-    for moves in ctx.out.values():
-        for target, _, _, dead, _, _ in moves:
-            assert dead == ctx.dead[target]
+    # each move frees the clocks dead at its target, after its resets
+    z = make(ctx.clock_names, [(i, 0, 2, False) for i in (1, 2, 3)]
+             + [(0, i, -1, False) for i in (1, 2, 3)])
+    for loc in ctx.out:
+        for move, resets in moves_with_resets(ctx, loc):
+            assert _fire(z, move) == free(zn.reset(z, resets), ctx.dead[move[0]]), (loc, move[0])
     # without the matcher's keep, T' would be dead everywhere
     assert all(2 in dead for dead in EngineContext(m._expanded).dead.values())
 
@@ -215,7 +235,7 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
 
 def _fire(z, move):
     """The zone a compiled move fires z into, as `_explore` computes it."""
-    _, bounds, _, _, get, pad = move
+    _, bounds, get, pad = move
     for i, j, b in bounds:
         z = zn.constrain(z, i, j, b)
     if z is None or get is None:
@@ -246,23 +266,43 @@ def test_compiled_move_equals_public_ops():
         )
         scale = rng.randint(1, 3)
         ctx = EngineContext(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN), scale)
-        (move,) = ctx.out["l0"]
+        ((move, reset_idx),) = moves_with_resets(ctx, "l0")
         dead = ctx.dead["l1"]
-        assert move[2:4] == (tuple(ctx.clock_names.index(c) + 1 for c in resets), dead)
-        seen["reset_and_dead"] += bool(set(move[2]) & set(dead))
+        assert dead == tuple(i for i, c in enumerate(clocks, 1) if c not in live)
+        seen["reset_and_dead"] += bool(set(reset_idx) & set(dead))
         seen["ops"].update(at.op for at in atoms)
         guard = [(ctx.clock_names.index(at.var) + 1, at.op, int(at.const) * scale) for at in atoms]
         n = len(ctx.clock_names)
         cons = [(i, j, rng.randint(-4, 8) * scale, rng.random() < 0.5)
                 for _ in range(rng.randint(0, 5))
                 for i, j in [rng.sample(range(n + 1), 2)]]
-        z = zn.make(ctx.clock_names, cons)
+        z = make(ctx.clock_names, cons)
         if z is None:
             continue
-        want = zn.free(zn.reset(zn.intersect_guard(z, guard), move[2]), dead)
+        want = free(zn.reset(zn.intersect_guard(z, guard), reset_idx), dead)
         assert _fire(z, move) == want, (z, atoms, resets, dead)
         seen["emptied"] += want is None
     assert seen["emptied"] and seen["reset_and_dead"] and seen["ops"] == set(ops)
+
+
+def test_weak_guard_fires_on_its_bound():
+    """`c <= 5` admits the firing at c = 5 exactly, so a run over a
+    signal of duration 5 is accepted; under `c < 5` it would not be."""
+    a = parse_automaton(
+        """
+        var x;
+        clock c;
+        location l0 init [x > 0];
+        location l1 accept [true];
+        edge l0 -> l1 when c <= 5;
+        """
+    )
+    wa = WeightedAutomaton(a, BOOLEAN, CostKind.SAT)
+    sig = Signal([segment({"x": 1.0}, 5)])
+    assert trace_value(sig, wa) is True
+    m = OnlineMatcher(wa)
+    m.feed(sig.segments[0])
+    assert m.matchset.query(0, 5) is True
 
 
 def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
@@ -272,7 +312,7 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
     def tables(ctx):
         # an itemgetter has no value equality; compare its indices
         out = {
-            loc: [(*move[:4], move[4] and move[4].__reduce__(), move[5]) for move in moves]
+            loc: [(*move[:2], move[2] and move[2].__reduce__(), move[3]) for move in moves]
             for loc, moves in ctx.out.items()
         }
         return (ctx.scale, out, ctx.dead, ctx.waits, ctx.buckets, ctx.guarded,
@@ -483,7 +523,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
                 if w == zero:
                     continue
                 dw = otimes(d, w)
-                for target, bounds, _, _, get, pad in moves:
+                for target, bounds, get, pad in moves:
                     z3 = z2
                     for i, j, b in bounds:
                         z3 = constrain(z3, i, j, b)
@@ -524,7 +564,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
                 w = costs[loc, seq2]
                 if w == zero:
                     continue
-                for target, bounds, _, _, get, pad in ctx.out[loc]:
+                for target, bounds, get, pad in ctx.out[loc]:
                     z3 = z2
                     for i3, j3, b in bounds:
                         z3 = constrain(z3, i3, j3, b)
@@ -778,7 +818,7 @@ def _searched_prune(ctx, weight):
         stack = [(loc, floors)]
         while stack:
             loc, floors = stack.pop()
-            for target, bounds, resets, *_ in ctx.out[loc]:
+            for (target, bounds, *_), resets in moves_with_resets(ctx, loc):
                 # an upper atom is (i, 0, b), with constant b >> 1
                 if any(not j and floors[pos[i]] > b >> 1 for i, j, b in bounds):
                     continue
@@ -809,7 +849,7 @@ def test_prune_keeps_what_a_search_keeps():
         weight = {}
         for _ in range(30):
             floors = [rng.randint(0, 9 * ctx.scale) for _ in a.clocks]
-            z = zn.make(ctx.clock_names, [(0, i, -f, False) for i, f in enumerate(floors, 1)])
+            z = make(ctx.clock_names, [(0, i, -f, False) for i, f in enumerate(floors, 1)])
             weight[(rng.choice(a.locations).name, z, EMPTY_SEQ)] = 1.0
         want = _searched_prune(ctx, weight)
         assert flat(_prune(ctx, grouped(weight))) == want, a
@@ -856,7 +896,7 @@ def test_context_caps_of_two_routes():
     }
 
     def entry(c, d):  # an l0 entry with floors c and d
-        return ("l0", zn.make(ctx.clock_names, [(0, 1, -c, False), (0, 2, -d, False)]), EMPTY_SEQ)
+        return ("l0", make(ctx.clock_names, [(0, 1, -c, False), (0, 2, -d, False)]), EMPTY_SEQ)
 
     # at scale 2, floors (12, 4) pass only the second route, (8, 16) only
     # the first, and (12, 16) neither

@@ -20,7 +20,7 @@ from quantimatch.matchset import (
 from quantimatch.oracle import arrangement_points
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 
-from conftest import random_automaton, random_signal, weighted_variants
+from conftest import make, random_automaton, random_signal, weighted_variants
 
 TT = ("t", "t'")
 
@@ -33,7 +33,7 @@ def piece(value, t_lo, t_hi, tp_lo, tp_hi, strict=(False, False, False, False)):
     bounds = [Fraction(b) for b in (t_lo, t_hi, tp_lo, tp_hi)]
     scale = math.lcm(*(b.denominator for b in bounds))
     lo, hi, plo, phi = (int(b * scale) for b in bounds)
-    region = zn.make(
+    region = make(
         TT,
         [
             (0, 1, -lo, sl),

@@ -64,6 +64,19 @@ def test_segment_rejects_names_out_of_order():
             Segment(values, Fraction(1))
 
 
+def test_segment_rejects_a_bool_duration():
+    for d in (True, False):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            Segment(valuation({"x": 7.0}), d)
+
+
+def test_segment_rejects_a_value_that_is_not_a_real_number():
+    for v in ("a", None, 1j, (1.0,)):
+        with pytest.raises(ValueError, match=r"segment value x=.* is not a real number"):
+            Segment((("x", v),), Fraction(1))
+    assert Segment((("x", 1), ("y", Fraction(1, 2))), Fraction(1)).values[1] == ("y", Fraction(1, 2))
+
+
 def test_segment_rejects_non_finite_value():
     for v in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="not finite"):

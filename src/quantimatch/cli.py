@@ -182,8 +182,7 @@ def _run_monitor(args, wa: WeightedAutomaton) -> int:
     matcher = OnlineMatcher(wa)
     try:
         for seg in read_stream(lines):
-            for piece in matcher.feed(seg):
-                print(format_piece(piece))
+            sys.stdout.write("".join(format_piece(p) + "\n" for p in matcher.feed(seg)))
             sys.stdout.flush()
     except SignalFormatError as exc:
         sys.stdout.flush()

@@ -9,10 +9,20 @@ they arrived, so a point query reads only the batch whose interval holds
 t' and folds every region there containing the point.  A query converts
 its window once, to int numerators over one denominator, and tests each
 row with int arithmetic alone (`zone.contains`).
+
+Rows are rendered as text a row at a time (`format_piece`), but one
+segment's rows share few distinct bounds: segment boundaries and guard
+offsets at one time scale.  So the text of a bound, an int over the
+time scale, comes from a memo keyed on both ints and bounded to the
+1024 most recently used pairs.  A bounded memo loses little: the bounds
+a stream's rows carry drift forward with it, so old ones are not asked
+for again.  A batch is ordered by `zone_sort_key`, which reads the six
+off-diagonal entries of a region.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -64,13 +74,20 @@ def format_value(v) -> str:
 
 
 def zone_sort_key(z: tuple):
-    """Structural ordering of zones at one time scale, for deterministic
-    output: entry by entry, by value, then weak before strict, with INF
-    last.  Flipping the low bit of an encoded bound, 2v + weak, gives
-    2v + strict, which orders exactly so."""
-    return tuple(e if e is zn.INF else e ^ 1 for e in z)
+    """Structural ordering of 3x3 regions at one time scale, for
+    deterministic output: entry by entry, by value, then weak before
+    strict, with INF last.  Flipping the low bit of an encoded bound,
+    2v + weak, gives 2v + strict, which orders exactly so.  The key reads
+    the six off-diagonal entries only: the diagonal is always (0, weak)."""
+    _, a, b, c, _, d, e, f, _ = z
+    inf = zn.INF
+    return (
+        a if a is inf else a ^ 1, b if b is inf else b ^ 1, c if c is inf else c ^ 1,
+        d if d is inf else d ^ 1, e if e is inf else e ^ 1, f if f is inf else f ^ 1,
+    )
 
 
+@functools.lru_cache(maxsize=1024)
 def _bound_time(v: int, den: int) -> str:
     g = math.gcd(v, den)
     return _format_ratio(v // g, den // g)

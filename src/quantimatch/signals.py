@@ -59,7 +59,7 @@ class Segment:
         if any(a >= b for a, b in zip(names, names[1:])):
             raise ValueError(f"segment variable names {tuple(names)} are not strictly increasing")
         for name, v in self.values:
-            if not isinstance(v, Real):
+            if isinstance(v, bool) or not isinstance(v, Real):
                 raise ValueError(f"segment value {name}={v!r} is not a real number")
             if not math.isfinite(v):
                 raise ValueError(f"segment value {name}={v} is not finite")

@@ -251,9 +251,40 @@ def test_zone_sort_key_orders_as_decoded_bounds():
             return zn.INF
         return zn.encode(rng.randint(-3, 3), rng.random() < 0.5)
 
-    zones = [tuple(entry() for _ in range(9)) for _ in range(2000)]
+    # regions: the diagonal is (0, weak), INF may sit anywhere off it
+    zones = [tuple(1 if k in (0, 4, 8) else entry() for k in range(9)) for _ in range(2000)]
     decoded = sorted(zones, key=lambda z: tuple(zn.decode(e) for e in z))
     assert sorted(zones, key=zone_sort_key) == decoded
+
+
+def test_bound_text_is_the_rational_over_its_time_scale():
+    # every bound format_piece prints reads as format_time of v / den; one
+    # int recurs over every scale, so bound text must depend on both
+    rng = random.Random(41)
+    dens = (*range(1, 13), 16, 20, 25, 40, 56, 125)
+    rows = [(den, [rng.randint(-300, 300) for _ in range(6)]) for den in dens * 20]
+    rows += [(den, [-7, 7, -7, 7, 7, 7]) for den in dens]
+    rng.shuffle(rows)
+    upper_inf = 0
+    for den, vs in rows:
+        strict = [rng.random() < 0.5 for _ in range(6)]
+        if rng.random() < 0.1:
+            vs[3] = INF  # t' has no upper bound
+        upper_inf += vs[3] == INF
+
+        def text(v):
+            return format_time(v if v == INF else Fraction(v, den))
+
+        intervals = [
+            f"{'(' if strict[2 * k] else '['}{text(vs[2 * k])},{text(vs[2 * k + 1])}"
+            f"{')' if strict[2 * k + 1] or vs[2 * k + 1] == INF else ']'}"
+            for k in range(3)
+        ]
+        enc = [zn.encode(-v if k % 2 == 0 else v, strict[k]) for k, v in enumerate(vs)]
+        region = (1, enc[0], enc[2], enc[1], 1, enc[4], enc[3], enc[5], 1)
+        want = f"t in {intervals[0]}, t' in {intervals[1]}, t'-t in {intervals[2]} : 2.5"
+        assert format_piece(MatchPiece(region, 2.5, den)) == want
+    assert upper_inf
 
 
 def test_weak_bound_sorts_before_strict_of_equal_value():

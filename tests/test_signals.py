@@ -71,7 +71,8 @@ def test_segment_rejects_a_bool_duration():
 
 
 def test_segment_rejects_a_value_that_is_not_a_real_number():
-    for v in ("a", None, 1j, (1.0,)):
+    # bool is a numbers.Real, but True would act as x = 1
+    for v in ("a", None, 1j, (1.0,), True, False):
         with pytest.raises(ValueError, match=r"segment value x=.* is not a real number"):
             Segment((("x", v),), Fraction(1))
     assert Segment((("x", 1), ("y", Fraction(1, 2))), Fraction(1)).values[1] == ("y", Fraction(1, 2))

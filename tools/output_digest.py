@@ -4,11 +4,14 @@
 
 imports `quantimatch` from SRC_DIR (a checkout's `src`) and runs
 `monitor`, `grid --grid 1/3`, `query --query 1 7/2` and `tracevalue` in
-process on seeded random signals with p/q durations, under all three
-semiring/cost pairings.  It prints one line per spec: the number of
-stdout lines and a sha256 over every run's stdout and exit code.  A
-change that must keep the output's bytes is checked by running this on
-the source trees before and after it: every line must be equal.
+process on seeded random signals with p/q durations, q <= 3, under all
+three semiring/cost pairings.  The `fine-scale` line runs the overshoot
+spec on signals whose durations have q in {4, 5, 8}, so bounds print as
+2- and 3-digit decimals and the time scale grows mid-stream.  It prints
+one line per spec: the number of stdout lines and a sha256 over every
+run's stdout and exit code.  A change that must keep the output's bytes
+is checked by running this on the source trees before and after it:
+every line must be equal.
 """
 
 import contextlib
@@ -99,8 +102,17 @@ STREAMS = 6
 SEGMENTS = 12
 
 
-def signal_text(rng: random.Random) -> str:
-    """A one-variable signal; adjacent values differ, durations are p/q."""
+def coarse_duration(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 4), rng.randint(1, 3))
+
+
+def fine_duration(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 16), rng.choice((4, 5, 8)))
+
+
+def signal_text(rng: random.Random, duration) -> str:
+    """A one-variable signal; adjacent values differ, durations are drawn
+    by `duration`."""
     rows = ["x"]
     prev = None
     for _ in range(SEGMENTS):
@@ -108,7 +120,7 @@ def signal_text(rng: random.Random) -> str:
         while v == prev:
             v = rng.randint(-2, 14)
         prev = v
-        rows.append(f"{Fraction(rng.randint(1, 4), rng.randint(1, 3))} {v}")
+        rows.append(f"{duration(rng)} {v}")
     return "\n".join(rows) + "\n"
 
 
@@ -121,9 +133,12 @@ def main(argv=None) -> int:
     from quantimatch import cli
 
     rng = random.Random(1)
-    signals = [signal_text(rng) for _ in range(STREAMS)]
+    coarse = [signal_text(rng, coarse_duration) for _ in range(STREAMS)]
+    fine = [signal_text(rng, fine_duration) for _ in range(STREAMS)]
+    runs = [(name, spec, coarse) for name, spec in SPECS.items()]
+    runs.append(("fine-scale", OVERSHOOT, fine))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in SPECS.items():
+        for name, spec, signals in runs:
             path = os.path.join(tmp, f"{name}.tsa")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(spec)

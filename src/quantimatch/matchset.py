@@ -6,9 +6,14 @@ match start and end.  The online matcher yields, for each segment
 row is final, as every later segment only yields rows with a later t'.
 The match set keeps those rows as one batch per segment, in the order
 they arrived, so a point query reads only the batch whose interval holds
-t' and folds every region there containing the point.  A query converts
-its window once, to int numerators over one denominator, and tests each
-row with int arithmetic alone (`zone.contains`).
+t' and folds every region there containing the point.  A query reads
+its window once as ints a / q, b / q (an int or `Fraction` time as it
+is, any other through `Fraction()`), checks it against the horizon and
+finds the batch by an int binary search over the segment ends, kept as
+(numerator, denominator) pairs.  It tests each row against the six
+off-diagonal entries of its 3x3 region, `zone.contains` unrolled, with
+2a * den and 2b * den computed once per row: int arithmetic alone, with
+no `Fraction` built or compared for an int or `Fraction` window.
 
 Rows are rendered as text a row at a time (`format_piece`), but one
 segment's rows share few distinct bounds: segment boundaries and guard
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,6 +125,21 @@ def format_piece(piece: MatchPiece) -> str:
     return f"t in {t_iv}, t' in {tp_iv}, t'-t in {diff_iv} : {format_value(piece.value)}"
 
 
+def _ratio(x) -> tuple:
+    """The time x as ints (numerator, positive denominator).  An int or a
+    Fraction is read as it is; any other value but a bool goes through
+    `Fraction()`, which raises ValueError or OverflowError for a string
+    that is no rational or an infinite or NaN float."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    if isinstance(x, bool):
+        raise ValueError(f"{x} is a bool, not a number")
+    f = Fraction(x)
+    return f.numerator, f.denominator
+
+
 class MatchSet:
     """The rows of a segment stream, one batch per segment.
 
@@ -130,13 +149,13 @@ class MatchSet:
 
     def __init__(self, semiring: Semiring):
         self.semiring = semiring
-        self._ends: list = []  # increasing segment ends b_k
+        self._ends: list = []  # increasing segment ends b_k, as int pairs (num, den)
         self._batches: list = []  # rows with t' in (b_{k-1}, b_k]
 
     @property
     def horizon(self) -> Fraction:
         """The end of the last batch: no query may end past it."""
-        return self._ends[-1] if self._ends else Fraction(0)
+        return Fraction(*self._ends[-1]) if self._ends else Fraction(0)
 
     def __len__(self) -> int:
         return sum(map(len, self._batches))
@@ -147,7 +166,7 @@ class MatchSet:
         end = Fraction(end)
         if not end > self.horizon:
             raise ValueError(f"batch end {end} is not past the horizon {self.horizon}")
-        self._ends.append(end)
+        self._ends.append((end.numerator, end.denominator))
         self._batches.append(tuple(rows))
 
     def pieces(self) -> list:
@@ -157,32 +176,60 @@ class MatchSet:
     def query(self, t, t_prime):
         """Fold every region containing the point (t, t'), which must not
         end past the horizon: later segments may still match there."""
+        ends = self._ends
         try:
-            t, t_prime = Fraction(t), Fraction(t_prime)
-            inside = 0 <= t < t_prime <= self.horizon
-        except (OverflowError, ValueError):  # an infinite or NaN time
+            (tn, td), (pn, pd) = _ratio(t), _ratio(t_prime)
+        except (OverflowError, ValueError):  # a bool, infinite or NaN time
             inside = False
+        else:
+            # the window as a / q, b / q
+            q = math.lcm(td, pd)
+            a, b = tn * (q // td), pn * (q // pd)
+            hn, hd = ends[-1] if ends else (0, 1)
+            inside = 0 <= a < b and b * hd <= hn * q
         if not inside:
             raise ValueError(f"need 0 <= t < t' <= {self.horizon}, got ({t}, {t_prime})")
-        # the batch whose interval (b_{k-1}, b_k] holds t', right end included
-        batch = self._batches[bisect_left(self._ends, t_prime)]
-        # the window as a / q, b / q; a row's bounds count units of 1 / den
-        q = math.lcm(t.denominator, t_prime.denominator)
-        a = t.numerator * (q // t.denominator)
-        b = t_prime.numerator * (q // t_prime.denominator)
-        return self.semiring.big_oplus(
-            p.value for p in batch if zn.contains(p.region, (a * p.den, b * p.den), q)
-        )
+        # the batch whose interval (b_{k-1}, b_k] holds t', right end
+        # included: the first end n / d with b / q <= n / d
+        lo, hi = 0, len(ends) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            n, d = ends[mid]
+            if b * d <= n * q:
+                hi = mid
+            else:
+                lo = mid + 1
+        # zone.contains unrolled over a region's six off-diagonal entries:
+        # in units of a row's bounds, t = a * den / q and t' = b * den / q,
+        # and c_i - c_j meets the entry e iff 2(c_i - c_j) * q < (e & -2) *
+        # q + (e & 1), where x and y are 2t * q and 2t' * q.  Entries 1 and
+        # 2 bound -t and -t', which no zone leaves unbounded.
+        inf = zn.INF
+        a2, b2 = 2 * a, 2 * b
+        hits = []
+        for p in self._batches[lo]:
+            _, e1, e2, e3, _, e5, e6, e7, _ = p.region
+            x, y = a2 * p.den, b2 * p.den
+            if (
+                -x < (e1 & -2) * q + (e1 & 1)
+                and -y < (e2 & -2) * q + (e2 & 1)
+                and (e3 is inf or x < (e3 & -2) * q + (e3 & 1))
+                and (e6 is inf or y < (e6 & -2) * q + (e6 & 1))
+                and (e5 is inf or x - y < (e5 & -2) * q + (e5 & 1))
+                and (e7 is inf or y - x < (e7 & -2) * q + (e7 & 1))
+            ):
+                hits.append(p.value)
+        return self.semiring.big_oplus(hits)
 
     def export_grid(self, stream, delta) -> None:
         """Tab-separated t, t', value samples on a delta grid."""
         try:
-            delta = Fraction(delta)
-            positive = delta > 0
-        except (OverflowError, ValueError):  # an infinite or NaN spacing
-            positive = False
-        if not positive:
+            num, den = _ratio(delta)
+        except (OverflowError, ValueError):  # a bool, infinite or NaN spacing
+            num = 0
+        if num <= 0:
             raise ValueError("delta must be positive")
+        delta = Fraction(num, den)
         stream.write("t\tt'\tvalue\n")
         n = int(self.horizon / delta)
         times = [i * delta for i in range(n + 1)]

@@ -26,7 +26,9 @@ its zone was computed at beside it (`matchset.MatchPiece.den`).  A
 point is int numerators over one positive int denominator:
 `contains(z, (x_1, ..., x_m), d)` tests the clock values x_k / d in
 units of z's bounds, with int arithmetic alone, so a caller converts a
-rational point once and tests it against many zones.
+rational point once and tests it against many zones.  `contains` is the
+general n-clock kernel; `matchset.MatchSet.query`'s row test specialises
+it to 3x3 regions, unrolled over their six off-diagonal entries.
 
 `matrix(z)` decodes a zone into rows of `(value, strict)` pairs (value
 an int, or `INF`) for readers outside the kernel; no operation here

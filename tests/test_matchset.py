@@ -310,3 +310,116 @@ def test_query_reads_bounds_over_the_piece_denominator():
     assert ms.query(2, 6) == 3.0
     assert ms.query(Fraction(1, 2), 4) == 3.0
     assert ms.query(4, 6) == -INF
+
+
+def test_query_on_row_bounds_equals_decoded_fold():
+    """Points on a row's bounds, and a quarter unit to either side, with
+    weak and strict bounds on t, t' and t' - t, some uppers absent, and
+    rows at two time scales in one batch: `query` folds the rows whose
+    decoded regions hold the point, as `zone.contains` decides them."""
+    rng = random.Random(42)
+    horizon = 8
+    quarter = Fraction(1, 4)
+    # x_i - x_j <= cap bounds coordinate k (t, t' or t' - t) by sign * cap
+    coords = {(1, 0): (0, 1), (0, 1): (0, -1), (2, 0): (1, 1), (0, 2): (1, -1),
+              (2, 1): (2, 1), (1, 2): (2, -1)}
+
+    def interval(lo_max, hi_max):
+        lo = rng.randint(0, lo_max)
+        return lo, INF if rng.random() < 0.25 else rng.randint(lo, hi_max)
+
+    on_bound = checked = matched = 0
+    for _ in range(10):
+        rows = []
+        for den in rng.sample((1, 2, 3, 4, 5), 2) * 4:
+            span = horizon * den
+            (lo, hi), (plo, phi), (dlo, dhi) = (
+                interval(span // 2, span), interval(span, span), interval(span // 2, span)
+            )
+            s = [rng.random() < 0.5 for _ in range(6)]
+            region = make(TT, [
+                (0, 1, -lo, s[0]), (1, 0, hi, s[1]),
+                (0, 2, -plo, s[2]), (2, 0, phi, s[3]),
+                (1, 2, -dlo, s[4]), (2, 1, dhi, s[5]),
+                (1, 2, 0, True),  # t < t'
+            ])
+            if region is not None:
+                rows.append(MatchPiece(region, float(rng.randint(-9, 9)), den))
+        ms = MatchSet(SUPINF)
+        ms.insert(horizon, rows)
+        decoded = [(caps(p), p.value) for p in rows]
+        marks = [set(), set(), set()]  # the finite bounds of each coordinate
+        for p in rows:
+            for i, j, cap, _ in caps(p):
+                if (i, j) in coords:
+                    k, sign = coords[i, j]
+                    marks[k].add(sign * cap)
+        near = [{m + d for m in marked for d in (-quarter, 0, quarter)} for marked in marks]
+        points = {(t, tp) for t in near[0] for tp in near[1]}
+        points |= {(t, t + d) for t in near[0] for d in near[2]}
+        points |= {(tp - d, tp) for tp in near[1] for d in near[2]}
+        for t, tp in sorted(points):
+            if not 0 <= t < tp <= horizon:
+                continue
+            on_bound += t in marks[0] or tp in marks[1] or tp - t in marks[2]
+            want = fold_at(SUPINF, decoded, t, tp)
+            q = math.lcm(t.denominator, tp.denominator)
+            kernel = SUPINF.big_oplus(
+                p.value for p in rows
+                if zn.contains(p.region, (int(t * q) * p.den, int(tp * q) * p.den), q)
+            )
+            got = ms.query(t, tp)
+            assert got == want == kernel, (t, tp)
+            checked += 1
+            matched += got != SUPINF.zero
+    assert on_bound > 1000 and matched > 1000 and checked > matched
+
+
+def test_query_reads_times_as_fraction_does_and_rejects_bools():
+    ms = MatchSet(SUPINF)
+    ms.insert(4, [
+        piece(3.0, 0, 1, Fraction(1, 2), 4, strict=(False, True, False, False)),
+        piece(5.0, Fraction(1, 2), 2, 1, Fraction(7, 2)),
+    ])
+    windows = [
+        (0, 1), (1, 3), (Fraction(1, 2), Fraction(7, 2)), ("1/2", "7/2"),
+        (0.5, 3.5), ("0.5", 2), (0.25, Fraction(3, 4)), ("1", "4"),
+    ]
+    values = set()
+    for t, tp in windows:
+        want = ms.query(Fraction(t), Fraction(tp))
+        assert ms.query(t, tp) == want == fold_at(
+            SUPINF, [(caps(p), p.value) for p in ms.pieces()], t, tp
+        ), (t, tp)
+        values.add(want)
+    assert values == {-INF, 3.0, 5.0}
+    # the message names the arguments as they were given
+    for t, tp in [(True, 2), (False, 2), (0, True), (0.5, 5), ("1/2", "9/2")]:
+        with pytest.raises(ValueError, match=rf"^need 0 <= t < t' <= 4, got \({t}, {tp}\)$"):
+            ms.query(t, tp)
+    for delta in (True, False):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            ms.export_grid(io.StringIO(), delta)
+    grids = set()
+    for delta in (1, Fraction(1, 2), "1/2", 0.5):
+        out = io.StringIO()
+        ms.export_grid(out, delta)
+        grids.add(out.getvalue())
+    assert len(grids) == 2
+
+
+def test_int_and_fraction_windows_build_and_compare_no_fraction(monkeypatch):
+    ms = MatchSet(SUPINF)
+    ms.insert(2, [piece(3.0, 0, 1, Fraction(1, 2), 2)])
+    ms.insert(Fraction(9, 2), [
+        piece(5.0, Fraction(1, 2), 2, 2, 4, strict=(False, False, True, False)),
+    ])
+    windows = [(Fraction(1, 4), 1), (1, Fraction(7, 2)), (0, 2), (Fraction(1, 2), Fraction(9, 2))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction built, compared or computed with")
+
+    for name in ("__new__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                 "__add__", "__sub__", "__mul__", "__truediv__", "__floordiv__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    assert [ms.query(t, tp) for t, tp in windows] == [3.0, 5.0, 3.0, -INF]

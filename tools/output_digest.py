@@ -7,7 +7,10 @@ imports `quantimatch` from SRC_DIR (a checkout's `src`) and runs
 process on seeded random signals with p/q durations, q <= 3, under all
 three semiring/cost pairings.  The `fine-scale` line runs the overshoot
 spec on signals whose durations have q in {4, 5, 8}, so bounds print as
-2- and 3-digit decimals and the time scale grows mid-stream.  It prints
+2- and 3-digit decimals and the time scale grows mid-stream.  The
+`fine-grid` line runs the overshoot spec on those signals under
+`grid --grid 1/8` and `query --query 1/8 5/4` only, so many queried
+points lie exactly on a region's bounds.  It prints
 one line per spec: the number of stdout lines and a sha256 over every
 run's stdout and exit code.  A change that must keep the output's bytes
 is checked by running this on the source trees before and after it:
@@ -98,6 +101,10 @@ COMMANDS = (
     ("query", "--query", "1", "7/2"),
     ("tracevalue",),
 )
+FINE_COMMANDS = (
+    ("grid", "--grid", "1/8"),
+    ("query", "--query", "1/8", "5/4"),
+)
 STREAMS = 6
 SEGMENTS = 12
 
@@ -135,10 +142,11 @@ def main(argv=None) -> int:
     rng = random.Random(1)
     coarse = [signal_text(rng, coarse_duration) for _ in range(STREAMS)]
     fine = [signal_text(rng, fine_duration) for _ in range(STREAMS)]
-    runs = [(name, spec, coarse) for name, spec in SPECS.items()]
-    runs.append(("fine-scale", OVERSHOOT, fine))
+    runs = [(name, spec, coarse, COMMANDS) for name, spec in SPECS.items()]
+    runs.append(("fine-scale", OVERSHOOT, fine, COMMANDS))
+    runs.append(("fine-grid", OVERSHOOT, fine, FINE_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec, signals in runs:
+        for name, spec, signals, commands in runs:
             path = os.path.join(tmp, f"{name}.tsa")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(spec)
@@ -146,7 +154,7 @@ def main(argv=None) -> int:
             lines = 0
             for text in signals:
                 for semiring, cost in PAIRINGS:
-                    for command in COMMANDS:
+                    for command in commands:
                         args = [command[0], "--spec", path, "--semiring", semiring,
                                 "--cost", cost, *command[1:]]
                         out = io.StringIO()

@@ -16,10 +16,11 @@ boundary and onto the boundary itself, and each state it waits into
 fires at once, since its recorded value sequence is nonempty.  Waiting
 is strictly positive, so a fired state can never refire at the same
 instant; one fired at the boundary is carried and waits in the next
-segment.  `zone.elapse` gives both waiting targets at once: a waiting
-state's time clock lies below the current boundary, so each target
-differs from its source only in its absolute bounds (row 0 and column
-0), which elapse rewrites in one O(n) pass over each.
+segment.  One call of the context's elapse kernel (`zone.elapse_kernel`)
+gives both waiting targets: a waiting state's time clock lies below the
+current boundary, so each target differs from its source only in its
+absolute bounds (row 0 and column 0), which the kernel rewrites with
+O(n) fixed-index int operations.
 
 Whether a state can still reach acceptance is decided once per
 automaton.  Waiting and resets never lower a clock's floor again, so
@@ -33,12 +34,15 @@ Automata", TACAS 2004).  A state waits only at a location that has a
 cap vector, and a carried entry is kept only if its floors lie at or
 under one of its location's.
 
-A move fires in two steps, both compiled once per `EngineContext`: its
-guard, kept as encoded bounds that `zone.constrain` takes as they are,
-and one index gather (`zone.gather`) that resets its clocks and frees
-those dead at its target.  Only the guard bounds and the caps depend
-on the time scale, so a rescale recomputes those alone
-(`EngineContext.set_scale`).
+A move fires by one call of its fire kernel (`zone.fire_kernel`): its
+guard's tightenings unrolled, then one tuple display that resets its
+clocks and frees those dead at its target (`zone.gather`).  Kernels
+are compiled once per automaton shape and cached process-wide, keyed on
+ints alone, so a second context on the same automaton, or on one that
+differs only in guard constants, compiles nothing.  Only the guard
+bounds and the caps depend on the time scale, and the bounds are
+arguments of the kernel's factory, so a rescale computes those and
+closes over the new bounds (`EngineContext.set_scale`).
 
 The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
@@ -140,21 +144,17 @@ class EngineContext:
             loc: tuple(idx[c] for c in a.clocks if c not in used and c not in keep)
             for loc, used in live.items()
         }
-        # location -> its moves as in `out`, but with the guard atoms
-        # (clock index, op, unscaled constant); a move's resets and
-        # freeing are one gather, None when it has neither
+        # location -> its moves as (target, guard atoms (clock index,
+        # op, unscaled constant), the factory of its fire kernel)
         n = len(self.clock_names) + 1
+        self.elapse = zn.elapse_kernel(n, self.t_index)
         self._moves = {l.name: [] for l in a.locations}
         for tr in a.transitions:
-            resets = tuple(idx[c] for c in tr.resets)
-            dead = self.dead[tr.target]
-            get, pad = zn.gather(n, resets, dead) if resets or dead else (None, ())
-            self._moves[tr.source].append((
-                tr.target,
-                # guard constants are integers, as WeightedAutomaton checks
-                tuple((idx[at.var], at.op, int(at.const)) for at in tr.guard),
-                get, pad,
-            ))
+            # guard constants are integers, as WeightedAutomaton checks
+            atoms = tuple((idx[at.var], at.op, int(at.const)) for at in tr.guard)
+            indices = zn.gather(n, (idx[c] for c in tr.resets), self.dead[tr.target])
+            positions = tuple(zn.guard_bound(i, op, k)[:2] for i, op, k in atoms)
+            self._moves[tr.source].append((tr.target, atoms, zn.fire_kernel(n, positions, indices)))
         self.set_scale(scale)
         # the location graph's strongly connected components in
         # topological order, each flagged cyclic when a transition stays
@@ -170,17 +170,16 @@ class EngineContext:
         caps depend on it.
 
         `out` maps each location to its moves, in transition order, as
-        (target, guard bounds (i, j, b) for `zone.constrain` at this
-        scale, get, pad): a guarded zone z fires into `get(z + pad)`,
-        with the resets done and the target's dead clocks freed, or into
-        z itself when `get` is None (`zone.gather`)."""
+        (target, fire): `fire(z)` is the zone z fires into, guarded at
+        this scale, with the resets done and the target's dead clocks
+        freed, or None when the guard empties z (`zone.fire_kernel`)."""
         self.scale = scale
         self.caps = {loc: tuple(tuple(c * scale for c in vec) for vec in vecs)
                      for loc, vecs in self._caps.items()}
         self.out = {
             loc: tuple(
-                (target, tuple(zn.guard_bound(i, op, k * scale) for i, op, k in atoms), *rest)
-                for target, atoms, *rest in moves
+                (target, factory(*(zn.guard_bound(i, op, k * scale)[2] for i, op, k in atoms)))
+                for target, atoms, factory in moves
             )
             for loc, moves in self._moves.items()
         }
@@ -375,8 +374,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     zero = sr.zero
     audit = ctx.audit
     scale = ctx.scale
-    constrain = zn.constrain
-    elapse = zn.elapse
+    elapse = ctx.elapse
     t = ctx.t_index
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     appended = (values,)
@@ -397,7 +395,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
                     if z[t] == pinned:  # only an arrival can be
                         out[EMPTY_SEQ][z] = d
                     elif waits:
-                        for z2 in elapse(z, t, prev, cur):
+                        for z2 in elapse(z, prev, cur):
                             if z2 is not None:
                                 old = grp.get(z2)
                                 grp[z2] = d if old is None else oplus(old, d)
@@ -414,13 +412,10 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
                     if w == zero:
                         continue
                     dw = otimes(d, w)
-                    for target, bounds, get, pad in ctx.out[loc]:
-                        z3 = z2
-                        for i, j, b in bounds:
-                            z3 = constrain(z3, i, j, b)
+                    for target, fire in ctx.out[loc]:
+                        z3 = fire(z2)
                         if z3 is None:
                             continue
-                        z3 = z3 if get is None else get(z3 + pad)
                         arr = fired[target]
                         old = arr.get(z3)
                         arr[z3] = dw if old is None else oplus(old, dw)
@@ -464,7 +459,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
             if grp is None:
                 grp = waited[loc][seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
             ids, w = grp
-            for z2 in elapse(z, t, prev, cur):
+            for z2 in elapse(z, prev, cur):
                 if z2 is None:
                     continue
                 j = ids.get(z2)
@@ -476,13 +471,10 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
                 edges.append((i, j, sr.one))
                 if w == zero:
                     continue
-                for target, bounds, get, pad in ctx.out[loc]:
-                    z3 = z2
-                    for i3, j3, b in bounds:
-                        z3 = constrain(z3, i3, j3, b)
+                for target, fire in ctx.out[loc]:
+                    z3 = fire(z2)
                     if z3 is None:
                         continue
-                    z3 = z3 if get is None else get(z3 + pad)
                     if target not in locs:
                         leaving.append((j, w, target, z3))
                         continue

@@ -162,8 +162,9 @@ class MatchSet:
 
     def insert(self, end, rows) -> None:
         """Append the batch of rows for the segment ending at `end`,
-        which must lie past the horizon."""
-        end = Fraction(end)
+        which must lie past the horizon; a bool is rejected, as by
+        `query`."""
+        end = Fraction(*_ratio(end))
         if not end > self.horizon:
             raise ValueError(f"batch end {end} is not past the horizon {self.horizon}")
         self._ends.append((end.numerator, end.denominator))

@@ -50,12 +50,28 @@ guard bound and then one gather: resetting clocks and freeing them
 (forgetting all but c >= 0) only copy rows and columns, so any mix of
 both is one index map over the zone (`gather`), which `reset`
 applies too.
+
+Since n and every index in those steps are fixed once per automaton,
+both are compiled into straight-line kernels of fixed-index int
+arithmetic: `elapse_kernel(n, t)` unrolls `elapse`, and
+`fire_kernel(n, positions, indices)` unrolls a move's guard
+tightenings, at the (i, j) positions its bounds take, and its gather
+into one tuple display.  The bounds themselves are arguments of the
+factory a fire kernel is, so a rescale closes over new ones and
+compiles nothing.  Kernels are cached process-wide on those ints
+alone (n, t, index pairs, gather indices): automata of one shape share
+them, and no spec text enters generated source.  A kernel takes a
+nonempty canonical zone and skips what that makes known: row 0 and the
+diagonal are finite, and a tightening leaves its bound's row j and
+column i as they are.  `elapse` runs its kernel; `constrain` stays the
+generic operation.
 """
 
 from __future__ import annotations
 
+import functools
 from math import isqrt
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -142,15 +158,14 @@ def intersect_guard(z, atoms: Iterable[tuple]):
 
 
 def gather(n: int, resets: Iterable[int] = (), dead: Iterable[int] = ()) -> tuple:
-    """Reset the clocks `resets` of n x n zones, then free `dead`, as one index gather.
+    """Reset the clocks `resets` of n x n zones, then free `dead`, as one index map.
 
-    Returns (get, pad) with the result `get(z + pad)`.  Resetting a
-    clock copies row 0 and column 0 into its row and column; freeing
-    one fills its row with INF, read at index n*n of the padded z, and
-    copies column 0 into its column.  So each entry of the result is
-    one entry of z, or INF, and `pad` is `(INF,)` only when a clock is
-    freed.  Every diagonal entry reads z[0], which is 1 in every
-    nonempty canonical zone.
+    Returns the n*n indices `idx` with entry k of the result
+    `(z + (INF,))[idx[k]]`.  Resetting a clock copies row 0 and column
+    0 into its row and column; freeing one fills its row with INF, read
+    at index n*n, and copies column 0 into its column.  So each entry
+    of the result is one entry of z, or INF.  Every diagonal entry reads
+    z[0], which is 1 in every nonempty canonical zone.
     """
     resets = set(resets)
     dead = set(dead)
@@ -166,7 +181,7 @@ def gather(n: int, resets: Iterable[int] = (), dead: Iterable[int] = ()) -> tupl
                 idx.append(at[i] * n)
             else:
                 idx.append(at[i] * n + at[j])
-    return itemgetter(*idx), ((INF,) if dead else ())
+    return tuple(idx)
 
 
 def reset(z, indices: Iterable[int]):
@@ -174,8 +189,7 @@ def reset(z, indices: Iterable[int]):
     indices = tuple(indices)
     if z is None or not indices:
         return z
-    get, _ = gather(isqrt(len(z)), indices)
-    return get(z)
+    return tuple([z[k] for k in gather(isqrt(len(z)), indices)])
 
 
 def up(z):
@@ -209,52 +223,164 @@ def elapse(z, t: int, prev: int, cur: int) -> tuple:
     Returns (band, wall): `up(z)` restricted to prev < c_t < cur and to
     c_t = cur, i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
     `clamp_time(up(z), t, cur, cur)`.  Precondition: c_t < cur on z,
-    else ValueError.  The bounds the clamps add, c_t - 0 and 0 - c_t,
-    both meet row 0 and column 0, so every path they shorten runs
-    through there: both outputs are z with row 0 rewritten from row t
-    and column 0 from column t, filled together in one pass over each,
-    O(n) bound additions.  Since no point of z reaches cur, the strict
-    wait loses none, and no difference bound changes.
+    else ValueError.  Runs the kernel `elapse_kernel` compiles for z's
+    size and t.
     """
     if z is None:
         return z, z
-    n = isqrt(len(z))
+    return elapse_kernel(isqrt(len(z)), t)(z, prev, cur)
+
+
+def _compile(lines: list, name: str):
+    """Define the function `name` from generated source lines, built
+    from ints alone.  Its one global is `INF`, bound to this module's
+    sentinel itself, since entries are told apart by `is INF`: an equal
+    fresh infinity would pass every equality check and still break
+    `scale` and `decode`."""
+    namespace = {"INF": INF}
+    exec(compile("\n".join(lines) + "\n", f"<zone.{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _finite(n: int, k: int) -> bool:
+    """Entry k of every nonempty canonical n x n zone is finite: row 0
+    bounds -c_j, and clocks are nonnegative; the diagonal is 1."""
+    return k < n or k % (n + 1) == 0
+
+
+@functools.lru_cache(maxsize=256)
+def elapse_kernel(n: int, t: int):
+    """`elapse` for n x n zones and time clock t, unrolled: a function
+    `elapse(z, prev, cur)` of a nonempty canonical z.
+
+    The bounds the clamps add, c_t - 0 and 0 - c_t, both meet row 0 and
+    column 0, so every path they shorten runs through there: both
+    outputs are z with row 0 rewritten from row t and column 0 from
+    column t, O(n) bound additions.  Since no point of z reaches cur,
+    the strict wait loses none, and no difference bound changes.  Row t
+    is finite, as c_t < cur and row 0 bounds it.
+    """
+    a = [f"a{k}" for k in range(n * n)]
     tn = t * n
-    c2 = 2 * cur  # c_t < cur, and also the strict bound c_t - 0 < cur
-    if z[tn] > c2:
-        raise ValueError(f"clock {t} may reach the boundary {cur}")
-    p2 = 2 * prev
-    band = list(z)
-    wall = list(z)
-    # row 0: a lower bound turns strict on waiting (clocks are
-    # nonnegative, so row 0 is finite), then meets 0 - c_t < -prev
-    # (band) or <= -cur (wall) through row t
+    band, wall = a[:], a[:]
+    lines = [
+        "def elapse(z, prev, cur):",
+        f"    {', '.join(a)}, = z",
+        "    c2 = 2 * cur  # c_t < cur, and also the strict bound c_t - 0 < cur",
+        f"    if {a[tn]} > c2:",
+        f"        raise ValueError(f'clock {t} may reach the boundary {{cur}}')",
+        "    p2 = 2 * prev",
+    ]
+    # row 0: a lower bound turns strict on waiting, then meets
+    # 0 - c_t < -prev (band) or <= -cur (wall) through row t
     for j in range(1, n):
-        e = z[j] & -2
-        x = z[tn + j]
-        if x is INF:
-            band[j] = wall[j] = e
-        else:
-            lo = (x & -2) - p2
-            band[j] = lo if lo < e else e
-            lo = x - c2
-            wall[j] = lo if lo < e else e
+        band[j], wall[j] = f"b{j}", f"w{j}"
+        lines += [
+            f"    e = {a[j]} & -2",
+            f"    x = {a[tn + j]}",
+            "    lo = (x & -2) - p2",
+            f"    b{j} = lo if lo < e else e",
+            "    lo = x - c2",
+            f"    w{j} = lo if lo < e else e",
+        ]
     # column 0: c_i - 0 through column t, with c_t - 0 < cur (band) or
     # <= cur (wall)
     for i in range(n, n * n, n):
-        x = z[i + t]
-        if x is INF:
-            band[i] = wall[i] = INF
+        band[i], wall[i] = f"b{i}", f"w{i}"
+        x = a[i + t]
+        if _finite(n, i + t):
+            lines += [f"    b{i} = ({x} & -2) + c2", f"    w{i} = {x} + c2"]
         else:
-            band[i] = (x & -2) + c2
-            wall[i] = x + c2
+            lines += [
+                f"    if {x} is INF:",
+                f"        b{i} = w{i} = INF",
+                "    else:",
+                f"        b{i} = ({x} & -2) + c2",
+                f"        w{i} = {x} + c2",
+            ]
     # the only way back to 0 is column t, so test 0 -> t -> 0: row 0's
     # entry at t is even in the band and odd in the wall, so adding
     # the bound c_t - 0 (2cur, or 2cur + 1) is adding 2cur either way
-    return (
-        None if band[t] + c2 < 1 else tuple(band),
-        None if wall[t] + c2 < 1 else tuple(wall),
-    )
+    lines += [
+        "    return (",
+        f"        None if b{t} + c2 < 1 else ({', '.join(band)}),",
+        f"        None if w{t} + c2 < 1 else ({', '.join(wall)}),",
+        "    )",
+    ]
+    return _compile(lines, "elapse")
+
+
+def _tighten(n: int, i: int, j: int, b: str) -> list:
+    """Source lines of `constrain(z, i, j, b)` on the locals a0, a1, ...
+    of a nonempty canonical z, unrolled; they return None on emptiness.
+
+    Row j and column i keep their values, since the bound closes no
+    negative cycle, and so does the diagonal: those entries are neither
+    written nor tested, and the rest are updated in place."""
+    a = [f"a{k}" for k in range(n * n)]
+    ij, ji = i * n + j, j * n + i
+    guard = "" if _finite(n, ji) else "x is not INF and "
+    lines = [
+        f"if {a[ij]} > {b}:",
+        f"    x = {a[ji]}",
+        f"    if {guard}{b} + x - (({b} | x) & 1) < 1:",
+        "        return None",
+    ]
+    for p in range(n):
+        if p == j:
+            continue
+        pi = p * n + i
+        if p == i:  # the diagonal entry is 1, so the head is b itself
+            lines.append(f"    h = {b}")
+            pad = "    "
+        elif _finite(n, pi):
+            lines.append(f"    h = {a[pi]} + {b} - (({a[pi]} | {b}) & 1)")
+            pad = "    "
+        else:
+            lines += [
+                f"    h = {a[pi]}",
+                "    if h is not INF:",
+                f"        h = h + {b} - ((h | {b}) & 1)",
+            ]
+            pad = "        "
+        for k in range(n):
+            if k in (i, p):
+                continue
+            y, pk = a[j * n + k], a[p * n + k]
+            if k == j:  # h plus the diagonal entry 1 is h
+                lines.append(f"{pad}if h < {pk}: {pk} = h")
+            elif _finite(n, j * n + k):
+                lines += [f"{pad}c = h + {y} - ((h | {y}) & 1)",
+                          f"{pad}if c < {pk}: {pk} = c"]
+            else:
+                lines += [f"{pad}if {y} is not INF:",
+                          f"{pad}    c = h + {y} - ((h | {y}) & 1)",
+                          f"{pad}    if c < {pk}: {pk} = c"]
+    return lines
+
+
+@functools.lru_cache(maxsize=256)
+def fire_kernel(n: int, bounds: tuple, indices: tuple):
+    """A move's firing on n x n zones, unrolled: returns a factory that
+    takes one encoded bound per (i, j) pair of `bounds` and returns
+    `fire(z)`, the nonempty canonical z constrained by each bound in
+    turn (`constrain`), then gathered by `indices` (`gather`); None
+    when a bound empties it.  A later bound reads the zone an earlier
+    one tightened.  The factory builds a closure and compiles nothing,
+    so a move rescales at the cost of a call.
+    """
+    params = [f"b{m}" for m in range(len(bounds))]
+    lines = [f"def factory({', '.join(params)}):", "    def fire(z):"]
+    if not bounds and indices == tuple(range(n * n)):
+        lines.append("        return z")
+    else:
+        a = [f"a{k}" for k in range(n * n)] + ["INF"]  # index n*n reads INF
+        lines.append(f"        {', '.join(a[:-1])}, = z")
+        for (i, j), b in zip(bounds, params):
+            lines += ["        " + line for line in _tighten(n, i, j, b)]
+        lines.append(f"        return ({', '.join(a[k] for k in indices)},)")
+    lines.append("    return fire")
+    return _compile(lines, "factory")
 
 
 def project_match(z, t_idx: int, tp_idx: int):

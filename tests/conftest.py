@@ -261,5 +261,5 @@ def free(z, indices):
     The reference a move's gather is checked against."""
     if z is None or not indices:
         return z
-    get, pad = gather(isqrt(len(z)), (), indices)
-    return get(z + pad)
+    padded = z + (INF,)
+    return tuple([padded[k] for k in gather(isqrt(len(z)), (), indices)])

@@ -72,13 +72,36 @@ def _with_dead_branch(rng, a):
     return Automaton(a.variables, a.clocks, a.locations + (dead,), a.transitions + (into, loop))
 
 
-def moves_with_resets(ctx, loc):
-    """The compiled moves out of `loc`, each beside the indices of the
-    clocks its transition resets; `out` keeps transition order."""
-    trs = [tr for tr in ctx.automaton.transitions if tr.source == loc]
-    assert [tr.target for tr in trs] == [move[0] for move in ctx.out[loc]]
-    return [(move, tuple(ctx.clock_names.index(c) + 1 for c in tr.resets))
-            for move, tr in zip(ctx.out[loc], trs)]
+def reference_moves(ctx, loc):
+    """The moves out of `loc` in transition order, read from the
+    automaton rather than from the compiled tables: (target, guard
+    bounds (i, j, b) for `zone.constrain` at ctx's scale, indices of the
+    clocks the transition resets)."""
+    idx = {c: i for i, c in enumerate(ctx.clock_names, 1)}
+    return [
+        (tr.target,
+         tuple(zn.guard_bound(idx[at.var], at.op, int(at.const) * ctx.scale) for at in tr.guard),
+         tuple(idx[c] for c in tr.resets))
+        for tr in ctx.automaton.transitions if tr.source == loc
+    ]
+
+
+def reference_fire(ctx, move, z):
+    """The zone a reference move fires z into, by the generic zone
+    operations: `constrain` per guard bound, then `reset`, then `free`
+    of the clocks dead at its target."""
+    target, bounds, resets = move
+    for i, j, b in bounds:
+        z = zn.constrain(z, i, j, b)
+    return free(zn.reset(z, resets), ctx.dead[target])
+
+
+def moves_with_references(ctx, loc):
+    """The compiled moves out of `loc`, each beside its reference move;
+    `out` keeps transition order."""
+    refs = reference_moves(ctx, loc)
+    assert [ref[0] for ref in refs] == [move[0] for move in ctx.out[loc]]
+    return list(zip(ctx.out[loc], refs))
 
 
 def test_context_tables(wa_supinf):
@@ -86,20 +109,24 @@ def test_context_tables(wa_supinf):
     assert ctx.clock_names == ("c", "T")
     assert ctx.t_index == 2
     assert ctx.accepting == frozenset({"l2"})
-    # (target, guard bounds at scale 2) per location: c < 10 encodes as
+    # (target, guard bounds at scale 2) per location: c < 5 encodes as
     # c - 0 < 10, (1, 0, 20)
-    assert [move[:2] for move in ctx.out["l0"]] == [("l1", ((1, 0, 20),))]
-    assert [move[:2] for move in ctx.out["l1"]] == [("l2", ((1, 0, 40),))]
+    assert [move[:2] for move in reference_moves(ctx, "l0")] == [("l1", ((1, 0, 20),))]
+    assert [move[:2] for move in reference_moves(ctx, "l1")] == [("l2", ((1, 0, 40),))]
+    assert [move[0] for move in ctx.out["l0"] + ctx.out["l1"]] == ["l1", "l2"]
     assert ctx.out["l2"] == ()
     assert (1, 0, 20) == zn.guard_bound(1, "<", 10)
     assert ctx.dead == {"l0": (), "l1": (), "l2": (1,)}
-    # l0's move resets c and l1's frees it, dead at l2; the gather pads
-    # only where a clock is freed
-    assert [move[3] for move in ctx.out["l0"] + ctx.out["l1"]] == [(), (zn.INF,)]
+    # l0's move resets c and l1's frees it, dead at l2: the compiled
+    # moves cap c = T at 10 and 20 (strict, scale 2), then c is 0 or
+    # unbounded
     z = zn.point_zone(ctx.clock_names, 3)
     (into_l1,), (into_l2,) = ctx.out["l0"], ctx.out["l1"]
-    assert _fire(z, into_l1) == make(CT, [(1, 0, 0, False), (2, 0, 3, False), (0, 2, -3, False)])
-    assert _fire(z, into_l2) == make(CT, [(2, 0, 3, False), (0, 2, -3, False)])
+    assert into_l1[1](z) == make(CT, [(1, 0, 0, False), (2, 0, 3, False), (0, 2, -3, False)])
+    assert into_l2[1](z) == make(CT, [(2, 0, 3, False), (0, 2, -3, False)])
+    wide = make(CT, [(1, 2, 0, False), (2, 1, 0, False)])  # c = T
+    assert into_l1[1](wide) == make(CT, [(1, 0, 0, False), (2, 0, 10, True)])
+    assert into_l2[1](wide) == make(CT, [(2, 0, 20, True)])
 
 
 def test_dead_clock_table_of_the_overshoot(wa_supinf):
@@ -113,8 +140,8 @@ def test_dead_clock_table_of_the_overshoot(wa_supinf):
     z = make(ctx.clock_names, [(i, 0, 2, False) for i in (1, 2, 3)]
              + [(0, i, -1, False) for i in (1, 2, 3)])
     for loc in ctx.out:
-        for move, resets in moves_with_resets(ctx, loc):
-            assert _fire(z, move) == free(zn.reset(z, resets), ctx.dead[move[0]]), (loc, move[0])
+        for (target, fire), (_, _, resets) in moves_with_references(ctx, loc):
+            assert fire(z) == free(zn.reset(z, resets), ctx.dead[target]), (loc, target)
     # without the matcher's keep, T' would be dead everywhere
     assert all(2 in dead for dead in EngineContext(m._expanded).dead.values())
 
@@ -158,11 +185,18 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
             a = _with_dead_branch(rng, a)
         cases.append((a, random_signal(rng, max_segments=4)))
     elapsed = 0
+    real_init = EngineContext.__init__
 
-    def counting_elapse(*args):
-        nonlocal elapsed
-        elapsed += 1
-        return real_elapse(*args)
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        kernel = self.elapse
+
+        def counting_elapse(*args):
+            nonlocal elapsed
+            elapsed += 1
+            return kernel(*args)
+
+        self.elapse = counting_elapse
 
     def runs():
         out = []
@@ -172,14 +206,12 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
                 out.append([([format_piece(p) for p in m.feed(seg)], m._weight) for seg in sig])
         return out
 
-    real_elapse = zn.elapse
-    monkeypatch.setattr(zn, "elapse", counting_elapse)
+    monkeypatch.setattr(EngineContext, "__init__", counting_init)
     skipping = runs()
     skipping_elapsed, elapsed = elapsed, 0
-    real_init = EngineContext.__init__
 
     def waiting_everywhere(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
+        counting_init(self, *args, **kwargs)
         self.waits = frozenset(self.out)
 
     monkeypatch.setattr(EngineContext, "__init__", waiting_everywhere)
@@ -233,18 +265,8 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
     assert any(any(batch) for rows in with_free for batch in rows)
 
 
-def _fire(z, move):
-    """The zone a compiled move fires z into, as `_explore` computes it."""
-    _, bounds, get, pad = move
-    for i, j, b in bounds:
-        z = zn.constrain(z, i, j, b)
-    if z is None or get is None:
-        return z
-    return get(z + pad)
-
-
 def test_compiled_move_equals_public_ops():
-    """A move's guard bounds and gather give `free(reset(intersect_guard(
+    """A compiled move's fire kernel gives `free(reset(intersect_guard(
     z, atoms), resets), dead)` on random canonical zones with 1 to 3
     clocks besides T: every guard op, guards that empty the zone, and
     clocks both reset and dead at the target."""
@@ -266,7 +288,7 @@ def test_compiled_move_equals_public_ops():
         )
         scale = rng.randint(1, 3)
         ctx = EngineContext(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN), scale)
-        ((move, reset_idx),) = moves_with_resets(ctx, "l0")
+        (((_, fire), (_, _, reset_idx)),) = moves_with_references(ctx, "l0")
         dead = ctx.dead["l1"]
         assert dead == tuple(i for i, c in enumerate(clocks, 1) if c not in live)
         seen["reset_and_dead"] += bool(set(reset_idx) & set(dead))
@@ -280,7 +302,7 @@ def test_compiled_move_equals_public_ops():
         if z is None:
             continue
         want = free(zn.reset(zn.intersect_guard(z, guard), reset_idx), dead)
-        assert _fire(z, move) == want, (z, atoms, resets, dead)
+        assert fire(z) == want, (z, atoms, resets, dead)
         seen["emptied"] += want is None
     assert seen["emptied"] and seen["reset_and_dead"] and seen["ops"] == set(ops)
 
@@ -310,9 +332,10 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
     rest: the tables equal a fresh context's at the new scale."""
 
     def tables(ctx):
-        # an itemgetter has no value equality; compare its indices
+        # a fire kernel has no value equality; compare its code and bounds
         out = {
-            loc: [(*move[:2], move[2] and move[2].__reduce__(), move[3]) for move in moves]
+            loc: [(target, fire.__code__, [c.cell_contents for c in fire.__closure__ or ()])
+                  for target, fire in moves]
             for loc, moves in ctx.out.items()
         }
         return (ctx.scale, out, ctx.dead, ctx.waits, ctx.buckets, ctx.guarded,
@@ -325,6 +348,32 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
     assert m.scale == 12 and m._ctx is before
     fresh = EngineContext(m._expanded, 12, keep=(m._expanded.automaton.clocks[-1],))
     assert tables(m._ctx) == tables(fresh)
+
+
+def test_kernels_compile_once_per_shape(wa_supinf):
+    """Kernels are cached on shapes alone: a second matcher on the same
+    spec, a stream whose time scale grows and a spec that differs only
+    in guard constants compile nothing, as the caches' own counters
+    show."""
+
+    def compiled():
+        return zn.elapse_kernel.cache_info().misses + zn.fire_kernel.cache_info().misses
+
+    zn.elapse_kernel.cache_clear()
+    zn.fire_kernel.cache_clear()
+    m = OnlineMatcher(wa_supinf)
+    first = compiled()
+    assert first > 0
+    OnlineMatcher(wa_supinf)
+    assert compiled() == first
+    for duration in (Fraction(3, 2), Fraction(2, 3), Fraction(5, 4)):
+        m.feed(segment({"x": 7.0}, duration))
+    assert m.scale == 12 and compiled() == first
+    other = parse_automaton(OVERSHOOT_SPEC.replace("c < 5", "c < 3").replace("c < 10", "c < 7"))
+    assert other != wa_supinf.automaton
+    hits = zn.fire_kernel.cache_info().hits
+    OnlineMatcher(WeightedAutomaton(other, SUPINF, CostKind.MIN_MARGIN))
+    assert compiled() == first and zn.fire_kernel.cache_info().hits > hits
 
 
 def test_context_engine_clock_never_collides():
@@ -475,13 +524,13 @@ def _flat_explore(ctx, weight, values, prev, cur):
     zero = sr.zero
     audit = ctx.audit
     scale = ctx.scale
-    constrain = zn.constrain
     elapse = zn.elapse
     t = ctx.t_index
     at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     appended = (values,)
     arrived: dict = {loc: {} for loc in ctx.out}  # location -> state -> weight
+    moves = {loc: reference_moves(ctx, loc) for loc in ctx.out}
     for state, s in weight.items():
         arrived[state[0]][state] = s
     fired: dict = {}
@@ -509,7 +558,6 @@ def _flat_explore(ctx, weight, values, prev, cur):
                             old = waited.get(st2)
                             waited[st2] = d if old is None else oplus(old, d)
             label = ctx.labels[loc]
-            moves = ctx.out[loc]
             costs: dict = {}  # value sequence -> its cost at loc
             for st2, d in waited.items():
                 _, z2, seq2 = st2
@@ -523,14 +571,12 @@ def _flat_explore(ctx, weight, values, prev, cur):
                 if w == zero:
                     continue
                 dw = otimes(d, w)
-                for target, bounds, get, pad in moves:
-                    z3 = z2
-                    for i, j, b in bounds:
-                        z3 = constrain(z3, i, j, b)
+                for move in moves[loc]:
+                    z3 = reference_fire(ctx, move, z2)
                     if z3 is None:
                         continue
-                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
-                    arr = arrived[target]
+                    st3 = (move[0], z3, EMPTY_SEQ)
+                    arr = arrived[move[0]]
                     old = arr.get(st3)
                     arr[st3] = dw if old is None else oplus(old, dw)
             continue
@@ -564,14 +610,12 @@ def _flat_explore(ctx, weight, values, prev, cur):
                 w = costs[loc, seq2]
                 if w == zero:
                     continue
-                for target, bounds, get, pad in ctx.out[loc]:
-                    z3 = z2
-                    for i3, j3, b in bounds:
-                        z3 = constrain(z3, i3, j3, b)
+                for move in moves[loc]:
+                    z3 = reference_fire(ctx, move, z2)
                     if z3 is None:
                         continue
-                    st3 = (target, z3 if get is None else get(z3 + pad), EMPTY_SEQ)
-                    if target not in locs:
+                    st3 = (move[0], z3, EMPTY_SEQ)
+                    if move[0] not in locs:
                         leaving.append((j, w, st3))
                         continue
                     k = ids.setdefault(st3, len(states))
@@ -818,7 +862,7 @@ def _searched_prune(ctx, weight):
         stack = [(loc, floors)]
         while stack:
             loc, floors = stack.pop()
-            for (target, bounds, *_), resets in moves_with_resets(ctx, loc):
+            for target, bounds, resets in reference_moves(ctx, loc):
                 # an upper atom is (i, 0, b), with constant b >> 1
                 if any(not j and floors[pos[i]] > b >> 1 for i, j, b in bounds):
                     continue

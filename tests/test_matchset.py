@@ -82,6 +82,11 @@ def test_insert_rejects_an_end_not_past_the_horizon():
     r = piece(3.0, 0, 2, 1, 3)
     with pytest.raises(ValueError):
         ms.insert(0, [r])
+    # True would read as 1, past the empty set's horizon
+    for end in (True, False):
+        with pytest.raises(ValueError, match=f"^{end} is a bool, not a number$"):
+            ms.insert(end, [r])
+    assert ms.horizon == 0 and len(ms) == 0
     ms.insert(3, [r])
     for end in (3, Fraction(5, 2), -1):
         with pytest.raises(ValueError):

@@ -519,7 +519,7 @@ def test_every_operation_keeps_the_diagonal_at_one():
         n = t + 1
         i, j = rng.sample(range(n), 2)
         c = rng.randint(1, n - 1)
-        get, pad = zn.gather(n, (c,), (rng.randint(1, n - 1),))
+        fire = zn.fire_kernel(n, ((i, j),), zn.gather(n, (c,), (rng.randint(1, n - 1),)))
         produced = [
             z,
             canonicalize(z),
@@ -527,7 +527,7 @@ def test_every_operation_keeps_the_diagonal_at_one():
             zn.intersect_guard(z, [(c, rng.choice(ops), rng.randint(0, 6))]),
             zn.reset(z, (c,)),
             free(z, (c,)),
-            get(z + pad),
+            fire(rng.randint(-12, 16))(z),
             zn.up(z),
             zn.clamp_time(z, t, prev, cur, True, False),
             zn.scale(z, 3),
@@ -541,3 +541,36 @@ def test_every_operation_keeps_the_diagonal_at_one():
                 assert all(out[k * n + k] == 1 for k in range(n)), (z, out)
                 checked += 1
     assert checked > 1000
+
+
+def test_kernels_return_the_inf_sentinel_itself():
+    """Every infinite entry an elapse or fire kernel returns is `INF`
+    itself, since `scale`, `decode` and the match set tell it apart by
+    identity: an equal float infinity would pass every equality check.
+    Random canonical zones with n = 2..5, few constraints so that many
+    entries are INF, guards, resets and freed clocks."""
+    rng = random.Random(26)
+    ops = ("<", "<=", ">", ">=")
+    infinite = {"elapse": 0, "fire": 0}
+    for _ in range(1500):
+        k = rng.randint(0, 3)
+        n, t = k + 2, k + 1
+        clocks = ("a", "b", "c")[:k] + ("T",)
+        cur = rng.randint(1, 8)
+        prev = rng.randint(0, cur - 1)
+        z = make(clocks, random_constraints(rng, t, rng.randint(0, 3)) + [(t, 0, cur, True)])
+        if z is None:
+            continue
+        out = [*zn.elapse_kernel(n, t)(z, prev, cur)]
+        clock = rng.randint(1, n - 1)
+        bound = zn.guard_bound(clock, rng.choice(ops), rng.randint(0, 6))
+        resets = [c for c in range(1, n) if rng.random() < 0.3]
+        dead = [c for c in range(1, n) if rng.random() < 0.3]
+        fire = zn.fire_kernel(n, (bound[:2],), zn.gather(n, resets, dead))(bound[2])
+        out.append(fire(z))
+        for kind, w in zip(("elapse", "elapse", "fire"), out):
+            for e in w or ():
+                if e == zn.INF:
+                    assert e is zn.INF, (kind, z, w)
+                    infinite[kind] += 1
+    assert infinite["elapse"] > 1000 and infinite["fire"] > 1000

@@ -92,6 +92,16 @@ edge l3 -> l4 when c <= 12;
 edge l1 -> l5 reset {c};
 edge l5 -> l4 when c < -1;
 """,
+    # a guard that bounds c from below and above and d from below, so
+    # each of its tightenings reads the zone the one before it made
+    "chained-guard": """var x;
+clock c, d;
+location l0 init [x < 15];
+location l1 [x > 5];
+location l2 accept [true];
+edge l0 -> l1 when c < 5 reset {c};
+edge l1 -> l2 when c > 1 && c < 4 && d >= 2;
+""",
 }
 
 PAIRINGS = (("boolean", "b"), ("supinf", "r"), ("tropical", "t"))

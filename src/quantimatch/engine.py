@@ -5,9 +5,10 @@ time.  A state is a location, a clock zone and the value sequence
 recorded since its last transition; the table maps each to a semiring
 value, grouped as {location: {value sequence: {zone: value}}}, so each
 sequence is stored, extended and costed once per group, and a state
-costs one zone-keyed dict operation.  Time is rescaled so that every
-segment boundary is an integer; zone bounds then stay integral, keeping
-zone identity exact under hashing.
+costs one zone-keyed dict operation.  Time is rescaled whenever a
+segment's end needs it, so that every boundary so far is an integer;
+zone bounds then stay integral, keeping zone identity exact under
+hashing.
 
 Per segment the table unfolds into a finite move graph.  The states
 that wait are the entries and the states transitions fire into; each
@@ -38,11 +39,9 @@ A move fires by one call of its fire kernel (`zone.fire_kernel`): its
 guard's tightenings unrolled, then one tuple display that resets its
 clocks and frees those dead at its target (`zone.gather`).  Kernels
 are compiled once per automaton shape and cached process-wide, keyed on
-ints alone, so a second context on the same automaton, or on one that
-differs only in guard constants, compiles nothing.  Only the guard
-bounds and the caps depend on the time scale, and the bounds are
-arguments of the kernel's factory, so a rescale computes those and
-closes over the new bounds (`EngineContext.set_scale`).
+ints alone; guard bounds are arguments of a kernel's factory, so a
+rescale (`EngineContext.set_scale`) computes the bounds and caps anew
+and compiles nothing.
 
 The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
@@ -63,9 +62,13 @@ the ⊕ of theirs; the value sequences, the time clock and any clock the
 caller keeps (the matcher's match-start clock) are untouched, so every
 row and value stays the same.
 
-`trace_value` folds a whole signal; `OnlineMatcher` folds a stream and
-harvests the match set.  The whole-trace transition system the fold is
-checked against is built independently, in `oracle.py`.
+`trace_value` and `OnlineMatcher` run this one fold (`_Fold`): per
+segment it rescales, weighs and prunes.  `trace_value` reads the
+accepting states fired into at the signal's end, not the carried table,
+from which the prune drops the states of an accepting sink;
+`OnlineMatcher` re-seeds a start copy at each boundary and harvests the
+match set.  The whole-trace construction the fold is checked against is
+built independently, in `oracle.py`.
 """
 
 from __future__ import annotations
@@ -503,35 +506,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     return {loc: zs for loc, zs in fired.items() if zs}, final
 
 
-def initial_weight(ctx: EngineContext) -> dict:
-    z0 = zn.point_zone(ctx.clock_names, 0)
-    return {l.name: {EMPTY_SEQ: {z0: ctx.semiring.one}} for l in ctx.automaton.initial_locations}
-
-
-def time_scale(sig: Signal) -> int:
-    """Smallest integer multiplier that makes every boundary integral."""
-    return math.lcm(*(b.denominator for b in sig.boundaries))
-
-
-def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
-    """Aggregate weight of the accepting runs over the whole signal."""
-    if len(sig) == 0:
-        raise EvaluationError("empty signal")
-    ctx = EngineContext(wa, time_scale(sig), audit)
-    weight = initial_weight(ctx)
-    prev = 0
-    for seg, bound in zip(sig.segments, sig.boundaries[1:]):
-        cur = int(bound * ctx.scale)
-        weight = _explore(ctx, weight, seg.values, prev, cur)[1]
-        prev = cur
-    return ctx.semiring.big_oplus(
-        s
-        for loc, groups in weight.items()
-        if loc in ctx.accepting
-        for s in groups.get(EMPTY_SEQ, {}).values()
-    )
-
-
 def _prune(ctx: EngineContext, weight: dict) -> dict:
     """Drop entries that can never contribute another accepting state:
     those whose floors on the guarded clocks lie under none of their
@@ -554,7 +528,63 @@ def _prune(ctx: EngineContext, weight: dict) -> dict:
     return out
 
 
-class OnlineMatcher:
+class _Fold:
+    """The one online fold: a weight table carried from boundary to
+    boundary, seeded with one state at each of `locations`, every clock
+    0.  `_carry` picks what the states pinned at a boundary carry on."""
+
+    def __init__(self, ctx: EngineContext, locations):
+        self._ctx = ctx
+        z0 = zn.point_zone(ctx.clock_names, 0)
+        self._weight: dict = {loc: {EMPTY_SEQ: {z0: ctx.semiring.one}} for loc in locations}
+        self._elapsed = Fraction(0)
+
+    @property
+    def scale(self) -> int:
+        return self._ctx.scale
+
+    @property
+    def elapsed(self) -> Fraction:
+        return self._elapsed
+
+    def _step(self, seg: Segment) -> dict:
+        """Fold one segment, on a finer time scale if its end needs one,
+        prune what `_carry` keeps and return the fired states."""
+        ctx = self._ctx
+        end = self._elapsed + seg.duration
+        scale = math.lcm(ctx.scale, end.denominator)
+        if scale != ctx.scale:
+            f = scale // ctx.scale
+            self._weight = {
+                loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
+                for loc, groups in self._weight.items()
+            }
+            ctx.set_scale(scale)
+        cur = int(end * scale)
+        fired, final = _explore(ctx, self._weight, seg.values, int(self._elapsed * scale), cur)
+        self._weight = _prune(ctx, self._carry(final, cur))
+        self._elapsed = end
+        return fired
+
+    def _carry(self, final: dict, cur: int) -> dict:
+        return final
+
+
+def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
+    """Aggregate weight of the accepting runs over the whole signal: the
+    ⊕ of the accepting states fired into at its end."""
+    if len(sig) == 0:
+        raise EvaluationError("empty signal")
+    ctx = EngineContext(wa, 1, audit)
+    fold = _Fold(ctx, (l.name for l in ctx.automaton.initial_locations))
+    for seg in sig:
+        fired = fold._step(seg)
+    t, pinned = ctx.t_index, 1 - 2 * int(sig.duration * ctx.scale)  # entry (0, T) at T = end
+    return ctx.semiring.big_oplus(w for loc, zs in fired.items() if loc in ctx.accepting
+                                  for z, w in zs.items() if z[t] == pinned)
+
+
+class OnlineMatcher(_Fold):
     """Incremental match-set computation over a segment stream.
 
     The automaton is wrapped with a fresh start location that records
@@ -563,10 +593,8 @@ class OnlineMatcher:
     rows, final since they end after the previous boundary.  A region
     with t' = t is no window and is dropped.  Each segment's
     rows, at the current time scale, are one batch of `matchset`.
-    Between segments the weight table keeps only states pinned at the
-    latest boundary.
-    A fresh start copy is re-seeded there (older copies can produce
-    nothing new) and dead entries are discarded.
+    At each boundary a fresh start copy is seeded in place of the
+    carried ones, which can produce nothing new.
     """
 
     def __init__(self, wa: WeightedAutomaton, audit=None):
@@ -575,18 +603,13 @@ class OnlineMatcher:
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
         self._start = expanded.locations[-1].name
         self._tp_index = len(wa.automaton.clocks) + 1
-        self.scale = 1
+        # the start location's hand-off needs a positive dwell, so the
+        # initial locations are seeded too, for matches starting at 0;
         # the projection reads the match-start clock, so it is never freed
-        self._ctx = EngineContext(self._expanded, 1, audit, (expanded.clocks[-1],))
-        self._elapsed = Fraction(0)
+        super().__init__(EngineContext(self._expanded, 1, audit, (expanded.clocks[-1],)),
+                         (self._start, *(l.name for l in wa.automaton.initial_locations)))
         self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
-        z0 = zn.point_zone(self._ctx.clock_names, 0)
-        self._weight: dict = {self._start: {EMPTY_SEQ: {z0: wa.semiring.one}}}
-        for l in wa.automaton.initial_locations:
-            # matches starting at time 0 exactly cannot come out of the
-            # start location, whose hand-off needs a positive dwell
-            self._weight[l.name] = {EMPTY_SEQ: {z0: wa.semiring.one}}
 
     def feed(self, seg: Segment) -> list:
         """Consume one segment; return the rows it adds to the match set
@@ -594,20 +617,7 @@ class OnlineMatcher:
         them.  Every segment must carry the variable set of the first one."""
         self._names = check_variables(seg, self._names)
         sr = self.semiring
-        new_end = self._elapsed + seg.duration
-        s2 = math.lcm(self.scale, new_end.denominator)
-        if s2 != self.scale:
-            f = s2 // self.scale
-            self._weight = {
-                loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
-                for loc, groups in self._weight.items()
-            }
-            self.scale = s2
-            self._ctx.set_scale(s2)
-        prev = int(self._elapsed * self.scale)
-        cur = int(new_end * self.scale)
-
-        fired, final = _explore(self._ctx, self._weight, seg.values, prev, cur)
+        fired = self._step(seg)
         rows: dict = {}  # integer-scale region -> value
         for loc, zs in fired.items():
             if loc not in self._ctx.accepting:
@@ -618,20 +628,17 @@ class OnlineMatcher:
                     continue
                 rows[region] = sr.oplus(rows[region], w) if region in rows else w
         pieces = [
-            MatchPiece(region, rows[region], self.scale)
+            MatchPiece(region, rows[region], self._ctx.scale)
             for region in sorted(rows, key=zone_sort_key)
         ]
-        self.matchset.insert(new_end, pieces)
-
-        weight = {loc: groups for loc, groups in final.items() if loc != self._start}
-        weight[self._start] = {EMPTY_SEQ: {zn.point_zone(self._ctx.clock_names, cur): sr.one}}
-        self._weight = _prune(self._ctx, weight)
-        self._elapsed = new_end
+        self.matchset.insert(self._elapsed, pieces)
         return pieces
 
-    @property
-    def elapsed(self) -> Fraction:
-        return self._elapsed
+    def _carry(self, final: dict, cur: int) -> dict:
+        weight = {loc: groups for loc, groups in final.items() if loc != self._start}
+        z = zn.point_zone(self._ctx.clock_names, cur)
+        weight[self._start] = {EMPTY_SEQ: {z: self.semiring.one}}
+        return weight
 
     def footprint(self) -> int:
         """Entries retained plus their recorded sequence elements."""

@@ -128,15 +128,18 @@ def format_piece(piece: MatchPiece) -> str:
 def _ratio(x) -> tuple:
     """The time x as ints (numerator, positive denominator).  An int or a
     Fraction is read as it is; any other value but a bool goes through
-    `Fraction()`, which raises ValueError or OverflowError for a string
-    that is no rational or an infinite or NaN float."""
+    `Fraction()`.  A bool, an infinite or NaN float and a string that is
+    no rational, "1/0" among them, raise ValueError."""
     if type(x) is int:
         return x, 1
     if type(x) is Fraction:
         return x.numerator, x.denominator
     if isinstance(x, bool):
         raise ValueError(f"{x} is a bool, not a number")
-    f = Fraction(x)
+    try:
+        f = Fraction(x)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{x} is not a finite rational") from None
     return f.numerator, f.denominator
 
 
@@ -162,8 +165,8 @@ class MatchSet:
 
     def insert(self, end, rows) -> None:
         """Append the batch of rows for the segment ending at `end`,
-        which must lie past the horizon; a bool is rejected, as by
-        `query`."""
+        which must lie past the horizon; a bool or a non-finite end is
+        rejected, as by `query`."""
         end = Fraction(*_ratio(end))
         if not end > self.horizon:
             raise ValueError(f"batch end {end} is not past the horizon {self.horizon}")
@@ -180,7 +183,7 @@ class MatchSet:
         ends = self._ends
         try:
             (tn, td), (pn, pd) = _ratio(t), _ratio(t_prime)
-        except (OverflowError, ValueError):  # a bool, infinite or NaN time
+        except ValueError:  # a bool, infinite or NaN time
             inside = False
         else:
             # the window as a / q, b / q
@@ -226,7 +229,7 @@ class MatchSet:
         """Tab-separated t, t', value samples on a delta grid."""
         try:
             num, den = _ratio(delta)
-        except (OverflowError, ValueError):  # a bool, infinite or NaN spacing
+        except ValueError:  # a bool, infinite or NaN spacing
             num = 0
         if num <= 0:
             raise ValueError("delta must be positive")

@@ -10,6 +10,7 @@ over exact rationals.  Intended for small inputs in tests.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +95,11 @@ def symbolic_successors(ctx: engine.EngineContext, state: tuple, bounds, vals):
     return moves
 
 
+def time_scale(sig: Signal) -> int:
+    """Smallest integer multiplier that makes every boundary integral."""
+    return math.lcm(*(b.denominator for b in sig.boundaries))
+
+
 @dataclass
 class ReachableGraph:
     nodes: dict  # state -> aggregated weight of paths from the initial states
@@ -107,12 +113,13 @@ class ReachableGraph:
 def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> ReachableGraph:
     """The whole-trace transition system, for inspection and checking.
 
-    State count grows quickly with trace length; this is meant for
-    small inputs, while `trace_value` folds segment by segment.
+    Time is scaled once (`time_scale`) and nothing is pruned, so state
+    count grows quickly with trace length: this is meant for small
+    inputs, while `trace_value` folds segment by segment.
     """
     if len(sig) == 0:
         raise EvaluationError("empty signal")
-    ctx = engine.EngineContext(wa, engine.time_scale(sig), audit)
+    ctx = engine.EngineContext(wa, time_scale(sig), audit)
     sr = ctx.semiring
     bounds = [int(b * ctx.scale) for b in sig.boundaries]
     vals = [s.values for s in sig.segments]
@@ -137,26 +144,15 @@ def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> Reachable
 
     sources = {state: sr.one for state in initial}
     dist = engine.shortest_distance(seen, [(u, v, w) for u, v, w, _ in edges], sources, sr)
-    end = bounds[-1]
-    accepting = []
-    for state in seen:
-        loc, z, seq = state
-        m = zn.matrix(z)
-        hi = m[ctx.t_index][0]
-        lo = m[0][ctx.t_index]
-        if (
-            seq == EMPTY_SEQ
-            and loc in ctx.accepting
-            and not hi[1]
-            and not lo[1]
-            and hi[0] == end
-            and lo[0] == -end
-        ):
-            accepting.append(state)
-    nodes = {state: dist.get(state, sr.zero) for state in seen}
-    return ReachableGraph(
-        nodes, edges, initial, tuple(accepting), ctx.scale, ctx.clock_names
+    # the states fired into an accepting location with T = end exactly
+    end, t = bounds[-1], ctx.t_index
+    accepting = tuple(
+        (loc, z, seq) for loc, z, seq in seen
+        if seq == EMPTY_SEQ and loc in ctx.accepting
+        and (m := zn.matrix(z))[t][0] == (end, False) and m[0][t] == (-end, False)
     )
+    nodes = {state: dist.get(state, sr.zero) for state in seen}
+    return ReachableGraph(nodes, edges, initial, accepting, ctx.scale, ctx.clock_names)
 
 
 def check_incremental(sig: Signal, wa: WeightedAutomaton):

@@ -124,9 +124,14 @@ class Signal:
         return f"Signal({parts})"
 
     def restrict(self, t, t_prime) -> "Signal":
-        """Sub-signal on [t, t'); duration of the result is exactly t'-t."""
-        t, t_prime = Fraction(t), Fraction(t_prime)
-        if not 0 <= t < t_prime <= self.duration:
+        """Sub-signal on [t, t'); duration of the result is exactly t'-t.
+        A bool or non-finite bound is rejected like one outside the domain."""
+        bad = isinstance(t, bool) or isinstance(t_prime, bool)
+        try:
+            t, t_prime = Fraction(t), Fraction(t_prime)
+        except (OverflowError, ValueError, ZeroDivisionError):  # inf, NaN, "1/0"
+            bad = True
+        if bad or not 0 <= t < t_prime <= self.duration:
             raise ValueError(
                 f"restriction window [{t},{t_prime}) outside domain [0,{self.duration}]"
             )

@@ -17,8 +17,8 @@ than" is plain `<`; `(0, weak)` is 1.  The empty zone is `None`.
 Clock names stay with the caller; `point_zone` reads only how many
 there are.
 
-Every bound is an integer: the engine rescales time until every segment
-boundary and guard constant is one (`engine.time_scale`).  So
+Every bound is an integer: the engine rescales time, segment by segment,
+until every boundary so far and every guard constant is one.  So
 `point_zone` takes an int constant, `constrain` an encoded bound and
 `scale` a positive int; `guard_bound` encodes a guard atom once, for
 `constrain` to take as it is.  A match-set row keeps the time scale
@@ -39,9 +39,9 @@ is tuple equality, coincides with set equality.  Every public operation
 maps `None` to `None` and otherwise returns a canonical zone, by O(n^2)
 incremental tightening at most, never a full Floyd-Warshall pass.
 
-The engine's per-state operations skip even that.  `elapse` waits
-into a segment (prev, cur] of the time clock and returns the open band
-and the wall at cur; it requires the time clock to lie below cur (else
+The engine's per-state operations skip even that.  Waiting into a
+segment (prev, cur] of the time clock yields the open band and the
+wall at cur; it requires the time clock to lie below cur (else
 ValueError).  Then every bound it adds passes through row 0 and column
 0, which it fills for both outputs in one pass over each, from the
 time clock's row and column, where `up` and two `clamp_time` calls
@@ -53,7 +53,7 @@ applies too.
 
 Since n and every index in those steps are fixed once per automaton,
 both are compiled into straight-line kernels of fixed-index int
-arithmetic: `elapse_kernel(n, t)` unrolls `elapse`, and
+arithmetic: `elapse_kernel(n, t)` unrolls the wait, and
 `fire_kernel(n, positions, indices)` unrolls a move's guard
 tightenings, at the (i, j) positions its bounds take, and its gather
 into one tuple display.  The bounds themselves are arguments of the
@@ -63,8 +63,7 @@ alone (n, t, index pairs, gather indices): automata of one shape share
 them, and no spec text enters generated source.  A kernel takes a
 nonempty canonical zone and skips what that makes known: row 0 and the
 diagonal are finite, and a tightening leaves its bound's row j and
-column i as they are.  `elapse` runs its kernel; `constrain` stays the
-generic operation.
+column i as they are.  `constrain` stays the generic operation.
 """
 
 from __future__ import annotations
@@ -217,20 +216,6 @@ def clamp_time(z, i: int, lo, hi, left_strict: bool = False, right_strict: bool 
     return constrain(z, i, 0, encode(hi, right_strict))
 
 
-def elapse(z, t: int, prev: int, cur: int) -> tuple:
-    """Wait from z into a segment (prev, cur] of the time clock c_t.
-
-    Returns (band, wall): `up(z)` restricted to prev < c_t < cur and to
-    c_t = cur, i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
-    `clamp_time(up(z), t, cur, cur)`.  Precondition: c_t < cur on z,
-    else ValueError.  Runs the kernel `elapse_kernel` compiles for z's
-    size and t.
-    """
-    if z is None:
-        return z, z
-    return elapse_kernel(isqrt(len(z)), t)(z, prev, cur)
-
-
 def _compile(lines: list, name: str):
     """Define the function `name` from generated source lines, built
     from ints alone.  Its one global is `INF`, bound to this module's
@@ -250,8 +235,12 @@ def _finite(n: int, k: int) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def elapse_kernel(n: int, t: int):
-    """`elapse` for n x n zones and time clock t, unrolled: a function
-    `elapse(z, prev, cur)` of a nonempty canonical z.
+    """The wait from an n x n zone into a segment (prev, cur] of the
+    time clock c_t, unrolled: a function `elapse(z, prev, cur)` of a
+    nonempty canonical z with c_t < cur (else ValueError), returning
+    (band, wall), `up(z)` restricted to prev < c_t < cur and to c_t =
+    cur, i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
+    `clamp_time(up(z), t, cur, cur)`.
 
     The bounds the clamps add, c_t - 0 and 0 - c_t, both meet row 0 and
     column 0, so every path they shorten runs through there: both

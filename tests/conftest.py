@@ -18,8 +18,8 @@ from quantimatch.automaton import (
     parse_automaton,
 )
 from quantimatch.semiring import BOOLEAN, SUPINF, TROPICAL
-from quantimatch.signals import Signal, segment
-from quantimatch.zone import INF, encode, gather
+from quantimatch.signals import EMPTY_SEQ, Signal, segment
+from quantimatch.zone import INF, elapse_kernel, encode, gather, point_zone
 
 # Two-step overshoot pattern: leave a low region quickly (c < 5), then
 # reach the high region within the deadline (c < 10).
@@ -188,6 +188,13 @@ def flat(table):
     }
 
 
+def initial_weight(ctx):
+    """The table a fold over `ctx` starts from: each initial location at
+    time 0 with every clock 0, weighted one."""
+    z0 = point_zone(ctx.clock_names, 0)
+    return {l.name: {EMPTY_SEQ: {z0: ctx.semiring.one}} for l in ctx.automaton.initial_locations}
+
+
 def grouped(weight):
     """The inverse of `flat`."""
     table = {}
@@ -253,6 +260,14 @@ def canonicalize(z):
     if z is None:
         return z
     return _full_canonicalize(list(z))
+
+
+def elapse(z, t, prev, cur):
+    """The wait from z into (prev, cur] of its time clock t, by the kernel
+    `elapse_kernel` compiles for z's size; an empty z waits into nothing."""
+    if z is None:
+        return z, z
+    return elapse_kernel(isqrt(len(z)), t)(z, prev, cur)
 
 
 def free(z, indices):

@@ -26,13 +26,11 @@ from quantimatch.engine import (
     OnlineMatcher,
     _explore,
     _prune,
-    initial_weight,
     shortest_distance,
-    time_scale,
     trace_value,
 )
 from quantimatch.matchset import format_piece
-from quantimatch.oracle import reachable_graph
+from quantimatch.oracle import reachable_graph, time_scale
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
 from quantimatch.signals import EMPTY_SEQ, Signal, absorbing_concat, segment, valuation
 
@@ -41,9 +39,11 @@ from conftest import (
     DEAD_BRANCH_SPEC,
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
+    elapse,
     flat,
     free,
     grouped,
+    initial_weight,
     make,
     random_automaton,
     random_signal,
@@ -383,13 +383,6 @@ def test_context_engine_clock_never_collides():
     assert ctx.clock_names == ("T", "T_")
 
 
-def test_time_scale():
-    sig = Signal([segment({"x": 1.0}, 1), segment({"x": 2.0}, Fraction(1, 3)),
-                  segment({"x": 1.0}, Fraction(1, 2))])
-    assert time_scale(sig) == 6
-    assert time_scale(Signal([segment({"x": 1.0}, 4)])) == 1
-
-
 def test_shortest_distance_dag():
     nodes = ["a", "b", "c", "d"]
     edges = [("a", "b", 1.0), ("a", "c", 5.0), ("b", "d", 1.0), ("c", "d", 1.0)]
@@ -524,7 +517,6 @@ def _flat_explore(ctx, weight, values, prev, cur):
     zero = sr.zero
     audit = ctx.audit
     scale = ctx.scale
-    elapse = zn.elapse
     t = ctx.t_index
     at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
@@ -725,6 +717,22 @@ def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton)
     # whole 30.5-unit signal cannot match: the two guards cap a run at 15
     assert trace_value(long_signal, wa_r) == -INF
     assert trace_value(long_signal, wa_b) is False
+
+
+def test_trace_value_reads_the_states_fired_at_the_end(fig_automaton):
+    """Every run reaches l2 by firing into it at the last boundary, 3;
+    the one satisfying run leaves l0 at 2, when x rises above 5.  No
+    path leaves l2, so it has no cap vector and `_prune` drops those
+    arrivals from the carried table: the value is read from the states
+    fired into l2 instead."""
+    sig = Signal([segment({"x": 3.0}, 2), segment({"x": 8.0}, 1)])
+    wa_b, wa_r, wa_t = weighted_variants(fig_automaton)
+    assert EngineContext(wa_r).caps["l2"] == ()
+    assert trace_value(sig, wa_b) is True
+    # margins 15 - 3 on l0 and 8 - 5 on l1 at best; summed, leaving l0
+    # before 2 lets l1 add 3 - 5 as well
+    assert trace_value(sig, wa_r) == 3.0
+    assert trace_value(sig, wa_t) == 12.0 + (-2.0 + 3.0)
 
 
 def test_trace_value_rejects_empty_signal(wa_supinf):

@@ -86,6 +86,11 @@ def test_insert_rejects_an_end_not_past_the_horizon():
     for end in (True, False):
         with pytest.raises(ValueError, match=f"^{end} is a bool, not a number$"):
             ms.insert(end, [r])
+    # Fraction(inf) raises OverflowError, Fraction(nan) its own
+    # ValueError and Fraction("1/0") ZeroDivisionError
+    for end in (float("inf"), float("-inf"), float("nan"), "1/0"):
+        with pytest.raises(ValueError, match=f"^{end} is not a finite rational$"):
+            ms.insert(end, [r])
     assert ms.horizon == 0 and len(ms) == 0
     ms.insert(3, [r])
     for end in (3, Fraction(5, 2), -1):
@@ -168,10 +173,10 @@ def test_infinite_or_nan_input_is_a_value_error():
     ms = MatchSet(SUPINF)
     ms.insert(10, [])
     nan = float("nan")
-    for t, tp in [(0, INF), (INF, 3), (nan, 3), (0, nan)]:
+    for t, tp in [(0, INF), (INF, 3), (nan, 3), (0, nan), (0, "1/0")]:
         with pytest.raises(ValueError, match="need 0 <= t < t' <= 10"):
             ms.query(t, tp)
-    for delta in (INF, nan):
+    for delta in (INF, nan, "1/0"):
         with pytest.raises(ValueError, match="delta must be positive"):
             ms.export_grid(io.StringIO(), delta)
 

@@ -13,8 +13,10 @@ from quantimatch.oracle import (
     bf_shortest_distance,
     check_incremental,
     check_qtpm_pointwise,
+    time_scale,
 )
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
+from quantimatch.signals import Signal, segment
 
 from conftest import random_automaton, random_signal, weighted_variants
 
@@ -114,13 +116,28 @@ def test_layered_oracle_hand_case():
     assert bf_shortest_distance(["a"], [], {}, TROPICAL) == {}
 
 
+def test_time_scale():
+    sig = Signal([segment({"x": 1.0}, 1), segment({"x": 2.0}, Fraction(1, 3)),
+                  segment({"x": 1.0}, Fraction(1, 2))])
+    assert time_scale(sig) == 6
+    assert time_scale(Signal([segment({"x": 1.0}, 4)])) == 1
+
+
 def test_check_incremental_on_reference_cases(
     two_step_signal, short_signal, long_signal, fig_automaton
 ):
-    for sig in (two_step_signal, short_signal, long_signal):
+    # the finer denominator arrives with the last segment, so the fold
+    # rescales its carried table there while the whole trace is scaled
+    # by 3 from the start
+    late = Signal([segment({"x": 3.0}, 1), segment({"x": 8.0}, 1),
+                   segment({"x": 12.0}, Fraction(1, 3))])
+    for sig in (two_step_signal, short_signal, long_signal, late):
         for wa in weighted_variants(fig_automaton):
             inc, whole = check_incremental(sig, wa)
             assert inc == whole
+    # l0 on 3, 8 and l1 on 12 at best; summed, l0 on 3 and l1 on 3, 8, 12
+    assert [check_incremental(late, wa)[0] for wa in weighted_variants(fig_automaton)] == [
+        True, 7.0, 12.0 + (-2.0 + 3.0 + 7.0)]
 
 
 def test_arrangement_points_cover_boundaries(long_signal, wa_supinf):

@@ -113,8 +113,11 @@ def test_restrict_inside_one_segment(long_signal):
 
 
 def test_restrict_window_validation(long_signal):
-    for t, tp in [(5, 5), (6, 5), (-1, 3), (0, 31)]:
-        with pytest.raises(ValueError):
+    inf, nan = float("inf"), float("nan")
+    # True would read as t = 1; Fraction(inf) raises OverflowError
+    for t, tp in [(5, 5), (6, 5), (-1, 3), (0, 31), (True, 2), (0, True), (False, 2),
+                  (0, inf), (-inf, 3), (nan, 3), (0, nan), (0, "1/0")]:
+        with pytest.raises(ValueError, match=r"^restriction window \["):
             long_signal.restrict(t, tp)
 
 

@@ -17,7 +17,7 @@ import pytest
 import quantimatch.zone as zn
 from quantimatch.oracle import _fm_feasible
 
-from conftest import add_bounds, canonicalize, free, make
+from conftest import add_bounds, canonicalize, elapse, free, make
 
 CLOCKS2 = ("a", "b")
 CLOCKS3 = ("a", "b", "t")
@@ -342,7 +342,7 @@ def test_empty_zone_behavior():
     assert free(empty, (1,)) is None
     assert zn.up(empty) is None
     assert zn.clamp_time(empty, 2, 0, 3) is None
-    assert zn.elapse(empty, 2, 0, 3) == (None, None)
+    assert elapse(empty, 2, 0, 3) == (None, None)
     assert zn.scale(empty, 3) is None
     assert zn.project_match(empty, 2, 1) is None
 
@@ -438,10 +438,10 @@ def test_elapse_equals_up_then_both_clamps():
     for z, t, prev, cur in _time_capped_zones(rng, 3000):
         if zn.clamp_time(z, t, cur, cur) is not None:
             with pytest.raises(ValueError, match=f"reach the boundary {cur}"):
-                zn.elapse(z, t, prev, cur)
+                elapse(z, t, prev, cur)
             reaching += 1
             continue
-        band, wall = zn.elapse(z, t, prev, cur)
+        band, wall = elapse(z, t, prev, cur)
         assert (band, wall) == _elapse_by_clamps(z, t, prev, cur), (z, prev, cur)
         bands += band is not None
         walls += wall is not None
@@ -451,10 +451,10 @@ def test_elapse_equals_up_then_both_clamps():
 def test_elapse_edges():
     clocks = ("a", "T")
     empty = make(clocks, [(1, 0, -1, False)])
-    assert zn.elapse(empty, 2, 0, 3) == (empty, empty)
+    assert elapse(empty, 2, 0, 3) == (empty, empty)
     # pinned at prev, as every input entry of a segment is
     at_prev = make(clocks, [(2, 0, 1, False), (0, 2, -1, False), (1, 0, 0, False)])
-    band, wall = zn.elapse(at_prev, 2, 1, 3)
+    band, wall = elapse(at_prev, 2, 1, 3)
     assert (band, wall) == _elapse_by_clamps(at_prev, 2, 1, 3)
     assert zn.contains(band, (1, 2)) and not zn.contains(band, (2, 3))
     assert zn.contains(wall, (2, 3)) and not zn.contains(wall, (1, 2))
@@ -468,7 +468,7 @@ def test_elapse_rejects_time_past_the_boundary():
     for cap in ([(2, 0, 4, False)], [(2, 0, 4, True)], [], [(2, 0, 3, False)], at_cur):
         z = make(clocks, cap)
         with pytest.raises(ValueError, match="reach the boundary 3"):
-            zn.elapse(z, 2, 0, 3)
+            elapse(z, 2, 0, 3)
 
 
 def test_free_is_the_canonical_cylinder_of_the_projection():
@@ -535,7 +535,7 @@ def test_every_operation_keeps_the_diagonal_at_one():
             make(clocks, random_constraints(rng, t, 3)),
         ]
         if zn.clamp_time(z, t, cur, cur) is None:
-            produced.extend(zn.elapse(z, t, prev, cur))
+            produced.extend(elapse(z, t, prev, cur))
         for out in produced:
             if out is not None:
                 assert all(out[k * n + k] == 1 for k in range(n)), (z, out)

@@ -10,8 +10,10 @@ spec on signals whose durations have q in {4, 5, 8}, so bounds print as
 2- and 3-digit decimals and the time scale grows mid-stream.  The
 `fine-grid` line runs the overshoot spec on those signals under
 `grid --grid 1/8` and `query --query 1/8 5/4` only, so many queried
-points lie exactly on a region's bounds.  It prints
-one line per spec: the number of stdout lines and a sha256 over every
+points lie exactly on a region's bounds.  The `long-tracevalue` line
+runs `tracevalue` alone, of the cyclic and unbounded specs, on longer
+seeded signals, so the fold carries and prunes many states.  It prints
+one line per run: the number of stdout lines and a sha256 over every
 run's stdout and exit code.  A change that must keep the output's bytes
 is checked by running this on the source trees before and after it:
 every line must be equal.
@@ -20,6 +22,7 @@ every line must be equal.
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import random
 import sys
@@ -117,6 +120,9 @@ FINE_COMMANDS = (
 )
 STREAMS = 6
 SEGMENTS = 12
+LONG_SPECS = ("cyclic", "unbounded")
+LONG_STREAMS = 3
+LONG_SEGMENTS = 240
 
 
 def coarse_duration(rng: random.Random) -> Fraction:
@@ -127,12 +133,12 @@ def fine_duration(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 16), rng.choice((4, 5, 8)))
 
 
-def signal_text(rng: random.Random, duration) -> str:
-    """A one-variable signal; adjacent values differ, durations are drawn
-    by `duration`."""
+def signal_text(rng: random.Random, duration, segments=SEGMENTS) -> str:
+    """A one-variable signal of `segments` segments; adjacent values
+    differ, durations are drawn by `duration`."""
     rows = ["x"]
     prev = None
-    for _ in range(SEGMENTS):
+    for _ in range(segments):
         v = rng.randint(-2, 14)
         while v == prev:
             v = rng.randint(-2, 14)
@@ -152,34 +158,38 @@ def main(argv=None) -> int:
     rng = random.Random(1)
     coarse = [signal_text(rng, coarse_duration) for _ in range(STREAMS)]
     fine = [signal_text(rng, fine_duration) for _ in range(STREAMS)]
-    runs = [(name, spec, coarse, COMMANDS) for name, spec in SPECS.items()]
-    runs.append(("fine-scale", OVERSHOOT, fine, COMMANDS))
-    runs.append(("fine-grid", OVERSHOOT, fine, FINE_COMMANDS))
+    long = [signal_text(rng, coarse_duration, LONG_SEGMENTS) for _ in range(LONG_STREAMS)]
+    # (line name, spec names, signals, commands)
+    runs = [(name, (name,), coarse, COMMANDS) for name in SPECS]
+    runs.append(("fine-scale", ("overshoot",), fine, COMMANDS))
+    runs.append(("fine-grid", ("overshoot",), fine, FINE_COMMANDS))
+    runs.append(("long-tracevalue", LONG_SPECS, long, (("tracevalue",),)))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec, signals, commands in runs:
-            path = os.path.join(tmp, f"{name}.tsa")
-            with open(path, "w", encoding="utf-8") as fh:
+        for name, spec in SPECS.items():
+            with open(os.path.join(tmp, f"{name}.tsa"), "w", encoding="utf-8") as fh:
                 fh.write(spec)
+        for name, specs, signals, commands in runs:
             digest = hashlib.sha256()
             lines = 0
-            for text in signals:
-                for semiring, cost in PAIRINGS:
-                    for command in commands:
-                        args = [command[0], "--spec", path, "--semiring", semiring,
-                                "--cost", cost, *command[1:]]
-                        out = io.StringIO()
-                        old_stdin = sys.stdin
-                        sys.stdin = io.StringIO(text)
-                        try:
-                            with contextlib.redirect_stdout(out), \
-                                    contextlib.redirect_stderr(io.StringIO()):
-                                code = cli.main(args)
-                        finally:
-                            sys.stdin = old_stdin
-                        stdout = out.getvalue()
-                        lines += stdout.count("\n")
-                        digest.update(stdout.encode())
-                        digest.update(f"exit {code}\n".encode())
+            for text, spec, (semiring, cost), command in itertools.product(
+                signals, specs, PAIRINGS, commands
+            ):
+                path = os.path.join(tmp, f"{spec}.tsa")
+                args = [command[0], "--spec", path, "--semiring", semiring,
+                        "--cost", cost, *command[1:]]
+                out = io.StringIO()
+                old_stdin = sys.stdin
+                sys.stdin = io.StringIO(text)
+                try:
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.main(args)
+                finally:
+                    sys.stdin = old_stdin
+                stdout = out.getvalue()
+                lines += stdout.count("\n")
+                digest.update(stdout.encode())
+                digest.update(f"exit {code}\n".encode())
             print(f"{name}\t{lines}\t{digest.hexdigest()}")
     return 0
 

@@ -322,6 +322,10 @@ class _Parser:
                 self.fail(tok, f"expected declaration, got {tok[1]!r}")
         if not self.locations:
             self.fail(self.peek(), "no locations")
+        if not any(l.initial for l in self.locations):
+            self.fail(self.peek(), "no initial location")
+        if not any(l.accepting for l in self.locations):
+            self.fail(self.peek(), "no accepting location")
         return Automaton(
             tuple(self.variables),
             tuple(self.clocks),

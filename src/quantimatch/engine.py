@@ -32,8 +32,11 @@ which some path of one or more transitions reaches acceptance, like
 the per-location bounds of Behrmann, Bouyer, Larsen & Pelánek
 ("Lower and Upper Bounds in Zone Based Abstractions of Timed
 Automata", TACAS 2004).  A state waits only at a location that has a
-cap vector, and a carried entry is kept only if its floors lie at or
-under one of its location's.
+cap vector.  Whether a state is carried is decided where it is pinned
+at the boundary, by its location's cap test (`EngineContext.keep`): a
+location with no cap vector carries none, one with a vector that caps
+no clock carries all, and any other carries a state whose floors lie at
+or under one of its vectors.  No pass over the carried table follows.
 
 A move fires by one call of its fire kernel (`zone.fire_kernel`): its
 guard's tightenings unrolled, then one tuple display that resets its
@@ -63,9 +66,10 @@ caller keeps (the matcher's match-start clock) are untouched, so every
 row and value stays the same.
 
 `trace_value` and `OnlineMatcher` run this one fold (`_Fold`): per
-segment it rescales, weighs and prunes.  `trace_value` reads the
-accepting states fired into at the signal's end, not the carried table,
-from which the prune drops the states of an accepting sink;
+segment it rescales and weighs, carrying on only what the cap tests
+pass.  `trace_value` reads the accepting states fired into at the
+signal's end, not the carried table, which holds none of an accepting
+sink's states;
 `OnlineMatcher` re-seeds a start copy at each boundary and harvests the
 match set.  The whole-trace construction the fold is checked against is
 built independently, in `oracle.py`.
@@ -175,10 +179,13 @@ class EngineContext:
         `out` maps each location to its moves, in transition order, as
         (target, fire): `fire(z)` is the zone z fires into, guarded at
         this scale, with the resets done and the target's dead clocks
-        freed, or None when the guard empties z (`zone.fire_kernel`)."""
+        freed, or None when the guard empties z (`zone.fire_kernel`).
+        `keep` maps each location to the cap test its states pinned at
+        a boundary pass to be carried (`_cap_test`)."""
         self.scale = scale
         self.caps = {loc: tuple(tuple(c * scale for c in vec) for vec in vecs)
                      for loc, vecs in self._caps.items()}
+        self.keep = {loc: _cap_test(self.guarded, vecs) for loc, vecs in self.caps.items()}
         self.out = {
             loc: tuple(
                 (target, factory(*(zn.guard_bound(i, op, k * scale)[2] for i, op, k in atoms)))
@@ -186,6 +193,24 @@ class EngineContext:
             )
             for loc, moves in self._moves.items()
         }
+
+
+def _cap_test(guarded: tuple, vecs: tuple):
+    """A location's cap test: False when it has no cap vector, so none
+    of its states is carried; True when a vector caps no clock, so all
+    are; otherwise a predicate on a zone, true when its floors on the
+    guarded clocks lie at or under one of the vectors.  Row 0 of the
+    encoding bounds -c_i, so the floor of c_i is at most k exactly when
+    z[i] >= -2k, the encoding of (-k, strict)."""
+    if not vecs:
+        return False
+    pairs = [tuple((i, -2 * c) for i, c in zip(guarded, vec) if c != zn.INF) for vec in vecs]
+    if not all(pairs):
+        return True
+    if len(pairs) == 1 and len(pairs[0]) == 1:
+        ((i, b),) = pairs[0]
+        return lambda z: z[i] >= b
+    return lambda z: any(all(z[i] >= b for i, b in vec) for vec in pairs)
 
 
 def _add_maximal(vecs: list, vec: tuple) -> bool:
@@ -368,8 +393,11 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     graph with `shortest_distance`, its inputs and arrivals as sources,
     and then relaxes the fires that leave it.  Returns (fired, final):
     the weighed states a transition fired into, as {location: {zone:
-    weight}} since their sequence is empty, and those pinned at `cur`,
-    grouped as the input is.
+    weight}} since their sequence is empty, and those pinned at `cur`
+    that their location's cap test (`EngineContext.keep`) carries,
+    grouped as the input is.  A trivial bucket keeps a wait's band and
+    wall apart, so its walls, pinned by construction, are tested as
+    they are and need no test of their time clock.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -387,41 +415,51 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     for locs, cyclic in ctx.buckets:
         if not cyclic:
             (loc,) = locs
-            out = {EMPTY_SEQ: {}}  # value sequence -> zone -> weight, pinned at cur
-            waited: dict = {}  # value sequence -> zone -> weight
+            keep = ctx.keep[loc]
+            moves = ctx.out[loc]
+            walled = {}  # arrivals pinned at cur: zone -> weight
+            waited: dict = {}  # value sequence -> (band, wall), each zone -> weight
             for seq, zs in [*weight.get(loc, {}).items(), (EMPTY_SEQ, fired[loc])]:
                 waits = zs and loc in ctx.waits
-                grp = waited.setdefault(absorbing_concat(seq, appended), {}) if waits else None
+                if waits:
+                    bands, walls = waited.setdefault(absorbing_concat(seq, appended), ({}, {}))
                 for z, d in zs.items():
                     if audit is not None:
                         audit(z, scale, cur)
                     if z[t] == pinned:  # only an arrival can be
-                        out[EMPTY_SEQ][z] = d
+                        walled[z] = d
                     elif waits:
-                        for z2 in elapse(z, prev, cur):
-                            if z2 is not None:
-                                old = grp.get(z2)
-                                grp[z2] = d if old is None else oplus(old, d)
-            for seq2, grp in waited.items():
-                if not grp:
+                        band, wall = elapse(z, prev, cur)
+                        if band is not None:
+                            old = bands.get(band)
+                            bands[band] = d if old is None else oplus(old, d)
+                        if wall is not None:
+                            old = walls.get(wall)
+                            walls[wall] = d if old is None else oplus(old, d)
+            out = {}  # value sequence -> zone -> weight, carried from cur
+            if walled:
+                out[EMPTY_SEQ] = _kept(keep, walled)
+            for seq2, (bands, walls) in waited.items():
+                if audit is not None:
+                    for z2 in (*bands, *walls):
+                        audit(z2, scale, cur)
+                if walls:
+                    out[seq2] = _kept(keep, walls)
+                if not bands and not walls:
                     continue
                 w = cost_value(ctx.kind, ctx.labels[loc], seq2)
-                out[seq2] = done = {}
-                for z2, d in grp.items():
-                    if audit is not None:
-                        audit(z2, scale, cur)
-                    if z2[t] == pinned:
-                        done[z2] = d
-                    if w == zero:
-                        continue
-                    dw = otimes(d, w)
-                    for target, fire in ctx.out[loc]:
-                        z3 = fire(z2)
-                        if z3 is None:
-                            continue
-                        arr = fired[target]
-                        old = arr.get(z3)
-                        arr[z3] = dw if old is None else oplus(old, dw)
+                if w == zero:
+                    continue
+                for grp in (bands, walls):
+                    for z2, d in grp.items():
+                        dw = otimes(d, w)
+                        for target, fire in moves:
+                            z3 = fire(z2)
+                            if z3 is None:
+                                continue
+                            arr = fired[target]
+                            old = arr.get(z3)
+                            arr[z3] = dw if old is None else oplus(old, dw)
             out = {seq: zs for seq, zs in out.items() if zs}
             if out:
                 final[loc] = out
@@ -494,7 +532,9 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
             if audit is not None:
                 audit(z, scale, cur)
             if z[t] == pinned:
-                final.setdefault(loc, {}).setdefault(seq, {})[z] = d
+                keep = ctx.keep[loc]
+                if keep is True or keep and keep(z):
+                    final.setdefault(loc, {}).setdefault(seq, {})[z] = d
         for loc in locs:
             fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
         for j, w, target, z3 in leaving:
@@ -506,26 +546,12 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     return {loc: zs for loc, zs in fired.items() if zs}, final
 
 
-def _prune(ctx: EngineContext, weight: dict) -> dict:
-    """Drop entries that can never contribute another accepting state:
-    those whose floors on the guarded clocks lie under none of their
-    location's caps."""
-    guarded = ctx.guarded
-    out: dict = {}
-    for loc, groups in weight.items():
-        caps = ctx.caps[loc]
-        for seq, zs in groups.items():
-            kept = {}
-            for z, w in zs.items():
-                # row 0 of the encoding bounds -c_i, so its value is minus the floor
-                floors = [-(z[i] >> 1) for i in guarded]
-                for cap in caps:
-                    if all(map(le, floors, cap)):
-                        kept[z] = w
-                        break
-            if kept:
-                out.setdefault(loc, {})[seq] = kept
-    return out
+def _kept(keep, zs: dict) -> dict:
+    """The states of `zs` that a location's cap test `keep` carries:
+    all of them, uncopied, when it is True."""
+    if keep is True:
+        return zs
+    return {z: d for z, d in zs.items() if keep(z)} if keep else {}
 
 
 class _Fold:
@@ -549,7 +575,8 @@ class _Fold:
 
     def _step(self, seg: Segment) -> dict:
         """Fold one segment, on a finer time scale if its end needs one,
-        prune what `_carry` keeps and return the fired states."""
+        carry on what `_carry` picks of its carried states and return
+        the fired states."""
         ctx = self._ctx
         end = self._elapsed + seg.duration
         scale = math.lcm(ctx.scale, end.denominator)
@@ -562,7 +589,7 @@ class _Fold:
             ctx.set_scale(scale)
         cur = int(end * scale)
         fired, final = _explore(ctx, self._weight, seg.values, int(self._elapsed * scale), cur)
-        self._weight = _prune(ctx, self._carry(final, cur))
+        self._weight = self._carry(final, cur)
         self._elapsed = end
         return fired
 
@@ -637,7 +664,9 @@ class OnlineMatcher(_Fold):
     def _carry(self, final: dict, cur: int) -> dict:
         weight = {loc: groups for loc, groups in final.items() if loc != self._start}
         z = zn.point_zone(self._ctx.clock_names, cur)
-        weight[self._start] = {EMPTY_SEQ: {z: self.semiring.one}}
+        seed = _kept(self._ctx.keep[self._start], {z: self.semiring.one})
+        if seed:
+            weight[self._start] = {EMPTY_SEQ: seed}
         return weight
 
     def footprint(self) -> int:

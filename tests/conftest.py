@@ -195,14 +195,6 @@ def initial_weight(ctx):
     return {l.name: {EMPTY_SEQ: {z0: ctx.semiring.one}} for l in ctx.automaton.initial_locations}
 
 
-def grouped(weight):
-    """The inverse of `flat`."""
-    table = {}
-    for (loc, z, q), w in weight.items():
-        table.setdefault(loc, {}).setdefault(q, {})[z] = w
-    return table
-
-
 def add_bounds(a, b):
     """Bound addition on encoded entries, absorbing at INF; `constrain`
     inlines it."""

@@ -322,6 +322,19 @@ def test_criterion_8_scaling_shape():
           f"{peak1}/{peak2}, unbounded growth {fp400 / fp200:.2f}x)")
 
 
+def test_criterion_8_streams_carry_pinned_footprints():
+    """Criterion 8's streams carry exactly these tables: the unbounded
+    footprint after 100 and 200 segments, and the bounded one's peak
+    over 500.  A prune that keeps too much or too little moves them."""
+    unbounded = WeightedAutomaton(
+        parse_automaton(UNBOUNDED_SPEC), SUPINF, CostKind.MIN_MARGIN
+    )
+    _, _, fp100, fp200 = _stream(unbounded, 200, probe=100)
+    assert (fp100, fp200) == (20403, 80803)
+    _, peak, _, _ = _stream(reference_wa(SUPINF, CostKind.MIN_MARGIN), 500)
+    assert peak == 16
+
+
 SEMIRING_POOLS = {
     BOOLEAN: [True, False],
     SUPINF: [-INF, INF, -3.0, 0.0, 2.5, 7.0],

@@ -69,6 +69,9 @@ def test_parser_tolerates_comments_and_layout():
         ("var x;\nclock c;\nlocation l0 [x<1];\nedge l0 -> l9;\n", 4, 12, "unknown location"),
         ("var x @", 1, 7, "unexpected character '@'"),
         ("", 1, 1, "no locations"),
+        ("var x;\nlocation l0 accept [true];\n", 3, 1, "no initial location"),
+        ("var x;\nlocation l0 init [x<1];\nlocation l1 [true];\nedge l0 -> l1;", 4, 15,
+         "no accepting location"),
         ("var x;\nlocation var [true];\n", 2, 10, "expected location name"),
         ("var x;\nclock c;\nlocation l0 [x<1]\nlocation l1 [true];\n", 4, 1, "expected ';'"),
         ("var x;\nclock c;\nlocation l0 [x ! 1];\n", 1, 16, "unexpected character '!'"),

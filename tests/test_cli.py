@@ -442,6 +442,23 @@ def test_spec_parse_error(capsys, tmp_path):
     assert code == 1 and "line 2" in err and "unknown variable" in err
 
 
+@pytest.mark.parametrize("command", ["tracevalue", "monitor"])
+@pytest.mark.parametrize("spec,message", [
+    (OVERSHOOT_SPEC.replace(" init", ""), "no initial location"),
+    (OVERSHOOT_SPEC.replace(" accept", ""), "no accepting location"),
+])
+def test_spec_that_can_match_nothing_is_rejected(capsys, tmp_path, command, spec, message):
+    """A spec with no initial or no accepting location is a parse
+    error, not a run that reports no match."""
+    bad = tmp_path / "bad.tsa"
+    bad.write_text(spec)
+    code, out, err = run(
+        capsys, command, "--spec", str(bad), "--semiring", "supinf",
+        "--cost", "r", "--signal", sig_path(tmp_path, SHORT_SIGNAL),
+    )
+    assert code == 1 and out == "" and message in err
+
+
 def test_malformed_signal(capsys, tmp_path, spec_path):
     code, _, err = run(
         capsys, "tracevalue", "--spec", spec_path, "--semiring", "supinf",

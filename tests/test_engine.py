@@ -25,7 +25,7 @@ from quantimatch.engine import (
     EngineContext,
     OnlineMatcher,
     _explore,
-    _prune,
+    _kept,
     shortest_distance,
     trace_value,
 )
@@ -42,7 +42,6 @@ from conftest import (
     elapse,
     flat,
     free,
-    grouped,
     initial_weight,
     make,
     random_automaton,
@@ -102,6 +101,24 @@ def moves_with_references(ctx, loc):
     refs = reference_moves(ctx, loc)
     assert [ref[0] for ref in refs] == [move[0] for move in ctx.out[loc]]
     return list(zip(ctx.out[loc], refs))
+
+
+def carried(ctx, weight):
+    """The entries of a flat table {(location, zone, sequence): weight}
+    that their location's cap test (`EngineContext.keep`) carries."""
+    return {st: w for st, w in weight.items() if _kept(ctx.keep[st[0]], {st[1]: w})}
+
+
+def keeping_everything(monkeypatch):
+    """Switch pruning off: every context's cap tests carry every
+    pinned state."""
+    real = EngineContext.set_scale
+
+    def set_scale(self, scale):
+        real(self, scale)
+        self.keep = dict.fromkeys(self.keep, True)
+
+    monkeypatch.setattr(EngineContext, "set_scale", set_scale)
 
 
 def test_context_tables(wa_supinf):
@@ -338,8 +355,13 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
                   for target, fire in moves]
             for loc, moves in ctx.out.items()
         }
+        # a cap test is True, False or a predicate, compared the same way
+        keep = {
+            loc: k if isinstance(k, bool) else (k.__code__, [c.cell_contents for c in k.__closure__])
+            for loc, k in ctx.keep.items()
+        }
         return (ctx.scale, out, ctx.dead, ctx.waits, ctx.buckets, ctx.guarded,
-                ctx.caps, ctx.clock_names)
+                ctx.caps, keep, ctx.clock_names)
 
     m = OnlineMatcher(wa_supinf)
     before = m._ctx
@@ -470,26 +492,32 @@ def test_advance_first_segment_exact(wa_supinf):
     w0 = initial_weight(ctx)
     assert flat(w0) == {("l0", zn.point_zone(CT, 0), EMPTY_SEQ): INF}
     x7 = valuation({"x": 7.0})
-    _, final = _explore(ctx, w0, x7, 0, 7)
+    fired, final = _explore(ctx, w0, x7, 0, 7)
 
     pinned7 = [(2, 0, 7, False), (0, 2, -7, False)]
     z_wall_input = zn.point_zone(CT, 7)
     z_fired_wall = zone2(*pinned7, (1, 0, 0, False))
     z_band_c = zone2(*pinned7, (1, 0, 7, True), (0, 1, 0, True))
     # c is dead at l2, so firing into l2 frees it: only c >= 0 is left;
-    # no path leads on from l2, so nothing waits there
+    # no path leads on from l2, so nothing waits there, and its cap test
+    # carries none of its states
     z_l2 = zone2(*pinned7)
-    assert flat(final) == {
+    reached = {
         ("l0", z_wall_input, (x7,)): INF,
         ("l1", z_fired_wall, EMPTY_SEQ): 8.0,
         ("l1", z_band_c, (x7,)): 8.0,
         ("l2", z_l2, EMPTY_SEQ): 2.0,
     }
+    assert flat(final) == _searched_prune(ctx, reached) == {
+        st: w for st, w in reached.items() if st[0] != "l2"
+    }
+    assert flat_fired(fired)[("l2", z_l2, EMPTY_SEQ)] == 2.0
 
 
 def test_explore_reached_leaves_out_inputs(wa_supinf):
     """`fired` holds the states transitions fired into, inputs never;
-    `final` holds the states pinned at `cur`, fired ones included."""
+    `final` holds the states pinned at `cur` that a search finds a way
+    to acceptance from, fired ones included."""
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
     fired, final = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
@@ -503,7 +531,8 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
         assert -neg_lo > 0 or (neg_lo == 0 and lo_strict), state
         assert hi in ((7, True), (7, False)), state
     assert final and all(zn.matrix(st[1])[0][2] == (-7, False) for st in final)
-    pinned = {st: w for st, w in fired.items() if zn.matrix(st[1])[0][2] == (-7, False)}
+    pinned = _searched_prune(
+        ctx, {st: w for st, w in fired.items() if zn.matrix(st[1])[0][2] == (-7, False)})
     assert pinned and {st: final.get(st) for st in pinned} == pinned
 
 
@@ -639,9 +668,10 @@ def test_grouped_explore_equals_flat_reference():
     """On random automata with 1 to 3 clocks, cycles, resets and a dead
     self-looping branch, under all three pairings and on integer-valued
     signals with repeated values, `_explore` weighs the same states as the flat reference in
-    every segment, audits the same multiset of zones and leaves its
-    input table as it was; both the plain automaton and the matcher's
-    expanded one (with its start location) are folded."""
+    every segment, carries those of its pinned states that a search
+    finds a way to acceptance from, audits the same multiset of zones
+    and leaves its input table as it was; both the plain automaton and
+    the matcher's expanded one (with its start location) are folded."""
     rng = random.Random(39)
     fired_seen = cyclic_seen = 0
     for _ in range(25):
@@ -673,7 +703,7 @@ def test_grouped_explore_equals_flat_reference():
                     fired, final = _explore(ctx, weight, seg.values, prev, cur)
                     assert weight == before
                     assert flat_fired(fired) == want_fired
-                    assert flat(final) == want_final
+                    assert flat(final) == _searched_prune(ctx, want_final)
                     assert Counter(zones) == want_zones
                     zones.clear()
                     fired_seen += len(want_fired)
@@ -722,12 +752,13 @@ def test_trace_values(two_step_signal, short_signal, long_signal, fig_automaton)
 def test_trace_value_reads_the_states_fired_at_the_end(fig_automaton):
     """Every run reaches l2 by firing into it at the last boundary, 3;
     the one satisfying run leaves l0 at 2, when x rises above 5.  No
-    path leaves l2, so it has no cap vector and `_prune` drops those
-    arrivals from the carried table: the value is read from the states
-    fired into l2 instead."""
+    path leaves l2, so it has no cap vector and its cap test carries
+    none of those arrivals: the value is read from the states fired
+    into l2 instead."""
     sig = Signal([segment({"x": 3.0}, 2), segment({"x": 8.0}, 1)])
     wa_b, wa_r, wa_t = weighted_variants(fig_automaton)
     assert EngineContext(wa_r).caps["l2"] == ()
+    assert EngineContext(wa_r).keep["l2"] is False
     assert trace_value(sig, wa_b) is True
     # margins 15 - 3 on l0 and 8 - 5 on l1 at best; summed, leaving l0
     # before 2 lets l1 add 3 - 5 as well
@@ -812,7 +843,7 @@ def test_matcher_variants_agree(monkeypatch):
         return out
 
     pruned = tables()
-    monkeypatch.setattr(engine, "_prune", lambda ctx, weight: weight)
+    keeping_everything(monkeypatch)
     assert tables() == pruned
 
 
@@ -841,7 +872,8 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
         for t in (0, 3)
         for seq in (EMPTY_SEQ, (x7,))
     }
-    assert flat(_prune(ctx, grouped(weight))) == {
+    assert ctx.keep == {"l0": True, "l1": False, "d1": False, "d2": False}
+    assert carried(ctx, weight) == _searched_prune(ctx, weight) == {
         st: w for st, w in weight.items() if st[0] == "l0"
     }
 
@@ -850,7 +882,7 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
     pruned = OnlineMatcher(wa)
     for seg in sig:
         pruned.feed(seg)
-    monkeypatch.setattr(engine, "_prune", lambda ctx, weight: weight)
+    keeping_everything(monkeypatch)
     full = OnlineMatcher(wa)
     for seg in sig:
         full.feed(seg)
@@ -860,7 +892,7 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
 
 
 def _searched_prune(ctx, weight):
-    """What `_prune` keeps, found by a search over (location, floors)
+    """What the cap tests carry, found by a search over (location, floors)
     pairs: an upper guard atom closes a move when its clock's floor
     exceeds its constant, and a reset clock's floor becomes 0."""
     pos = {i: p for p, i in enumerate(ctx.guarded)}
@@ -890,8 +922,9 @@ def _searched_prune(ctx, weight):
 
 def test_prune_keeps_what_a_search_keeps():
     """On random automata with cycles, resets and negative upper
-    constants, `_prune` keeps exactly the entries a search over floors
-    finds a way to acceptance from, at several time scales."""
+    constants, the per-location cap tests carry exactly the entries a
+    search over floors finds a way to acceptance from, at several time
+    scales."""
     rng = random.Random(38)
     kept = dropped = 0
     for _ in range(150):
@@ -904,7 +937,7 @@ def test_prune_keeps_what_a_search_keeps():
             z = make(ctx.clock_names, [(0, i, -f, False) for i, f in enumerate(floors, 1)])
             weight[(rng.choice(a.locations).name, z, EMPTY_SEQ)] = 1.0
         want = _searched_prune(ctx, weight)
-        assert flat(_prune(ctx, grouped(weight))) == want, a
+        assert carried(ctx, weight) == want, a
         kept += len(want)
         dropped += len(weight) - len(want)
     assert kept > 500 and dropped > 500
@@ -953,7 +986,7 @@ def test_context_caps_of_two_routes():
     # at scale 2, floors (12, 4) pass only the second route, (8, 16) only
     # the first, and (12, 16) neither
     weight = {entry(12, 4): 1.0, entry(8, 16): 1.0, entry(12, 16): 1.0}
-    assert flat(_prune(ctx, grouped(weight))) == {entry(12, 4): 1.0, entry(8, 16): 1.0}
+    assert carried(ctx, weight) == {entry(12, 4): 1.0, entry(8, 16): 1.0}
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():

@@ -14,9 +14,18 @@ points lie exactly on a region's bounds.  The `long-tracevalue` line
 runs `tracevalue` alone, of the cyclic and unbounded specs, on longer
 seeded signals, so the fold carries and prunes many states.  It prints
 one line per run: the number of stdout lines and a sha256 over every
-run's stdout and exit code.  A change that must keep the output's bytes
-is checked by running this on the source trees before and after it:
-every line must be equal.
+run's stdout and exit code.
+
+The last line, `carried`, is not CLI output.  It feeds every spec's
+coarse signals, under all three pairings, to `engine.OnlineMatcher`
+directly and hashes `footprint()` after every segment; its count is the
+number of segments fed.  A prune that keeps too much or too little
+changes the carried table but, as long as rows stay right, no stdout
+byte, so only this line shows it.
+
+A change that must keep the output's bytes and the carried table is
+checked by running this on the source trees before and after it: every
+line must be equal.
 """
 
 import contextlib
@@ -154,6 +163,10 @@ def main(argv=None) -> int:
         return 64
     sys.path.insert(0, os.path.abspath(argv[0]))
     from quantimatch import cli
+    from quantimatch.automaton import CostKind, WeightedAutomaton, parse_automaton
+    from quantimatch.engine import OnlineMatcher
+    from quantimatch.semiring import SEMIRINGS
+    from quantimatch.signals import read_stream
 
     rng = random.Random(1)
     coarse = [signal_text(rng, coarse_duration) for _ in range(STREAMS)]
@@ -191,6 +204,17 @@ def main(argv=None) -> int:
                 digest.update(stdout.encode())
                 digest.update(f"exit {code}\n".encode())
             print(f"{name}\t{lines}\t{digest.hexdigest()}")
+    digest = hashlib.sha256()
+    fed = 0
+    for spec, text, (name, cost) in itertools.product(SPECS.values(), coarse, PAIRINGS):
+        wa = WeightedAutomaton(parse_automaton(spec), SEMIRINGS[name], CostKind.from_code(cost))
+        m = OnlineMatcher(wa)
+        for seg in read_stream(text.splitlines()):
+            m.feed(seg)
+            digest.update(f"{m.footprint()}\n".encode())
+            fed += 1
+        digest.update(b"end\n")
+    print(f"carried\t{fed}\t{digest.hexdigest()}")
     return 0
 
 

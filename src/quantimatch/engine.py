@@ -27,24 +27,25 @@ Whether a state can still reach acceptance is decided once per
 automaton.  Waiting and resets never lower a clock's floor again, so
 an upper guard atom that a floor exceeds stays violated; lower atoms
 count as always satisfiable.  `EngineContext.caps` maps each location
-to the maximal vectors of caps on the guarded clocks' floors under
-which some path of one or more transitions reaches acceptance, like
-the per-location bounds of Behrmann, Bouyer, Larsen & Pelánek
-("Lower and Upper Bounds in Zone Based Abstractions of Timed
-Automata", TACAS 2004).  A state waits only at a location that has a
-cap vector.  Whether a state is carried is decided where it is pinned
-at the boundary, by its location's cap test (`EngineContext.keep`): a
-location with no cap vector carries none, one with a vector that caps
-no clock carries all, and any other carries a state whose floors lie at
-or under one of its vectors.  No pass over the carried table follows.
+to the maximal vectors of caps on the guarded clocks' floors, in the
+automaton's own time units, under which some path of one or more
+transitions reaches acceptance, like the per-location bounds of
+Behrmann, Bouyer, Larsen & Pelánek ("Lower and Upper Bounds in Zone
+Based Abstractions of Timed Automata", TACAS 2004).  A state waits
+only at a location that has a cap vector.  Whether a state is carried
+is decided where it is pinned at the boundary, by its location's cap
+test (`EngineContext.carries`): a location with no cap vector carries
+none, one with a vector that caps no clock carries all, and any other
+carries a state whose floors lie at or under one of its vectors.  No
+pass over the carried table follows.
 
 A move fires by one call of its fire kernel (`zone.fire_kernel`): its
 guard's tightenings unrolled, then one tuple display that resets its
 clocks and frees those dead at its target (`zone.gather`).  Kernels
 are compiled once per automaton shape and cached process-wide, keyed on
 ints alone; guard bounds are arguments of a kernel's factory, so a
-rescale (`EngineContext.set_scale`) computes the bounds and caps anew
-and compiles nothing.
+rescale (`EngineContext.set_scale`) computes the bounds and cap tests
+anew and compiles nothing.
 
 The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
@@ -143,7 +144,7 @@ class EngineContext:
                         vec = tuple(c if p in resets else min(c, v)
                                     for p, (c, v) in enumerate(zip(cap, vec)))
                         changed |= _add_maximal(caps[tr.source], vec)
-        self._caps = {loc: tuple(sorted(vecs)) for loc, vecs in caps.items()}
+        self.caps = {loc: tuple(sorted(vecs)) for loc, vecs in caps.items()}
         self.waits = frozenset(loc for loc, vecs in caps.items() if vecs)
         # location -> indices of the clocks dead there, `keep` excepted;
         # the time clock is not an automaton clock, so it is never one
@@ -174,18 +175,19 @@ class EngineContext:
 
     def set_scale(self, scale: int) -> None:
         """Move to another time scale; only the guard bounds and the
-        caps depend on it.
+        cap tests depend on it.
 
         `out` maps each location to its moves, in transition order, as
         (target, fire): `fire(z)` is the zone z fires into, guarded at
         this scale, with the resets done and the target's dead clocks
         freed, or None when the guard empties z (`zone.fire_kernel`).
-        `keep` maps each location to the cap test its states pinned at
-        a boundary pass to be carried (`_cap_test`)."""
+        `carries` maps each location to the cap test its states pinned
+        at a boundary pass to be carried, its `caps` scaled
+        (`_cap_test`)."""
         self.scale = scale
-        self.caps = {loc: tuple(tuple(c * scale for c in vec) for vec in vecs)
-                     for loc, vecs in self._caps.items()}
-        self.keep = {loc: _cap_test(self.guarded, vecs) for loc, vecs in self.caps.items()}
+        self.carries = {
+            loc: _cap_test(self.guarded, vecs, scale) for loc, vecs in self.caps.items()
+        }
         self.out = {
             loc: tuple(
                 (target, factory(*(zn.guard_bound(i, op, k * scale)[2] for i, op, k in atoms)))
@@ -195,22 +197,21 @@ class EngineContext:
         }
 
 
-def _cap_test(guarded: tuple, vecs: tuple):
-    """A location's cap test: False when it has no cap vector, so none
-    of its states is carried; True when a vector caps no clock, so all
-    are; otherwise a predicate on a zone, true when its floors on the
-    guarded clocks lie at or under one of the vectors.  Row 0 of the
-    encoding bounds -c_i, so the floor of c_i is at most k exactly when
-    z[i] >= -2k, the encoding of (-k, strict)."""
+def _cap_test(guarded: tuple, vecs: tuple, scale: int):
+    """A location's cap test at `scale`: False when it has no cap
+    vector, so none of its states is carried; True when a vector caps
+    no clock, so all are; otherwise a predicate on a zone, true when its
+    floors on the guarded clocks lie at or under one of the vectors,
+    scaled (`zone.floor_kernel`).  The floor of c_i is at most k exactly
+    when row 0's entry z[i] >= -2k, the encoding of (-k, strict)."""
     if not vecs:
         return False
-    pairs = [tuple((i, -2 * c) for i, c in zip(guarded, vec) if c != zn.INF) for vec in vecs]
+    pairs = [tuple((i, -2 * c * scale) for i, c in zip(guarded, vec) if c != zn.INF)
+             for vec in vecs]
     if not all(pairs):
         return True
-    if len(pairs) == 1 and len(pairs[0]) == 1:
-        ((i, b),) = pairs[0]
-        return lambda z: z[i] >= b
-    return lambda z: any(all(z[i] >= b for i, b in vec) for vec in pairs)
+    under = zn.floor_kernel(tuple(tuple(i for i, _ in vec) for vec in pairs))
+    return under(*(b for vec in pairs for _, b in vec))
 
 
 def _add_maximal(vecs: list, vec: tuple) -> bool:
@@ -394,7 +395,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     and then relaxes the fires that leave it.  Returns (fired, final):
     the weighed states a transition fired into, as {location: {zone:
     weight}} since their sequence is empty, and those pinned at `cur`
-    that their location's cap test (`EngineContext.keep`) carries,
+    that their location's cap test (`EngineContext.carries`) carries,
     grouped as the input is.  A trivial bucket keeps a wait's band and
     wall apart, so its walls, pinned by construction, are tested as
     they are and need no test of their time clock.
@@ -415,7 +416,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     for locs, cyclic in ctx.buckets:
         if not cyclic:
             (loc,) = locs
-            keep = ctx.keep[loc]
+            carry = ctx.carries[loc]
             moves = ctx.out[loc]
             walled = {}  # arrivals pinned at cur: zone -> weight
             waited: dict = {}  # value sequence -> (band, wall), each zone -> weight
@@ -438,13 +439,13 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
                             walls[wall] = d if old is None else oplus(old, d)
             out = {}  # value sequence -> zone -> weight, carried from cur
             if walled:
-                out[EMPTY_SEQ] = _kept(keep, walled)
+                out[EMPTY_SEQ] = _kept(carry, walled)
             for seq2, (bands, walls) in waited.items():
                 if audit is not None:
                     for z2 in (*bands, *walls):
                         audit(z2, scale, cur)
                 if walls:
-                    out[seq2] = _kept(keep, walls)
+                    out[seq2] = _kept(carry, walls)
                 if not bands and not walls:
                     continue
                 w = cost_value(ctx.kind, ctx.labels[loc], seq2)
@@ -532,8 +533,8 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
             if audit is not None:
                 audit(z, scale, cur)
             if z[t] == pinned:
-                keep = ctx.keep[loc]
-                if keep is True or keep and keep(z):
+                carry = ctx.carries[loc]
+                if carry is True or carry and carry(z):
                     final.setdefault(loc, {}).setdefault(seq, {})[z] = d
         for loc in locs:
             fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
@@ -546,12 +547,12 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     return {loc: zs for loc, zs in fired.items() if zs}, final
 
 
-def _kept(keep, zs: dict) -> dict:
-    """The states of `zs` that a location's cap test `keep` carries:
+def _kept(carry, zs: dict) -> dict:
+    """The states of `zs` that a location's cap test `carry` carries:
     all of them, uncopied, when it is True."""
-    if keep is True:
+    if carry is True:
         return zs
-    return {z: d for z, d in zs.items() if keep(z)} if keep else {}
+    return {z: d for z, d in zs.items() if carry(z)} if carry else {}
 
 
 class _Fold:
@@ -664,7 +665,7 @@ class OnlineMatcher(_Fold):
     def _carry(self, final: dict, cur: int) -> dict:
         weight = {loc: groups for loc, groups in final.items() if loc != self._start}
         z = zn.point_zone(self._ctx.clock_names, cur)
-        seed = _kept(self._ctx.keep[self._start], {z: self.semiring.one})
+        seed = _kept(self._ctx.carries[self._start], {z: self.semiring.one})
         if seed:
             weight[self._start] = {EMPTY_SEQ: seed}
         return weight

@@ -56,14 +56,16 @@ both are compiled into straight-line kernels of fixed-index int
 arithmetic: `elapse_kernel(n, t)` unrolls the wait, and
 `fire_kernel(n, positions, indices)` unrolls a move's guard
 tightenings, at the (i, j) positions its bounds take, and its gather
-into one tuple display.  The bounds themselves are arguments of the
-factory a fire kernel is, so a rescale closes over new ones and
-compiles nothing.  Kernels are cached process-wide on those ints
-alone (n, t, index pairs, gather indices): automata of one shape share
-them, and no spec text enters generated source.  A kernel takes a
-nonempty canonical zone and skips what that makes known: row 0 and the
-diagonal are finite, and a tightening leaves its bound's row j and
-column i as they are.  `constrain` stays the generic operation.
+into one tuple display.  `floor_kernel(vecs)` unrolls the engine's
+test of a zone's clock floors against caps, one row-0 comparison per
+capped clock.  The bounds themselves are arguments of the factory a
+fire or floor kernel is, so a rescale closes over new ones and
+compiles nothing.  Kernels are cached process-wide on those ints alone
+(n, t, index pairs, gather indices, capped clocks): automata of one
+shape share them, and no spec text enters generated source.  A kernel
+takes a nonempty canonical zone and skips what that makes known: row 0
+and the diagonal are finite, and a tightening leaves its bound's row j
+and column i as they are.  `constrain` stays the generic operation.
 """
 
 from __future__ import annotations
@@ -369,6 +371,23 @@ def fire_kernel(n: int, bounds: tuple, indices: tuple):
             lines += ["        " + line for line in _tighten(n, i, j, b)]
         lines.append(f"        return ({', '.join(a[k] for k in indices)},)")
     lines.append("    return fire")
+    return _compile(lines, "factory")
+
+
+@functools.lru_cache(maxsize=256)
+def floor_kernel(vecs: tuple):
+    """A test of a zone's clock floors, unrolled: `vecs` holds nonempty
+    tuples of clock indices, and the returned factory takes one encoded
+    bound per index, in that order, and returns `under(z)`, true when
+    for some tuple every row-0 entry z[i] is at least its bound.  Row 0
+    bounds -c_i, so z[i] >= 2 * -k says the floor of c_i is at most k.
+    Like `fire_kernel`'s, the factory compiles nothing.
+    """
+    params = [f"b{m}" for m in range(sum(map(len, vecs)))]
+    bounds = iter(params)
+    test = " or ".join(" and ".join(f"z[{i}] >= {next(bounds)}" for i in vec) for vec in vecs)
+    lines = [f"def factory({', '.join(params)}):", "    def under(z):",
+             f"        return {test}", "    return under"]
     return _compile(lines, "factory")
 
 

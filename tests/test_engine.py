@@ -105,8 +105,8 @@ def moves_with_references(ctx, loc):
 
 def carried(ctx, weight):
     """The entries of a flat table {(location, zone, sequence): weight}
-    that their location's cap test (`EngineContext.keep`) carries."""
-    return {st: w for st, w in weight.items() if _kept(ctx.keep[st[0]], {st[1]: w})}
+    that their location's cap test (`EngineContext.carries`) carries."""
+    return {st: w for st, w in weight.items() if _kept(ctx.carries[st[0]], {st[1]: w})}
 
 
 def keeping_everything(monkeypatch):
@@ -116,7 +116,7 @@ def keeping_everything(monkeypatch):
 
     def set_scale(self, scale):
         real(self, scale)
-        self.keep = dict.fromkeys(self.keep, True)
+        self.carries = dict.fromkeys(self.carries, True)
 
     monkeypatch.setattr(EngineContext, "set_scale", set_scale)
 
@@ -356,12 +356,12 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
             for loc, moves in ctx.out.items()
         }
         # a cap test is True, False or a predicate, compared the same way
-        keep = {
+        carries = {
             loc: k if isinstance(k, bool) else (k.__code__, [c.cell_contents for c in k.__closure__])
-            for loc, k in ctx.keep.items()
+            for loc, k in ctx.carries.items()
         }
         return (ctx.scale, out, ctx.dead, ctx.waits, ctx.buckets, ctx.guarded,
-                ctx.caps, keep, ctx.clock_names)
+                ctx.caps, carries, ctx.clock_names)
 
     m = OnlineMatcher(wa_supinf)
     before = m._ctx
@@ -378,11 +378,13 @@ def test_kernels_compile_once_per_shape(wa_supinf):
     in guard constants compile nothing, as the caches' own counters
     show."""
 
-    def compiled():
-        return zn.elapse_kernel.cache_info().misses + zn.fire_kernel.cache_info().misses
+    kernels = (zn.elapse_kernel, zn.fire_kernel, zn.floor_kernel)
 
-    zn.elapse_kernel.cache_clear()
-    zn.fire_kernel.cache_clear()
+    def compiled():
+        return sum(kernel.cache_info().misses for kernel in kernels)
+
+    for kernel in kernels:
+        kernel.cache_clear()
     m = OnlineMatcher(wa_supinf)
     first = compiled()
     assert first > 0
@@ -758,7 +760,7 @@ def test_trace_value_reads_the_states_fired_at_the_end(fig_automaton):
     sig = Signal([segment({"x": 3.0}, 2), segment({"x": 8.0}, 1)])
     wa_b, wa_r, wa_t = weighted_variants(fig_automaton)
     assert EngineContext(wa_r).caps["l2"] == ()
-    assert EngineContext(wa_r).keep["l2"] is False
+    assert EngineContext(wa_r).carries["l2"] is False
     assert trace_value(sig, wa_b) is True
     # margins 15 - 3 on l0 and 8 - 5 on l1 at best; summed, leaving l0
     # before 2 lets l1 add 3 - 5 as well
@@ -872,7 +874,7 @@ def test_prune_without_guards_keeps_exactly_the_live_locations(monkeypatch):
         for t in (0, 3)
         for seq in (EMPTY_SEQ, (x7,))
     }
-    assert ctx.keep == {"l0": True, "l1": False, "d1": False, "d2": False}
+    assert ctx.carries == {"l0": True, "l1": False, "d1": False, "d2": False}
     assert carried(ctx, weight) == _searched_prune(ctx, weight) == {
         st: w for st, w in weight.items() if st[0] == "l0"
     }
@@ -976,17 +978,30 @@ def test_context_caps_of_two_routes():
     assert ctx.caps == want
     assert ctx.waits == {"l0", "l1", "l2", "l4"}
     ctx.set_scale(2)
-    assert ctx.caps == {
-        loc: tuple(tuple(2 * c for c in vec) for vec in vecs) for loc, vecs in want.items()
-    }
+    assert ctx.caps == want  # in the automaton's time units
 
-    def entry(c, d):  # an l0 entry with floors c and d
-        return ("l0", make(ctx.clock_names, [(0, 1, -c, False), (0, 2, -d, False)]), EMPTY_SEQ)
+    def entry(loc, c, d):  # an entry with floors c and d
+        return (loc, make(ctx.clock_names, [(0, 1, -c, False), (0, 2, -d, False)]), EMPTY_SEQ)
 
     # at scale 2, floors (12, 4) pass only the second route, (8, 16) only
     # the first, and (12, 16) neither
-    weight = {entry(12, 4): 1.0, entry(8, 16): 1.0, entry(12, 16): 1.0}
-    assert carried(ctx, weight) == {entry(12, 4): 1.0, entry(8, 16): 1.0}
+    weight = {entry("l0", 12, 4): 1.0, entry("l0", 8, 16): 1.0, entry("l0", 12, 16): 1.0}
+    assert carried(ctx, weight) == {entry("l0", 12, 4): 1.0, entry("l0", 8, 16): 1.0}
+    # each location's cap test reads its caps scaled: a floor at twice
+    # a cap passes, one over it fails
+    for loc, vecs in want.items():
+        for vec in vecs:
+            if min(vec) < 0:  # no floor lies under a negative cap
+                continue
+            floors = [2 * c if c != INF else 1000 for c in vec]
+            assert ctx.carries[loc](entry(loc, *floors)[1]), (loc, vec)
+            for p, c in enumerate(vec):
+                if c != INF:
+                    over = list(floors)
+                    over[p] += 1
+                    if not any(all(f <= 2 * u for f, u in zip(over, other)) for other in vecs):
+                        assert not ctx.carries[loc](entry(loc, *over)[1]), (loc, vec, p)
+    assert ctx.carries["l3"] is False
 
 
 def test_harvested_regions_are_final_once_their_segment_ends():

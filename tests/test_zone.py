@@ -574,3 +574,24 @@ def test_kernels_return_the_inf_sentinel_itself():
                     assert e is zn.INF, (kind, z, w)
                     infinite[kind] += 1
     assert infinite["elapse"] > 1000 and infinite["fire"] > 1000
+
+
+def test_floor_kernel_tests_floors_against_every_vector():
+    """`floor_kernel` is true exactly when, for some index tuple, every
+    clock's floor (the negated value of its row-0 bound) is at most its
+    cap; caps are encoded as 2 * -k.  Random zones over 1-3 clocks plus
+    T, one to three tuples of one to three clocks each."""
+    rng = random.Random(27)
+    seen = {True: 0, False: 0}
+    for z, t, _, _ in _time_capped_zones(rng, 400):
+        if z is None:
+            continue
+        vecs = tuple(tuple(rng.sample(range(1, t + 1), rng.randint(1, min(3, t))))
+                     for _ in range(rng.randint(1, 3)))
+        caps = [[rng.randint(-1, 8) for _ in vec] for vec in vecs]
+        under = zn.floor_kernel(vecs)(*(-2 * k for ks in caps for k in ks))
+        want = any(all(-zn.decode(z[i])[0] <= k for i, k in zip(vec, ks))
+                   for vec, ks in zip(vecs, caps))
+        assert under(z) is want, (z, vecs, caps)
+        seen[want] += 1
+    assert min(seen.values()) > 25, seen

@@ -7,15 +7,16 @@ Subcommands share the automaton and signal flags:
     quantimatch query      --spec a.tsa --semiring supinf --cost r --query 3 15
     quantimatch grid       --spec a.tsa --semiring boolean --cost b --grid 0.5
 
-`monitor` consumes the signal row by row and prints match rows as they
-are found; the other commands read the whole signal first.  Exit
-codes: 0 success, 1 malformed input, 2 evaluation failure, 64 usage
-error (including a cost/semiring mismatch).
+Every command reads the signal row by row; `monitor` prints a segment's
+match rows as soon as it is read.  Exit codes: 0 success, 1 unreadable
+(missing or not UTF-8) or malformed input, 2 evaluation failure, 64
+usage error (including a cost/semiring mismatch).
 """
 
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import semiring as semirings
@@ -29,7 +30,7 @@ from .automaton import (
 )
 from .engine import OnlineMatcher, trace_value
 from .matchset import format_piece, format_time, format_value
-from .signals import SignalFormatError, parse_signal, read_stream
+from .signals import Signal, SignalFormatError, read_stream
 
 USAGE_EXIT = 64
 
@@ -103,97 +104,75 @@ def _dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            spec_text = fh.read()
-    except OSError as exc:
-        return _fail(1, f"cannot read {args.spec}: {exc}")
-    try:
-        automaton = parse_automaton(spec_text)
-    except ParseError as exc:
-        return _fail(1, f"{args.spec}: {exc}")
-    try:
+            automaton = parse_automaton(fh.read())
         wa = WeightedAutomaton(
             automaton, semirings.get(args.semiring), CostKind.from_code(args.cost)
         )
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(1, f"cannot read {args.spec}: {exc}")
+    except ParseError as exc:
+        return _fail(1, f"{args.spec}: {exc}")
     except PairingError as exc:
         return _fail(USAGE_EXIT, str(exc))
 
-    if args.command == "monitor":
-        return _run_monitor(args, wa)
-
-    if args.signal == "-":
-        signal_text = sys.stdin.read()
-    else:
-        try:
-            with open(args.signal, encoding="utf-8") as fh:
-                signal_text = fh.read()
-        except OSError as exc:
-            return _fail(1, f"cannot read {args.signal}: {exc}")
+    lines = _lines(args.signal)
     try:
-        sig = parse_signal(signal_text)
-    except SignalFormatError as exc:
-        return _fail(1, str(exc))
-
-    if args.command == "tracevalue":
-        try:
+        segments = read_stream(lines)
+        if args.command == "monitor":
+            matcher = OnlineMatcher(wa)
+            for seg in segments:
+                sys.stdout.write("".join(format_piece(p) + "\n" for p in matcher.feed(seg)))
+                sys.stdout.flush()
+            return 0
+        sig = Signal(segments)
+        if args.command == "tracevalue":
             print(format_value(trace_value(sig, wa)))
-        except EvaluationError as exc:
-            return _fail(2, str(exc))
-        return 0
+            return 0
 
-    # usage errors are reported before any evaluation
-    if args.command == "query":
-        try:
-            t, tp = Fraction(args.query[0]), Fraction(args.query[1])
-        except (ValueError, ZeroDivisionError):
-            return _fail(USAGE_EXIT, "query times must be rational numbers")
-        if not 0 <= t < tp <= sig.duration:
-            return _fail(USAGE_EXIT, f"need 0 <= T < TPRIME <= {format_time(sig.duration)}")
-    else:
-        try:
-            delta = Fraction(args.grid)
-        except (ValueError, ZeroDivisionError):
-            return _fail(USAGE_EXIT, "grid spacing must be a rational number")
-        if delta <= 0:
-            return _fail(USAGE_EXIT, "grid spacing must be positive")
+        # usage errors are reported before any evaluation
+        if args.command == "query":
+            try:
+                t, tp = Fraction(args.query[0]), Fraction(args.query[1])
+            except (ValueError, ZeroDivisionError):
+                return _fail(USAGE_EXIT, "query times must be rational numbers")
+            if not 0 <= t < tp <= sig.duration:
+                return _fail(USAGE_EXIT, f"need 0 <= T < TPRIME <= {format_time(sig.duration)}")
+        else:
+            try:
+                delta = Fraction(args.grid)
+            except (ValueError, ZeroDivisionError):
+                return _fail(USAGE_EXIT, "grid spacing must be a rational number")
+            if delta <= 0:
+                return _fail(USAGE_EXIT, "grid spacing must be positive")
 
-    matcher = OnlineMatcher(wa)
-    try:
+        matcher = OnlineMatcher(wa)
         for seg in sig:
             matcher.feed(seg)
-    except EvaluationError as exc:
-        return _fail(2, str(exc))
-    if args.command == "query":
-        print(format_value(matcher.matchset.query(t, tp)))
-    else:
-        matcher.matchset.export_grid(sys.stdout, delta)
-    return 0
-
-
-def _run_monitor(args, wa: WeightedAutomaton) -> int:
-    if args.signal == "-":
-        close = None
-        lines = iter(sys.stdin.readline, "")
-    else:
-        try:
-            close = open(args.signal, encoding="utf-8")
-        except OSError as exc:
-            return _fail(1, f"cannot read {args.signal}: {exc}")
-        lines = close
-    matcher = OnlineMatcher(wa)
-    try:
-        for seg in read_stream(lines):
-            sys.stdout.write("".join(format_piece(p) + "\n" for p in matcher.feed(seg)))
-            sys.stdout.flush()
-    except SignalFormatError as exc:
-        sys.stdout.flush()
+        if args.command == "query":
+            print(format_value(matcher.matchset.query(t, tp)))
+        else:
+            matcher.matchset.export_grid(sys.stdout, delta)
+        return 0
+    except (_Unreadable, SignalFormatError) as exc:
         return _fail(1, str(exc))
     except EvaluationError as exc:
-        sys.stdout.flush()
         return _fail(2, str(exc))
     finally:
-        if close is not None:
-            close.close()
-    return 0
+        lines.close()
+
+
+class _Unreadable(Exception):
+    """The signal could not be opened or decoded; the message names it."""
+
+
+def _lines(path: str):
+    """The signal file's lines, or stdin's for `-` (left open), as they
+    are read; a failed open or read, not a failed write, is `_Unreadable`."""
+    try:
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            yield from iter(fh.readline, "")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Unreadable(f"cannot read {path}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -361,16 +361,12 @@ def fire_kernel(n: int, bounds: tuple, indices: tuple):
     so a move rescales at the cost of a call.
     """
     params = [f"b{m}" for m in range(len(bounds))]
-    lines = [f"def factory({', '.join(params)}):", "    def fire(z):"]
-    if not bounds and indices == tuple(range(n * n)):
-        lines.append("        return z")
-    else:
-        a = [f"a{k}" for k in range(n * n)] + ["INF"]  # index n*n reads INF
-        lines.append(f"        {', '.join(a[:-1])}, = z")
-        for (i, j), b in zip(bounds, params):
-            lines += ["        " + line for line in _tighten(n, i, j, b)]
-        lines.append(f"        return ({', '.join(a[k] for k in indices)},)")
-    lines.append("    return fire")
+    a = [f"a{k}" for k in range(n * n)] + ["INF"]  # index n*n reads INF
+    lines = [f"def factory({', '.join(params)}):", "    def fire(z):",
+             f"        {', '.join(a[:-1])}, = z"]
+    for (i, j), b in zip(bounds, params):
+        lines += ["        " + line for line in _tighten(n, i, j, b)]
+    lines += [f"        return ({', '.join(a[k] for k in indices)},)", "    return fire"]
     return _compile(lines, "factory")
 
 

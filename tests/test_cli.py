@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import errno
 import io
 
 import pytest
@@ -653,3 +654,70 @@ def test_reruns_are_byte_identical(capsys, tmp_path, spec_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# one command line per subcommand, with the expected stdout on FRACTIONAL_SIGNAL
+COMMANDS = {
+    "tracevalue": ([], "-2\n"),
+    "monitor": ([], EXPECTED_MONITOR_FRACTIONAL),
+    "query": (["--query", "1/3", "35/12"], "-2\n"),
+    "grid": (["--grid", "2/3"], EXPECTED_GRID_FRACTIONAL),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_file_and_stdin_read_alike(capsys, monkeypatch, tmp_path, spec_path, command, newline):
+    """The signal as `--signal FILE` and on stdin, as the interpreter
+    wraps it, gives the same bytes for every command and line end."""
+    data = ("# comment\n\n" + FRACTIONAL_SIGNAL).replace("\n", newline).encode()
+    sig = tmp_path / "sig.txt"
+    sig.write_bytes(data)
+    extra, expected = COMMANDS[command]
+    base = [command, "--spec", spec_path, "--semiring", "supinf", "--cost", "r", *extra]
+    from_file = run(capsys, *base, "--signal", str(sig))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    from_stdin = run(capsys, *base)
+    assert from_file == from_stdin == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_undecodable_signal_file_is_unreadable(capsys, tmp_path, spec_path, command):
+    sig = tmp_path / "sig.txt"
+    sig.write_bytes(b"x\n1 \xff\n")
+    extra, _ = COMMANDS[command]
+    code, out, err = run(
+        capsys, command, "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+        *extra, "--signal", str(sig),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"quantimatch: cannot read {sig}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_undecodable_spec_is_unreadable(capsys, tmp_path, command):
+    spec = tmp_path / "bad.tsa"
+    spec.write_bytes(OVERSHOOT_SPEC.encode() + b"# \xff\n")
+    extra, _ = COMMANDS[command]
+    code, out, err = run(
+        capsys, command, "--spec", str(spec), "--semiring", "supinf", "--cost", "r",
+        *extra, "--signal", sig_path(tmp_path, FRACTIONAL_SIGNAL),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"quantimatch: cannot read {spec}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_failed_write_is_not_unreadable_input(monkeypatch, tmp_path, spec_path):
+    """Only a failed open or read of the signal is reported as
+    unreadable input; an error writing stdout propagates unchanged."""
+
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("sys.stdout", FullDisk())
+    with pytest.raises(OSError, match="No space left"):
+        cli.main(["monitor", "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+                  "--signal", sig_path(tmp_path, LONG_SIGNAL)])

@@ -9,8 +9,9 @@ Subcommands share the automaton and signal flags:
 
 Every command reads the signal row by row; `monitor` prints a segment's
 match rows as soon as it is read.  Exit codes: 0 success, 1 unreadable
-(missing or not UTF-8) or malformed input, 2 evaluation failure, 64
-usage error (including a cost/semiring mismatch).
+(missing or not UTF-8) or malformed input, or stdout not writable (a
+closed pipe is not an error), 2 evaluation failure, 64 usage error
+(including a cost/semiring mismatch).
 """
 
 import argparse
@@ -91,13 +92,25 @@ def _fail(code: int, message: str) -> int:
 
 def main(argv=None) -> int:
     try:
-        return _dispatch(argv)
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
-        # Reader went away (e.g. piped into head).  Point stdout at
-        # /dev/null so the interpreter's final flush stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # Reader went away (e.g. piped into head).
+        _drop_stdout()
         return 0
+    except OSError as exc:
+        # Any other failed write of stdout, e.g. a full disk.
+        _drop_stdout()
+        return _fail(1, f"cannot write stdout: {exc}")
+
+
+def _drop_stdout() -> None:
+    """Point stdout at /dev/null, so that the interpreter's final flush
+    of what could not be written stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _dispatch(argv=None) -> int:

@@ -17,11 +17,12 @@ boundary and onto the boundary itself, and each state it waits into
 fires at once, since its recorded value sequence is nonempty.  Waiting
 is strictly positive, so a fired state can never refire at the same
 instant; one fired at the boundary is carried and waits in the next
-segment.  One call of the context's elapse kernel (`zone.elapse_kernel`)
-gives both waiting targets: a waiting state's time clock lies below the
-current boundary, so each target differs from its source only in its
-absolute bounds (row 0 and column 0), which the kernel rewrites with
-O(n) fixed-index int operations.
+segment.  One call of its location's wait kernel (`EngineContext.waits`,
+a `zone.elapse_kernel`) gives both waiting targets: a waiting state's
+time clock lies below the current boundary, so each target differs
+from its source only in its absolute bounds (row 0 and column 0),
+which the kernel rewrites with O(n) fixed-index int operations, and
+in the clocks dead at the location, which it keeps free.
 
 Whether a state can still reach acceptance is decided once per
 automaton.  Waiting and resets never lower a clock's floor again, so
@@ -60,11 +61,14 @@ A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
 "Reducing the Number of Clock Variables of Timed Automata", RTSS 1996).
 `EngineContext` finds them once by a backward fixpoint over the
-transitions, and each move's gather keeps only c >= 0 of each.  Runs
-that differ only in a dead clock then share one state, whose weight is
-the ⊕ of theirs; the value sequences, the time clock and any clock the
-caller keeps (the matcher's match-start clock) are untouched, so every
-row and value stays the same.
+transitions, and each move's gather keeps only c >= 0 of each.  A wait
+would give a dead clock's column bounds again, from column 0, so the
+location's wait kernel frees the same clocks in its outputs.  Runs
+that differ only in a dead clock then share one state, after a fire
+and after a wait alike, whose weight is the ⊕ of theirs; the value
+sequences, the time clock and any clock the caller keeps (the
+matcher's match-start clock) are untouched, and no guard reads a dead
+clock before a reset, so every row and value stays the same.
 
 `trace_value` and `OnlineMatcher` run this one fold (`_Fold`): per
 segment it rescales and weighs, carrying on only what the cap tests
@@ -145,17 +149,21 @@ class EngineContext:
                                     for p, (c, v) in enumerate(zip(cap, vec)))
                         changed |= _add_maximal(caps[tr.source], vec)
         self.caps = {loc: tuple(sorted(vecs)) for loc, vecs in caps.items()}
-        self.waits = frozenset(loc for loc, vecs in caps.items() if vecs)
         # location -> indices of the clocks dead there, `keep` excepted;
         # the time clock is not an automaton clock, so it is never one
         self.dead = {
             loc: tuple(idx[c] for c in a.clocks if c not in used and c not in keep)
             for loc, used in live.items()
         }
+        n = len(self.clock_names) + 1
+        # location -> its wait kernel, which frees the clocks dead there;
+        # only a location with a cap vector waits
+        self.waits = {
+            loc: zn.elapse_kernel(n, self.t_index, self.dead[loc])
+            for loc, vecs in caps.items() if vecs
+        }
         # location -> its moves as (target, guard atoms (clock index,
         # op, unscaled constant), the factory of its fire kernel)
-        n = len(self.clock_names) + 1
-        self.elapse = zn.elapse_kernel(n, self.t_index)
         self._moves = {l.name: [] for l in a.locations}
         for tr in a.transitions:
             # guard constants are integers, as WeightedAutomaton checks
@@ -406,7 +414,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
     zero = sr.zero
     audit = ctx.audit
     scale = ctx.scale
-    elapse = ctx.elapse
     t = ctx.t_index
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     appended = (values,)
@@ -418,10 +425,11 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
             (loc,) = locs
             carry = ctx.carries[loc]
             moves = ctx.out[loc]
+            elapse = ctx.waits.get(loc)
             walled = {}  # arrivals pinned at cur: zone -> weight
             waited: dict = {}  # value sequence -> (band, wall), each zone -> weight
             for seq, zs in [*weight.get(loc, {}).items(), (EMPTY_SEQ, fired[loc])]:
-                waits = zs and loc in ctx.waits
+                waits = zs and elapse is not None
                 if waits:
                     bands, walls = waited.setdefault(absorbing_concat(seq, appended), ({}, {}))
                 for z, d in zs.items():
@@ -494,7 +502,8 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
         while stack:
             i = stack.pop()
             loc, z, seq = states[i]
-            if z[t] == pinned or loc not in ctx.waits:
+            elapse = ctx.waits.get(loc)
+            if z[t] == pinned or elapse is None:
                 continue
             seq2 = seq or appended
             grp = waited[loc].get(seq2)

@@ -53,19 +53,20 @@ applies too.
 
 Since n and every index in those steps are fixed once per automaton,
 both are compiled into straight-line kernels of fixed-index int
-arithmetic: `elapse_kernel(n, t)` unrolls the wait, and
-`fire_kernel(n, positions, indices)` unrolls a move's guard
-tightenings, at the (i, j) positions its bounds take, and its gather
-into one tuple display.  `floor_kernel(vecs)` unrolls the engine's
-test of a zone's clock floors against caps, one row-0 comparison per
-capped clock.  The bounds themselves are arguments of the factory a
-fire or floor kernel is, so a rescale closes over new ones and
-compiles nothing.  Kernels are cached process-wide on those ints alone
-(n, t, index pairs, gather indices, capped clocks): automata of one
-shape share them, and no spec text enters generated source.  A kernel
-takes a nonempty canonical zone and skips what that makes known: row 0
-and the diagonal are finite, and a tightening leaves its bound's row j
-and column i as they are.  `constrain` stays the generic operation.
+arithmetic: `elapse_kernel(n, t, dead)` unrolls the wait and frees
+the clocks `dead` as `gather` would, and `fire_kernel(n, positions,
+indices)` unrolls a move's guard tightenings, at the (i, j) positions
+its bounds take, and its gather into one tuple display.
+`floor_kernel(vecs)` unrolls the engine's test of a zone's clock floors
+against caps, one row-0 comparison per capped clock.  The bounds
+themselves are arguments of the factory a fire or floor kernel is, so
+a rescale closes over new ones and compiles nothing.  Kernels are
+cached process-wide on those ints alone (n, t, dead clocks, index
+pairs, gather indices, capped clocks): automata of one shape share
+them, and no spec text enters generated source.  A kernel takes a
+nonempty canonical zone and skips what that makes known: row 0 and the
+diagonal are finite, and a tightening leaves its bound's row j and
+column i as they are.  `constrain` stays the generic operation.
 """
 
 from __future__ import annotations
@@ -236,20 +237,26 @@ def _finite(n: int, k: int) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def elapse_kernel(n: int, t: int):
+def elapse_kernel(n: int, t: int, dead: tuple):
     """The wait from an n x n zone into a segment (prev, cur] of the
-    time clock c_t, unrolled: a function `elapse(z, prev, cur)` of a
-    nonempty canonical z with c_t < cur (else ValueError), returning
-    (band, wall), `up(z)` restricted to prev < c_t < cur and to c_t =
-    cur, i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
-    `clamp_time(up(z), t, cur, cur)`.
+    time clock c_t, unrolled, freeing the clocks `dead` (indices other
+    than 0 and t): a function `elapse(z, prev, cur)` of a nonempty
+    canonical z with c_t < cur (else ValueError), returning (band,
+    wall), `up(z)` restricted to prev < c_t < cur and to c_t = cur,
+    i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
+    `clamp_time(up(z), t, cur, cur)`, each with `dead` freed as
+    `gather(n, (), dead)` frees them.
 
     The bounds the clamps add, c_t - 0 and 0 - c_t, both meet row 0 and
     column 0, so every path they shorten runs through there: both
     outputs are z with row 0 rewritten from row t and column 0 from
     column t, O(n) bound additions.  Since no point of z reaches cur,
     the strict wait loses none, and no difference bound changes.  Row t
-    is finite, as c_t < cur and row 0 bounds it.
+    is finite, as c_t < cur and row 0 bounds it.  Freeing a dead clock
+    d then only fills its row with INF and copies the output's own
+    column 0 into its column, with c_d >= 0 in row 0, so the wait's
+    entries (0, d) and (d, 0) are never computed.  With `dead` empty
+    this is the plain wait.
     """
     a = [f"a{k}" for k in range(n * n)]
     tn = t * n
@@ -265,6 +272,8 @@ def elapse_kernel(n: int, t: int):
     # row 0: a lower bound turns strict on waiting, then meets
     # 0 - c_t < -prev (band) or <= -cur (wall) through row t
     for j in range(1, n):
+        if j in dead:
+            continue
         band[j], wall[j] = f"b{j}", f"w{j}"
         lines += [
             f"    e = {a[j]} & -2",
@@ -277,6 +286,8 @@ def elapse_kernel(n: int, t: int):
     # column 0: c_i - 0 through column t, with c_t - 0 < cur (band) or
     # <= cur (wall)
     for i in range(n, n * n, n):
+        if i // n in dead:
+            continue
         band[i], wall[i] = f"b{i}", f"w{i}"
         x = a[i + t]
         if _finite(n, i + t):
@@ -289,6 +300,15 @@ def elapse_kernel(n: int, t: int):
                 f"        b{i} = ({x} & -2) + c2",
                 f"        w{i} = {x} + c2",
             ]
+    # off the diagonal, a dead clock's row reads INF, and its column the
+    # output's own column 0, with c_d >= 0 in row 0
+    for out in (band, wall):
+        for k in range(n * n):
+            i, j = divmod(k, n)
+            if i != j and i in dead:
+                out[k] = "INF"
+            elif i != j and j in dead:
+                out[k] = "1" if i == 0 else out[i * n]
     # the only way back to 0 is column t, so test 0 -> t -> 0: row 0's
     # entry at t is even in the band and odd in the wall, so adding
     # the bound c_t - 0 (2cur, or 2cur + 1) is adding 2cur either way

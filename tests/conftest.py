@@ -256,10 +256,11 @@ def canonicalize(z):
 
 def elapse(z, t, prev, cur):
     """The wait from z into (prev, cur] of its time clock t, by the kernel
-    `elapse_kernel` compiles for z's size; an empty z waits into nothing."""
+    `elapse_kernel` compiles for z's size, freeing no clock; an empty z
+    waits into nothing."""
     if z is None:
         return z, z
-    return elapse_kernel(isqrt(len(z)), t)(z, prev, cur)
+    return elapse_kernel(isqrt(len(z)), t, ())(z, prev, cur)
 
 
 def free(z, indices):

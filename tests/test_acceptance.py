@@ -330,7 +330,7 @@ def test_criterion_8_streams_carry_pinned_footprints():
         parse_automaton(UNBOUNDED_SPEC), SUPINF, CostKind.MIN_MARGIN
     )
     _, _, fp100, fp200 = _stream(unbounded, 200, probe=100)
-    assert (fp100, fp200) == (20403, 80803)
+    assert (fp100, fp200) == (15354, 60704)
     _, peak, _, _ = _stream(reference_wa(SUPINF, CostKind.MIN_MARGIN), 500)
     assert peak == 16
 

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import os
 
 import pytest
 
@@ -709,15 +710,48 @@ def test_undecodable_spec_is_unreadable(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
-def test_a_failed_write_is_not_unreadable_input(monkeypatch, tmp_path, spec_path):
+class FullDisk(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC.  Its file
+    descriptor is `fd`, which the CLI then points at /dev/null."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):
+        return self._fd
+
+
+NO_SPACE = "quantimatch: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_a_failed_write_is_not_unreadable_input(monkeypatch, capsys, tmp_path, spec_path):
     """Only a failed open or read of the signal is reported as
-    unreadable input; an error writing stdout propagates unchanged."""
+    unreadable input; a failed write of stdout is reported as such."""
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", FullDisk(fh.fileno()))
+        code = cli.main(["monitor", "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+                         "--signal", sig_path(tmp_path, LONG_SIGNAL)])
+    assert (code, capsys.readouterr().err) == (1, NO_SPACE)
 
-    class FullDisk(io.StringIO):
-        def write(self, text):
-            raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr("sys.stdout", FullDisk())
-    with pytest.raises(OSError, match="No space left"):
-        cli.main(["monitor", "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
-                  "--signal", sig_path(tmp_path, LONG_SIGNAL)])
+@pytest.mark.parametrize("command", ["monitor", "tracevalue", "grid"])
+def test_a_failed_write_of_stdout_is_one_named_error(monkeypatch, capsys, tmp_path, spec_path,
+                                                     command):
+    """A stdout whose writes fail ends the command with exit 1 and one
+    line on stderr, not a traceback; stdout's descriptor is then
+    /dev/null, so the interpreter's final flush stays quiet."""
+    extra, _ = COMMANDS[command]
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr("sys.stdout", FullDisk(fh.fileno()))
+        code = cli.main([command, "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+                         *extra, "--signal", sig_path(tmp_path, FRACTIONAL_SIGNAL)])
+        os.write(fh.fileno(), b"dropped")
+    err = capsys.readouterr().err
+    assert (code, err) == (1, NO_SPACE)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert target.read_bytes() == b""

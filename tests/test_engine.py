@@ -171,7 +171,7 @@ def test_context_buckets_and_waits():
     def tables(spec):
         ctx = OnlineMatcher(WeightedAutomaton(parse_automaton(spec), SUPINF,
                                               CostKind.MIN_MARGIN))._ctx
-        return [(set(locs), cyclic) for locs, cyclic in ctx.buckets], ctx.waits
+        return [(set(locs), cyclic) for locs, cyclic in ctx.buckets], set(ctx.waits)
 
     trivial = [({"start"}, False), ({"l0"}, False), ({"l1"}, False), ({"l2"}, False)]
     assert tables(OVERSHOOT_SPEC) == (trivial, {"start", "l0", "l1"})
@@ -204,16 +204,17 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
     elapsed = 0
     real_init = EngineContext.__init__
 
-    def counting_init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        kernel = self.elapse
-
+    def counting(kernel):
         def counting_elapse(*args):
             nonlocal elapsed
             elapsed += 1
             return kernel(*args)
 
-        self.elapse = counting_elapse
+        return counting_elapse
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.waits = {loc: counting(kernel) for loc, kernel in self.waits.items()}
 
     def runs():
         out = []
@@ -228,8 +229,10 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
     skipping_elapsed, elapsed = elapsed, 0
 
     def waiting_everywhere(self, *args, **kwargs):
-        counting_init(self, *args, **kwargs)
-        self.waits = frozenset(self.out)
+        real_init(self, *args, **kwargs)
+        n = self.t_index + 1
+        self.waits = {loc: counting(zn.elapse_kernel(n, self.t_index, self.dead[loc]))
+                      for loc in self.out}
 
     monkeypatch.setattr(EngineContext, "__init__", waiting_everywhere)
     assert runs() == skipping
@@ -280,6 +283,59 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
     assert with_free == without
     assert freed_with > 0 and freed == 0
     assert any(any(batch) for rows in with_free for batch in rows)
+
+
+def test_waits_free_dead_clocks_and_change_only_the_carried_table(monkeypatch):
+    """A wait frees the clocks dead at its location.  Beside a reference
+    matcher whose wait kernels free none, as a fire leaves them, every
+    segment's rows are the same, and so are both carried tables once
+    each entry's dead clocks are freed and equal keys are ⊕-merged; the
+    table is already so freed, but for the start location's seed (a
+    point zone at the boundary).  `trace_value` is the same too."""
+    rng = random.Random(43)
+    cases = []
+    for i in range(150):
+        a = random_automaton(rng)
+        if i % 2:
+            a = _with_dead_branch(rng, a)
+        cases.append((a, random_signal(rng, max_segments=6)))
+    real_init = EngineContext.__init__
+
+    def stale_waits(ctx):
+        n = ctx.t_index + 1
+        return {loc: zn.elapse_kernel(n, ctx.t_index, ()) for loc in ctx.waits}
+
+    def stale_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.waits = stale_waits(self)
+
+    def refreed(m):
+        out = {}
+        for (loc, z, q), w in flat(m._weight).items():
+            key = (loc, free(z, m._ctx.dead[loc]), q)
+            out[key] = m.semiring.oplus(out[key], w) if key in out else w
+        return out
+
+    segments = rows = saved = 0
+    for a, sig in cases:
+        for wa in weighted_variants(a):
+            m, ref = OnlineMatcher(wa), OnlineMatcher(wa)
+            monkeypatch.setattr(ref._ctx, "waits", stale_waits(ref._ctx))
+            for seg in sig:
+                got = [format_piece(p) for p in m.feed(seg)]
+                assert got == [format_piece(p) for p in ref.feed(seg)]
+                assert refreed(m) == refreed(ref)
+                seed = zn.point_zone(m._ctx.clock_names, int(m.elapsed * m.scale))
+                for loc, z, _ in flat(m._weight):
+                    assert z == (seed if loc == m._start else free(z, m._ctx.dead[loc]))
+                segments += 1
+                rows += len(got)
+                saved += ref.footprint() - m.footprint()
+            with monkeypatch.context() as patched:
+                patched.setattr(EngineContext, "__init__", stale_init)
+                want = trace_value(sig, wa)
+            assert trace_value(sig, wa) == want
+    assert segments > 1000 and rows > 1000 and saved > 1000
 
 
 def test_compiled_move_equals_public_ops():
@@ -388,6 +444,9 @@ def test_kernels_compile_once_per_shape(wa_supinf):
     m = OnlineMatcher(wa_supinf)
     first = compiled()
     assert first > 0
+    # one wait kernel per dead set of a waiting location: () and (c,)
+    ctx = m._ctx
+    assert zn.elapse_kernel.cache_info().misses == len({ctx.dead[loc] for loc in ctx.waits}) == 2
     OnlineMatcher(wa_supinf)
     assert compiled() == first
     for duration in (Fraction(3, 2), Fraction(2, 3), Fraction(5, 4)):
@@ -541,7 +600,8 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
 def _flat_explore(ctx, weight, values, prev, cur):
     """`_explore` over a flat table {(location, zone, sequence): weight},
     as it was before the table was grouped: the reference the grouped
-    one is checked against.  Returns flat (fired, final)."""
+    one is checked against.  A wait frees the location's dead clocks
+    with the generic `free`.  Returns flat (fired, final)."""
     sr = ctx.semiring
     oplus = sr.oplus
     otimes = sr.otimes
@@ -576,6 +636,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
                 elif waits:
                     seq2 = absorbing_concat(seq, appended)
                     for z2 in elapse(z, t, prev, cur):
+                        z2 = free(z2, ctx.dead[loc])
                         if z2 is not None:
                             st2 = (loc, z2, seq2)
                             old = waited.get(st2)
@@ -621,6 +682,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
                 continue
             seq2 = absorbing_concat(seq, appended)
             for z2 in elapse(z, t, prev, cur):
+                z2 = free(z2, ctx.dead[loc])
                 if z2 is None:
                     continue
                 j = ids.setdefault((loc, z2, seq2), len(states))
@@ -976,7 +1038,7 @@ def test_context_caps_of_two_routes():
         "l4": ((INF, -2),),
     }
     assert ctx.caps == want
-    assert ctx.waits == {"l0", "l1", "l2", "l4"}
+    assert set(ctx.waits) == {"l0", "l1", "l2", "l4"}
     ctx.set_scale(2)
     assert ctx.caps == want  # in the automaton's time units
 

@@ -448,6 +448,32 @@ def test_elapse_equals_up_then_both_clamps():
     assert bands > 500 and walls > 500 and reaching > 500
 
 
+def test_elapse_frees_the_dead_clocks():
+    """With dead clocks, elapse is `up` plus both clamps, then `free` of
+    those clocks, on zones with T < cur, n = 2..5 and random dead
+    subsets; the outputs stay canonical."""
+    rng = random.Random(27)
+    freed = 0
+    for _ in range(2000):
+        k = rng.randint(0, 3)
+        n, t = k + 2, k + 1
+        clocks = ("a", "b", "c")[:k] + ("T",)
+        cur = rng.randint(1, 8)
+        prev = rng.randint(0, cur - 1)
+        cons = random_constraints(rng, t, rng.randint(0, 6)) + [(t, 0, cur, True)]
+        z = make(clocks, cons)
+        if z is None:
+            continue
+        dead = tuple(c for c in range(1, t) if rng.random() < 0.5)
+        got = zn.elapse_kernel(n, t, dead)(z, prev, cur)
+        want = tuple(free(x, dead) for x in _elapse_by_clamps(z, t, prev, cur))
+        assert got == want, (z, dead, prev, cur)
+        for x in got:
+            assert canonicalize(x) == x
+            freed += x is not None and bool(dead)
+    assert freed > 1000
+
+
 def test_elapse_edges():
     clocks = ("a", "T")
     empty = make(clocks, [(1, 0, -1, False)])
@@ -561,11 +587,11 @@ def test_kernels_return_the_inf_sentinel_itself():
         z = make(clocks, random_constraints(rng, t, rng.randint(0, 3)) + [(t, 0, cur, True)])
         if z is None:
             continue
-        out = [*zn.elapse_kernel(n, t)(z, prev, cur)]
         clock = rng.randint(1, n - 1)
         bound = zn.guard_bound(clock, rng.choice(ops), rng.randint(0, 6))
         resets = [c for c in range(1, n) if rng.random() < 0.3]
         dead = [c for c in range(1, n) if rng.random() < 0.3]
+        out = [*zn.elapse_kernel(n, t, tuple(c for c in dead if c != t))(z, prev, cur)]
         fire = zn.fire_kernel(n, (bound[:2],), zn.gather(n, resets, dead))(bound[2])
         out.append(fire(z))
         for kind, w in zip(("elapse", "elapse", "fire"), out):

@@ -12,9 +12,12 @@ spec on signals whose durations have q in {4, 5, 8}, so bounds print as
 `grid --grid 1/8` and `query --query 1/8 5/4` only, so many queried
 points lie exactly on a region's bounds.  The `long-tracevalue` line
 runs `tracevalue` alone, of the cyclic and unbounded specs, on longer
-seeded signals, so the fold carries and prunes many states.  It prints
-one line per run: the number of stdout lines and a sha256 over every
-run's stdout and exit code.
+seeded signals, so the fold carries and prunes many states.  The
+`long-monitor` line runs `monitor` of the unbounded spec on the first
+of those signals, so its rows come from runs that dwell for many
+segments, where states that differ only in a dead clock merge.  It
+prints one line per run: the number of stdout lines and a sha256 over
+every run's stdout and exit code.
 
 The last line, `carried`, is not CLI output.  It feeds every spec's
 coarse signals, under all three pairings, to `engine.OnlineMatcher`
@@ -177,6 +180,7 @@ def main(argv=None) -> int:
     runs.append(("fine-scale", ("overshoot",), fine, COMMANDS))
     runs.append(("fine-grid", ("overshoot",), fine, FINE_COMMANDS))
     runs.append(("long-tracevalue", LONG_SPECS, long, (("tracevalue",),)))
+    runs.append(("long-monitor", ("unbounded",), long[:1], (("monitor",),)))
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in SPECS.items():
             with open(os.path.join(tmp, f"{name}.tsa"), "w", encoding="utf-8") as fh:

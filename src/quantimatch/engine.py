@@ -18,11 +18,14 @@ fires at once, since its recorded value sequence is nonempty.  Waiting
 is strictly positive, so a fired state can never refire at the same
 instant; one fired at the boundary is carried and waits in the next
 segment.  One call of its location's wait kernel (`EngineContext.waits`,
-a `zone.elapse_kernel`) gives both waiting targets: a waiting state's
-time clock lies below the current boundary, so each target differs
-from its source only in its absolute bounds (row 0 and column 0),
-which the kernel rewrites with O(n) fixed-index int operations, and
-in the clocks dead at the location, which it keeps free.
+a `zone.elapse_kernel`) gives both waiting targets.  It reads only the
+current boundary: the entries are pinned at the previous one and every
+other state is fired into after it, so no wait needs a lower clamp.  A
+waiting state's time clock lies below the current boundary, so each
+target differs from its source only in its absolute bounds (row 0 and
+column 0), which the kernel rewrites with O(n) fixed-index int
+operations, and in the clocks dead at the location, which it keeps
+free; neither target is ever empty.
 
 Whether a state can still reach acceptance is decided once per
 automaton.  Waiting and resets never lower a clock's floor again, so
@@ -390,23 +393,26 @@ def _close_component(comp, out, dist, sr: Semiring) -> None:
                 dist[v] = oplus(dist[v], otimes(du, w))
 
 
-def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur: int):
+def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     """Unfold one segment and weigh it, location bucket by bucket.
 
-    `prev` and `cur` are scaled boundary times; input entries are
-    expected to be pinned at `prev`, and are only read.  The states a
-    transition fires into are ⊕-accumulated at their location as they
-    arrive.  A trivial bucket's inputs and arrivals then have their
-    final weights: they wait, and each state they wait into fires at
-    once into later buckets.  A cyclic bucket weighs its local move
-    graph with `shortest_distance`, its inputs and arrivals as sources,
-    and then relaxes the fires that leave it.  Returns (fired, final):
-    the weighed states a transition fired into, as {location: {zone:
-    weight}} since their sequence is empty, and those pinned at `cur`
-    that their location's cap test (`EngineContext.carries`) carries,
-    grouped as the input is.  A trivial bucket keeps a wait's band and
-    wall apart, so its walls, pinned by construction, are tested as
-    they are and need no test of their time clock.
+    `cur` is the segment's end, a scaled boundary time; input entries
+    are expected to be pinned at its start, and are only read.  A wait
+    reads `cur` alone, since every state that waits lies at or after
+    the start: an input is pinned there and an arrival fired after it.
+    The states a transition fires into are ⊕-accumulated at their
+    location as they arrive.  A trivial bucket's inputs and arrivals
+    then have their final weights: they wait, and each state they wait
+    into fires at once into later buckets.  A cyclic bucket weighs its
+    local move graph with `shortest_distance`, its inputs and arrivals
+    as sources, and then relaxes the fires that leave it.  Returns
+    (fired, final): the weighed states a transition fired into, as
+    {location: {zone: weight}} since their sequence is empty, and those
+    pinned at `cur` that their location's cap test
+    (`EngineContext.carries`) carries, grouped as the input is.  A
+    trivial bucket keeps a wait's band and wall apart, so its walls,
+    pinned by construction, are tested as they are and need no test of
+    their time clock.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -438,13 +444,11 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
                     if z[t] == pinned:  # only an arrival can be
                         walled[z] = d
                     elif waits:
-                        band, wall = elapse(z, prev, cur)
-                        if band is not None:
-                            old = bands.get(band)
-                            bands[band] = d if old is None else oplus(old, d)
-                        if wall is not None:
-                            old = walls.get(wall)
-                            walls[wall] = d if old is None else oplus(old, d)
+                        band, wall = elapse(z, cur)
+                        old = bands.get(band)
+                        bands[band] = d if old is None else oplus(old, d)
+                        old = walls.get(wall)
+                        walls[wall] = d if old is None else oplus(old, d)
             out = {}  # value sequence -> zone -> weight, carried from cur
             if walled:
                 out[EMPTY_SEQ] = _kept(carry, walled)
@@ -510,9 +514,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, prev: int, cur
             if grp is None:
                 grp = waited[loc][seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
             ids, w = grp
-            for z2 in elapse(z, prev, cur):
-                if z2 is None:
-                    continue
+            for z2 in elapse(z, cur):
                 j = ids.get(z2)
                 if j is not None:
                     edges.append((i, j, sr.one))
@@ -598,7 +600,7 @@ class _Fold:
             }
             ctx.set_scale(scale)
         cur = int(end * scale)
-        fired, final = _explore(ctx, self._weight, seg.values, int(self._elapsed * scale), cur)
+        fired, final = _explore(ctx, self._weight, seg.values, cur)
         self._weight = self._carry(final, cur)
         self._elapsed = end
         return fired

@@ -177,19 +177,6 @@ def arrangement_points(sig: Signal, matchset) -> list:
     return sorted(set(pts) | set(mids))
 
 
-TROPICAL_TOL = 1e-9  # finite tropical sums this close agree
-
-
-def _value_close(sr: Semiring, a, b) -> bool:
-    if a == b:
-        return True
-    if sr.name != "tropical":
-        return False
-    if a in (INF, -INF) or b in (INF, -INF):
-        return False
-    return abs(a - b) <= TROPICAL_TOL
-
-
 def check_qtpm_pointwise(sig: Signal, wa: WeightedAutomaton, audit=None) -> list:
     """Match-set queries versus direct evaluation of each restriction.
 
@@ -209,7 +196,7 @@ def check_qtpm_pointwise(sig: Signal, wa: WeightedAutomaton, audit=None) -> list
                 continue
             got = ms.query(t, tp)
             want = engine.trace_value(sig.restrict(t, tp), wa, audit)
-            if not _value_close(wa.semiring, got, want):
+            if got != want:
                 bad.append((t, tp, got, want))
     return bad
 

@@ -113,12 +113,6 @@ class Signal:
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Signal) and self.segments == other.segments
-
-    def __hash__(self) -> int:
-        return hash(self.segments)
-
     def __repr__(self) -> str:
         parts = " ".join(f"{dict(s.values)}^{s.duration}" for s in self.segments)
         return f"Signal({parts})"

@@ -39,17 +39,16 @@ is tuple equality, coincides with set equality.  Every public operation
 maps `None` to `None` and otherwise returns a canonical zone, by O(n^2)
 incremental tightening at most, never a full Floyd-Warshall pass.
 
-The engine's per-state operations skip even that.  Waiting into a
-segment (prev, cur] of the time clock yields the open band and the
-wall at cur; it requires the time clock to lie below cur (else
-ValueError).  Then every bound it adds passes through row 0 and column
-0, which it fills for both outputs in one pass over each, from the
-time clock's row and column, where `up` and two `clamp_time` calls
-take four `constrain` passes.  A move fires with one `constrain` per
-guard bound and then one gather: resetting clocks and freeing them
-(forgetting all but c >= 0) only copy rows and columns, so any mix of
-both is one index map over the zone (`gather`), which `reset`
-applies too.
+The engine's per-state operations skip even that.  Waiting up to a
+boundary cur of the time clock yields the band below cur and the wall
+at cur; it requires the time clock to lie below cur (else ValueError).
+Then every bound it adds passes through row 0 and column 0, which it
+fills for both outputs in one pass over each, from the time clock's
+row and column, where `up` and two `clamp_time` calls take four
+`constrain` passes.  A move fires with one `constrain` per guard bound
+and then one gather: resetting clocks and freeing them (forgetting all
+but c >= 0) only copy rows and columns, so any mix of both is one index
+map over the zone (`gather`), which `reset` applies too.
 
 Since n and every index in those steps are fixed once per automaton,
 both are compiled into straight-line kernels of fixed-index int
@@ -238,20 +237,23 @@ def _finite(n: int, k: int) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def elapse_kernel(n: int, t: int, dead: tuple):
-    """The wait from an n x n zone into a segment (prev, cur] of the
-    time clock c_t, unrolled, freeing the clocks `dead` (indices other
-    than 0 and t): a function `elapse(z, prev, cur)` of a nonempty
-    canonical z with c_t < cur (else ValueError), returning (band,
-    wall), `up(z)` restricted to prev < c_t < cur and to c_t = cur,
-    i.e. `clamp_time(up(z), t, prev, cur, True, True)` and
+    """The wait from an n x n zone up to a boundary cur of the time
+    clock c_t, unrolled, freeing the clocks `dead` (indices other than
+    0 and t): a function `elapse(z, cur)` of a nonempty canonical z with
+    c_t < cur (else ValueError), returning (band, wall), `up(z)`
+    restricted to c_t < cur and to c_t = cur, i.e.
+    `clamp_time(up(z), t, 0, cur, True, True)` and
     `clamp_time(up(z), t, cur, cur)`, each with `dead` freed as
-    `gather(n, (), dead)` frees them.
+    `gather(n, (), dead)` frees them.  Both are nonempty, since every
+    point of z lies below cur and waits up to it.  A z with prev <= c_t
+    waits into (prev, cur] this way, as `up` alone keeps c_t > prev.
 
     The bounds the clamps add, c_t - 0 and 0 - c_t, both meet row 0 and
     column 0, so every path they shorten runs through there: both
     outputs are z with row 0 rewritten from row t and column 0 from
     column t, O(n) bound additions.  Since no point of z reaches cur,
-    the strict wait loses none, and no difference bound changes.  Row t
+    the strict wait loses none, and no difference bound changes; nor
+    does the band's row 0, whose lower bounds only turn strict.  Row t
     is finite, as c_t < cur and row 0 bounds it.  Freeing a dead clock
     d then only fills its row with INF and copies the output's own
     column 0 into its column, with c_d >= 0 in row 0, so the wait's
@@ -262,26 +264,22 @@ def elapse_kernel(n: int, t: int, dead: tuple):
     tn = t * n
     band, wall = a[:], a[:]
     lines = [
-        "def elapse(z, prev, cur):",
+        "def elapse(z, cur):",
         f"    {', '.join(a)}, = z",
         "    c2 = 2 * cur  # c_t < cur, and also the strict bound c_t - 0 < cur",
         f"    if {a[tn]} > c2:",
         f"        raise ValueError(f'clock {t} may reach the boundary {{cur}}')",
-        "    p2 = 2 * prev",
     ]
-    # row 0: a lower bound turns strict on waiting, then meets
-    # 0 - c_t < -prev (band) or <= -cur (wall) through row t
+    # row 0: a lower bound turns strict on waiting; the wall's then
+    # meets 0 - c_t <= -cur through row t
     for j in range(1, n):
         if j in dead:
             continue
         band[j], wall[j] = f"b{j}", f"w{j}"
         lines += [
-            f"    e = {a[j]} & -2",
-            f"    x = {a[tn + j]}",
-            "    lo = (x & -2) - p2",
-            f"    b{j} = lo if lo < e else e",
-            "    lo = x - c2",
-            f"    w{j} = lo if lo < e else e",
+            f"    b{j} = {a[j]} & -2",
+            f"    lo = {a[tn + j]} - c2",
+            f"    w{j} = lo if lo < b{j} else b{j}",
         ]
     # column 0: c_i - 0 through column t, with c_t - 0 < cur (band) or
     # <= cur (wall)
@@ -309,15 +307,7 @@ def elapse_kernel(n: int, t: int, dead: tuple):
                 out[k] = "INF"
             elif i != j and j in dead:
                 out[k] = "1" if i == 0 else out[i * n]
-    # the only way back to 0 is column t, so test 0 -> t -> 0: row 0's
-    # entry at t is even in the band and odd in the wall, so adding
-    # the bound c_t - 0 (2cur, or 2cur + 1) is adding 2cur either way
-    lines += [
-        "    return (",
-        f"        None if b{t} + c2 < 1 else ({', '.join(band)}),",
-        f"        None if w{t} + c2 < 1 else ({', '.join(wall)}),",
-        "    )",
-    ]
+    lines.append(f"    return ({', '.join(band)}), ({', '.join(wall)})")
     return _compile(lines, "elapse")
 
 

@@ -19,7 +19,7 @@ from quantimatch.automaton import (
 )
 from quantimatch.semiring import BOOLEAN, SUPINF, TROPICAL
 from quantimatch.signals import EMPTY_SEQ, Signal, segment
-from quantimatch.zone import INF, elapse_kernel, encode, gather, point_zone
+from quantimatch.zone import INF, clamp_time, elapse_kernel, encode, gather, point_zone, up
 
 # Two-step overshoot pattern: leave a low region quickly (c < 5), then
 # reach the high region within the deadline (c < 10).
@@ -254,13 +254,21 @@ def canonicalize(z):
     return _full_canonicalize(list(z))
 
 
-def elapse(z, t, prev, cur):
-    """The wait from z into (prev, cur] of its time clock t, by the kernel
+def elapse(z, t, cur):
+    """The wait from z up to cur of its time clock t, by the kernel
     `elapse_kernel` compiles for z's size, freeing no clock; an empty z
     waits into nothing."""
     if z is None:
         return z, z
-    return elapse_kernel(isqrt(len(z)), t, ())(z, prev, cur)
+    return elapse_kernel(isqrt(len(z)), t, ())(z, cur)
+
+
+def elapse_by_clamps(z, t, prev, cur):
+    """The wait from z into (prev, cur] of its time clock t by `up` and
+    two `clamp_time` calls: the band prev < T < cur and the wall T = cur.
+    The reference the wait kernel is checked against."""
+    u = up(z)
+    return clamp_time(u, t, prev, cur, True, True), clamp_time(u, t, cur, cur)
 
 
 def free(z, indices):

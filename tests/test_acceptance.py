@@ -307,8 +307,12 @@ def _stream(wa, n, probe=None):
 
 def test_criterion_8_scaling_shape():
     wa = reference_wa(SUPINF, CostKind.MIN_MARGIN)
-    t1, peak1, _, _ = _stream(wa, 5000)
-    t2, peak2, _, _ = _stream(wa, 10000)
+    # each length runs twice, interleaved, and keeps its faster time:
+    # with one run per length, seven runs of this test alone on a
+    # two-core Xeon host read ratios from 1.82 to 2.34
+    runs = [_stream(wa, n) for n in (5000, 10000, 5000, 10000)]
+    t1, t2 = min(runs[0][0], runs[2][0]), min(runs[1][0], runs[3][0])
+    peak1, peak2 = runs[0][1], runs[1][1]
     ratio = t2 / t1
     assert 1.6 <= ratio <= 2.6, f"runtime ratio {ratio:.2f}"
     assert abs(peak1 - peak2) < 0.10 * max(peak1, peak2), (peak1, peak2)

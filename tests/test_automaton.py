@@ -76,6 +76,11 @@ def test_parser_tolerates_comments_and_layout():
         ("var x;\nclock c;\nlocation l0 [x<1]\nlocation l1 [true];\n", 4, 1, "expected ';'"),
         ("var x;\nclock c;\nlocation l0 [x ! 1];\n", 1, 16, "unexpected character '!'"),
         ("clock c;\nlocation l0 [true];\nedge l0 -> l0 reset {d};\n", 3, 22, "unknown clock 'd'"),
+        ("var x;\nlocation l0 [x x 1];\n", 2, 16, "expected comparison, got 'x'"),
+        ("var x;\nlocation l0 [x < y];\n", 2, 18, "expected number, got 'y'"),
+        ("var x;\nlocation l0 [true];\nfoo;\n", 3, 1, "expected declaration, got 'foo'"),
+        ("var x;\nclock c;\nlocation l0 [x<1];\nedge l9 -> l0;\n", 4, 6,
+         "unknown location 'l9'"),
     ],
 )
 def test_parse_diagnostics(text, line, col, fragment):

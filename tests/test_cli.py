@@ -469,6 +469,15 @@ def test_malformed_signal(capsys, tmp_path, spec_path):
     assert code == 1 and "line 3" in err
 
 
+def test_a_bad_value_is_malformed_signal(capsys, tmp_path, spec_path):
+    code, out, err = run(
+        capsys, "monitor", "--spec", spec_path, "--semiring", "supinf",
+        "--cost", "r", "--signal", sig_path(tmp_path, "x\n1 abc\n"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "quantimatch: line 2: bad value 'abc'\n"
+
+
 def test_header_only_signal_is_evaluation_error(capsys, tmp_path, spec_path):
     code, _, err = run(
         capsys, "tracevalue", "--spec", spec_path, "--semiring", "supinf",
@@ -725,6 +734,13 @@ class FullDisk(io.StringIO):
         return self._fd
 
 
+class ClosedPipe(FullDisk):
+    """A stdout whose reader went away: every write fails with EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
 NO_SPACE = "quantimatch: cannot write stdout: [Errno 28] No space left on device\n"
 
 
@@ -754,4 +770,21 @@ def test_a_failed_write_of_stdout_is_one_named_error(monkeypatch, capsys, tmp_pa
     err = capsys.readouterr().err
     assert (code, err) == (1, NO_SPACE)
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", ["monitor", "tracevalue", "grid"])
+def test_a_closed_pipe_ends_the_command_quietly(monkeypatch, capsys, tmp_path, spec_path,
+                                                command):
+    """A stdout whose reader went away (as when piped into `head`) ends
+    the command with exit 0 and nothing on stderr; stdout's descriptor
+    is then /dev/null, so the interpreter's final flush stays quiet."""
+    extra, _ = COMMANDS[command]
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        code = cli.main([command, "--spec", spec_path, "--semiring", "supinf", "--cost", "r",
+                         *extra, "--signal", sig_path(tmp_path, FRACTIONAL_SIGNAL)])
+        os.write(fh.fileno(), b"dropped")
+    assert (code, capsys.readouterr().err) == (0, "")
     assert target.read_bytes() == b""

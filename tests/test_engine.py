@@ -39,7 +39,7 @@ from conftest import (
     DEAD_BRANCH_SPEC,
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
-    elapse,
+    elapse_by_clamps,
     flat,
     free,
     initial_weight,
@@ -553,7 +553,7 @@ def test_advance_first_segment_exact(wa_supinf):
     w0 = initial_weight(ctx)
     assert flat(w0) == {("l0", zn.point_zone(CT, 0), EMPTY_SEQ): INF}
     x7 = valuation({"x": 7.0})
-    fired, final = _explore(ctx, w0, x7, 0, 7)
+    fired, final = _explore(ctx, w0, x7, 7)
 
     pinned7 = [(2, 0, 7, False), (0, 2, -7, False)]
     z_wall_input = zn.point_zone(CT, 7)
@@ -581,10 +581,10 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
     to acceptance from, fired ones included."""
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    fired, final = _explore(ctx, w0, valuation({"x": 7.0}), 0, 7)
+    fired, final = _explore(ctx, w0, valuation({"x": 7.0}), 7)
     fired, final = flat_fired(fired), flat(final)
     assert fired and not set(flat(w0)) & set(fired)
-    # every fired state lies strictly after `prev`, within the segment
+    # every fired state lies strictly after the segment's start 0, within it
     for state in fired:
         assert state[2] == EMPTY_SEQ, state
         m = zn.matrix(state[1])
@@ -600,8 +600,10 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
 def _flat_explore(ctx, weight, values, prev, cur):
     """`_explore` over a flat table {(location, zone, sequence): weight},
     as it was before the table was grouped: the reference the grouped
-    one is checked against.  A wait frees the location's dead clocks
-    with the generic `free`.  Returns flat (fired, final)."""
+    one is checked against.  A wait clamps to (prev, cur] with `up` and
+    `clamp_time`, where the fold reads cur alone, and frees the
+    location's dead clocks with the generic `free`.  Returns flat
+    (fired, final)."""
     sr = ctx.semiring
     oplus = sr.oplus
     otimes = sr.otimes
@@ -635,7 +637,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
                     final[state] = d
                 elif waits:
                     seq2 = absorbing_concat(seq, appended)
-                    for z2 in elapse(z, t, prev, cur):
+                    for z2 in elapse_by_clamps(z, t, prev, cur):
                         z2 = free(z2, ctx.dead[loc])
                         if z2 is not None:
                             st2 = (loc, z2, seq2)
@@ -681,7 +683,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
             if z[t] == pinned or loc not in ctx.waits:
                 continue
             seq2 = absorbing_concat(seq, appended)
-            for z2 in elapse(z, t, prev, cur):
+            for z2 in elapse_by_clamps(z, t, prev, cur):
                 z2 = free(z2, ctx.dead[loc])
                 if z2 is None:
                     continue
@@ -764,7 +766,7 @@ def test_grouped_explore_equals_flat_reference():
                     want_fired, want_final = _flat_explore(ctx, flat(weight), seg.values, prev, cur)
                     want_zones = Counter(zones)
                     zones.clear()
-                    fired, final = _explore(ctx, weight, seg.values, prev, cur)
+                    fired, final = _explore(ctx, weight, seg.values, cur)
                     assert weight == before
                     assert flat_fired(fired) == want_fired
                     assert flat(final) == _searched_prune(ctx, want_final)

@@ -167,6 +167,9 @@ def test_parse_errors_carry_line_numbers():
         parse_signal("x\nabc 1\n")
     assert "bad duration" in str(e.value)
     with pytest.raises(SignalFormatError) as e:
+        parse_signal("x\n1 abc\n")
+    assert e.value.lineno == 2 and "bad value 'abc'" in str(e.value)
+    with pytest.raises(SignalFormatError) as e:
         parse_signal("x\n1 inf\n")
     assert "not finite" in str(e.value)
     with pytest.raises(SignalFormatError) as e:

@@ -17,7 +17,7 @@ import pytest
 import quantimatch.zone as zn
 from quantimatch.oracle import _fm_feasible
 
-from conftest import add_bounds, canonicalize, elapse, free, make
+from conftest import add_bounds, canonicalize, elapse, elapse_by_clamps, free, make
 
 CLOCKS2 = ("a", "b")
 CLOCKS3 = ("a", "b", "t")
@@ -342,7 +342,7 @@ def test_empty_zone_behavior():
     assert free(empty, (1,)) is None
     assert zn.up(empty) is None
     assert zn.clamp_time(empty, 2, 0, 3) is None
-    assert elapse(empty, 2, 0, 3) == (None, None)
+    assert elapse(empty, 2, 3) == (None, None)
     assert zn.scale(empty, 3) is None
     assert zn.project_match(empty, 2, 1) is None
 
@@ -425,33 +425,31 @@ def _time_capped_zones(rng, cases):
     return out
 
 
-def _elapse_by_clamps(z, t, prev, cur):
-    u = zn.up(z)
-    return zn.clamp_time(u, t, prev, cur, True, True), zn.clamp_time(u, t, cur, cur)
-
-
 def test_elapse_equals_up_then_both_clamps():
-    """On zones with T < cur, elapse is `up` plus both clamps; a zone
-    whose T may reach cur is rejected."""
+    """On nonempty zones with T < cur, elapse is `up` plus both clamps,
+    0 < T < cur and T = cur, and neither output is empty; a zone whose
+    T may reach cur is rejected."""
     rng = random.Random(23)
-    bands = walls = reaching = 0
-    for z, t, prev, cur in _time_capped_zones(rng, 3000):
+    waits = reaching = 0
+    for z, t, _, cur in _time_capped_zones(rng, 3000):
+        if z is None:
+            continue
         if zn.clamp_time(z, t, cur, cur) is not None:
             with pytest.raises(ValueError, match=f"reach the boundary {cur}"):
-                elapse(z, t, prev, cur)
+                elapse(z, t, cur)
             reaching += 1
             continue
-        band, wall = elapse(z, t, prev, cur)
-        assert (band, wall) == _elapse_by_clamps(z, t, prev, cur), (z, prev, cur)
-        bands += band is not None
-        walls += wall is not None
-    assert bands > 500 and walls > 500 and reaching > 500
+        band, wall = elapse(z, t, cur)
+        assert (band, wall) == elapse_by_clamps(z, t, 0, cur), (z, cur)
+        assert band is not None and wall is not None, (z, cur)
+        waits += 1
+    assert waits > 500 and reaching > 500
 
 
 def test_elapse_frees_the_dead_clocks():
     """With dead clocks, elapse is `up` plus both clamps, then `free` of
     those clocks, on zones with T < cur, n = 2..5 and random dead
-    subsets; the outputs stay canonical."""
+    subsets; the outputs are nonempty and stay canonical."""
     rng = random.Random(27)
     freed = 0
     for _ in range(2000):
@@ -459,29 +457,58 @@ def test_elapse_frees_the_dead_clocks():
         n, t = k + 2, k + 1
         clocks = ("a", "b", "c")[:k] + ("T",)
         cur = rng.randint(1, 8)
-        prev = rng.randint(0, cur - 1)
         cons = random_constraints(rng, t, rng.randint(0, 6)) + [(t, 0, cur, True)]
         z = make(clocks, cons)
         if z is None:
             continue
         dead = tuple(c for c in range(1, t) if rng.random() < 0.5)
-        got = zn.elapse_kernel(n, t, dead)(z, prev, cur)
-        want = tuple(free(x, dead) for x in _elapse_by_clamps(z, t, prev, cur))
-        assert got == want, (z, dead, prev, cur)
+        got = zn.elapse_kernel(n, t, dead)(z, cur)
+        want = tuple(free(x, dead) for x in elapse_by_clamps(z, t, 0, cur))
+        assert got == want, (z, dead, cur)
         for x in got:
-            assert canonicalize(x) == x
-            freed += x is not None and bool(dead)
+            assert x is not None and canonicalize(x) == x, (z, dead, cur)
+            freed += bool(dead)
     assert freed > 1000
+
+
+def test_elapse_from_prev_equals_the_segment_clamps():
+    """The fold waits only states with prev <= T < cur, and reads cur
+    alone: on such zones, a third of them pinned at prev as a segment's
+    inputs are, the kernel with random dead clocks equals `up` plus the
+    (prev, cur] clamps, then `free`.  With prev > 0 the clamp at prev
+    is not the clamp at 0 that clocks' nonnegativity gives."""
+    rng = random.Random(28)
+    late = pinned = 0
+    for _ in range(3000):
+        k = rng.randint(0, 3)
+        n, t = k + 2, k + 1
+        clocks = ("a", "b", "c")[:k] + ("T",)
+        cur = rng.randint(1, 8)
+        prev = rng.randint(0, cur - 1)
+        cons = random_constraints(rng, t, rng.randint(0, 6))
+        cons += [(t, 0, cur, True), (0, t, -prev, False)]
+        if rng.random() < 1 / 3:
+            cons.append((t, 0, prev, False))
+        z = make(clocks, cons)
+        if z is None:
+            continue
+        dead = tuple(c for c in range(1, t) if rng.random() < 0.5)
+        got = zn.elapse_kernel(n, t, dead)(z, cur)
+        want = tuple(free(x, dead) for x in elapse_by_clamps(z, t, prev, cur))
+        assert got == want, (z, dead, prev, cur)
+        late += prev > 0
+        pinned += prev > 0 and z[t] == 1 - 2 * prev and z[t * n] == 2 * prev + 1
+    assert late > 800 and pinned > 200
 
 
 def test_elapse_edges():
     clocks = ("a", "T")
     empty = make(clocks, [(1, 0, -1, False)])
-    assert elapse(empty, 2, 0, 3) == (empty, empty)
+    assert elapse(empty, 2, 3) == (empty, empty)
     # pinned at prev, as every input entry of a segment is
     at_prev = make(clocks, [(2, 0, 1, False), (0, 2, -1, False), (1, 0, 0, False)])
-    band, wall = elapse(at_prev, 2, 1, 3)
-    assert (band, wall) == _elapse_by_clamps(at_prev, 2, 1, 3)
+    band, wall = elapse(at_prev, 2, 3)
+    assert (band, wall) == elapse_by_clamps(at_prev, 2, 1, 3)
     assert zn.contains(band, (1, 2)) and not zn.contains(band, (2, 3))
     assert zn.contains(wall, (2, 3)) and not zn.contains(wall, (1, 2))
 
@@ -494,7 +521,7 @@ def test_elapse_rejects_time_past_the_boundary():
     for cap in ([(2, 0, 4, False)], [(2, 0, 4, True)], [], [(2, 0, 3, False)], at_cur):
         z = make(clocks, cap)
         with pytest.raises(ValueError, match="reach the boundary 3"):
-            elapse(z, 2, 0, 3)
+            elapse(z, 2, 3)
 
 
 def test_free_is_the_canonical_cylinder_of_the_projection():
@@ -561,7 +588,7 @@ def test_every_operation_keeps_the_diagonal_at_one():
             make(clocks, random_constraints(rng, t, 3)),
         ]
         if zn.clamp_time(z, t, cur, cur) is None:
-            produced.extend(elapse(z, t, prev, cur))
+            produced.extend(elapse(z, t, cur))
         for out in produced:
             if out is not None:
                 assert all(out[k * n + k] == 1 for k in range(n)), (z, out)
@@ -583,7 +610,6 @@ def test_kernels_return_the_inf_sentinel_itself():
         n, t = k + 2, k + 1
         clocks = ("a", "b", "c")[:k] + ("T",)
         cur = rng.randint(1, 8)
-        prev = rng.randint(0, cur - 1)
         z = make(clocks, random_constraints(rng, t, rng.randint(0, 3)) + [(t, 0, cur, True)])
         if z is None:
             continue
@@ -591,7 +617,7 @@ def test_kernels_return_the_inf_sentinel_itself():
         bound = zn.guard_bound(clock, rng.choice(ops), rng.randint(0, 6))
         resets = [c for c in range(1, n) if rng.random() < 0.3]
         dead = [c for c in range(1, n) if rng.random() < 0.3]
-        out = [*zn.elapse_kernel(n, t, tuple(c for c in dead if c != t))(z, prev, cur)]
+        out = [*zn.elapse_kernel(n, t, tuple(c for c in dead if c != t))(z, cur)]
         fire = zn.fire_kernel(n, (bound[:2],), zn.gather(n, resets, dead))(bound[2])
         out.append(fire(z))
         for kind, w in zip(("elapse", "elapse", "fire"), out):

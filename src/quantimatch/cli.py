@@ -15,6 +15,7 @@ closed pipe is not an error), 2 evaluation failure, 64 usage error
 """
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import nullcontext
@@ -85,6 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building one takes about as long
+    as a small command, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _fail(code: int, message: str) -> int:
     print(f"quantimatch: {message}", file=sys.stderr)
     return code
@@ -114,7 +122,7 @@ def _drop_stdout() -> None:
 
 
 def _dispatch(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
             automaton = parse_automaton(fh.read())

@@ -27,6 +27,20 @@ column 0), which the kernel rewrites with O(n) fixed-index int
 operations, and in the clocks dead at the location, which it keeps
 free; neither target is ever empty.
 
+Where one location is a bucket of its own, the wait and the fire
+depend on the zone alone, not on the value sequence: a sequence only
+sets the cost its waited states are weighed by.  So a zone that several
+sequence groups hold there waits once and fires once, weighed by the ⊕
+over those groups of its weight ⊗ the group's cost.  That is exact, bit
+for bit, in all three semirings: ⊕ is max, min or `or`, and x ↦ x ⊗ w
+is nondecreasing (the tropical sum too, with its ±inf rules), so
+(d1 ⊕ d2) ⊗ w = (d1 ⊗ w) ⊕ (d2 ⊗ w), the distributive step of Mohri's
+generic scheme cited below; a zone fires when some group of nonzero
+cost holds it, as each group's own states would.  Each group still
+keeps its own walls, for the carried table.  Work per segment then
+follows the distinct zones that wait, not the (group, zone) pairs,
+which outnumber them about two to one when runs dwell.
+
 Whether a state can still reach acceptance is decided once per
 automaton.  Waiting and resets never lower a clock's floor again, so
 an upper guard atom that a floor exceeds stays violated; lower atoms
@@ -87,7 +101,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import ge, le
+from operator import ge, itemgetter, le
 
 from . import zone as zn
 from .automaton import (
@@ -402,17 +416,33 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     the start: an input is pinned there and an arrival fired after it.
     The states a transition fires into are ⊕-accumulated at their
     location as they arrive.  A trivial bucket's inputs and arrivals
-    then have their final weights: they wait, and each state they wait
-    into fires at once into later buckets.  A cyclic bucket weighs its
-    local move graph with `shortest_distance`, its inputs and arrivals
-    as sources, and then relaxes the fires that leave it.  Returns
-    (fired, final): the weighed states a transition fired into, as
-    {location: {zone: weight}} since their sequence is empty, and those
-    pinned at `cur` that their location's cap test
-    (`EngineContext.carries`) carries, grouped as the input is.  A
-    trivial bucket keeps a wait's band and wall apart, so its walls,
-    pinned by construction, are tested as they are and need no test of
-    their time clock.
+    then have their final weights.  It waits and fires in two passes:
+
+    1. over its sequence groups (each input group, then the arrivals
+       with the empty sequence), each costed once per extended
+       sequence: every zone that waits is waited once by its location's
+       kernel, its band and wall kept, and it accumulates the ⊕ over
+       its groups of weight ⊗ cost, from groups of nonzero cost alone;
+       each group ⊕-merges its own walls for the carried table;
+    2. over the distinct zones so accumulated: the band and the wall
+       fire into later buckets with the zone's accumulated weight.
+
+    By distributivity (module docstring) this gives each fired state
+    the weight that waiting and firing each (group, zone) pair apart
+    gives, bit for bit.  Keeping a wait's band and wall apart, a
+    trivial bucket tests its walls, pinned by construction, as they are,
+    with no test of their time clock.  With an audit, each input and
+    each waited (sequence, band) and (sequence, wall) state is audited
+    once.  A dead end, a location that neither waits nor carries (an
+    accepting sink), is skipped unless audited.
+
+    A cyclic bucket weighs its local move graph with
+    `shortest_distance`, its inputs and arrivals as sources, and then
+    relaxes the fires that leave it.  Returns (fired, final): the
+    weighed states a transition fired into, as {location: {zone:
+    weight}} since their sequence is empty, and those pinned at `cur`
+    that their location's cap test (`EngineContext.carries`) carries,
+    grouped as the input is.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -430,49 +460,64 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         if not cyclic:
             (loc,) = locs
             carry = ctx.carries[loc]
-            moves = ctx.out[loc]
             elapse = ctx.waits.get(loc)
+            if carry is False and elapse is None and audit is None:
+                continue  # a dead end, an accepting sink: it keeps no state
             walled = {}  # arrivals pinned at cur: zone -> weight
-            waited: dict = {}  # value sequence -> (band, wall), each zone -> weight
+            groups = {}  # value sequence -> (its walls: zone -> weight, its cost)
+            # input zone -> [band, wall, ⊕ over its groups of d ⊗ cost,
+            # None while no group of nonzero cost holds it]
+            waited = {}
+            seen = set()  # audited (sequence, zone) states, when auditing
             for seq, zs in [*weight.get(loc, {}).items(), (EMPTY_SEQ, fired[loc])]:
-                waits = zs and elapse is not None
-                if waits:
-                    bands, walls = waited.setdefault(absorbing_concat(seq, appended), ({}, {}))
+                if not zs:
+                    continue
+                seq2 = absorbing_concat(seq, appended)
+                grp = groups.get(seq2)
+                if grp is None:
+                    grp = groups[seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
+                walls, w = grp
+                fires = w != zero
                 for z, d in zs.items():
                     if audit is not None:
                         audit(z, scale, cur)
                     if z[t] == pinned:  # only an arrival can be
                         walled[z] = d
-                    elif waits:
-                        band, wall = elapse(z, cur)
-                        old = bands.get(band)
-                        bands[band] = d if old is None else oplus(old, d)
-                        old = walls.get(wall)
-                        walls[wall] = d if old is None else oplus(old, d)
+                        continue
+                    if elapse is None:
+                        continue
+                    e = waited.get(z)
+                    if e is None:
+                        e = waited[z] = [*elapse(z, cur), None]
+                    wall = e[1]
+                    old = walls.get(wall)
+                    walls[wall] = d if old is None else oplus(old, d)
+                    if fires:
+                        dw = otimes(d, w)
+                        old = e[2]
+                        e[2] = dw if old is None else oplus(old, dw)
+                    if audit is not None:
+                        for z2 in e[:2]:
+                            if (seq2, z2) not in seen:
+                                seen.add((seq2, z2))
+                                audit(z2, scale, cur)
+            moves = ctx.out[loc]
+            for band, wall, dw in waited.values():
+                if dw is None:
+                    continue
+                for z2 in (band, wall):
+                    for target, fire in moves:
+                        z3 = fire(z2)
+                        if z3 is None:
+                            continue
+                        arr = fired[target]
+                        old = arr.get(z3)
+                        arr[z3] = dw if old is None else oplus(old, dw)
             out = {}  # value sequence -> zone -> weight, carried from cur
             if walled:
                 out[EMPTY_SEQ] = _kept(carry, walled)
-            for seq2, (bands, walls) in waited.items():
-                if audit is not None:
-                    for z2 in (*bands, *walls):
-                        audit(z2, scale, cur)
-                if walls:
-                    out[seq2] = _kept(carry, walls)
-                if not bands and not walls:
-                    continue
-                w = cost_value(ctx.kind, ctx.labels[loc], seq2)
-                if w == zero:
-                    continue
-                for grp in (bands, walls):
-                    for z2, d in grp.items():
-                        dw = otimes(d, w)
-                        for target, fire in moves:
-                            z3 = fire(z2)
-                            if z3 is None:
-                                continue
-                            arr = fired[target]
-                            old = arr.get(z3)
-                            arr[z3] = dw if old is None else oplus(old, dw)
+            for seq2, (walls, _) in groups.items():
+                out[seq2] = _kept(carry, walls)
             out = {seq: zs for seq, zs in out.items() if zs}
             if out:
                 final[loc] = out
@@ -641,12 +686,15 @@ class OnlineMatcher(_Fold):
         expanded = matching_automaton(wa.automaton)
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
         self._start = expanded.locations[-1].name
-        self._tp_index = len(wa.automaton.clocks) + 1
         # the start location's hand-off needs a positive dwell, so the
         # initial locations are seeded too, for matches starting at 0;
         # the projection reads the match-start clock, so it is never freed
         super().__init__(EngineContext(self._expanded, 1, audit, (expanded.clocks[-1],)),
                          (self._start, *(l.name for l in wa.automaton.initial_locations)))
+        ctx = self._ctx
+        # `zone.project_match` onto (t, t') as one gather
+        self._project = itemgetter(*zn.match_indices(
+            len(ctx.clock_names) + 1, ctx.t_index, len(wa.automaton.clocks) + 1))
         self._names = None  # variable names of the first segment
         self.matchset = MatchSet(wa.semiring)
 
@@ -655,21 +703,21 @@ class OnlineMatcher(_Fold):
         as its batch, in `zone_sort_key` order.  No later segment changes
         them.  Every segment must carry the variable set of the first one."""
         self._names = check_variables(seg, self._names)
-        sr = self.semiring
+        oplus = self.semiring.oplus
+        project = self._project
         fired = self._step(seg)
         rows: dict = {}  # integer-scale region -> value
         for loc, zs in fired.items():
             if loc not in self._ctx.accepting:
                 continue
             for z, w in zs.items():
-                region = zn.project_match(z, self._ctx.t_index, self._tp_index)
+                region = project(z)
                 if region[7] == 1:  # t' - t <= 0: no window
                     continue
-                rows[region] = sr.oplus(rows[region], w) if region in rows else w
-        pieces = [
-            MatchPiece(region, rows[region], self._ctx.scale)
-            for region in sorted(rows, key=zone_sort_key)
-        ]
+                rows[region] = oplus(rows[region], w) if region in rows else w
+        scale = self._ctx.scale
+        pieces = [MatchPiece(region, rows[region], scale)
+                  for region in sorted(rows, key=zone_sort_key)]
         self.matchset.insert(self._elapsed, pieces)
         return pieces
 

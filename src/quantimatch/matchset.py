@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import zone as zn
 from .semiring import INF, Semiring
@@ -107,10 +107,11 @@ def _interval(lo, hi, den) -> str:
     return f"{left}{_bound_time(-(lo >> 1), den)},{_bound_time(hi >> 1, den)}{right}"
 
 
-@dataclass(frozen=True)
-class MatchPiece:
+class MatchPiece(NamedTuple):
     """A value on a region of the (t, t') plane.  `den` is the time scale
-    the region was computed at: its int bounds count units of 1/den."""
+    the region was computed at: its int bounds count units of 1/den.  As
+    a named tuple it is immutable, hashable and cheap to build, and it
+    compares equal to the plain tuple of its fields."""
 
     region: tuple  # zone.py's flat 3x3 bound tuple over (0, t, t')
     value: object

@@ -402,7 +402,8 @@ def project_match(z, t_idx: int, tp_idx: int):
 
     `t_idx` and `tp_idx` are the 1-based matrix indices of the absolute
     clock T and the match-start clock T'.  Selecting differences of
-    canonical entries yields a canonical 3x3 matrix directly.
+    canonical entries yields a canonical 3x3 matrix directly.  The
+    matcher selects them with one gather over `match_indices`.
     """
     if z is None:
         return z
@@ -413,6 +414,15 @@ def project_match(z, t_idx: int, tp_idx: int):
         z[t + tp_idx], 1, z[tp_idx],
         z[t], z[tp], 1,
     )
+
+
+def match_indices(n: int, t_idx: int, tp_idx: int) -> tuple:
+    """`project_match` of n x n zones as one index map: entry k of the
+    projection is z[idx[k]].  Each diagonal entry reads z[0], which is 1
+    in every nonempty canonical zone, so an `operator.itemgetter` over
+    these indices equals `project_match` on any such zone."""
+    t, tp = t_idx * n, tp_idx * n
+    return (0, tp + t_idx, t_idx, t + tp_idx, 0, tp_idx, t, tp, 0)
 
 
 def contains(z, numerators: Sequence[int], den: int = 1) -> bool:

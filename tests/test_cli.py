@@ -666,6 +666,27 @@ def test_reruns_are_byte_identical(capsys, tmp_path, spec_path):
     assert outs[0] == outs[1]
 
 
+def test_commands_in_one_process_are_byte_identical(capsys, tmp_path, spec_path):
+    """The process builds its parser once; a usage error, then `grid`,
+    then `query`, run twice in one process, give the same bytes on
+    stdout and stderr and the same exit codes each time."""
+    sig = sig_path(tmp_path, LONG_SIGNAL)
+    common = ["--spec", spec_path, "--semiring", "supinf", "--cost", "r", "--signal", sig]
+    rounds = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["grid", *common])  # no --grid
+        results = [(e.value.code, *capsys.readouterr())]
+        results.append(run(capsys, "grid", *common, "--grid", "10"))
+        results.append(run(capsys, "query", *common, "--query", "3", "15"))
+        rounds.append(results)
+    assert [r[0] for r in rounds[0]] == [64, 0, 0]
+    assert "--grid" in rounds[0][0][2]
+    assert rounds[0][1][1] == EXPECTED_GRID
+    assert rounds[0] == rounds[1]
+    assert cli._parser() is cli._parser()
+
+
 # one command line per subcommand, with the expected stdout on FRACTIONAL_SIGNAL
 COMMANDS = {
     "tracevalue": ([], "-2\n"),

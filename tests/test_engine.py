@@ -733,19 +733,23 @@ def _flat_explore(ctx, weight, values, prev, cur):
 def test_grouped_explore_equals_flat_reference():
     """On random automata with 1 to 3 clocks, cycles, resets and a dead
     self-looping branch, under all three pairings and on integer-valued
-    signals with repeated values, `_explore` weighs the same states as the flat reference in
-    every segment, carries those of its pinned states that a search
-    finds a way to acceptance from, audits the same multiset of zones
-    and leaves its input table as it was; both the plain automaton and
-    the matcher's expanded one (with its start location) are folded."""
+    signals with repeated values, `_explore` weighs the same states as
+    the flat reference in every segment, carries those of its pinned
+    states that a search finds a way to acceptance from, audits the same
+    multiset of zones and leaves its input table as it was; both the
+    plain automaton and the matcher's expanded one (with its start
+    location) are folded.  Many zones that wait are held by two or more
+    sequence groups, which the reference waits and fires apart."""
     rng = random.Random(39)
     fired_seen = cyclic_seen = 0
+    shared = Counter()  # semiring -> (location, zone) pairs held by two or more groups
     for _ in range(25):
         a = _with_dead_branch(rng, random_automaton(rng, max_clocks=3, extra_edges=3))
         # adjacent values are often equal, so that waiting absorbs the
-        # appended value and two sequence groups wait into one
+        # appended value and two sequence groups wait into one; up to 10
+        # segments, so that runs dwell and groups come to share zones
         values = [float(rng.randint(-2, 14))]
-        for _ in range(rng.randint(0, 4)):
+        for _ in range(rng.randint(0, 9)):
             values.append(values[-1] if rng.random() < 0.4 else float(rng.randint(-2, 14)))
         sig = Signal([segment({"x": v}, Fraction(rng.randint(1, 10), rng.randint(1, 4)))
                       for v in values])
@@ -773,8 +777,85 @@ def test_grouped_explore_equals_flat_reference():
                     assert Counter(zones) == want_zones
                     zones.clear()
                     fired_seen += len(want_fired)
+                    shared[wa.semiring.name] += _shared_zones(ctx, weight, fired, cur)
                     weight, prev = final, cur
     assert fired_seen > 1000 and cyclic_seen > 50
+    # a trivial bucket waits and fires a zone once, for all the groups
+    # that hold it: that merge is exercised under every pairing
+    assert min(shared[sr.name] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 100, shared
+
+
+def _shared_zones(ctx, weight, fired, cur):
+    """How many (location, zone) pairs two or more sequence groups hold
+    among the states that wait at a trivial bucket's location: its input
+    groups and its arrivals, these not pinned at `cur`."""
+    t, pinned = ctx.t_index, 1 - 2 * cur
+    count = 0
+    for locs, cyclic in ctx.buckets:
+        if cyclic or locs[0] not in ctx.waits:
+            continue
+        held = Counter(z for zs in weight.get(locs[0], {}).values() for z in zs)
+        held.update(z for z in fired.get(locs[0], {}) if z[t] != pinned)
+        count += sum(1 for n in held.values() if n > 1)
+    return count
+
+
+def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch):
+    """On the unbounded overshoot, whose runs dwell in l1, each segment
+    calls a location's wait kernel once per distinct zone that waits
+    there (its inputs and its arrivals not pinned at the boundary), not
+    once per (sequence group, zone) pair; many zones are held by two
+    groups or more."""
+    a = parse_automaton(OVERSHOOT_SPEC.replace(" when c < 10", ""))
+    m = OnlineMatcher(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN))
+    ctx = m._ctx
+    calls = Counter()
+    for loc, kernel in list(ctx.waits.items()):
+        def counted(z, cur, loc=loc, kernel=kernel):
+            calls[loc] += 1
+            return kernel(z, cur)
+        ctx.waits[loc] = counted
+    real = engine._explore
+    pairs = distinct = 0
+
+    def explore(ctx, weight, values, cur):
+        nonlocal pairs, distinct
+        calls.clear()
+        fired, final = real(ctx, weight, values, cur)
+        t, pinned = ctx.t_index, 1 - 2 * cur
+        for loc in ctx.waits:
+            waiting = [z for zs in weight.get(loc, {}).values() for z in zs]
+            waiting += [z for z in fired.get(loc, {}) if z[t] != pinned]
+            assert calls[loc] == len(set(waiting)), (cur, loc)
+            pairs += len(waiting)
+            distinct += len(set(waiting))
+        return fired, final
+
+    monkeypatch.setattr(engine, "_explore", explore)
+    rng = random.Random(5)
+    for _ in range(25):
+        m.feed(segment({"x": float(rng.randint(-2, 14))}, Fraction(rng.randint(1, 10), rng.randint(1, 4))))
+    assert distinct > 500 and pairs > 1.5 * distinct, (pairs, distinct)
+
+
+def test_match_gather_equals_project_match():
+    """The matcher projects each accepting zone with one gather over
+    `zone.match_indices`; on every zone a random sweep fires into, it
+    equals `zone.project_match`, the diagonal entries included."""
+    rng = random.Random(41)
+    seen = 0
+    for _ in range(20):
+        a = random_automaton(rng, max_clocks=3, extra_edges=3)
+        sig = random_signal(rng, max_segments=4)
+        for wa in weighted_variants(a):
+            m = OnlineMatcher(wa)
+            t, tp = m._ctx.t_index, len(wa.automaton.clocks) + 1
+            for seg in sig:
+                for zs in m._step(seg).values():
+                    for z in zs:
+                        assert m._project(z) == zn.project_match(z, t, tp)
+                        seen += 1
+    assert seen > 1000
 
 
 def test_carried_table_invariants():

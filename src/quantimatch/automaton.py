@@ -158,13 +158,62 @@ def cost_value(kind: CostKind, label: tuple[Atom, ...], seq: ValueSeq):
                 (_margin(op, d, value_of(a, var)) for a in seq for var, op, d in atoms),
                 default=INF,
             )
-        return float(
-            sum(_margin(op, d, value_of(a, var)) for a in seq for var, op, d in atoms)
-        )
+        # a plain left fold, which `sum` is not on every Python version
+        total = 0.0
+        for a in seq:
+            for var, op, d in atoms:
+                total += _margin(op, d, value_of(a, var))
+        return total
     except KeyError as exc:
-        raise EvaluationError(
-            f"variable {exc.args[0]!r} missing from signal"
-        ) from None
+        raise _missing(exc) from None
+
+
+def cost_extender(kind: CostKind, label: tuple[Atom, ...]):
+    """`cost_value` of a location label as a step per valuation.
+
+    Returns (cost of the empty sequence, extend): `extend(cost, a)` is
+    the cost of a sequence extended by the valuation `a`, given the
+    cost of the sequence.  Stepping from the empty sequence's cost gives
+    `cost_value` of every sequence bit for bit: SUM_MARGIN continues the
+    same left fold, MIN_MARGIN keeps the first least margin as `min`
+    does, and SAT stops at the first unsatisfied atom as `all` does, so
+    a missing variable raises exactly when `cost_value` raises.  Each
+    atom's constant is converted to a float once.
+    """
+    atoms = tuple((at.var, at.op, float(at.const)) for at in label)
+    if kind is CostKind.SAT:
+        empty = True
+
+        def step(cost, a):
+            return cost and all(_eval_atom(op, d, value_of(a, var)) for var, op, d in atoms)
+    elif kind is CostKind.MIN_MARGIN:
+        empty = INF
+
+        def step(cost, a):
+            for var, op, d in atoms:
+                m = _margin(op, d, value_of(a, var))
+                if m < cost:
+                    cost = m
+            return cost
+    else:
+        empty = 0.0
+
+        def step(cost, a):
+            for var, op, d in atoms:
+                cost += _margin(op, d, value_of(a, var))
+            return cost
+
+    def extend(cost, a):
+        try:
+            return step(cost, a)
+        except KeyError as exc:
+            raise _missing(exc) from None
+
+    return empty, extend
+
+
+def _missing(exc: KeyError) -> EvaluationError:
+    return EvaluationError(f"variable {exc.args[0]!r} missing from signal")
 
 
 def matching_automaton(a: Automaton) -> Automaton:

@@ -3,12 +3,24 @@
 The engine advances a weight table across one signal segment at a
 time.  A state is a location, a clock zone and the value sequence
 recorded since its last transition; the table maps each to a semiring
-value, grouped as {location: {value sequence: {zone: value}}}, so each
-sequence is stored, extended and costed once per group, and a state
-costs one zone-keyed dict operation.  Time is rescaled whenever a
+value, grouped as {location: {value sequence: {zone: value}}}, so a
+state costs one zone-keyed dict operation.  Time is rescaled whenever a
 segment's end needs it, so that every boundary so far is an integer;
 zone bounds then stay integral, keeping zone identity exact under
 hashing.
+
+A value sequence is a node (`_Seq`): the sequence it extends, its last
+valuation, its length and its cost against its location's label.  A
+segment extends each group's sequence by its valuation in O(1)
+(`_extend`): to the node itself when it ends with an equal valuation
+(the absorbing seam), else to its one child for that valuation, costed
+once when made, from its parent's cost (`automaton.cost_extender`).  So
+no sequence is copied, hashed or costed again however long its runs
+dwell, and a segment's work follows its groups, not their lengths.
+Nodes are interned per location and segment (`_interned`), so equal
+sequences among a segment's groups are one node; a node then hashes
+and compares by identity, and the states the table keeps are exactly
+those a table keyed by the sequences themselves keeps.
 
 Per segment the table unfolds into a finite move graph.  The states
 that wait are the entries and the states transitions fire into; each
@@ -107,12 +119,52 @@ from . import zone as zn
 from .automaton import (
     EvaluationError,
     WeightedAutomaton,
-    cost_value,
+    cost_extender,
     matching_automaton,
 )
 from .matchset import MatchPiece, MatchSet, zone_sort_key
 from .semiring import Semiring
-from .signals import EMPTY_SEQ, Segment, Signal, Valuation, absorbing_concat, check_variables
+from .signals import Segment, Signal, Valuation, check_variables
+
+
+class _Seq:
+    """A value sequence recorded at one location, as a node: the
+    sequence it extends (`parent`, None for the empty one), its last
+    valuation, its length and its cost against the location's label.
+    Equal sequences among a location's groups are one node (`_extend`),
+    so a node hashes and compares by identity, in O(1)."""
+
+    __slots__ = ("parent", "last", "length", "cost")
+
+    def __init__(self, parent, last, length: int, cost):
+        self.parent = parent
+        self.last = last
+        self.length = length
+        self.cost = cost
+
+
+def _interned(inputs, values: Valuation) -> dict:
+    """A location's intern table for one segment, {parent: node}, from
+    its input sequence groups: the nodes ending with the segment's
+    valuation `values`, the only ones an extension by it can find.  An
+    input's sequence ends with the previous segment's valuation, so when
+    the two are equal, the empty sequence extended finds its carried
+    one-valuation node here.  Only live nodes are held."""
+    return {q.parent: q for q in inputs if q.last == values}
+
+
+def _extend(q: _Seq, values: Valuation, nodes: dict, step) -> _Seq:
+    """`q` extended by the segment's valuation `values` at its location:
+    `q` itself when it ends with an equal one (the absorbing seam), else
+    the one child of q in `nodes`, the location's intern table for the
+    segment (`_interned`), made on first use and costed by the
+    location's `step` (`automaton.cost_extender`) from q's cost."""
+    if q.last == values:
+        return q
+    node = nodes.get(q)
+    if node is None:
+        node = nodes[q] = _Seq(q, values, q.length + 1, step(q.cost, values))
+    return node
 
 
 class EngineContext:
@@ -131,6 +183,12 @@ class EngineContext:
         self.t_index = len(a.clocks) + 1  # 1-based matrix index
         self.audit = audit
         self.labels = {l.name: l.label for l in a.locations}
+        # location -> (its empty sequence's node, its cost step)
+        self.roots = {}
+        self.steps = {}
+        for l in a.locations:
+            empty, self.steps[l.name] = cost_extender(self.kind, l.label)
+            self.roots[l.name] = _Seq(None, None, 0, empty)
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
         # the clocks some guard reads, in the order of the `caps` vectors
@@ -419,11 +477,12 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     then have their final weights.  It waits and fires in two passes:
 
     1. over its sequence groups (each input group, then the arrivals
-       with the empty sequence), each costed once per extended
-       sequence: every zone that waits is waited once by its location's
-       kernel, its band and wall kept, and it accumulates the ⊕ over
-       its groups of weight ⊗ cost, from groups of nonzero cost alone;
-       each group ⊕-merges its own walls for the carried table;
+       with the empty sequence), each extended by `values` to a node
+       that carries its cost (`_extend`): every zone that waits is
+       waited once by its location's kernel, its band and wall kept,
+       and it accumulates the ⊕ over its groups of weight ⊗ cost, from
+       groups of nonzero cost alone; each group ⊕-merges its own walls
+       for the carried table;
     2. over the distinct zones so accumulated: the band and the wall
        fire into later buckets with the zone's accumulated weight.
 
@@ -452,7 +511,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     scale = ctx.scale
     t = ctx.t_index
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
-    appended = (values,)
     fired: dict = {loc: {} for locs, _ in ctx.buckets for loc in locs}  # in bucket order
     final: dict = {}
 
@@ -463,20 +521,22 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             elapse = ctx.waits.get(loc)
             if carry is False and elapse is None and audit is None:
                 continue  # a dead end, an accepting sink: it keeps no state
+            inputs = weight.get(loc, {})
+            root = ctx.roots[loc]
+            step = ctx.steps[loc]
+            nodes = _interned(inputs, values)
             walled = {}  # arrivals pinned at cur: zone -> weight
-            groups = {}  # value sequence -> (its walls: zone -> weight, its cost)
+            groups = {}  # extended value sequence -> its walls: zone -> weight
             # input zone -> [band, wall, ⊕ over its groups of d ⊗ cost,
             # None while no group of nonzero cost holds it]
             waited = {}
             seen = set()  # audited (sequence, zone) states, when auditing
-            for seq, zs in [*weight.get(loc, {}).items(), (EMPTY_SEQ, fired[loc])]:
+            for seq, zs in [*inputs.items(), (root, fired[loc])]:
                 if not zs:
                     continue
-                seq2 = absorbing_concat(seq, appended)
-                grp = groups.get(seq2)
-                if grp is None:
-                    grp = groups[seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
-                walls, w = grp
+                seq2 = _extend(seq, values, nodes, step)
+                walls = groups.setdefault(seq2, {})
+                w = seq2.cost
                 fires = w != zero
                 for z, d in zs.items():
                     if audit is not None:
@@ -515,8 +575,8 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                         arr[z3] = dw if old is None else oplus(old, dw)
             out = {}  # value sequence -> zone -> weight, carried from cur
             if walled:
-                out[EMPTY_SEQ] = _kept(carry, walled)
-            for seq2, (walls, _) in groups.items():
+                out[root] = _kept(carry, walled)
+            for seq2, walls in groups.items():
                 out[seq2] = _kept(carry, walls)
             out = {seq: zs for seq, zs in out.items() if zs}
             if out:
@@ -526,24 +586,28 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         # a cyclic bucket numbers its states, inputs first, and finds a
         # waited state again by zone within its (location, sequence)
         # group in `waited`, a fired one within its location's `arrived`.
-        # Only inputs and arrivals wait: an input, never pinned at cur,
-        # holds its sequence already extended by `values`, an arrival ε
+        # Only inputs and arrivals wait, each into its sequence extended
+        # by `values`; an input is never pinned at cur, so the sequence
+        # it keeps in `states` is read by its wait alone
         states = []  # id -> (location, zone, value sequence)
         sources = {}
+        nodes = {}  # location -> its intern table
         for loc in locs:
-            for seq, zs in weight.get(loc, {}).items():
-                seq2 = absorbing_concat(seq, appended)
+            inputs = weight.get(loc, {})
+            nodes[loc] = _interned(inputs, values)
+            for seq, zs in inputs.items():
                 for z, d in zs.items():
                     sources[len(states)] = d
-                    states.append((loc, z, seq2))
+                    states.append((loc, z, seq))
         arrived = {}  # location -> zone -> id of a state fired into
         for loc in locs:
             ids = arrived[loc] = {}
+            root = ctx.roots[loc]
             for z, d in fired[loc].items():
                 ids[z] = i = len(states)
                 sources[i] = d
-                states.append((loc, z, EMPTY_SEQ))
-        waited = {loc: {} for loc in locs}  # location -> sequence -> (zone -> id, cost)
+                states.append((loc, z, root))
+        waited = {loc: {} for loc in locs}  # location -> sequence -> zone -> id
         edges: list = []
         leaving: list = []  # (waited id, cost, target, zone) out of the bucket
 
@@ -554,11 +618,9 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             elapse = ctx.waits.get(loc)
             if z[t] == pinned or elapse is None:
                 continue
-            seq2 = seq or appended
-            grp = waited[loc].get(seq2)
-            if grp is None:
-                grp = waited[loc][seq2] = ({}, cost_value(ctx.kind, ctx.labels[loc], seq2))
-            ids, w = grp
+            seq2 = _extend(seq, values, nodes[loc], ctx.steps[loc])
+            ids = waited[loc].setdefault(seq2, {})
+            w = seq2.cost
             for z2 in elapse(z, cur):
                 j = ids.get(z2)
                 if j is not None:
@@ -580,7 +642,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                     k = tids.get(z3)
                     if k is None:
                         tids[z3] = k = len(states)
-                        states.append((target, z3, EMPTY_SEQ))
+                        states.append((target, z3, ctx.roots[target]))
                         stack.append(k)
                     edges.append((j, k, w))
         dist = shortest_distance(range(len(states)), edges, sources, sr)
@@ -619,7 +681,7 @@ class _Fold:
     def __init__(self, ctx: EngineContext, locations):
         self._ctx = ctx
         z0 = zn.point_zone(ctx.clock_names, 0)
-        self._weight: dict = {loc: {EMPTY_SEQ: {z0: ctx.semiring.one}} for loc in locations}
+        self._weight: dict = {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
         self._elapsed = Fraction(0)
 
     @property
@@ -726,11 +788,11 @@ class OnlineMatcher(_Fold):
         z = zn.point_zone(self._ctx.clock_names, cur)
         seed = _kept(self._ctx.carries[self._start], {z: self.semiring.one})
         if seed:
-            weight[self._start] = {EMPTY_SEQ: seed}
+            weight[self._start] = {self._ctx.roots[self._start]: seed}
         return weight
 
     def footprint(self) -> int:
         """Entries retained plus their recorded sequence elements."""
         return sum(
-            len(zs) * (1 + len(q)) for groups in self._weight.values() for q, zs in groups.items()
+            len(zs) * (1 + q.length) for groups in self._weight.values() for q, zs in groups.items()
         )

@@ -18,7 +18,7 @@ from quantimatch.automaton import (
     parse_automaton,
 )
 from quantimatch.semiring import BOOLEAN, SUPINF, TROPICAL
-from quantimatch.signals import EMPTY_SEQ, Signal, segment
+from quantimatch.signals import Signal, segment
 from quantimatch.zone import INF, clamp_time, elapse_kernel, encode, gather, point_zone, up
 
 # Two-step overshoot pattern: leave a low region quickly (c < 5), then
@@ -177,22 +177,35 @@ def weighted_variants(a):
     return [WeightedAutomaton(a, sr, kind) for sr, kind in PAIRINGS]
 
 
+def as_tuple(q):
+    """The value sequence an engine sequence node stands for, as a tuple
+    of valuations, found by walking its parents."""
+    seq = []
+    while q.length:
+        seq.append(q.last)
+        q = q.parent
+    return tuple(reversed(seq))
+
+
 def flat(table):
     """A grouped weight table {location: {sequence: {zone: weight}}} as
-    {(location, zone, sequence): weight}."""
+    {(location, zone, sequence): weight}, each sequence a tuple."""
     return {
-        (loc, z, q): w
+        (loc, z, as_tuple(q)): w
         for loc, groups in table.items()
         for q, zs in groups.items()
         for z, w in zs.items()
     }
 
 
-def initial_weight(ctx):
-    """The table a fold over `ctx` starts from: each initial location at
-    time 0 with every clock 0, weighted one."""
+def initial_weight(ctx, locations=None):
+    """The table a fold over `ctx` starts from: each of `locations` (by
+    default the initial ones) at time 0 with every clock 0 and its empty
+    sequence (`ctx.roots`), weighted one."""
+    if locations is None:
+        locations = [l.name for l in ctx.automaton.initial_locations]
     z0 = point_zone(ctx.clock_names, 0)
-    return {l.name: {EMPTY_SEQ: {z0: ctx.semiring.one}} for l in ctx.automaton.initial_locations}
+    return {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
 
 
 def add_bounds(a, b):

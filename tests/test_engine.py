@@ -1,7 +1,6 @@
 """The online fold, checked in places against the whole-trace
 reference construction in `oracle`."""
 
-import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +38,7 @@ from conftest import (
     DEAD_BRANCH_SPEC,
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
+    as_tuple,
     elapse_by_clamps,
     flat,
     free,
@@ -59,7 +59,7 @@ def zone2(*constraints):
 def flat_fired(fired):
     """`_explore`'s fired table {location: {zone: weight}} as flat
     states; a state a transition fires into has the empty sequence."""
-    return flat({loc: {EMPTY_SEQ: zs} for loc, zs in fired.items()})
+    return {(loc, z, EMPTY_SEQ): w for loc, zs in fired.items() for z, w in zs.items()}
 
 
 def _with_dead_branch(rng, a):
@@ -221,7 +221,8 @@ def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch)
         for a, sig in cases:
             for wa in weighted_variants(a):
                 m = OnlineMatcher(wa)
-                out.append([([format_piece(p) for p in m.feed(seg)], m._weight) for seg in sig])
+                out.append([([format_piece(p) for p in m.feed(seg)], flat(m._weight))
+                            for seg in sig])
         return out
 
     monkeypatch.setattr(EngineContext, "__init__", counting_init)
@@ -757,16 +758,18 @@ def test_grouped_explore_equals_flat_reference():
         for wa in weighted_variants(a):
             m = OnlineMatcher(wa)
             keep = (m._expanded.automaton.clocks[-1],)
-            for ctx, weight in ((EngineContext(wa, scale), None),
-                                (EngineContext(m._expanded, scale, keep=keep), m._weight)):
+            for ctx, seeded in ((EngineContext(wa, scale), None),
+                                (EngineContext(m._expanded, scale, keep=keep), list(m._weight))):
                 cyclic_seen += any(cyclic for _, cyclic in ctx.buckets)
-                weight = initial_weight(ctx) if weight is None else weight
+                weight = initial_weight(ctx, seeded)
                 zones = []
                 ctx.audit = lambda z, scale, cur: zones.append(z)
                 prev = 0
                 for seg, bound in zip(sig.segments, sig.boundaries[1:]):
                     cur = int(bound * scale)
-                    before = copy.deepcopy(weight)
+                    # a copy that keeps the sequence nodes, which compare by identity
+                    before = {loc: {q: dict(zs) for q, zs in groups.items()}
+                              for loc, groups in weight.items()}
                     want_fired, want_final = _flat_explore(ctx, flat(weight), seg.values, prev, cur)
                     want_zones = Counter(zones)
                     zones.clear()
@@ -1265,6 +1268,99 @@ def test_feed_rejects_changed_variable_set(wa_supinf):
     assert m.elapsed == 1 and m.matchset.pieces() == rows
     m.feed(segment({"x": 12.0}, 1))
     assert m.elapsed == 2
+
+
+def test_feed_merges_rows_of_one_region_from_two_accepting_locations():
+    """Two accepting locations, reached from dwells under different
+    labels, fire zones that project onto the same regions: `feed`'s row
+    there is the ⊕ of the two, which only one of max and min can hide
+    if the second value overwrote the first."""
+    spec = """var x;
+clock c;
+location a init [x > 0];
+location b init [x < 20];
+location fa accept [true];
+location fb accept [true];
+edge a -> fa;
+edge b -> fb;
+"""
+    seg = segment({"x": 7.0}, 2)  # a dwell in a costs 7, one in b 13
+
+    def rows(text, sr, kind):
+        m = OnlineMatcher(WeightedAutomaton(parse_automaton(text), sr, kind))
+        return {p.region: p.value for p in m.feed(seg)}
+
+    for sr, kind, want in ((SUPINF, CostKind.MIN_MARGIN, 13.0), (TROPICAL, CostKind.SUM_MARGIN, 7.0)):
+        both = rows(spec, sr, kind)
+        via_a = rows(spec.replace("edge b -> fb;\n", ""), sr, kind)
+        via_b = rows(spec.replace("edge a -> fa;\n", ""), sr, kind)
+        assert set(via_a.values()) == {7.0} and set(via_b.values()) == {13.0}
+        assert both.keys() == via_a.keys() == via_b.keys() and len(both) == 4
+        assert both == {r: sr.oplus(via_a[r], via_b[r]) for r in both}
+        assert set(both.values()) == {want}, sr
+
+
+def test_sequence_nodes_carry_their_cost_and_are_interned():
+    """Value sequences extended one valuation at a time, as `_explore`
+    extends a location's groups segment by segment: under all three
+    cost kinds, on labels of one to three atoms (one sometimes on a
+    variable no valuation has), each node's cost is `cost_value` of its
+    sequence bit for bit (by repr, so -0.0 is told from 0.0), a missing
+    variable raises the same error, and equal sequences among a
+    segment's groups are one node, whether reached by extension,
+    through the absorbing seam or from the empty sequence onto a
+    carried one."""
+    rng = random.Random(45)
+    # x and y at ±0.0 against constants 0 give margins of both signs of zero
+    pool = [valuation({"x": x, "y": y}) for x in (-0.0, 0.0, 1.5, 3.0, 7.25, -2.0)
+            for y in (-0.0, 0.0, 4.0)]
+    pool.append(valuation({"x": 3.0}))  # no y
+    ops = ("<", "<=", ">", ">=")
+    checked = absorbed = carried = missing = 0
+    for _ in range(120):
+        names = "xyxyz" if rng.random() < 0.3 else "xy"  # z is in no valuation
+        label = tuple(Atom(rng.choice(names), rng.choice(ops),
+                           Fraction(rng.choice((0, 0, 0, 3, -2, 5)), rng.choice((1, 2))))
+                      for _ in range(rng.randint(1, 3)))
+        a = Automaton(("x", "y", "z"), ("c",),
+                      (Location("l", label, initial=True), Location("f", (), accepting=True)),
+                      (Transition("l", (), (), "f"),))
+        for sr, kind in ((BOOLEAN, CostKind.SAT), (SUPINF, CostKind.MIN_MARGIN),
+                         (TROPICAL, CostKind.SUM_MARGIN)):
+            ctx = EngineContext(WeightedAutomaton(a, sr, kind))
+            root, step = ctx.roots["l"], ctx.steps["l"]
+            assert repr(root.cost) == repr(cost_value(kind, label, ()))
+            live = [root]
+            values = None
+            for _ in range(rng.randint(1, 8)):
+                # adjacent values are often equal, so that seams absorb
+                if values is None or rng.random() < 0.6:
+                    values = rng.choice(pool)
+                nodes = engine._interned(live, values)
+                extended = {}  # sequence -> node
+                for q in live + [root]:
+                    want = absorbing_concat(as_tuple(q), (values,))
+                    try:
+                        cost_value(kind, label, want)
+                    except EvaluationError as exc:
+                        with pytest.raises(EvaluationError) as got:
+                            engine._extend(q, values, nodes, step)
+                        assert str(got.value) == str(exc)
+                        missing += 1
+                        continue
+                    q2 = engine._extend(q, values, nodes, step)
+                    # a carried node found holds its own valuations, which
+                    # equal `values` but may differ from them in a zero's sign
+                    assert as_tuple(q2) == want and q2.length == len(want)
+                    assert repr(q2.cost) == repr(cost_value(kind, label, as_tuple(q2)))
+                    assert extended.setdefault(want, q2) is q2
+                    assert engine._extend(q, values, nodes, step) is q2
+                    absorbed += q2 is q
+                    carried += q is root and q2 in live
+                    checked += 1
+                live = [q for q in extended.values() if rng.random() < 0.7]
+    assert checked > 2000 and absorbed > 300 and carried > 200 and missing > 200, (
+        checked, absorbed, carried, missing)
 
 
 def test_footprint_counts_entries_and_history(wa_supinf):

@@ -171,7 +171,7 @@ class EngineContext:
     """Lookup tables for one weighted automaton at one time scale,
     which `set_scale` changes."""
 
-    def __init__(self, wa: WeightedAutomaton, scale: int = 1, audit=None, keep=()):
+    def __init__(self, wa: WeightedAutomaton, scale: int = 1, keep=()):
         a = wa.automaton
         self.automaton = a
         self.semiring = wa.semiring
@@ -181,7 +181,6 @@ class EngineContext:
             t_name += "_"
         self.clock_names = a.clocks + (t_name,)
         self.t_index = len(a.clocks) + 1  # 1-based matrix index
-        self.audit = audit
         self.labels = {l.name: l.label for l in a.locations}
         # location -> (its empty sequence's node, its cost step)
         self.roots = {}
@@ -490,10 +489,8 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     the weight that waiting and firing each (group, zone) pair apart
     gives, bit for bit.  Keeping a wait's band and wall apart, a
     trivial bucket tests its walls, pinned by construction, as they are,
-    with no test of their time clock.  With an audit, each input and
-    each waited (sequence, band) and (sequence, wall) state is audited
-    once.  A dead end, a location that neither waits nor carries (an
-    accepting sink), is skipped unless audited.
+    with no test of their time clock.  A dead end, a location that
+    neither waits nor carries (an accepting sink), is skipped.
 
     A cyclic bucket weighs its local move graph with
     `shortest_distance`, its inputs and arrivals as sources, and then
@@ -507,8 +504,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     oplus = sr.oplus
     otimes = sr.otimes
     zero = sr.zero
-    audit = ctx.audit
-    scale = ctx.scale
     t = ctx.t_index
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
     fired: dict = {loc: {} for locs, _ in ctx.buckets for loc in locs}  # in bucket order
@@ -519,7 +514,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             (loc,) = locs
             carry = ctx.carries[loc]
             elapse = ctx.waits.get(loc)
-            if carry is False and elapse is None and audit is None:
+            if carry is False and elapse is None:
                 continue  # a dead end, an accepting sink: it keeps no state
             inputs = weight.get(loc, {})
             root = ctx.roots[loc]
@@ -530,7 +525,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             # input zone -> [band, wall, ⊕ over its groups of d ⊗ cost,
             # None while no group of nonzero cost holds it]
             waited = {}
-            seen = set()  # audited (sequence, zone) states, when auditing
             for seq, zs in [*inputs.items(), (root, fired[loc])]:
                 if not zs:
                     continue
@@ -539,8 +533,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                 w = seq2.cost
                 fires = w != zero
                 for z, d in zs.items():
-                    if audit is not None:
-                        audit(z, scale, cur)
                     if z[t] == pinned:  # only an arrival can be
                         walled[z] = d
                         continue
@@ -556,11 +548,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                         dw = otimes(d, w)
                         old = e[2]
                         e[2] = dw if old is None else oplus(old, dw)
-                    if audit is not None:
-                        for z2 in e[:2]:
-                            if (seq2, z2) not in seen:
-                                seen.add((seq2, z2))
-                                audit(z2, scale, cur)
             moves = ctx.out[loc]
             for band, wall, dw in waited.values():
                 if dw is None:
@@ -648,8 +635,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         dist = shortest_distance(range(len(states)), edges, sources, sr)
         for i, d in dist.items():
             loc, z, seq = states[i]
-            if audit is not None:
-                audit(z, scale, cur)
             if z[t] == pinned:
                 carry = ctx.carries[loc]
                 if carry is True or carry and carry(z):
@@ -716,12 +701,12 @@ class _Fold:
         return final
 
 
-def trace_value(sig: Signal, wa: WeightedAutomaton, audit=None):
+def trace_value(sig: Signal, wa: WeightedAutomaton):
     """Aggregate weight of the accepting runs over the whole signal: the
     ⊕ of the accepting states fired into at its end."""
     if len(sig) == 0:
         raise EvaluationError("empty signal")
-    ctx = EngineContext(wa, 1, audit)
+    ctx = EngineContext(wa)
     fold = _Fold(ctx, (l.name for l in ctx.automaton.initial_locations))
     for seg in sig:
         fired = fold._step(seg)
@@ -743,7 +728,7 @@ class OnlineMatcher(_Fold):
     carried ones, which can produce nothing new.
     """
 
-    def __init__(self, wa: WeightedAutomaton, audit=None):
+    def __init__(self, wa: WeightedAutomaton):
         self.semiring = wa.semiring
         expanded = matching_automaton(wa.automaton)
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
@@ -751,7 +736,7 @@ class OnlineMatcher(_Fold):
         # the start location's hand-off needs a positive dwell, so the
         # initial locations are seeded too, for matches starting at 0;
         # the projection reads the match-start clock, so it is never freed
-        super().__init__(EngineContext(self._expanded, 1, audit, (expanded.clocks[-1],)),
+        super().__init__(EngineContext(self._expanded, keep=(expanded.clocks[-1],)),
                          (self._start, *(l.name for l in wa.automaton.initial_locations)))
         ctx = self._ctx
         # `zone.project_match` onto (t, t') as one gather

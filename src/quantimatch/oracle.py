@@ -110,7 +110,7 @@ class ReachableGraph:
     clock_names: tuple
 
 
-def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> ReachableGraph:
+def reachable_graph(sig: Signal, wa: WeightedAutomaton) -> ReachableGraph:
     """The whole-trace transition system, for inspection and checking.
 
     Time is scaled once (`time_scale`) and nothing is pruned, so state
@@ -119,7 +119,7 @@ def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> Reachable
     """
     if len(sig) == 0:
         raise EvaluationError("empty signal")
-    ctx = engine.EngineContext(wa, time_scale(sig), audit)
+    ctx = engine.EngineContext(wa, time_scale(sig))
     sr = ctx.semiring
     bounds = [int(b * ctx.scale) for b in sig.boundaries]
     vals = [s.values for s in sig.segments]
@@ -129,9 +129,6 @@ def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> Reachable
     seen = set(initial)
     stack = list(initial)
     edges = []
-    if ctx.audit is not None:
-        for state in initial:
-            ctx.audit(state[1], ctx.scale, bounds[-1])
     while stack:
         state = stack.pop()
         for succ, w, kind in symbolic_successors(ctx, state, bounds, vals):
@@ -139,8 +136,6 @@ def reachable_graph(sig: Signal, wa: WeightedAutomaton, audit=None) -> Reachable
             if succ not in seen:
                 seen.add(succ)
                 stack.append(succ)
-                if ctx.audit is not None:
-                    ctx.audit(succ[1], ctx.scale, bounds[-1])
 
     sources = {state: sr.one for state in initial}
     dist = engine.shortest_distance(seen, [(u, v, w) for u, v, w, _ in edges], sources, sr)
@@ -177,14 +172,14 @@ def arrangement_points(sig: Signal, matchset) -> list:
     return sorted(set(pts) | set(mids))
 
 
-def check_qtpm_pointwise(sig: Signal, wa: WeightedAutomaton, audit=None) -> list:
+def check_qtpm_pointwise(sig: Signal, wa: WeightedAutomaton) -> list:
     """Match-set queries versus direct evaluation of each restriction.
 
     Samples the cross product of the arrangement points and returns
     the mismatches as (t, t', queried, recomputed) tuples; an empty
     list means the check passed.
     """
-    matcher = engine.OnlineMatcher(wa, audit=audit)
+    matcher = engine.OnlineMatcher(wa)
     for seg in sig:
         matcher.feed(seg)
     ms = matcher.matchset
@@ -195,7 +190,7 @@ def check_qtpm_pointwise(sig: Signal, wa: WeightedAutomaton, audit=None) -> list
             if not 0 <= t < tp <= sig.duration:
                 continue
             got = ms.query(t, tp)
-            want = engine.trace_value(sig.restrict(t, tp), wa, audit)
+            want = engine.trace_value(sig.restrict(t, tp), wa)
             if got != want:
                 bad.append((t, tp, got, want))
     return bad

@@ -1,13 +1,16 @@
 """Shared fixtures: reference automata, reference signals, random
-instances, and zone constructors and references that the engine never
-calls."""
+instances, zone constructors and references that the engine never
+calls, and an audit of the zones the engine and the oracle build."""
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+from quantimatch import engine, oracle
 from quantimatch.automaton import (
     Atom,
     Automaton,
@@ -206,6 +209,85 @@ def initial_weight(ctx, locations=None):
         locations = [l.name for l in ctx.automaton.initial_locations]
     z0 = point_zone(ctx.clock_names, 0)
     return {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
+
+
+@contextmanager
+def audited(audit):
+    """Route every zone the engine and the oracle build through
+    `audit(zone, scale, cur)` while the block runs, from outside the
+    fold, and yield a Counter of the audits per source.
+
+    The engine's zone graph is built by two kinds of kernel alone, so
+    each `EngineContext` made in the block has them wrapped:
+    - "wait in", "wait out": each wait kernel (`waits`), its input and
+      both outputs, at the boundary it waits to;
+    - "fire out": each fire kernel (`out`), the zone it fires into,
+      rewrapped at every rescale, which rebuilds `out`.  A fire follows
+      a wait in the same segment, so it is audited at that wait's
+      boundary.
+    "seeds" are the point zones at 0 that a fold starts from, audited at
+    its first boundary, and the oracle's initial states; a seed at a
+    location that never waits reaches no kernel.  "successors" are
+    the states `oracle.symbolic_successors` finds, at the signal's end.
+    """
+    counts = Counter()
+    latest = {}  # context -> the boundary it last waited to
+
+    def note(source, z, scale, cur):
+        counts[source] += 1
+        audit(z, scale, cur)
+
+    def waiting(ctx, elapse):
+        def wait(z, cur):
+            latest[ctx] = cur
+            note("wait in", z, ctx.scale, cur)
+            outs = elapse(z, cur)
+            for z2 in outs:
+                note("wait out", z2, ctx.scale, cur)
+            return outs
+        return wait
+
+    def firing(ctx, fire):
+        def fired(z):
+            z2 = fire(z)
+            if z2 is not None:
+                note("fire out", z2, ctx.scale, latest[ctx])
+            return z2
+        return fired
+
+    def set_scale(ctx, scale):
+        real_set_scale(ctx, scale)
+        if ctx not in latest:
+            latest[ctx] = None
+            ctx.waits = {loc: waiting(ctx, k) for loc, k in ctx.waits.items()}
+        ctx.out = {loc: tuple((target, firing(ctx, fire)) for target, fire in moves)
+                   for loc, moves in ctx.out.items()}
+
+    def step(fold, seg):
+        first = not fold.elapsed
+        fired = real_step(fold, seg)
+        if first:
+            ctx = fold._ctx
+            z0 = point_zone(ctx.clock_names, 0)
+            note("seeds", z0, ctx.scale, int(fold.elapsed * ctx.scale))
+        return fired
+
+    def successors(ctx, state, bounds, vals):
+        if state[1] == point_zone(ctx.clock_names, 0):  # no successor is: an initial state
+            note("seeds", state[1], ctx.scale, bounds[-1])
+        moves = real_successors(ctx, state, bounds, vals)
+        for succ, _, _ in moves:
+            note("successors", succ[1], ctx.scale, bounds[-1])
+        return moves
+
+    real_set_scale = engine.EngineContext.set_scale
+    real_step = engine._Fold._step
+    real_successors = oracle.symbolic_successors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.EngineContext, "set_scale", set_scale)
+        mp.setattr(engine._Fold, "_step", step)
+        mp.setattr(oracle, "symbolic_successors", successors)
+        yield counts
 
 
 def add_bounds(a, b):

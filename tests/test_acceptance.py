@@ -1,12 +1,16 @@
 """Release gate: nine end-to-end criteria, one test (and pass/fail line) each.
 
-Criteria 5 and 6 route every zone the engine builds through a bound
-audit; criterion 9 inspects what the audit collected, so run the file
-as a whole for full coverage (each test still passes standalone).
+Criteria 5 and 6 route every zone the engine and the oracle build
+through a bound audit, from outside the fold: `conftest.audited` wraps
+each wait kernel, each fire kernel and the oracle's successors (with
+the seeds at time 0 beside them).  Criterion 9 inspects what the audit
+collected, so run the file as a whole for full coverage (each test still
+passes standalone).
 """
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import quantimatch.zone as zn
@@ -24,6 +28,7 @@ from quantimatch.signals import Signal, segment, value_of
 
 from conftest import (
     OVERSHOOT_SPEC,
+    audited,
     canonicalize,
     make,
     random_automaton,
@@ -33,7 +38,9 @@ from conftest import (
 
 F = Fraction
 
-AUDIT = {"zones": 0, "violations": [], "sample": []}
+AUDIT = {"zones": 0, "violations": [], "sample": [], "sources": Counter()}
+# what `audited` wraps, each counted in AUDIT["sources"]
+AUDIT_SOURCES = ("wait in", "wait out", "fire out", "successors", "seeds")
 
 
 def bound_audit(zone, scale, cur):
@@ -239,15 +246,17 @@ def test_criterion_5_incremental_equals_whole_trace():
     t0 = time.perf_counter()
     rng = random.Random(20260815)
     count = 0
-    while count < 201:
-        a = random_automaton(rng)
-        sig = random_signal(rng)
-        for wa in weighted_variants(a):
-            inc = trace_value(sig, wa, bound_audit)
-            g = reachable_graph(sig, wa, bound_audit)
-            whole = wa.semiring.big_oplus(g.nodes[s] for s in g.accepting)
-            assert inc == whole, (wa.semiring.name, sig, a)
-            count += 1
+    with audited(bound_audit) as counts:
+        while count < 201:
+            a = random_automaton(rng)
+            sig = random_signal(rng)
+            for wa in weighted_variants(a):
+                inc = trace_value(sig, wa)
+                g = reachable_graph(sig, wa)
+                whole = wa.semiring.big_oplus(g.nodes[s] for s in g.accepting)
+                assert inc == whole, (wa.semiring.name, sig, a)
+                count += 1
+    AUDIT["sources"].update(counts)
     elapsed = check_time(60.0, t0, "criterion 5")
     print(f"criterion 5: PASS ({count} instances, {elapsed:.1f}s)")
 
@@ -256,13 +265,15 @@ def test_criterion_6_queries_equal_restricted_traces():
     t0 = time.perf_counter()
     rng = random.Random(99)
     count = 0
-    while count < 102:
-        a = random_automaton(rng)
-        sig = random_signal(rng)
-        for wa in weighted_variants(a):
-            mismatches = check_qtpm_pointwise(sig, wa, audit=bound_audit)
-            assert mismatches == [], (wa.semiring.name, mismatches[:3])
-            count += 1
+    with audited(bound_audit) as counts:
+        while count < 102:
+            a = random_automaton(rng)
+            sig = random_signal(rng)
+            for wa in weighted_variants(a):
+                mismatches = check_qtpm_pointwise(sig, wa)
+                assert mismatches == [], (wa.semiring.name, mismatches[:3])
+                count += 1
+    AUDIT["sources"].update(counts)
     elapsed = check_time(120.0, t0, "criterion 6")
     print(f"criterion 6: PASS ({count} instances, {elapsed:.1f}s)")
 
@@ -363,11 +374,16 @@ def test_criterion_9_invariants(tmp_path, capsys):
             assert sr.otimes(a, sr.one) == a
 
     # zone bound audit over the randomized criteria (plus a local run so
-    # this test also stands alone)
-    for wa in weighted_variants(parse_automaton(OVERSHOOT_SPEC)):
-        trace_value(short_sig(), wa, bound_audit)
-        check_qtpm_pointwise(two_step(), wa, audit=bound_audit)
+    # this test also stands alone); each source audited something, so a
+    # kernel called around the wrappers cannot empty the audit unseen
+    with audited(bound_audit) as counts:
+        for wa in weighted_variants(parse_automaton(OVERSHOOT_SPEC)):
+            trace_value(short_sig(), wa)
+            check_qtpm_pointwise(two_step(), wa)
+            reachable_graph(short_sig(), wa)
+    AUDIT["sources"].update(counts)
     assert AUDIT["zones"] > 0
+    assert all(AUDIT["sources"][source] > 0 for source in AUDIT_SOURCES), AUDIT["sources"]
     assert AUDIT["violations"] == []
 
     # canonical form is a fixpoint on engine zones and random ones

@@ -39,6 +39,7 @@ from conftest import (
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
     as_tuple,
+    audited,
     elapse_by_clamps,
     flat,
     free,
@@ -276,8 +277,8 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
     freed_with, freed = freed, 0
     real_init = EngineContext.__init__
 
-    def keeping_every_clock(self, wa, scale=1, audit=None, keep=()):
-        real_init(self, wa, scale, audit, wa.automaton.clocks)
+    def keeping_every_clock(self, wa, scale=1, keep=()):
+        real_init(self, wa, scale, wa.automaton.clocks)
 
     monkeypatch.setattr(EngineContext, "__init__", keeping_every_clock)
     without = [rows_of(a, sig) for a, sig in cases]
@@ -598,19 +599,19 @@ def test_explore_reached_leaves_out_inputs(wa_supinf):
     assert pinned and {st: final.get(st) for st in pinned} == pinned
 
 
-def _flat_explore(ctx, weight, values, prev, cur):
+def _flat_explore(ctx, weight, values, prev, cur, zones):
     """`_explore` over a flat table {(location, zone, sequence): weight},
     as it was before the table was grouped: the reference the grouped
     one is checked against.  A wait clamps to (prev, cur] with `up` and
     `clamp_time`, where the fold reads cur alone, and frees the
-    location's dead clocks with the generic `free`.  Returns flat
-    (fired, final)."""
+    location's dead clocks with the generic `free`.  Adds each state's
+    zone to the set `zones`: a trivial bucket's inputs, arrivals and
+    waited states, a cyclic bucket's states of nonzero weight.  Returns
+    flat (fired, final)."""
     sr = ctx.semiring
     oplus = sr.oplus
     otimes = sr.otimes
     zero = sr.zero
-    audit = ctx.audit
-    scale = ctx.scale
     t = ctx.t_index
     at_prev = 1 - 2 * prev  # entry (0, T) of a zone with T = prev
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
@@ -629,8 +630,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
             waited: dict = {}
             for state, d in arrived[loc].items():
                 _, z, seq = state
-                if audit is not None:
-                    audit(z, scale, cur)
+                zones.add(z)
                 # T > prev and no value recorded: neither an input nor waited
                 if z[t] < at_prev and not seq:
                     fired[state] = d
@@ -648,8 +648,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
             costs: dict = {}  # value sequence -> its cost at loc
             for st2, d in waited.items():
                 _, z2, seq2 = st2
-                if audit is not None:
-                    audit(z2, scale, cur)
+                zones.add(z2)
                 if z2[t] == pinned:
                     final[st2] = d
                 w = costs.get(seq2)
@@ -715,8 +714,7 @@ def _flat_explore(ctx, weight, values, prev, cur):
         for i, d in dist.items():
             state = states[i]
             z = state[1]
-            if audit is not None:
-                audit(z, scale, cur)
+            zones.add(z)
             if z[t] < at_prev and not state[2]:
                 fired[state] = d
             if z[t] == pinned:
@@ -736,11 +734,13 @@ def test_grouped_explore_equals_flat_reference():
     self-looping branch, under all three pairings and on integer-valued
     signals with repeated values, `_explore` weighs the same states as
     the flat reference in every segment, carries those of its pinned
-    states that a search finds a way to acceptance from, audits the same
-    multiset of zones and leaves its input table as it was; both the
-    plain automaton and the matcher's expanded one (with its start
+    states that a search finds a way to acceptance from, sees the same
+    set of zones (its inputs and what its wait and fire kernels return,
+    as `audited` wraps them) and leaves its input table as it was; both
+    the plain automaton and the matcher's expanded one (with its start
     location) are folded.  Many zones that wait are held by two or more
-    sequence groups, which the reference waits and fires apart."""
+    sequence groups, which the reference waits and fires apart, but the
+    fold waits once (a set, not a multiset, is compared)."""
     rng = random.Random(39)
     fired_seen = cyclic_seen = 0
     shared = Counter()  # semiring -> (location, zone) pairs held by two or more groups
@@ -758,30 +758,32 @@ def test_grouped_explore_equals_flat_reference():
         for wa in weighted_variants(a):
             m = OnlineMatcher(wa)
             keep = (m._expanded.automaton.clocks[-1],)
-            for ctx, seeded in ((EngineContext(wa, scale), None),
-                                (EngineContext(m._expanded, scale, keep=keep), list(m._weight))):
-                cyclic_seen += any(cyclic for _, cyclic in ctx.buckets)
-                weight = initial_weight(ctx, seeded)
-                zones = []
-                ctx.audit = lambda z, scale, cur: zones.append(z)
-                prev = 0
-                for seg, bound in zip(sig.segments, sig.boundaries[1:]):
-                    cur = int(bound * scale)
-                    # a copy that keeps the sequence nodes, which compare by identity
-                    before = {loc: {q: dict(zs) for q, zs in groups.items()}
-                              for loc, groups in weight.items()}
-                    want_fired, want_final = _flat_explore(ctx, flat(weight), seg.values, prev, cur)
-                    want_zones = Counter(zones)
-                    zones.clear()
-                    fired, final = _explore(ctx, weight, seg.values, cur)
-                    assert weight == before
-                    assert flat_fired(fired) == want_fired
-                    assert flat(final) == _searched_prune(ctx, want_final)
-                    assert Counter(zones) == want_zones
-                    zones.clear()
-                    fired_seen += len(want_fired)
-                    shared[wa.semiring.name] += _shared_zones(ctx, weight, fired, cur)
-                    weight, prev = final, cur
+            zones = set()
+            with audited(lambda z, scale, cur: zones.add(z)):
+                for ctx, seeded in ((EngineContext(wa, scale), None),
+                                    (EngineContext(m._expanded, scale, keep=keep), list(m._weight))):
+                    cyclic_seen += any(cyclic for _, cyclic in ctx.buckets)
+                    weight = initial_weight(ctx, seeded)
+                    prev = 0
+                    for seg, bound in zip(sig.segments, sig.boundaries[1:]):
+                        cur = int(bound * scale)
+                        # a copy that keeps the sequence nodes, which compare by identity
+                        before = {loc: {q: dict(zs) for q, zs in groups.items()}
+                                  for loc, groups in weight.items()}
+                        want_zones = set()
+                        want_fired, want_final = _flat_explore(
+                            ctx, flat(weight), seg.values, prev, cur, want_zones)
+                        zones.clear()
+                        zones.update(z for groups in weight.values()
+                                     for zs in groups.values() for z in zs)
+                        fired, final = _explore(ctx, weight, seg.values, cur)
+                        assert weight == before
+                        assert flat_fired(fired) == want_fired
+                        assert flat(final) == _searched_prune(ctx, want_final)
+                        assert zones == want_zones
+                        fired_seen += len(want_fired)
+                        shared[wa.semiring.name] += _shared_zones(ctx, weight, fired, cur)
+                        weight, prev = final, cur
     assert fired_seen > 1000 and cyclic_seen > 50
     # a trivial bucket waits and fires a zone once, for all the groups
     # that hold it: that merge is exercised under every pairing
@@ -1243,18 +1245,27 @@ def test_feed_without_matches_reports_nothing(wa_boolean):
     assert len(m.matchset) == 0
 
 
-def test_matcher_audit_hook_runs(wa_supinf, two_step_signal):
+def test_audit_wraps_matcher_trace_value_and_oracle(wa_supinf, two_step_signal):
+    """`audited` sees the zones of a matcher's feeds, of `trace_value`
+    and of the oracle's whole-trace graph."""
     seen = []
 
     def audit(zone, scale, cur):
         seen.append((len(zone), scale, cur))
 
-    m = OnlineMatcher(wa_supinf, audit=audit)
-    for seg in two_step_signal:
-        m.feed(seg)
+    with audited(audit):
+        m = OnlineMatcher(wa_supinf)
+        for seg in two_step_signal:
+            m.feed(seg)
     assert seen
     assert all(n == 16 for (n, _, _) in seen)  # 4x4 over 0, c, T', T
     assert {s for (_, s, _) in seen} == {2}
+    for run in (trace_value, reachable_graph):
+        seen.clear()
+        with audited(audit):
+            run(two_step_signal, wa_supinf)
+        assert seen
+        assert all(n == 9 for (n, _, _) in seen)  # 3x3 over 0, c, T
 
 
 def test_feed_rejects_changed_variable_set(wa_supinf):

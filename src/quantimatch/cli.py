@@ -62,13 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--semiring",
             required=True,
-            choices=["boolean", "supinf", "tropical"],
+            choices=list(semirings.SEMIRINGS),
             help="value domain",
         )
         sp.add_argument(
             "--cost",
             required=True,
-            choices=["b", "r", "t"],
+            choices=[kind.value for kind in CostKind],
             help="cost kind: b satisfaction, r minimal margin, t summed margin",
         )
         sp.add_argument(

@@ -99,14 +99,13 @@ sequences, the time clock and any clock the caller keeps (the
 matcher's match-start clock) are untouched, and no guard reads a dead
 clock before a reset, so every row and value stays the same.
 
-`trace_value` and `OnlineMatcher` run this one fold (`_Fold`): per
-segment it rescales and weighs, carrying on only what the cap tests
-pass.  `trace_value` reads the accepting states fired into at the
-signal's end, not the carried table, which holds none of an accepting
-sink's states;
-`OnlineMatcher` re-seeds a start copy at each boundary and harvests the
-match set.  The whole-trace construction the fold is checked against is
-built independently, in `oracle.py`.
+`trace_value` and `OnlineMatcher` run this one fold, one step
+(`_advance`) per segment: it rescales and weighs, carrying on only what
+the cap tests pass.  `trace_value` reads the accepting states fired into
+at the signal's end, not the carried table, which holds none of an
+accepting sink's states; `OnlineMatcher` re-seeds a start copy at each
+boundary and harvests the match set.  The whole-trace construction the
+fold is checked against is built independently, in `oracle.py`.
 """
 
 from __future__ import annotations
@@ -520,8 +519,10 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             root = ctx.roots[loc]
             step = ctx.steps[loc]
             nodes = _interned(inputs, values)
-            walled = {}  # arrivals pinned at cur: zone -> weight
-            groups = {}  # extended value sequence -> its walls: zone -> weight
+            # extended value sequence -> its walls: zone -> weight; none
+            # is `root`, whose group holds the arrivals pinned at cur
+            groups = {root: {}}
+            walled = groups[root]
             # input zone -> [band, wall, ⊕ over its groups of d ⊗ cost,
             # None while no group of nonzero cost holds it]
             waited = {}
@@ -560,12 +561,8 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                         arr = fired[target]
                         old = arr.get(z3)
                         arr[z3] = dw if old is None else oplus(old, dw)
-            out = {}  # value sequence -> zone -> weight, carried from cur
-            if walled:
-                out[root] = _kept(carry, walled)
-            for seq2, walls in groups.items():
-                out[seq2] = _kept(carry, walls)
-            out = {seq: zs for seq, zs in out.items() if zs}
+            # value sequence -> zone -> weight, carried from cur
+            out = {seq: zs for seq, walls in groups.items() if (zs := _kept(carry, walls))}
             if out:
                 final[loc] = out
             continue
@@ -658,47 +655,31 @@ def _kept(carry, zs: dict) -> dict:
     return {z: d for z, d in zs.items() if carry(z)} if carry else {}
 
 
-class _Fold:
-    """The one online fold: a weight table carried from boundary to
-    boundary, seeded with one state at each of `locations`, every clock
-    0.  `_carry` picks what the states pinned at a boundary carry on."""
+def _seeded(ctx: EngineContext, locations) -> dict:
+    """The table a fold over `ctx` starts from: one state at each of
+    `locations`, at time 0 with every clock 0 and its empty sequence,
+    weighted one."""
+    z0 = zn.point_zone(ctx.clock_names, 0)
+    return {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
 
-    def __init__(self, ctx: EngineContext, locations):
-        self._ctx = ctx
-        z0 = zn.point_zone(ctx.clock_names, 0)
-        self._weight: dict = {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
-        self._elapsed = Fraction(0)
 
-    @property
-    def scale(self) -> int:
-        return self._ctx.scale
-
-    @property
-    def elapsed(self) -> Fraction:
-        return self._elapsed
-
-    def _step(self, seg: Segment) -> dict:
-        """Fold one segment, on a finer time scale if its end needs one,
-        carry on what `_carry` picks of its carried states and return
-        the fired states."""
-        ctx = self._ctx
-        end = self._elapsed + seg.duration
-        scale = math.lcm(ctx.scale, end.denominator)
-        if scale != ctx.scale:
-            f = scale // ctx.scale
-            self._weight = {
-                loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
-                for loc, groups in self._weight.items()
-            }
-            ctx.set_scale(scale)
-        cur = int(end * scale)
-        fired, final = _explore(ctx, self._weight, seg.values, cur)
-        self._weight = self._carry(final, cur)
-        self._elapsed = end
-        return fired
-
-    def _carry(self, final: dict, cur: int) -> dict:
-        return final
+def _advance(ctx: EngineContext, weight: dict, start: Fraction, seg: Segment):
+    """Fold one segment `seg`, starting at time `start`, into the table
+    `weight` pinned there.  When the segment's end needs a finer time
+    scale, the table is rescaled and `ctx` moved to it first.  Returns
+    (end, cur, fired, final): the segment's end, as a time and as the
+    scaled boundary, and `_explore`'s fired states and carried table."""
+    end = start + seg.duration
+    scale = math.lcm(ctx.scale, end.denominator)
+    if scale != ctx.scale:
+        f = scale // ctx.scale
+        weight = {
+            loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
+            for loc, groups in weight.items()
+        }
+        ctx.set_scale(scale)
+    cur = int(end * scale)
+    return (end, cur, *_explore(ctx, weight, seg.values, cur))
 
 
 def trace_value(sig: Signal, wa: WeightedAutomaton):
@@ -707,15 +688,16 @@ def trace_value(sig: Signal, wa: WeightedAutomaton):
     if len(sig) == 0:
         raise EvaluationError("empty signal")
     ctx = EngineContext(wa)
-    fold = _Fold(ctx, (l.name for l in ctx.automaton.initial_locations))
+    weight = _seeded(ctx, (l.name for l in ctx.automaton.initial_locations))
+    end = Fraction(0)
     for seg in sig:
-        fired = fold._step(seg)
-    t, pinned = ctx.t_index, 1 - 2 * int(sig.duration * ctx.scale)  # entry (0, T) at T = end
+        end, cur, fired, weight = _advance(ctx, weight, end, seg)
+    t, pinned = ctx.t_index, 1 - 2 * cur  # entry (0, T) at T = end
     return ctx.semiring.big_oplus(w for loc, zs in fired.items() if loc in ctx.accepting
                                   for z, w in zs.items() if z[t] == pinned)
 
 
-class OnlineMatcher(_Fold):
+class OnlineMatcher:
     """Incremental match-set computation over a segment stream.
 
     The automaton is wrapped with a fresh start location that records
@@ -724,8 +706,9 @@ class OnlineMatcher(_Fold):
     rows, final since they end after the previous boundary.  A region
     with t' = t is no window and is dropped.  Each segment's
     rows, at the current time scale, are one batch of `matchset`.
-    At each boundary a fresh start copy is seeded in place of the
-    carried ones, which can produce nothing new.
+    Each segment is one `_advance`; at each boundary a fresh start copy
+    is seeded in place of the carried ones, which can produce nothing
+    new.
     """
 
     def __init__(self, wa: WeightedAutomaton):
@@ -733,12 +716,13 @@ class OnlineMatcher(_Fold):
         expanded = matching_automaton(wa.automaton)
         self._expanded = WeightedAutomaton(expanded, wa.semiring, wa.cost)
         self._start = expanded.locations[-1].name
-        # the start location's hand-off needs a positive dwell, so the
-        # initial locations are seeded too, for matches starting at 0;
         # the projection reads the match-start clock, so it is never freed
-        super().__init__(EngineContext(self._expanded, keep=(expanded.clocks[-1],)),
-                         (self._start, *(l.name for l in wa.automaton.initial_locations)))
-        ctx = self._ctx
+        self._ctx = ctx = EngineContext(self._expanded, keep=(expanded.clocks[-1],))
+        # the start location's hand-off needs a positive dwell, so the
+        # initial locations are seeded too, for matches starting at 0
+        self._weight = _seeded(ctx, (self._start,
+                                     *(l.name for l in wa.automaton.initial_locations)))
+        self._elapsed = Fraction(0)
         # `zone.project_match` onto (t, t') as one gather
         self._project = itemgetter(*zn.match_indices(
             len(ctx.clock_names) + 1, ctx.t_index, len(wa.automaton.clocks) + 1))
@@ -750,31 +734,31 @@ class OnlineMatcher(_Fold):
         as its batch, in `zone_sort_key` order.  No later segment changes
         them.  Every segment must carry the variable set of the first one."""
         self._names = check_variables(seg, self._names)
+        ctx = self._ctx
         oplus = self.semiring.oplus
         project = self._project
-        fired = self._step(seg)
+        end, cur, fired, final = _advance(ctx, self._weight, self._elapsed, seg)
+        # a fresh start copy in place of the carried ones
+        loc = self._start
+        final.pop(loc, None)
+        seed = _kept(ctx.carries[loc], {zn.point_zone(ctx.clock_names, cur): self.semiring.one})
+        if seed:
+            final[loc] = {ctx.roots[loc]: seed}
+        self._weight = final
+        self._elapsed = end
         rows: dict = {}  # integer-scale region -> value
         for loc, zs in fired.items():
-            if loc not in self._ctx.accepting:
+            if loc not in ctx.accepting:
                 continue
             for z, w in zs.items():
                 region = project(z)
                 if region[7] == 1:  # t' - t <= 0: no window
                     continue
                 rows[region] = oplus(rows[region], w) if region in rows else w
-        scale = self._ctx.scale
-        pieces = [MatchPiece(region, rows[region], scale)
+        pieces = [MatchPiece(region, rows[region], ctx.scale)
                   for region in sorted(rows, key=zone_sort_key)]
-        self.matchset.insert(self._elapsed, pieces)
+        self.matchset.insert(end, pieces)
         return pieces
-
-    def _carry(self, final: dict, cur: int) -> dict:
-        weight = {loc: groups for loc, groups in final.items() if loc != self._start}
-        z = zn.point_zone(self._ctx.clock_names, cur)
-        seed = _kept(self._ctx.carries[self._start], {z: self.semiring.one})
-        if seed:
-            weight[self._start] = {self._ctx.roots[self._start]: seed}
-        return weight
 
     def footprint(self) -> int:
         """Entries retained plus their recorded sequence elements."""

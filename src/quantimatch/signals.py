@@ -35,7 +35,12 @@ class SignalFormatError(ValueError):
 
 
 def valuation(values: Mapping[str, float]) -> Valuation:
-    return tuple(sorted((name, float(v)) for name, v in values.items()))
+    """`values` sorted by name, each real number made a float; a bool or
+    any other value is kept as it is, for `Segment` to reject."""
+    return tuple(sorted(
+        (name, v if isinstance(v, bool) or not isinstance(v, Real) else float(v))
+        for name, v in values.items()
+    ))
 
 
 def value_of(a: Valuation, name: str) -> float:
@@ -76,8 +81,11 @@ def check_variables(seg: Segment, names: tuple[str, ...] | None) -> tuple[str, .
 
 
 def segment(values: Mapping[str, float], duration) -> Segment:
-    """Convenience constructor taking a plain mapping and any rational."""
-    return Segment(valuation(values), Fraction(duration))
+    """Convenience constructor taking a plain mapping and any rational;
+    a bool duration or value is rejected, as by `Segment`."""
+    if not isinstance(duration, bool):
+        duration = Fraction(duration)
+    return Segment(valuation(values), duration)
 
 
 def absorbing_concat(a: ValueSeq, b: ValueSeq) -> ValueSeq:

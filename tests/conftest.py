@@ -202,13 +202,11 @@ def flat(table):
 
 
 def initial_weight(ctx, locations=None):
-    """The table a fold over `ctx` starts from: each of `locations` (by
-    default the initial ones) at time 0 with every clock 0 and its empty
-    sequence (`ctx.roots`), weighted one."""
+    """The table a fold over `ctx` starts from (`engine._seeded`), at
+    `locations`, by default the initial ones."""
     if locations is None:
         locations = [l.name for l in ctx.automaton.initial_locations]
-    z0 = point_zone(ctx.clock_names, 0)
-    return {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
+    return engine._seeded(ctx, locations)
 
 
 @contextmanager
@@ -263,14 +261,11 @@ def audited(audit):
         ctx.out = {loc: tuple((target, firing(ctx, fire)) for target, fire in moves)
                    for loc, moves in ctx.out.items()}
 
-    def step(fold, seg):
-        first = not fold.elapsed
-        fired = real_step(fold, seg)
-        if first:
-            ctx = fold._ctx
-            z0 = point_zone(ctx.clock_names, 0)
-            note("seeds", z0, ctx.scale, int(fold.elapsed * ctx.scale))
-        return fired
+    def advance(ctx, weight, start, seg):
+        out = real_advance(ctx, weight, start, seg)
+        if start == 0:
+            note("seeds", point_zone(ctx.clock_names, 0), ctx.scale, out[1])
+        return out
 
     def successors(ctx, state, bounds, vals):
         if state[1] == point_zone(ctx.clock_names, 0):  # no successor is: an initial state
@@ -281,11 +276,11 @@ def audited(audit):
         return moves
 
     real_set_scale = engine.EngineContext.set_scale
-    real_step = engine._Fold._step
+    real_advance = engine._advance
     real_successors = oracle.symbolic_successors
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine.EngineContext, "set_scale", set_scale)
-        mp.setattr(engine._Fold, "_step", step)
+        mp.setattr(engine, "_advance", advance)
         mp.setattr(oracle, "symbolic_successors", successors)
         yield counts
 

@@ -327,7 +327,7 @@ def test_waits_free_dead_clocks_and_change_only_the_carried_table(monkeypatch):
                 got = [format_piece(p) for p in m.feed(seg)]
                 assert got == [format_piece(p) for p in ref.feed(seg)]
                 assert refreed(m) == refreed(ref)
-                seed = zn.point_zone(m._ctx.clock_names, int(m.elapsed * m.scale))
+                seed = zn.point_zone(m._ctx.clock_names, int(m.matchset.horizon * m._ctx.scale))
                 for loc, z, _ in flat(m._weight):
                     assert z == (seed if loc == m._start else free(z, m._ctx.dead[loc]))
                 segments += 1
@@ -425,7 +425,7 @@ def test_rescaled_matcher_holds_a_fresh_context_s_tables(wa_supinf):
     before = m._ctx
     for duration in (Fraction(3, 2), Fraction(2, 3), Fraction(5, 4)):
         m.feed(segment({"x": 7.0}, duration))
-    assert m.scale == 12 and m._ctx is before
+    assert m._ctx.scale == 12 and m._ctx is before
     fresh = EngineContext(m._expanded, 12, keep=(m._expanded.automaton.clocks[-1],))
     assert tables(m._ctx) == tables(fresh)
 
@@ -453,7 +453,7 @@ def test_kernels_compile_once_per_shape(wa_supinf):
     assert compiled() == first
     for duration in (Fraction(3, 2), Fraction(2, 3), Fraction(5, 4)):
         m.feed(segment({"x": 7.0}, duration))
-    assert m.scale == 12 and compiled() == first
+    assert m._ctx.scale == 12 and compiled() == first
     other = parse_automaton(OVERSHOOT_SPEC.replace("c < 5", "c < 3").replace("c < 10", "c < 7"))
     assert other != wa_supinf.automaton
     hits = zn.fire_kernel.cache_info().hits
@@ -843,10 +843,19 @@ def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch):
     assert distinct > 500 and pairs > 1.5 * distinct, (pairs, distinct)
 
 
-def test_match_gather_equals_project_match():
+def test_match_gather_equals_project_match(monkeypatch):
     """The matcher projects each accepting zone with one gather over
     `zone.match_indices`; on every zone a random sweep fires into, it
     equals `zone.project_match`, the diagonal entries included."""
+    real_advance = engine._advance
+    fired = []
+
+    def spying_advance(*args):
+        out = real_advance(*args)
+        fired.append(out[2])
+        return out
+
+    monkeypatch.setattr(engine, "_advance", spying_advance)
     rng = random.Random(41)
     seen = 0
     for _ in range(20):
@@ -856,7 +865,10 @@ def test_match_gather_equals_project_match():
             m = OnlineMatcher(wa)
             t, tp = m._ctx.t_index, len(wa.automaton.clocks) + 1
             for seg in sig:
-                for zs in m._step(seg).values():
+                fired.clear()
+                m.feed(seg)
+                (states,) = fired
+                for zs in states.values():
                     for z in zs:
                         assert m._project(z) == zn.project_match(z, t, tp)
                         seen += 1
@@ -877,7 +889,7 @@ def test_carried_table_invariants():
             t = m._ctx.t_index
             for seg in sig:
                 m.feed(seg)
-                cur = int(m.elapsed * m.scale)
+                cur = int(m.matchset.horizon * m._ctx.scale)
                 assert all(m._weight.values())
                 assert all(zs for groups in m._weight.values() for zs in groups.values())
                 entries = flat(m._weight)
@@ -1216,8 +1228,8 @@ def test_matcher_rescales_midstream(wa_supinf):
     ]
     for seg in segs:
         m.feed(seg)
-    assert m.scale == 6
-    assert m.elapsed == Fraction(11, 6)
+    assert m._ctx.scale == 6
+    assert m.matchset.horizon == Fraction(11, 6)
     sig = Signal(segs)
     rng = random.Random(33)
     for _ in range(25):
@@ -1233,7 +1245,7 @@ def test_feed_reports_changed_rows_sorted(two_step_signal, wa_supinf):
     first = m.feed(two_step_signal.segments[0])
     assert first
     # the rows of one feed share its time scale, so their int keys compare
-    assert {p.den for p in first} == {m.scale}
+    assert {p.den for p in first} == {m._ctx.scale}
     keys = [zone_sort_key(p.region) for p in first]
     assert keys == sorted(keys)
     assert first == m.matchset.pieces()
@@ -1276,9 +1288,9 @@ def test_feed_rejects_changed_variable_set(wa_supinf):
         with pytest.raises(ValueError, match="variable set"):
             m.feed(segment(values, 1))
     # a rejected segment leaves the matcher as it was
-    assert m.elapsed == 1 and m.matchset.pieces() == rows
+    assert m.matchset.horizon == 1 and m.matchset.pieces() == rows
     m.feed(segment({"x": 12.0}, 1))
-    assert m.elapsed == 2
+    assert m.matchset.horizon == 2
 
 
 def test_feed_merges_rows_of_one_region_from_two_accepting_locations():

@@ -70,6 +70,20 @@ def test_segment_rejects_a_bool_duration():
             Segment(valuation({"x": 7.0}), d)
 
 
+def test_segment_helper_rejects_what_segment_rejects():
+    """`segment` converts its arguments only as far as `Segment` would
+    accept them: a bool, as a duration or a value, is not read as 1."""
+    for d in (True, False):
+        with pytest.raises(ValueError, match=f"segment duration {d} is not an int or Fraction"):
+            segment({"x": 1}, d)
+    for v in (True, False, "7", None):
+        with pytest.raises(ValueError, match=rf"segment value x={v!r} is not a real number"):
+            segment({"x": v}, 1)
+    s = segment({"y": 2, "x": Fraction(1, 2)}, 0.5)
+    assert s == Segment((("x", 0.5), ("y", 2.0)), Fraction(1, 2))
+    assert all(type(v) is float for _, v in s.values)
+
+
 def test_segment_rejects_a_value_that_is_not_a_real_number():
     # bool is a numbers.Real, but True would act as x = 1
     for v in ("a", None, 1j, (1.0,), True, False):

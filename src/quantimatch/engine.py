@@ -755,7 +755,10 @@ class OnlineMatcher:
                 if region[7] == 1:  # t' - t <= 0: no window
                     continue
                 rows[region] = oplus(rows[region], w) if region in rows else w
-        pieces = [MatchPiece(region, rows[region], ctx.scale)
+        # tuple.__new__ builds each row without the named tuple's
+        # Python-level constructor frame
+        new, scale = tuple.__new__, ctx.scale
+        pieces = [new(MatchPiece, (region, rows[region], scale))
                   for region in sorted(rows, key=zone_sort_key)]
         self.matchset.insert(end, pieces)
         return pieces

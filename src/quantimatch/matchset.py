@@ -15,14 +15,21 @@ off-diagonal entries of its 3x3 region, `zone.contains` unrolled, with
 2a * den and 2b * den computed once per row: int arithmetic alone, with
 no `Fraction` built or compared for an int or `Fraction` window.
 
-Rows are rendered as text a row at a time (`format_piece`), but one
-segment's rows share few distinct bounds: segment boundaries and guard
-offsets at one time scale.  So the text of a bound, an int over the
-time scale, comes from a memo keyed on both ints and bounded to the
-1024 most recently used pairs.  A bounded memo loses little: the bounds
-a stream's rows carry drift forward with it, so old ones are not asked
-for again.  A batch is ordered by `zone_sort_key`, which reads the six
-off-diagonal entries of a region.
+Rows are rendered as text a row at a time (`format_piece`), and most of
+their text recurs, so it comes from three memos, each bounded to a fixed
+number of most recently used entries.  A row's t and t' intervals are
+keyed on (low entry, high entry, time scale), 256 of them: t' spans one
+segment and t starts at one of the few boundaries and guard offsets a
+stream has passed, so both recur across a segment's rows and across
+segments.  Its t'-t interval is nearly always new, so it is built in the
+row's f-string from the text of its two bounds, each keyed on (int,
+time scale), 1024 of them.  The value text is keyed on the value and its
+type, 256 of them: True, 1 and 1.0 are equal and hash alike but print
+as true, 1 and 1, so an untyped key would hand one the other's text.  A
+bounded memo loses little, since the intervals a stream's rows carry
+drift forward with it, and it does not grow with the stream.  A batch is
+ordered by `zone_sort_key`, which reads the six off-diagonal entries of
+a region.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ def _format_ratio(num: int, den: int) -> str:
     return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -97,6 +105,7 @@ def _bound_time(v: int, den: int) -> str:
     return _format_ratio(v // g, den // g)
 
 
+@functools.lru_cache(maxsize=256)
 def _interval(lo, hi, den) -> str:
     # encoded entries: lo bounds the negated coordinate, hi the plain
     # one, which alone may be INF
@@ -119,11 +128,14 @@ class MatchPiece(NamedTuple):
 
 
 def format_piece(piece: MatchPiece) -> str:
-    d, den = piece.region, piece.den
-    t_iv = _interval(d[1], d[3], den)
-    tp_iv = _interval(d[2], d[6], den)
-    diff_iv = _interval(d[5], d[7], den)
-    return f"t in {t_iv}, t' in {tp_iv}, t'-t in {diff_iv} : {format_value(piece.value)}"
+    d, value, den = piece
+    lo, hi = d[5], d[7]
+    return (
+        f"t in {_interval(d[1], d[3], den)}, t' in {_interval(d[2], d[6], den)}, "
+        f"t'-t in {'[' if lo & 1 else '('}{_bound_time(-(lo >> 1), den)},"
+        f"{'inf)' if hi is zn.INF else _bound_time(hi >> 1, den) + (']' if hi & 1 else ')')}"
+        f" : {format_value(value)}"
+    )
 
 
 def _ratio(x) -> tuple:
@@ -168,10 +180,12 @@ class MatchSet:
         """Append the batch of rows for the segment ending at `end`,
         which must lie past the horizon; a bool or a non-finite end is
         rejected, as by `query`."""
-        end = Fraction(*_ratio(end))
-        if not end > self.horizon:
-            raise ValueError(f"batch end {end} is not past the horizon {self.horizon}")
-        self._ends.append((end.numerator, end.denominator))
+        num, den = _ratio(end)
+        hn, hd = self._ends[-1] if self._ends else (0, 1)
+        if not num * hd > hn * den:
+            raise ValueError(
+                f"batch end {Fraction(num, den)} is not past the horizon {self.horizon}")
+        self._ends.append((num, den))
         self._batches.append(tuple(rows))
 
     def pieces(self) -> list:

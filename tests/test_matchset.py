@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import quantimatch.zone as zn
+from quantimatch import matchset
+from quantimatch.automaton import CostKind, WeightedAutomaton, parse_automaton
 from quantimatch.engine import OnlineMatcher
 from quantimatch.matchset import (
     MatchPiece,
@@ -19,8 +21,9 @@ from quantimatch.matchset import (
 )
 from quantimatch.oracle import arrangement_points
 from quantimatch.semiring import BOOLEAN, INF, SUPINF, TROPICAL
+from quantimatch.signals import segment
 
-from conftest import make, random_automaton, random_signal, weighted_variants
+from conftest import OVERSHOOT_SPEC, make, random_automaton, random_signal, weighted_variants
 
 TT = ("t", "t'")
 
@@ -67,6 +70,18 @@ def test_format_value():
     assert format_value(2.5) == "2.5"
 
 
+def test_value_text_keeps_the_type_of_equal_values():
+    # True, 1 and 1.0 (and False, 0.0 and -0.0) are equal and hash alike,
+    # but print apart: the value memo must not hand one the other's text
+    values = (True, 1.0, 1, False, 0.0, -0.0, INF, -INF)
+    texts = ("true", "1", "1", "false", "0", "0", "inf", "-inf")
+    region = piece(0.0, 0, 1, 1, 2).region
+    for order in (1, -1):
+        for v, text in list(zip(values, texts))[::order]:
+            assert format_value(v) == text
+            assert format_piece(MatchPiece(region, v, 1)).endswith(f" : {text}")
+
+
 def test_format_piece_rendering():
     p = piece(5.0, 0, 0, 0, Fraction(15, 2), strict=(False, False, True, True))
     assert p.den == 2
@@ -93,8 +108,8 @@ def test_insert_rejects_an_end_not_past_the_horizon():
             ms.insert(end, [r])
     assert ms.horizon == 0 and len(ms) == 0
     ms.insert(3, [r])
-    for end in (3, Fraction(5, 2), -1):
-        with pytest.raises(ValueError):
+    for end, text in ((3, "3"), (Fraction(5, 2), "5/2"), (-1, "-1"), (3.0, "3")):
+        with pytest.raises(ValueError, match=f"^batch end {text} is not past the horizon 3$"):
             ms.insert(end, [piece(4.0, 0, 2, 1, 2)])
     assert ms.horizon == 3 and ms.pieces() == [r] and len(ms) == 1
     ms.insert(Fraction(7, 2), [])
@@ -295,6 +310,48 @@ def test_bound_text_is_the_rational_over_its_time_scale():
         want = f"t in {intervals[0]}, t' in {intervals[1]}, t'-t in {intervals[2]} : 2.5"
         assert format_piece(MatchPiece(region, 2.5, den)) == want
     assert upper_inf
+
+
+def test_row_text_survives_interval_memo_eviction():
+    # a long stream of the unbounded spec, with durations over 4, 5 and 8,
+    # carries more distinct (t or t') intervals than the interval memo
+    # holds, and its time scale grows mid-stream: every row still reads as
+    # format_time of each decoded bound over the row's own scale
+    rng = random.Random(29)
+    wa = WeightedAutomaton(
+        parse_automaton(OVERSHOOT_SPEC.replace(" when c < 10", "")), SUPINF, CostKind.MIN_MARGIN
+    )
+    m = OnlineMatcher(wa)
+    texts: dict = {}  # (v, den) -> format_time(v / den), the reference's own memo
+
+    def text(v, den):
+        if (v, den) not in texts:
+            texts[v, den] = format_time(Fraction(v, den))
+        return texts[v, den]
+
+    def interval(lo, hi, den):
+        (lv, ls), (hv, hs) = zn.decode(lo), zn.decode(hi)
+        right = "inf)" if hi is zn.INF else f"{text(hv, den)}{')' if hs else ']'}"
+        return f"{'(' if ls else '['}{text(-lv, den)},{right}"
+
+    keys, dens = set(), set()
+    prev = None
+    for _ in range(200):
+        v = rng.randint(-2, 14)
+        while v == prev:
+            v = rng.randint(-2, 14)
+        prev = v
+        for p in m.feed(segment({"x": float(v)}, Fraction(rng.randint(1, 16), rng.choice((4, 5, 8))))):
+            d, den = p.region, p.den
+            keys |= {(d[1], d[3], den), (d[2], d[6], den)}
+            dens.add(den)
+            want = (
+                f"t in {interval(d[1], d[3], den)}, t' in {interval(d[2], d[6], den)}, "
+                f"t'-t in {interval(d[5], d[7], den)} : {format_value(p.value)}"
+            )
+            assert format_piece(p) == want
+    assert len(keys) > matchset._interval.cache_info().maxsize
+    assert len(dens) > 2
 
 
 def test_weak_bound_sorts_before_strict_of_equal_value():

@@ -22,15 +22,22 @@ sequences among a segment's groups are one node; a node then hashes
 and compares by identity, and the states the table keeps are exactly
 those a table keyed by the sequences themselves keeps.
 
-Per segment the table unfolds into a finite move graph.  The states
-that wait are the entries and the states transitions fire into; each
-waits once, into the open band between the previous and the current
-boundary and onto the boundary itself, and each state it waits into
-fires at once, since its recorded value sequence is nonempty.  Waiting
-is strictly positive, so a fired state can never refire at the same
-instant; one fired at the boundary is carried and waits in the next
-segment.  One call of its location's wait kernel (`EngineContext.waits`,
-a `zone.elapse_kernel`) gives both waiting targets.  It reads only the
+Per segment the table unfolds into a finite move graph.  Its nodes are
+the states that wait: the entries and the states transitions fire into.
+Each waits once, into the open band between the previous and the
+current boundary and onto the boundary itself (its wall), and both fire
+at once, since the recorded value sequence is nonempty; so a wait and
+its fires are one step, an edge from the waiting state to each state
+fired into, weighted by the cost of the waiter's extended sequence.  A
+band or wall is no node: it would only pass its waiter's weight on
+along an edge of weight one, and d ⊗ one = d.  A wall is kept apart
+instead, since it is the state carried, and weighed as the ⊕ of its
+waiters' weights, which is exact by the distributive step below.
+Waiting is strictly positive, so a fired state can never refire at the
+same instant; one fired at the boundary is carried and waits in the
+next segment.  One call of its location's wait kernel
+(`EngineContext.waits`, a `zone.elapse_kernel`) gives both waiting
+targets, band and wall.  It reads only the
 current boundary: the entries are pinned at the previous one and every
 other state is fired into after it, so no wait needs a lower clamp.  A
 waiting state's time clock lies below the current boundary, so each
@@ -82,9 +89,11 @@ are the strongly connected components of the location graph, walked
 in topological order.  This is the scheme of Mohri (JALC 2002) that
 `shortest_distance` applies to states, lifted to locations and found
 once per `EngineContext`; only a cyclic bucket builds a move graph for
-`shortest_distance` to weigh.  Weighing yields both the fired states,
-whose accepting ones are the segment's matches, and the carried table
-(the states pinned at the boundary).
+`shortest_distance` to weigh, over the states that wait in it; its
+carried walls and the fires that leave it are weighed after, from their
+waiters' weights.  Weighing yields both the fired states, whose
+accepting ones are the segment's matches, and the carried table (the
+states pinned at the boundary).
 
 A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
@@ -491,13 +500,16 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     with no test of their time clock.  A dead end, a location that
     neither waits nor carries (an accepting sink), is skipped.
 
-    A cyclic bucket weighs its local move graph with
-    `shortest_distance`, its inputs and arrivals as sources, and then
-    relaxes the fires that leave it.  Returns (fired, final): the
-    weighed states a transition fired into, as {location: {zone:
-    weight}} since their sequence is empty, and those pinned at `cur`
-    that their location's cap test (`EngineContext.carries`) carries,
-    grouped as the input is.
+    A cyclic bucket weighs, with `shortest_distance`, a graph of its
+    waiting states alone: its inputs and arrivals.  A waiter's band and
+    wall fire straight into arrivals, along edges weighted by the cost
+    of its extended sequence; a carried wall and a fire that leaves the
+    bucket are kept with their waiter's id and weighed after, the wall
+    as the ⊕ of its waiters' weights (exact, as the module docstring
+    says).  Returns (fired, final): the weighed states a transition
+    fired into, as {location: {zone: weight}} since their sequence is
+    empty, and those pinned at `cur` that their location's cap test
+    (`EngineContext.carries`) carries, grouped as the input is.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -567,12 +579,11 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                 final[loc] = out
             continue
 
-        # a cyclic bucket numbers its states, inputs first, and finds a
-        # waited state again by zone within its (location, sequence)
-        # group in `waited`, a fired one within its location's `arrived`.
-        # Only inputs and arrivals wait, each into its sequence extended
-        # by `values`; an input is never pinned at cur, so the sequence
-        # it keeps in `states` is read by its wait alone
+        # a cyclic bucket numbers its waiting states, inputs first, and
+        # finds a fired one again by zone within its location's
+        # `arrived`.  Each waits into its sequence extended by `values`;
+        # an input is never pinned at cur, so the sequence it keeps in
+        # `states` is read by its wait alone
         states = []  # id -> (location, zone, value sequence)
         sources = {}
         nodes = {}  # location -> its intern table
@@ -591,9 +602,9 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                 ids[z] = i = len(states)
                 sources[i] = d
                 states.append((loc, z, root))
-        waited = {loc: {} for loc in locs}  # location -> sequence -> zone -> id
-        edges: list = []
-        leaving: list = []  # (waited id, cost, target, zone) out of the bucket
+        edges: list = []  # (waiter id, arrival id, cost)
+        leaving: list = []  # (waiter id, cost, target, zone) out of the bucket
+        walls: list = []  # (waiter id, location, sequence, wall) carried from cur
 
         stack = list(sources)
         while stack:
@@ -603,24 +614,20 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             if z[t] == pinned or elapse is None:
                 continue
             seq2 = _extend(seq, values, nodes[loc], ctx.steps[loc])
-            ids = waited[loc].setdefault(seq2, {})
+            band, wall = elapse(z, cur)
+            carry = ctx.carries[loc]
+            if carry is True or carry and carry(wall):
+                walls.append((i, loc, seq2, wall))
             w = seq2.cost
-            for z2 in elapse(z, cur):
-                j = ids.get(z2)
-                if j is not None:
-                    edges.append((i, j, sr.one))
-                    continue
-                ids[z2] = j = len(states)
-                states.append((loc, z2, seq2))
-                edges.append((i, j, sr.one))
-                if w == zero:
-                    continue
+            if w == zero:
+                continue
+            for z2 in (band, wall):
                 for target, fire in ctx.out[loc]:
                     z3 = fire(z2)
                     if z3 is None:
                         continue
                     if target not in locs:
-                        leaving.append((j, w, target, z3))
+                        leaving.append((i, w, target, z3))
                         continue
                     tids = arrived[target]
                     k = tids.get(z3)
@@ -628,20 +635,27 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                         tids[z3] = k = len(states)
                         states.append((target, z3, ctx.roots[target]))
                         stack.append(k)
-                    edges.append((j, k, w))
+                    edges.append((i, k, w))
         dist = shortest_distance(range(len(states)), edges, sources, sr)
         for i, d in dist.items():
             loc, z, seq = states[i]
-            if z[t] == pinned:
+            if z[t] == pinned:  # only an arrival can be
                 carry = ctx.carries[loc]
                 if carry is True or carry and carry(z):
                     final.setdefault(loc, {}).setdefault(seq, {})[z] = d
         for loc in locs:
             fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
-        for j, w, target, z3 in leaving:
-            if j in dist:
+        for i, loc, seq2, wall in walls:
+            d = dist.get(i)
+            if d is not None:
+                zs = final.setdefault(loc, {}).setdefault(seq2, {})
+                old = zs.get(wall)
+                zs[wall] = d if old is None else oplus(old, d)
+        for i, w, target, z3 in leaving:
+            d = dist.get(i)
+            if d is not None:
                 arr = fired[target]
-                dw = otimes(dist[j], w)
+                dw = otimes(d, w)
                 old = arr.get(z3)
                 arr[z3] = dw if old is None else oplus(old, dw)
     return {loc: zs for loc, zs in fired.items() if zs}, final

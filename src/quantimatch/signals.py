@@ -172,6 +172,7 @@ def read_stream(lines: Iterable[str]) -> Iterator[Segment]:
     whose message is passed on with the line number.
     """
     header: tuple[str, ...] | None = None
+    lineno = 0
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,7 +195,8 @@ def read_stream(lines: Iterable[str]) -> Iterator[Segment]:
             raise SignalFormatError(lineno, str(exc)) from None
         yield seg
     if header is None:
-        raise SignalFormatError(0, "missing header line")
+        # reported at the line after the last one read
+        raise SignalFormatError(lineno + 1, "missing header line")
 
 
 def parse_signal(text: str) -> Signal:

@@ -478,6 +478,18 @@ def test_a_bad_value_is_malformed_signal(capsys, tmp_path, spec_path):
     assert err == "quantimatch: line 2: bad value 'abc'\n"
 
 
+@pytest.mark.parametrize("command", ["tracevalue", "monitor"])
+@pytest.mark.parametrize("text, lineno", [("", 1), ("# only a comment\n", 2)])
+def test_signal_without_header_names_the_line_after_the_last(
+        capsys, tmp_path, spec_path, command, text, lineno):
+    code, out, err = run(
+        capsys, command, "--spec", spec_path, "--semiring", "supinf",
+        "--cost", "r", "--signal", sig_path(tmp_path, text),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"quantimatch: line {lineno}: missing header line\n"
+
+
 def test_header_only_signal_is_evaluation_error(capsys, tmp_path, spec_path):
     code, _, err = run(
         capsys, "tracevalue", "--spec", spec_path, "--semiring", "supinf",

@@ -607,7 +607,9 @@ def _flat_explore(ctx, weight, values, prev, cur, zones):
     location's dead clocks with the generic `free`.  Adds each state's
     zone to the set `zones`: a trivial bucket's inputs, arrivals and
     waited states, a cyclic bucket's states of nonzero weight.  Returns
-    flat (fired, final)."""
+    flat (fired, final) and how often a cyclic bucket waits into a state
+    it has waited into before, from another state: the states whose
+    weight the fold ⊕-merges over their waiters after weighing."""
     sr = ctx.semiring
     oplus = sr.oplus
     otimes = sr.otimes
@@ -622,6 +624,7 @@ def _flat_explore(ctx, weight, values, prev, cur, zones):
         arrived[state[0]][state] = s
     fired: dict = {}
     final: dict = {}
+    merged = 0
 
     for locs, cyclic in ctx.buckets:
         if not cyclic:
@@ -690,6 +693,7 @@ def _flat_explore(ctx, weight, values, prev, cur, zones):
                 j = ids.setdefault((loc, z2, seq2), len(states))
                 edges.append((i, j, sr.one))
                 if j < len(states):  # seen before
+                    merged += 1
                     continue
                 states.append((loc, z2, seq2))
                 if (loc, seq2) not in costs:
@@ -725,7 +729,7 @@ def _flat_explore(ctx, weight, values, prev, cur, zones):
                 dw = otimes(dist[j], w)
                 old = arr.get(st3)
                 arr[st3] = dw if old is None else oplus(old, dw)
-    return fired, final
+    return fired, final, merged
 
 
 
@@ -744,6 +748,7 @@ def test_grouped_explore_equals_flat_reference():
     rng = random.Random(39)
     fired_seen = cyclic_seen = 0
     shared = Counter()  # semiring -> (location, zone) pairs held by two or more groups
+    merges = Counter()  # semiring -> cyclic-bucket states waited into from two states
     for _ in range(25):
         a = _with_dead_branch(rng, random_automaton(rng, max_clocks=3, extra_edges=3))
         # adjacent values are often equal, so that waiting absorbs the
@@ -771,8 +776,9 @@ def test_grouped_explore_equals_flat_reference():
                         before = {loc: {q: dict(zs) for q, zs in groups.items()}
                                   for loc, groups in weight.items()}
                         want_zones = set()
-                        want_fired, want_final = _flat_explore(
+                        want_fired, want_final, merged = _flat_explore(
                             ctx, flat(weight), seg.values, prev, cur, want_zones)
+                        merges[wa.semiring.name] += merged
                         zones.clear()
                         zones.update(z for groups in weight.values()
                                      for zs in groups.values() for z in zs)
@@ -788,6 +794,9 @@ def test_grouped_explore_equals_flat_reference():
     # a trivial bucket waits and fires a zone once, for all the groups
     # that hold it: that merge is exercised under every pairing
     assert min(shared[sr.name] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 100, shared
+    # a cyclic bucket weighs a wall waited into from two states as the ⊕
+    # of their weights, and fires a band or wall once per waiter
+    assert min(merges[sr.name] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 50, merges
 
 
 def _shared_zones(ctx, weight, fired, cur):
@@ -841,6 +850,50 @@ def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch):
     for _ in range(25):
         m.feed(segment({"x": float(rng.randint(-2, 14))}, Fraction(rng.randint(1, 10), rng.randint(1, 4))))
     assert distinct > 500 and pairs > 1.5 * distinct, (pairs, distinct)
+
+
+def test_a_cyclic_bucket_weighs_its_waiting_states_only(monkeypatch):
+    """On the cyclic overshoot, whose l0 and l1 are one bucket, each
+    graph `shortest_distance` weighs has the states that wait as its
+    nodes: its sources (the bucket's inputs and the states fired into it
+    from the start location) and the states fired into it within the
+    bucket.  A wait's band and wall are no nodes, so a cycle through a
+    wait and a fire back is two nodes, not four."""
+    m = OnlineMatcher(WeightedAutomaton(parse_automaton(CYCLIC_SPEC), TROPICAL,
+                                        CostKind.SUM_MARGIN))
+    graphs = []  # (node count, source count, edges), one per cyclic bucket weighed
+    totals = Counter()
+    real_sd, real_explore = engine.shortest_distance, engine._explore
+
+    def shortest_distance(nodes, edges, sources, sr):
+        graphs.append((len(nodes), len(sources), list(edges)))
+        return real_sd(nodes, edges, sources, sr)
+
+    def explore(ctx, weight, values, cur):
+        graphs.clear()
+        fired, final = real_explore(ctx, weight, values, cur)
+        ((n, sources, edges),) = graphs
+        # every state fired into the bucket weighs nonzero here, so
+        # `fired` lists them all; those that are no source were found in it
+        inputs = sum(len(zs) for loc in ("l0", "l1") for zs in weight.get(loc, {}).values())
+        found = sum(len(fired.get(loc, {})) for loc in ("l0", "l1")) - (sources - inputs)
+        assert n == sources + found, (cur, n, sources, found)
+        out = [set() for _ in range(n)]
+        for i, k, _ in edges:
+            out[i].add(k)
+        sizes = Counter(len(comp) for comp in engine._tarjan_components(out, range(n))
+                        if len(comp) > 1 or comp[0] in out[comp[0]])
+        assert max(sizes, default=0) <= 2, sizes
+        totals.update(nodes=n, edges=len(edges), cycles=sizes[2])
+        return fired, final
+
+    monkeypatch.setattr(engine, "shortest_distance", shortest_distance)
+    monkeypatch.setattr(engine, "_explore", explore)
+    rng = random.Random(17)
+    for _ in range(12):
+        m.feed(segment({"x": float(rng.randint(-2, 20))},
+                       Fraction(rng.randint(1, 10), rng.randint(1, 4))))
+    assert totals == {"nodes": 5568, "edges": 7305, "cycles": 270}, totals
 
 
 def test_match_gather_equals_project_match(monkeypatch):

@@ -189,9 +189,14 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(SignalFormatError) as e:
         parse_signal("x x\n1 2 3\n")
     assert "duplicate" in str(e.value)
+    # no header: reported at the line after the last one read
     with pytest.raises(SignalFormatError) as e:
         parse_signal("# only comments\n")
-    assert e.value.lineno == 0 and "header" in str(e.value)
+    assert e.value.lineno == 2 and "header" in str(e.value)
+    for text, lineno in (("", 1), ("\n", 2), ("# a\n\n# b\n", 4)):
+        with pytest.raises(SignalFormatError) as e:
+            list(read_stream(text.splitlines(keepends=True)))
+        assert e.value.lineno == lineno and str(e.value) == f"line {lineno}: missing header line"
 
 
 def test_read_stream_is_incremental():

@@ -9,18 +9,18 @@ segment's end needs it, so that every boundary so far is an integer;
 zone bounds then stay integral, keeping zone identity exact under
 hashing.
 
-A value sequence is a node (`_Seq`): the sequence it extends, its last
-valuation, its length and its cost against its location's label.  A
-segment extends each group's sequence by its valuation in O(1)
-(`_extend`): to the node itself when it ends with an equal valuation
-(the absorbing seam), else to its one child for that valuation, costed
-once when made, from its parent's cost (`automaton.cost_extender`).  So
-no sequence is copied, hashed or costed again however long its runs
-dwell, and a segment's work follows its groups, not their lengths.
-Nodes are interned per location and segment (`_interned`), so equal
-sequences among a segment's groups are one node; a node then hashes
-and compares by identity, and the states the table keeps are exactly
-those a table keyed by the sequences themselves keeps.
+A value sequence is a node (`_Seq`): its last valuation, its length and
+its cost against its location's label, with no link to the sequence it
+extends.  A segment extends each group's sequence by its valuation in
+O(1) (`_extend`): to the node itself when it ends with an equal
+valuation (the absorbing seam), else to one node made for it in the
+segment, costed once, from its cost (`automaton.cost_extender`).  So no
+sequence is copied, hashed or costed again however long its runs dwell,
+and a segment's work follows its groups, not their lengths.  The only
+carried node an extension can meet is the location's one-valuation node
+equal to the segment's valuation (`_interned`).  So equal sequences
+among a segment's groups are one node; a node then hashes and compares
+by identity, and the table keeps exactly what a sequence-keyed one does.
 
 Per segment the table unfolds into a finite move graph.  Its nodes are
 the states that wait: the entries and the states transitions fire into.
@@ -37,14 +37,13 @@ Waiting is strictly positive, so a fired state can never refire at the
 same instant; one fired at the boundary is carried and waits in the
 next segment.  One call of its location's wait kernel
 (`EngineContext.waits`, a `zone.elapse_kernel`) gives both waiting
-targets, band and wall.  It reads only the
-current boundary: the entries are pinned at the previous one and every
-other state is fired into after it, so no wait needs a lower clamp.  A
-waiting state's time clock lies below the current boundary, so each
-target differs from its source only in its absolute bounds (row 0 and
-column 0), which the kernel rewrites with O(n) fixed-index int
-operations, and in the clocks dead at the location, which it keeps
-free; neither target is ever empty.
+targets, band and wall.  It reads only the current boundary: the
+entries are pinned at the previous one and every other state is fired
+into after it, so no wait needs a lower clamp.  A waiting state's time
+clock lies below the current boundary, so each target differs from its
+source only in its absolute bounds (row 0 and column 0), which the
+kernel rewrites with O(n) fixed-index int operations, and in the clocks
+dead at the location, which it frees; neither target is ever empty.
 
 Where one location is a bucket of its own, the wait and the fire
 depend on the zone alone, not on the value sequence: a sequence only
@@ -136,42 +135,39 @@ from .signals import Segment, Signal, Valuation, check_variables
 
 
 class _Seq:
-    """A value sequence recorded at one location, as a node: the
-    sequence it extends (`parent`, None for the empty one), its last
-    valuation, its length and its cost against the location's label.
-    Equal sequences among a location's groups are one node (`_extend`),
-    so a node hashes and compares by identity, in O(1)."""
+    """A value sequence recorded at one location, as a node: its last
+    valuation (None if empty), its length and its cost against the
+    location's label.  Equal sequences among a location's groups are one
+    node (`_extend`), so a node hashes and compares by identity, in O(1)."""
 
-    __slots__ = ("parent", "last", "length", "cost")
+    __slots__ = ("last", "length", "cost")
 
-    def __init__(self, parent, last, length: int, cost):
-        self.parent = parent
+    def __init__(self, last, length: int, cost):
         self.last = last
         self.length = length
         self.cost = cost
 
 
-def _interned(inputs, values: Valuation) -> dict:
-    """A location's intern table for one segment, {parent: node}, from
-    its input sequence groups: the nodes ending with the segment's
-    valuation `values`, the only ones an extension by it can find.  An
-    input's sequence ends with the previous segment's valuation, so when
-    the two are equal, the empty sequence extended finds its carried
-    one-valuation node here.  Only live nodes are held."""
-    return {q.parent: q for q in inputs if q.last == values}
+def _interned(inputs, values: Valuation, root: _Seq) -> dict:
+    """A location's intern table for one segment: {root: q} for its
+    carried one-valuation node q equal to the segment's valuation
+    `values`, the extension of its empty sequence's node `root`; else
+    {}.  Every other carried node ends with the previous segment's
+    valuation, so none is another input's extension by `values`."""
+    return next(({root: q} for q in inputs if q.length == 1 and q.last == values), {})
 
 
 def _extend(q: _Seq, values: Valuation, nodes: dict, step) -> _Seq:
     """`q` extended by the segment's valuation `values` at its location:
     `q` itself when it ends with an equal one (the absorbing seam), else
-    the one child of q in `nodes`, the location's intern table for the
+    the node `nodes` holds for q, the location's intern table for the
     segment (`_interned`), made on first use and costed by the
     location's `step` (`automaton.cost_extender`) from q's cost."""
     if q.last == values:
         return q
     node = nodes.get(q)
     if node is None:
-        node = nodes[q] = _Seq(q, values, q.length + 1, step(q.cost, values))
+        node = nodes[q] = _Seq(values, q.length + 1, step(q.cost, values))
     return node
 
 
@@ -195,7 +191,7 @@ class EngineContext:
         self.steps = {}
         for l in a.locations:
             empty, self.steps[l.name] = cost_extender(self.kind, l.label)
-            self.roots[l.name] = _Seq(None, None, 0, empty)
+            self.roots[l.name] = _Seq(None, 0, empty)
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
         # the clocks some guard reads, in the order of the `caps` vectors
@@ -530,7 +526,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             inputs = weight.get(loc, {})
             root = ctx.roots[loc]
             step = ctx.steps[loc]
-            nodes = _interned(inputs, values)
+            nodes = _interned(inputs, values, root)
             # extended value sequence -> its walls: zone -> weight; none
             # is `root`, whose group holds the arrivals pinned at cur
             groups = {root: {}}
@@ -589,7 +585,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         nodes = {}  # location -> its intern table
         for loc in locs:
             inputs = weight.get(loc, {})
-            nodes[loc] = _interned(inputs, values)
+            nodes[loc] = _interned(inputs, values, ctx.roots[loc])
             for seq, zs in inputs.items():
                 for z, d in zs.items():
                     sources[len(states)] = d
@@ -680,20 +676,23 @@ def _seeded(ctx: EngineContext, locations) -> dict:
 def _advance(ctx: EngineContext, weight: dict, start: Fraction, seg: Segment):
     """Fold one segment `seg`, starting at time `start`, into the table
     `weight` pinned there.  When the segment's end needs a finer time
-    scale, the table is rescaled and `ctx` moved to it first.  Returns
-    (end, cur, fired, final): the segment's end, as a time and as the
-    scaled boundary, and `_explore`'s fired states and carried table."""
+    scale, the table is rescaled and `ctx` moved to it, and back if the
+    fold raises.  Returns (end, cur, fired, final): the segment's end, as
+    a time and as the scaled boundary, then `_explore`'s two tables."""
     end = start + seg.duration
-    scale = math.lcm(ctx.scale, end.denominator)
-    if scale != ctx.scale:
-        f = scale // ctx.scale
-        weight = {
-            loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
-            for loc, groups in weight.items()
-        }
+    old = ctx.scale
+    scale = math.lcm(old, end.denominator)
+    if scale != old:
+        f = scale // old
+        weight = {loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
+                  for loc, groups in weight.items()}
         ctx.set_scale(scale)
     cur = int(end * scale)
-    return (end, cur, *_explore(ctx, weight, seg.values, cur))
+    try:
+        return (end, cur, *_explore(ctx, weight, seg.values, cur))
+    except BaseException:
+        ctx.set_scale(old)
+        raise
 
 
 def trace_value(sig: Signal, wa: WeightedAutomaton):
@@ -746,8 +745,9 @@ class OnlineMatcher:
     def feed(self, seg: Segment) -> list:
         """Consume one segment; return the rows it adds to the match set
         as its batch, in `zone_sort_key` order.  No later segment changes
-        them.  Every segment must carry the variable set of the first one."""
-        self._names = check_variables(seg, self._names)
+        them.  Every segment must carry the variable set of the first one.
+        A segment that raises changes nothing."""
+        names = check_variables(seg, self._names)
         ctx = self._ctx
         oplus = self.semiring.oplus
         project = self._project
@@ -760,6 +760,7 @@ class OnlineMatcher:
             final[loc] = {ctx.roots[loc]: seed}
         self._weight = final
         self._elapsed = end
+        self._names = names
         rows: dict = {}  # integer-scale region -> value
         for loc, zs in fired.items():
             if loc not in ctx.accepting:
@@ -778,7 +779,6 @@ class OnlineMatcher:
         return pieces
 
     def footprint(self) -> int:
-        """Entries retained plus their recorded sequence elements."""
-        return sum(
-            len(zs) * (1 + q.length) for groups in self._weight.values() for q, zs in groups.items()
-        )
+        """Entries carried plus, for each, its value sequence's length."""
+        return sum(len(zs) * (1 + q.length)
+                   for groups in self._weight.values() for q, zs in groups.items())

@@ -180,14 +180,50 @@ def weighted_variants(a):
     return [WeightedAutomaton(a, sr, kind) for sr, kind in PAIRINGS]
 
 
+_NAMES = None  # sequence node -> its tuple, while `named_sequences` runs
+
+
+@contextmanager
+def named_sequences():
+    """Name every value-sequence node the engine makes while the block
+    runs, from outside the fold, for `as_tuple` and `flat`: a node keeps
+    no link to the sequence it extends, so `engine._extend` is wrapped
+    and records each new node as the tuple of the node it extends plus
+    the valuation.  The names hold every node made in the block alive,
+    so the spy is scoped to it."""
+    global _NAMES
+
+    def extend(q, values, nodes, step):
+        q2 = real_extend(q, values, nodes, step)
+        if q2 is not q and q2 not in _NAMES:
+            _NAMES[q2] = as_tuple(q) + (values,)
+        return q2
+
+    real_extend = engine._extend
+    _NAMES = {}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_extend", extend)
+            yield
+    finally:
+        _NAMES = None
+
+
+@pytest.fixture
+def sequence_names():
+    """`named_sequences` for the whole test."""
+    with named_sequences():
+        yield
+
+
 def as_tuple(q):
     """The value sequence an engine sequence node stands for, as a tuple
-    of valuations, found by walking its parents."""
-    seq = []
-    while q.length:
-        seq.append(q.last)
-        q = q.parent
-    return tuple(reversed(seq))
+    of valuations: () for a location's root, else the name
+    `named_sequences` gave it when it was made."""
+    if q.length == 0:
+        return ()
+    assert _NAMES is not None, "sequence nodes are named inside `named_sequences` only"
+    return _NAMES[q]
 
 
 def flat(table):

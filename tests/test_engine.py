@@ -192,6 +192,7 @@ def test_context_buckets_and_waits():
     assert [b for b in buckets if b != ({"l3"}, True)] == trivial
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch):
     """Rows and the pruned carried table are the same, segment by
     segment, when every location waits."""
@@ -287,6 +288,7 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
     assert any(any(batch) for rows in with_free for batch in rows)
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_waits_free_dead_clocks_and_change_only_the_carried_table(monkeypatch):
     """A wait frees the clocks dead at its location.  Beside a reference
     matcher whose wait kernels free none, as a fire leaves them, every
@@ -550,6 +552,7 @@ def test_shortest_distance_node_reached_only_through_cycle():
     assert dist == {"s": True, "a": True, "b": True, "c": True}
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_advance_first_segment_exact(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
@@ -577,6 +580,7 @@ def test_advance_first_segment_exact(wa_supinf):
     assert flat_fired(fired)[("l2", z_l2, EMPTY_SEQ)] == 2.0
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_explore_reached_leaves_out_inputs(wa_supinf):
     """`fired` holds the states transitions fired into, inputs never;
     `final` holds the states pinned at `cur` that a search finds a way
@@ -733,6 +737,7 @@ def _flat_explore(ctx, weight, values, prev, cur, zones):
 
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_grouped_explore_equals_flat_reference():
     """On random automata with 1 to 3 clocks, cycles, resets and a dead
     self-looping branch, under all three pairings and on integer-valued
@@ -928,6 +933,7 @@ def test_match_gather_equals_project_match(monkeypatch):
     assert seen > 1000
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_carried_table_invariants():
     """After every feed of a random sweep the carried table holds no
     empty location or sequence group, every carried zone is pinned at
@@ -1346,6 +1352,47 @@ def test_feed_rejects_changed_variable_set(wa_supinf):
     assert m.matchset.horizon == 2
 
 
+def test_feed_that_raises_changes_nothing():
+    """A segment whose cost reads a variable it lacks raises, and leaves
+    the matcher as it was: its time scale, carried table, elapsed time,
+    variable names and match set.  `and` short-circuits, so `y` is read
+    only where x > 5; the failed segment would have moved the time
+    scale to 2, and the next segment's rows are those of a matcher that
+    never saw it."""
+    spec = """var x, y;
+clock c;
+location l0 init [true];
+location l1 [x > 5 && y > 0];
+location l2 accept [true];
+edge l0 -> l1 when c > 0;
+edge l1 -> l2;
+edge l0 -> l2 when c > 0;
+"""
+    wa = WeightedAutomaton(parse_automaton(spec), BOOLEAN, CostKind.SAT)
+
+    def state(m):
+        return (m._ctx.scale, m._weight, m._elapsed, m._names, m.matchset.pieces())
+
+    m, ref = OnlineMatcher(wa), OnlineMatcher(wa)
+    first, bad, last = (segment({"x": 0.0}, 1), segment({"x": 10.0}, Fraction(1, 2)),
+                        segment({"x": 0.0}, 1))
+    assert m.feed(first) == ref.feed(first)
+    before, weight = state(m), m._weight
+    with pytest.raises(EvaluationError, match="variable 'y' missing"):
+        m.feed(bad)
+    assert state(m) == before and m._weight is weight
+    got = [format_piece(p) for p in m.feed(last)]
+    assert got == [format_piece(p) for p in ref.feed(last)]
+    assert got and got[0].startswith("t in [1,1], t' in [2,2]")
+    assert m.matchset.pieces() == ref.matchset.pieces()
+    # a first segment that raises fixes no variable set
+    m = OnlineMatcher(wa)
+    with pytest.raises(EvaluationError, match="variable 'y' missing"):
+        m.feed(bad)
+    assert m._names is None
+    m.feed(segment({"x": 10.0, "y": 1.0}, 1))
+
+
 def test_feed_merges_rows_of_one_region_from_two_accepting_locations():
     """Two accepting locations, reached from dwells under different
     labels, fire zones that project onto the same regions: `feed`'s row
@@ -1376,6 +1423,7 @@ edge b -> fb;
         assert set(both.values()) == {want}, sr
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_sequence_nodes_carry_their_cost_and_are_interned():
     """Value sequences extended one valuation at a time, as `_explore`
     extends a location's groups segment by segment: under all three
@@ -1412,7 +1460,7 @@ def test_sequence_nodes_carry_their_cost_and_are_interned():
                 # adjacent values are often equal, so that seams absorb
                 if values is None or rng.random() < 0.6:
                     values = rng.choice(pool)
-                nodes = engine._interned(live, values)
+                nodes = engine._interned(live, values, root)
                 extended = {}  # sequence -> node
                 for q in live + [root]:
                     want = absorbing_concat(as_tuple(q), (values,))
@@ -1439,6 +1487,7 @@ def test_sequence_nodes_carry_their_cost_and_are_interned():
         checked, absorbed, carried, missing)
 
 
+@pytest.mark.usefixtures("sequence_names")
 def test_footprint_counts_entries_and_history(wa_supinf):
     m = OnlineMatcher(wa_supinf)
     m.feed(segment({"x": 7.0}, 2))

@@ -22,17 +22,17 @@ equal to the segment's valuation (`_interned`).  So equal sequences
 among a segment's groups are one node; a node then hashes and compares
 by identity, and the table keeps exactly what a sequence-keyed one does.
 
-Per segment the table unfolds into a finite move graph.  Its nodes are
-the states that wait: the entries and the states transitions fire into.
-Each waits once, into the open band between the previous and the
-current boundary and onto the boundary itself (its wall), and both fire
-at once, since the recorded value sequence is nonempty; so a wait and
-its fires are one step, an edge from the waiting state to each state
-fired into, weighted by the cost of the waiter's extended sequence.  A
-band or wall is no node: it would only pass its waiter's weight on
-along an edge of weight one, and d ⊗ one = d.  A wall is kept apart
-instead, since it is the state carried, and weighed as the ⊕ of its
-waiters' weights, which is exact by the distributive step below.
+Per segment the table unfolds into a finite move graph, whose states
+that wait are the entries and the states transitions fire into (the
+arrivals).  Each waits once, into the open band between the previous
+and the current boundary and onto the boundary itself (its wall), and
+both fire at once, since the recorded value sequence is nonempty; so a
+wait and its fires are one step, an edge from the waiting state to each
+state fired into, weighted by the cost of the waiter's extended
+sequence.  A band or wall is no node: it would only pass its waiter's
+weight on along an edge of weight one, and d ⊗ one = d.  A wall is kept
+apart instead, since it is the state carried, and weighed as the ⊕ of
+its waiters' weights, which is exact by the distributive step below.
 Waiting is strictly positive, so a fired state can never refire at the
 same instant; one fired at the boundary is carried and waits in the
 next segment.  One call of its location's wait kernel
@@ -45,19 +45,19 @@ source only in its absolute bounds (row 0 and column 0), which the
 kernel rewrites with O(n) fixed-index int operations, and in the clocks
 dead at the location, which it frees; neither target is ever empty.
 
-Where one location is a bucket of its own, the wait and the fire
-depend on the zone alone, not on the value sequence: a sequence only
-sets the cost its waited states are weighed by.  So a zone that several
-sequence groups hold there waits once and fires once, weighed by the ⊕
-over those groups of its weight ⊗ the group's cost.  That is exact, bit
-for bit, in all three semirings: ⊕ is max, min or `or`, and x ↦ x ⊗ w
-is nondecreasing (the tropical sum too, with its ±inf rules), so
-(d1 ⊕ d2) ⊗ w = (d1 ⊗ w) ⊕ (d2 ⊗ w), the distributive step of Mohri's
-generic scheme cited below; a zone fires when some group of nonzero
-cost holds it, as each group's own states would.  Each group still
-keeps its own walls, for the carried table.  Work per segment then
-follows the distinct zones that wait, not the (group, zone) pairs,
-which outnumber them about two to one when runs dwell.
+The wait and the fire depend on the zone alone, not on the value
+sequence: a sequence only sets the cost its waited states are weighed
+by.  So a zone that several sequence groups hold at a location waits
+once and fires once, weighed by the ⊕ over those groups of its weight
+⊗ the group's cost.  That is exact, bit for bit, in all three
+semirings: ⊕ is max, min or `or`, and x ↦ x ⊗ w is nondecreasing (the
+tropical sum too, with its ±inf rules), so (d1 ⊕ d2) ⊗ w = (d1 ⊗ w) ⊕
+(d2 ⊗ w), the distributive step of Mohri's generic scheme cited below;
+a zone fires when some group of nonzero cost holds it, as each group's
+own states would.  Each group still keeps its own walls, for the
+carried table.  Work per segment then follows the distinct zones that
+wait, not the (group, zone) pairs, which outnumber them about two to
+one when runs dwell.
 
 Whether a state can still reach acceptance is decided once per
 automaton.  Waiting and resets never lower a clock's floor again, so
@@ -87,12 +87,18 @@ The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
 in topological order.  This is the scheme of Mohri (JALC 2002) that
 `shortest_distance` applies to states, lifted to locations and found
-once per `EngineContext`; only a cyclic bucket builds a move graph for
-`shortest_distance` to weigh, over the states that wait in it; its
-carried walls and the fires that leave it are weighed after, from their
-waiters' weights.  Weighing yields both the fired states, whose
-accepting ones are the segment's matches, and the carried table (the
-states pinned at the boundary).
+once per `EngineContext`.  Every bucket waits and fires in passes of
+the one kind above.  A trivial bucket's states have their final
+weights once it is reached, so one pass weighs it.  In a cyclic bucket
+only its arrivals can be fired into from within it, so they alone are
+the nodes of the graph `shortest_distance` weighs.  An input has no
+incoming edge, so its weight is final on entry: a pass over the inputs
+first fires them, and what they fire into the bucket enters the graph
+as source weight, which by the distributive step is what the paths
+through an input node would sum to.  A last pass fires the weighed
+arrivals out of the bucket and merges their walls.  Weighing yields
+both the fired states, whose accepting ones are the segment's matches,
+and the carried table (the states pinned at the boundary).
 
 A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
@@ -476,36 +482,44 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     reads `cur` alone, since every state that waits lies at or after
     the start: an input is pinned there and an arrival fired after it.
     The states a transition fires into are ⊕-accumulated at their
-    location as they arrive.  A trivial bucket's inputs and arrivals
-    then have their final weights.  It waits and fires in two passes:
+    location as they arrive.  Every bucket waits and fires in one kind
+    of pass (`pass_`) over a location's sequence groups:
 
-    1. over its sequence groups (each input group, then the arrivals
-       with the empty sequence), each extended by `values` to a node
-       that carries its cost (`_extend`): every zone that waits is
-       waited once by its location's kernel, its band and wall kept,
-       and it accumulates the ⊕ over its groups of weight ⊗ cost, from
-       groups of nonzero cost alone; each group ⊕-merges its own walls
-       for the carried table;
-    2. over the distinct zones so accumulated: the band and the wall
-       fire into later buckets with the zone's accumulated weight.
+    1. each group is extended by `values` to a node that carries its
+       cost (`_extend`); every zone that waits is waited once by its
+       location's kernel, its band and wall kept, and it accumulates
+       the ⊕ over its groups of weight ⊗ cost, from groups of nonzero
+       cost alone; each group ⊕-merges its own walls that the
+       location's cap test (`EngineContext.carries`) carries, and the
+       arrivals pinned at `cur` join the empty sequence's group when
+       it carries them;
+    2. the band and the wall of each zone so accumulated fire along the
+       pass's moves with the zone's accumulated weight.
 
     By distributivity (module docstring) this gives each fired state
     the weight that waiting and firing each (group, zone) pair apart
-    gives, bit for bit.  Keeping a wait's band and wall apart, a
-    trivial bucket tests its walls, pinned by construction, as they are,
-    with no test of their time clock.  A dead end, a location that
-    neither waits nor carries (an accepting sink), is skipped.
+    gives, bit for bit.  A dead end, a location that neither waits nor
+    carries (an accepting sink), is skipped.
 
-    A cyclic bucket weighs, with `shortest_distance`, a graph of its
-    waiting states alone: its inputs and arrivals.  A waiter's band and
-    wall fire straight into arrivals, along edges weighted by the cost
-    of its extended sequence; a carried wall and a fire that leaves the
-    bucket are kept with their waiter's id and weighed after, the wall
-    as the ⊕ of its waiters' weights (exact, as the module docstring
-    says).  Returns (fired, final): the weighed states a transition
-    fired into, as {location: {zone: weight}} since their sequence is
-    empty, and those pinned at `cur` that their location's cap test
-    (`EngineContext.carries`) carries, grouped as the input is.
+    A trivial bucket is weighed by one pass over its input groups and
+    its arrivals (the empty sequence's group), all of final weight.  A
+    cyclic bucket's locations take three steps:
+
+    1. a pass over their input groups alone, along all their moves: an
+       input has no incoming edge, so its weight is final, and what it
+       fires into the bucket is an arrival's source weight;
+    2. a graph over the arrivals alone, weighed by `shortest_distance`:
+       each waits once and fires along the moves that stay in the
+       bucket, an edge from it to each arrival fired into, weighted by
+       the cost of its extended sequence;
+    3. a pass over the weighed arrivals, along the moves that leave the
+       bucket, with the waits of step 2.
+
+    An input zone is pinned at the segment's start and an arrival lies
+    after it, so no zone waits in both passes.  Returns (fired, final):
+    the weighed states a transition fired into, as {location: {zone:
+    weight}} since their sequence is empty, and the carried states
+    pinned at `cur`, grouped as the input is.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -516,144 +530,114 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     fired: dict = {loc: {} for locs, _ in ctx.buckets for loc in locs}  # in bucket order
     final: dict = {}
 
-    for locs, cyclic in ctx.buckets:
-        if not cyclic:
-            (loc,) = locs
-            carry = ctx.carries[loc]
-            elapse = ctx.waits.get(loc)
-            if carry is False and elapse is None:
-                continue  # a dead end, an accepting sink: it keeps no state
-            inputs = weight.get(loc, {})
-            root = ctx.roots[loc]
-            step = ctx.steps[loc]
-            nodes = _interned(inputs, values, root)
-            # extended value sequence -> its walls: zone -> weight; none
-            # is `root`, whose group holds the arrivals pinned at cur
-            groups = {root: {}}
-            walled = groups[root]
-            # input zone -> [band, wall, ⊕ over its groups of d ⊗ cost,
-            # None while no group of nonzero cost holds it]
-            waited = {}
-            for seq, zs in [*inputs.items(), (root, fired[loc])]:
-                if not zs:
-                    continue
-                seq2 = _extend(seq, values, nodes, step)
-                walls = groups.setdefault(seq2, {})
-                w = seq2.cost
-                fires = w != zero
-                for z, d in zs.items():
-                    if z[t] == pinned:  # only an arrival can be
+    def pass_(loc, sources, moves, nodes, waited):
+        """Wait the zones of `sources`, (value sequence, {zone: weight})
+        groups at `loc`, and fire them along `moves`.  `waited` maps a
+        zone waited at `loc` to [band, wall, its accumulated weight or
+        None]; a zone it lacks is waited here."""
+        elapse = ctx.waits.get(loc)
+        carry = ctx.carries[loc]
+        if elapse is None and carry is False:
+            return  # a dead end, an accepting sink: it keeps no state
+        step = ctx.steps[loc]
+        # extended value sequence -> its carried walls: zone -> weight
+        groups = final.setdefault(loc, {})
+        walled = groups.setdefault(ctx.roots[loc], {})  # arrivals pinned at cur
+        for seq, zs in sources:
+            if not zs:
+                continue
+            seq2 = _extend(seq, values, nodes, step)
+            walls = groups.setdefault(seq2, {})
+            w = seq2.cost
+            fires = w != zero
+            for z, d in zs.items():
+                if z[t] == pinned:  # only an arrival can be
+                    if carry is True or carry and carry(z):
                         walled[z] = d
-                        continue
-                    if elapse is None:
-                        continue
-                    e = waited.get(z)
-                    if e is None:
-                        e = waited[z] = [*elapse(z, cur), None]
-                    wall = e[1]
+                    continue
+                if elapse is None:
+                    continue
+                e = waited.get(z)
+                if e is None:
+                    e = waited[z] = [*elapse(z, cur), None]
+                wall = e[1]
+                if carry is True or carry and carry(wall):
                     old = walls.get(wall)
                     walls[wall] = d if old is None else oplus(old, d)
-                    if fires:
-                        dw = otimes(d, w)
-                        old = e[2]
-                        e[2] = dw if old is None else oplus(old, dw)
-            moves = ctx.out[loc]
-            for band, wall, dw in waited.values():
-                if dw is None:
-                    continue
-                for z2 in (band, wall):
-                    for target, fire in moves:
-                        z3 = fire(z2)
-                        if z3 is None:
-                            continue
-                        arr = fired[target]
-                        old = arr.get(z3)
-                        arr[z3] = dw if old is None else oplus(old, dw)
-            # value sequence -> zone -> weight, carried from cur
-            out = {seq: zs for seq, walls in groups.items() if (zs := _kept(carry, walls))}
-            if out:
-                final[loc] = out
-            continue
-
-        # a cyclic bucket numbers its waiting states, inputs first, and
-        # finds a fired one again by zone within its location's
-        # `arrived`.  Each waits into its sequence extended by `values`;
-        # an input is never pinned at cur, so the sequence it keeps in
-        # `states` is read by its wait alone
-        states = []  # id -> (location, zone, value sequence)
-        sources = {}
-        nodes = {}  # location -> its intern table
-        for loc in locs:
-            inputs = weight.get(loc, {})
-            nodes[loc] = _interned(inputs, values, ctx.roots[loc])
-            for seq, zs in inputs.items():
-                for z, d in zs.items():
-                    sources[len(states)] = d
-                    states.append((loc, z, seq))
-        arrived = {}  # location -> zone -> id of a state fired into
-        for loc in locs:
-            ids = arrived[loc] = {}
-            root = ctx.roots[loc]
-            for z, d in fired[loc].items():
-                ids[z] = i = len(states)
-                sources[i] = d
-                states.append((loc, z, root))
-        edges: list = []  # (waiter id, arrival id, cost)
-        leaving: list = []  # (waiter id, cost, target, zone) out of the bucket
-        walls: list = []  # (waiter id, location, sequence, wall) carried from cur
-
-        stack = list(sources)
-        while stack:
-            i = stack.pop()
-            loc, z, seq = states[i]
-            elapse = ctx.waits.get(loc)
-            if z[t] == pinned or elapse is None:
-                continue
-            seq2 = _extend(seq, values, nodes[loc], ctx.steps[loc])
-            band, wall = elapse(z, cur)
-            carry = ctx.carries[loc]
-            if carry is True or carry and carry(wall):
-                walls.append((i, loc, seq2, wall))
-            w = seq2.cost
-            if w == zero:
+                if fires:
+                    dw = otimes(d, w)
+                    old = e[2]
+                    e[2] = dw if old is None else oplus(old, dw)
+        for band, wall, dw in waited.values():
+            if dw is None:
                 continue
             for z2 in (band, wall):
-                for target, fire in ctx.out[loc]:
+                for target, fire in moves:
                     z3 = fire(z2)
                     if z3 is None:
                         continue
-                    if target not in locs:
-                        leaving.append((i, w, target, z3))
+                    arr = fired[target]
+                    old = arr.get(z3)
+                    arr[z3] = dw if old is None else oplus(old, dw)
+
+    for locs, cyclic in ctx.buckets:
+        # location -> its intern table
+        nodes = {loc: _interned(weight.get(loc, {}), values, ctx.roots[loc]) for loc in locs}
+        if not cyclic:
+            (loc,) = locs
+            pass_(loc, [*weight.get(loc, {}).items(), (ctx.roots[loc], fired[loc])],
+                  ctx.out[loc], nodes[loc], {})
+            continue
+        for loc in locs:
+            pass_(loc, weight.get(loc, {}).items(), ctx.out[loc], nodes[loc], {})
+        # the arrivals, numbered, and found again by zone within their
+        # location's `arrived`
+        states = []  # id -> (location, zone)
+        sources = {}
+        arrived = {}  # location -> zone -> id
+        for loc in locs:
+            ids = arrived[loc] = {}
+            for z, d in fired[loc].items():
+                ids[z] = i = len(states)
+                sources[i] = d
+                states.append((loc, z))
+        waits = {loc: {} for loc in locs}  # location -> zone -> [band, wall, None]
+        inside = {loc: [m for m in ctx.out[loc] if m[0] in locs] for loc in locs}
+        costs = {}  # location -> the cost of its arrivals' extended sequence
+        edges: list = []  # (waiter id, arrival id, cost)
+        stack = list(sources)
+        while stack:
+            i = stack.pop()
+            loc, z = states[i]
+            elapse = ctx.waits.get(loc)
+            if z[t] == pinned or elapse is None:
+                continue
+            band, wall = elapse(z, cur)
+            waits[loc][z] = [band, wall, None]
+            w = costs.get(loc)
+            if w is None:
+                w = costs[loc] = _extend(ctx.roots[loc], values, nodes[loc], ctx.steps[loc]).cost
+            if w == zero:
+                continue
+            for z2 in (band, wall):
+                for target, fire in inside[loc]:
+                    z3 = fire(z2)
+                    if z3 is None:
                         continue
-                    tids = arrived[target]
-                    k = tids.get(z3)
+                    ids = arrived[target]
+                    k = ids.get(z3)
                     if k is None:
-                        tids[z3] = k = len(states)
-                        states.append((target, z3, ctx.roots[target]))
+                        ids[z3] = k = len(states)
+                        states.append((target, z3))
                         stack.append(k)
                     edges.append((i, k, w))
         dist = shortest_distance(range(len(states)), edges, sources, sr)
-        for i, d in dist.items():
-            loc, z, seq = states[i]
-            if z[t] == pinned:  # only an arrival can be
-                carry = ctx.carries[loc]
-                if carry is True or carry and carry(z):
-                    final.setdefault(loc, {}).setdefault(seq, {})[z] = d
         for loc in locs:
             fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
-        for i, loc, seq2, wall in walls:
-            d = dist.get(i)
-            if d is not None:
-                zs = final.setdefault(loc, {}).setdefault(seq2, {})
-                old = zs.get(wall)
-                zs[wall] = d if old is None else oplus(old, d)
-        for i, w, target, z3 in leaving:
-            d = dist.get(i)
-            if d is not None:
-                arr = fired[target]
-                dw = otimes(d, w)
-                old = arr.get(z3)
-                arr[z3] = dw if old is None else oplus(old, dw)
+            pass_(loc, [(ctx.roots[loc], fired[loc])],
+                  [m for m in ctx.out[loc] if m[0] not in locs], nodes[loc], waits[loc])
+    final = {loc: out for loc, groups in final.items()
+             if (out := {seq: zs for seq, zs in groups.items() if zs})}
     return {loc: zs for loc, zs in fired.items() if zs}, final
 
 

@@ -71,7 +71,10 @@ class Segment:
 
 
 def check_variables(seg: Segment, names: tuple[str, ...] | None) -> tuple[str, ...]:
-    """The variable names of `seg`; unless it comes first, they must be `names`."""
+    """The variable names of `seg`, which must be a `Segment`; unless it
+    comes first, they must be `names`."""
+    if not isinstance(seg, Segment):
+        raise TypeError(f"expected a Segment, got {type(seg).__name__}")
     seg_names = tuple(n for n, _ in seg.values)
     if names is not None and seg_names != names:
         raise ValueError(

@@ -748,11 +748,13 @@ def test_grouped_explore_equals_flat_reference():
     as `audited` wraps them) and leaves its input table as it was; both
     the plain automaton and the matcher's expanded one (with its start
     location) are folded.  Many zones that wait are held by two or more
-    sequence groups, which the reference waits and fires apart, but the
-    fold waits once (a set, not a multiset, is compared)."""
+    sequence groups, in trivial buckets and among a cyclic bucket's
+    inputs; the reference waits and fires them apart, but the fold
+    waits once (a set, not a multiset, is compared)."""
     rng = random.Random(39)
     fired_seen = cyclic_seen = 0
-    shared = Counter()  # semiring -> (location, zone) pairs held by two or more groups
+    # (semiring, cyclic bucket?) -> (location, zone) pairs held by two or more groups
+    shared = Counter()
     merges = Counter()  # semiring -> cyclic-bucket states waited into from two states
     for _ in range(25):
         a = _with_dead_branch(rng, random_automaton(rng, max_clocks=3, extra_edges=3))
@@ -793,12 +795,15 @@ def test_grouped_explore_equals_flat_reference():
                         assert flat(final) == _searched_prune(ctx, want_final)
                         assert zones == want_zones
                         fired_seen += len(want_fired)
-                        shared[wa.semiring.name] += _shared_zones(ctx, weight, fired, cur)
+                        for cyclic, n in _shared_zones(ctx, weight, fired, cur).items():
+                            shared[wa.semiring.name, cyclic] += n
                         weight, prev = final, cur
     assert fired_seen > 1000 and cyclic_seen > 50
-    # a trivial bucket waits and fires a zone once, for all the groups
-    # that hold it: that merge is exercised under every pairing
-    assert min(shared[sr.name] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 100, shared
+    # a bucket waits and fires a zone once, for all the groups that hold
+    # it: that merge is exercised under every pairing, in trivial buckets
+    # and among a cyclic bucket's inputs
+    assert min(shared[sr.name, False] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 100, shared
+    assert min(shared[sr.name, True] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 50, shared
     # a cyclic bucket weighs a wall waited into from two states as the ⊕
     # of their weights, and fires a band or wall once per waiter
     assert min(merges[sr.name] for sr in (BOOLEAN, SUPINF, TROPICAL)) > 50, merges
@@ -806,26 +811,37 @@ def test_grouped_explore_equals_flat_reference():
 
 def _shared_zones(ctx, weight, fired, cur):
     """How many (location, zone) pairs two or more sequence groups hold
-    among the states that wait at a trivial bucket's location: its input
-    groups and its arrivals, these not pinned at `cur`."""
+    among the states that wait at a location, its input groups and its
+    arrivals not pinned at `cur`, as {cyclic: count}: whether the
+    location's bucket is cyclic, and how many pairs it holds."""
     t, pinned = ctx.t_index, 1 - 2 * cur
-    count = 0
+    count = Counter()
     for locs, cyclic in ctx.buckets:
-        if cyclic or locs[0] not in ctx.waits:
-            continue
-        held = Counter(z for zs in weight.get(locs[0], {}).values() for z in zs)
-        held.update(z for z in fired.get(locs[0], {}) if z[t] != pinned)
-        count += sum(1 for n in held.values() if n > 1)
+        for loc in locs:
+            if loc not in ctx.waits:
+                continue
+            held = Counter(z for zs in weight.get(loc, {}).values() for z in zs)
+            held.update(z for z in fired.get(loc, {}) if z[t] != pinned)
+            count[cyclic] += sum(1 for n in held.values() if n > 1)
     return count
 
 
-def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch):
-    """On the unbounded overshoot, whose runs dwell in l1, each segment
-    calls a location's wait kernel once per distinct zone that waits
-    there (its inputs and its arrivals not pinned at the boundary), not
-    once per (sequence group, zone) pair; many zones are held by two
-    groups or more."""
-    a = parse_automaton(OVERSHOOT_SPEC.replace(" when c < 10", ""))
+UNBOUNDED_SPEC = OVERSHOOT_SPEC.replace(" when c < 10", "")
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(UNBOUNDED_SPEC, id="unbounded"),
+    # a back edge that any dwell in l1 may take, which kills c there:
+    # l0 and l1 are one cyclic bucket whose runs dwell
+    pytest.param(UNBOUNDED_SPEC + "edge l1 -> l0 reset {c};\n", id="cyclic-dwell"),
+])
+def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch, spec):
+    """On the unbounded overshoot, whose runs dwell in l1, with or
+    without a back edge to l0, each segment calls a location's wait
+    kernel once per distinct zone that waits there (its inputs and its
+    arrivals not pinned at the boundary), not once per (sequence group,
+    zone) pair; many zones are held by two groups or more."""
+    a = parse_automaton(spec)
     m = OnlineMatcher(WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN))
     ctx = m._ctx
     calls = Counter()
@@ -859,30 +875,27 @@ def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch):
 
 def test_a_cyclic_bucket_weighs_its_waiting_states_only(monkeypatch):
     """On the cyclic overshoot, whose l0 and l1 are one bucket, each
-    graph `shortest_distance` weighs has the states that wait as its
-    nodes: its sources (the bucket's inputs and the states fired into it
-    from the start location) and the states fired into it within the
-    bucket.  A wait's band and wall are no nodes, so a cycle through a
+    graph `shortest_distance` weighs has the bucket's arrivals as its
+    nodes: the states fired into it, from the start location, from its
+    inputs and from within.  An input is no node, since it has no
+    incoming edge; nor is a wait's band or wall, so a cycle through a
     wait and a fire back is two nodes, not four."""
     m = OnlineMatcher(WeightedAutomaton(parse_automaton(CYCLIC_SPEC), TROPICAL,
                                         CostKind.SUM_MARGIN))
-    graphs = []  # (node count, source count, edges), one per cyclic bucket weighed
+    graphs = []  # (node count, edges), one per cyclic bucket weighed
     totals = Counter()
     real_sd, real_explore = engine.shortest_distance, engine._explore
 
     def shortest_distance(nodes, edges, sources, sr):
-        graphs.append((len(nodes), len(sources), list(edges)))
+        graphs.append((len(nodes), list(edges)))
         return real_sd(nodes, edges, sources, sr)
 
     def explore(ctx, weight, values, cur):
         graphs.clear()
         fired, final = real_explore(ctx, weight, values, cur)
-        ((n, sources, edges),) = graphs
-        # every state fired into the bucket weighs nonzero here, so
-        # `fired` lists them all; those that are no source were found in it
-        inputs = sum(len(zs) for loc in ("l0", "l1") for zs in weight.get(loc, {}).values())
-        found = sum(len(fired.get(loc, {})) for loc in ("l0", "l1")) - (sources - inputs)
-        assert n == sources + found, (cur, n, sources, found)
+        ((n, edges),) = graphs
+        # every arrival weighs nonzero, so `fired` lists them all
+        assert n == sum(len(fired.get(loc, {})) for loc in ("l0", "l1")), (cur, n)
         out = [set() for _ in range(n)]
         for i, k, _ in edges:
             out[i].add(k)
@@ -898,7 +911,7 @@ def test_a_cyclic_bucket_weighs_its_waiting_states_only(monkeypatch):
     for _ in range(12):
         m.feed(segment({"x": float(rng.randint(-2, 20))},
                        Fraction(rng.randint(1, 10), rng.randint(1, 4))))
-    assert totals == {"nodes": 5568, "edges": 7305, "cycles": 270}, totals
+    assert totals == {"nodes": 2240, "edges": 3026, "cycles": 270}, totals
 
 
 def test_match_gather_equals_project_match(monkeypatch):
@@ -1391,6 +1404,26 @@ edge l0 -> l2 when c > 0;
         m.feed(bad)
     assert m._names is None
     m.feed(segment({"x": 10.0, "y": 1.0}, 1))
+
+
+@pytest.mark.parametrize("bad", ["x", {"x": 1.0}, (valuation({"x": 1.0}), 1)],
+                         ids=["str", "dict", "tuple"])
+def test_a_segment_of_another_type_is_a_named_type_error(wa_supinf, bad):
+    """`feed` and `Signal` reject what is not a `Segment` with a
+    `TypeError` that names its type, before any state changes."""
+    m, ref = OnlineMatcher(wa_supinf), OnlineMatcher(wa_supinf)
+    seg = segment({"x": 7.0}, 2)
+    m.feed(seg)
+    ref.feed(seg)
+    before = (m._ctx.scale, m._weight, m._elapsed, m._names, m.matchset.pieces())
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=f"^expected a Segment, got {name}$"):
+        m.feed(bad)
+    assert (m._ctx.scale, m._weight, m._elapsed, m._names, m.matchset.pieces()) == before
+    nxt = segment({"x": 12.0}, Fraction(1, 3))
+    assert m.feed(nxt) == ref.feed(nxt)
+    with pytest.raises(TypeError, match=f"^expected a Segment, got {name}$"):
+        Signal([seg, bad])
 
 
 def test_feed_merges_rows_of_one_region_from_two_accepting_locations():

@@ -38,6 +38,9 @@ class EvaluationError(ValueError):
     """A well-formed run could not be scored (e.g. missing variable)."""
 
 
+_OPS = ("<", "<=", ">", ">=")
+
+
 @dataclass(frozen=True)
 class Atom:
     var: str
@@ -112,14 +115,28 @@ class WeightedAutomaton:
                 f"cost kind {self.cost.value!r} requires the {expected} semiring, "
                 f"not {self.semiring.name}"
             )
-        # the engine's zones keep integral bounds only for integer guards
-        for tr in self.automaton.transitions:
+        a = self.automaton
+        names = [l.name for l in a.locations]
+        for l in a.locations:
+            if names.count(l.name) > 1:
+                raise ValueError(f"location {l.name}: declared twice")
+            for at in l.label:
+                if at.var not in a.variables or at.op not in _OPS:
+                    raise ValueError(f"location {l.name}: label atom {at.var} {at.op} {at.const} "
+                                     f"is not a comparison {' '.join(_OPS)} of a declared variable")
+        for tr in a.transitions:
+            where = f"transition {tr.source} -> {tr.target}"
+            if tr.source not in names or tr.target not in names:
+                raise ValueError(f"{where}: undeclared location")
+            for c in (*(at.var for at in tr.guard), *tr.resets):
+                if c not in a.clocks:
+                    raise ValueError(f"{where}: undeclared clock {c!r}")
             for at in tr.guard:
-                if at.const.denominator != 1:
-                    raise ValueError(
-                        f"transition {tr.source} -> {tr.target}: clock guard "
-                        f"constant {at.var} {at.op} {at.const} is not an integer"
-                    )
+                # the engine's zones keep integral bounds only for integer guards
+                if at.op not in _OPS or not isinstance(at.const, (int, Fraction)) \
+                        or at.const.denominator != 1:
+                    raise ValueError(f"{where}: clock guard {at.var} {at.op} {at.const} "
+                                     f"is not a comparison {' '.join(_OPS)} with an integer")
 
 
 def _eval_atom(op: str, d: float, value: float) -> bool:
@@ -330,7 +347,7 @@ class _Parser:
         if name_tok[1] not in domain:
             self.fail(name_tok, f"unknown {role} {name_tok[1]!r}")
         op_tok = self.advance()
-        if op_tok[1] not in ("<", "<=", ">", ">="):
+        if op_tok[1] not in _OPS:
             self.fail(op_tok, f"expected comparison, got {op_tok[1]!r}")
         num_tok = self.advance()
         if num_tok[0] != "number":

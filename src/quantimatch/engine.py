@@ -87,18 +87,18 @@ The graph is weighed as it unfolds, one bucket at a time: the buckets
 are the strongly connected components of the location graph, walked
 in topological order.  This is the scheme of Mohri (JALC 2002) that
 `shortest_distance` applies to states, lifted to locations and found
-once per `EngineContext`.  Every bucket waits and fires in passes of
-the one kind above.  A trivial bucket's states have their final
-weights once it is reached, so one pass weighs it.  In a cyclic bucket
-only its arrivals can be fired into from within it, so they alone are
-the nodes of the graph `shortest_distance` weighs.  An input has no
-incoming edge, so its weight is final on entry: a pass over the inputs
-first fires them, and what they fire into the bucket enters the graph
-as source weight, which by the distributive step is what the paths
-through an input node would sum to.  A last pass fires the weighed
-arrivals out of the bucket and merges their walls.  Weighing yields
-both the fired states, whose accepting ones are the segment's matches,
-and the carried table (the states pinned at the boundary).
+once per `EngineContext`.  Every bucket is weighed by one procedure,
+in passes of the one kind above.  A pass over the inputs comes first:
+an input has no incoming edge, so its weight is final on entry, and
+what it fires into the bucket is source weight.  Only a cyclic bucket
+can fire into itself, so only there do its arrivals, and they alone,
+form the graph `shortest_distance` weighs; by the distributive step
+their source weight is what the paths through an input node would sum
+to.  In a trivial bucket the arrivals' weights are final as they
+stand.  A last pass fires the weighed arrivals out of the bucket and
+merges their walls.  Weighing yields both the fired states, whose
+accepting ones are the segment's matches, and the carried table (the
+states pinned at the boundary).
 
 A fired state forgets the clocks that are dead at its target: no path
 from there reads them in a guard before resetting them (Daws & Yovine,
@@ -322,15 +322,14 @@ def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
     Nodes are any hashable values; small ints hash cheapest.  The
     generic scheme of Mohri ("Semiring Frameworks and Algorithms for
     Shortest-Distance Problems", JALC 2002) runs on the condensation of
-    the graph, in one pass order:
+    the graph:
 
     1. parallel edges are merged additively, zero-weight edges dropped;
-    2. the acyclic prefix (nodes no cycle reaches) is peeled and relaxed
-       in topological order (Kahn);
-    3. the remaining nodes are split into strongly connected components
-       by an iterative Tarjan;
-    4. the components are walked in topological order.  A singleton
-       without a self-loop just relaxes its out-edges; inside any other
+    2. the nodes are split into strongly connected components by an
+       iterative Tarjan;
+    3. the components are walked in topological order.  A singleton
+       without a self-loop just relaxes its out-edges, so an acyclic
+       graph is one relaxation in topological order; inside any other
        component the all-pairs closure is taken (Lehmann, with `star`
        summing each cycle's unrolling) and applied to the weight that
        has arrived at its nodes before the out-edges are relaxed.
@@ -343,7 +342,6 @@ def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
     sr = semiring
     zero = sr.zero
     oplus = sr.oplus
-    otimes = sr.otimes
     order = list(nodes)
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -358,27 +356,8 @@ def shortest_distance(nodes, edges, sources, semiring: Semiring) -> dict:
     for v, w in sources.items():
         i = pos[v]
         dist[i] = oplus(dist[i], w)
-
-    # acyclic prefix: a node's total is final once all its predecessors are
-    indeg = [0] * n
-    for ou in out:
-        for v in ou:
-            indeg[v] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
-    for i in queue:  # grows while it is walked
-        di = dist[i]
-        for v, w in out[i].items():
-            if di != zero:
-                dist[v] = oplus(dist[v], otimes(di, w))
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-
-    if len(queue) < n:
-        # every node left lies on a cycle or downstream of one, and so
-        # does each of its successors
-        for comp in _tarjan_components(out, (i for i in range(n) if indeg[i])):
-            _close_component(comp, out, dist, sr)
+    for comp in _tarjan_components(out, range(n)):
+        _close_component(comp, out, dist, sr)
     return {order[i]: d for i, d in enumerate(dist) if d != zero}
 
 
@@ -498,28 +477,30 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
 
     By distributivity (module docstring) this gives each fired state
     the weight that waiting and firing each (group, zone) pair apart
-    gives, bit for bit.  A dead end, a location that neither waits nor
-    carries (an accepting sink), is skipped.
+    gives, bit for bit.  A location that does not wait has no cap
+    vector, so it carries nothing either: such a dead end (an accepting
+    sink, say) is skipped.
 
-    A trivial bucket is weighed by one pass over its input groups and
-    its arrivals (the empty sequence's group), all of final weight.  A
-    cyclic bucket's locations take three steps:
+    Every bucket's locations take the same three steps:
 
-    1. a pass over their input groups alone, along all their moves: an
-       input has no incoming edge, so its weight is final, and what it
-       fires into the bucket is an arrival's source weight;
-    2. a graph over the arrivals alone, weighed by `shortest_distance`:
-       each waits once and fires along the moves that stay in the
-       bucket, an edge from it to each arrival fired into, weighted by
-       the cost of its extended sequence;
-    3. a pass over the weighed arrivals, along the moves that leave the
-       bucket, with the waits of step 2.
+    1. a pass over their input groups, along all their moves: an input
+       has no incoming edge, so its weight is final, and what it fires
+       into the bucket is an arrival's source weight;
+    2. in a cyclic bucket alone, a graph over the arrivals, weighed by
+       `shortest_distance`: each waits once and fires along the moves
+       that stay in the bucket, an edge from it to each arrival fired
+       into, weighted by the cost of its extended sequence;
+    3. a pass over the weighed arrivals (the empty sequence's group),
+       along the moves that leave the bucket, with the waits of step 2.
 
-    An input zone is pinned at the segment's start and an arrival lies
-    after it, so no zone waits in both passes.  Returns (fired, final):
-    the weighed states a transition fired into, as {location: {zone:
-    weight}} since their sequence is empty, and the carried states
-    pinned at `cur`, grouped as the input is.
+    A trivial bucket has no move that stays in it, so its arrivals'
+    weights are final once it is reached, and step 3 takes all its
+    moves as they are.  An input zone is pinned at the segment's start
+    and an arrival lies after it, so no zone waits in both passes; both
+    extend sequences through the location's one intern table.  Returns
+    (fired, final): the weighed states a transition fired into, as
+    {location: {zone: weight}} since their sequence is empty, and the
+    carried states pinned at `cur`, grouped as the input is.
     """
     sr = ctx.semiring
     oplus = sr.oplus
@@ -536,9 +517,9 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         zone waited at `loc` to [band, wall, its accumulated weight or
         None]; a zone it lacks is waited here."""
         elapse = ctx.waits.get(loc)
+        if elapse is None:
+            return  # a dead end (an accepting sink): no cap vector, so it keeps no state
         carry = ctx.carries[loc]
-        if elapse is None and carry is False:
-            return  # a dead end, an accepting sink: it keeps no state
         step = ctx.steps[loc]
         # extended value sequence -> its carried walls: zone -> weight
         groups = final.setdefault(loc, {})
@@ -555,8 +536,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                     if carry is True or carry and carry(z):
                         walled[z] = d
                     continue
-                if elapse is None:
-                    continue
                 e = waited.get(z)
                 if e is None:
                     e = waited[z] = [*elapse(z, cur), None]
@@ -571,82 +550,73 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         for band, wall, dw in waited.values():
             if dw is None:
                 continue
-            for z2 in (band, wall):
-                for target, fire in moves:
+            for target, fire in moves:
+                arr = fired[target]
+                for z2 in (band, wall):
                     z3 = fire(z2)
                     if z3 is None:
                         continue
-                    arr = fired[target]
                     old = arr.get(z3)
                     arr[z3] = dw if old is None else oplus(old, dw)
 
     for locs, cyclic in ctx.buckets:
-        # location -> its intern table
-        nodes = {loc: _interned(weight.get(loc, {}), values, ctx.roots[loc]) for loc in locs}
-        if not cyclic:
-            (loc,) = locs
-            pass_(loc, [*weight.get(loc, {}).items(), (ctx.roots[loc], fired[loc])],
-                  ctx.out[loc], nodes[loc], {})
-            continue
+        nodes = {}  # location -> its intern table, which both passes share
         for loc in locs:
-            pass_(loc, weight.get(loc, {}).items(), ctx.out[loc], nodes[loc], {})
-        # the arrivals, numbered, and found again by zone within their
-        # location's `arrived`
-        states = []  # id -> (location, zone)
-        sources = {}
-        arrived = {}  # location -> zone -> id
-        for loc in locs:
-            ids = arrived[loc] = {}
-            for z, d in fired[loc].items():
-                ids[z] = i = len(states)
-                sources[i] = d
-                states.append((loc, z))
+            inputs = weight.get(loc, {})
+            nodes[loc] = _interned(inputs, values, ctx.roots[loc])
+            pass_(loc, inputs.items(), ctx.out[loc], nodes[loc], {})
         waits = {loc: {} for loc in locs}  # location -> zone -> [band, wall, None]
-        inside = {loc: [m for m in ctx.out[loc] if m[0] in locs] for loc in locs}
-        costs = {}  # location -> the cost of its arrivals' extended sequence
-        edges: list = []  # (waiter id, arrival id, cost)
-        stack = list(sources)
-        while stack:
-            i = stack.pop()
-            loc, z = states[i]
-            elapse = ctx.waits.get(loc)
-            if z[t] == pinned or elapse is None:
-                continue
-            band, wall = elapse(z, cur)
-            waits[loc][z] = [band, wall, None]
-            w = costs.get(loc)
-            if w is None:
-                w = costs[loc] = _extend(ctx.roots[loc], values, nodes[loc], ctx.steps[loc]).cost
-            if w == zero:
-                continue
-            for z2 in (band, wall):
-                for target, fire in inside[loc]:
-                    z3 = fire(z2)
-                    if z3 is None:
-                        continue
-                    ids = arrived[target]
-                    k = ids.get(z3)
-                    if k is None:
-                        ids[z3] = k = len(states)
-                        states.append((target, z3))
-                        stack.append(k)
-                    edges.append((i, k, w))
-        dist = shortest_distance(range(len(states)), edges, sources, sr)
+        if cyclic:
+            # the arrivals, numbered, and found again by zone within
+            # their location's `arrived`
+            states = []  # id -> (location, zone)
+            sources = {}
+            arrived = {}  # location -> zone -> id
+            for loc in locs:
+                ids = arrived[loc] = {}
+                for z, d in fired[loc].items():
+                    ids[z] = i = len(states)
+                    sources[i] = d
+                    states.append((loc, z))
+            inside = {loc: [m for m in ctx.out[loc] if m[0] in locs] for loc in locs}
+            costs = {}  # location -> the cost of its arrivals' extended sequence
+            edges: list = []  # (waiter id, arrival id, cost)
+            stack = list(sources)
+            while stack:
+                i = stack.pop()
+                loc, z = states[i]
+                elapse = ctx.waits.get(loc)
+                if z[t] == pinned or elapse is None:
+                    continue
+                band, wall = elapse(z, cur)
+                waits[loc][z] = [band, wall, None]
+                w = costs.get(loc)
+                if w is None:
+                    w = costs[loc] = _extend(ctx.roots[loc], values, nodes[loc], ctx.steps[loc]).cost
+                if w == zero:
+                    continue
+                for z2 in (band, wall):
+                    for target, fire in inside[loc]:
+                        z3 = fire(z2)
+                        if z3 is None:
+                            continue
+                        ids = arrived[target]
+                        k = ids.get(z3)
+                        if k is None:
+                            ids[z3] = k = len(states)
+                            states.append((target, z3))
+                            stack.append(k)
+                        edges.append((i, k, w))
+            dist = shortest_distance(range(len(states)), edges, sources, sr)
+            for loc in locs:
+                fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
         for loc in locs:
-            fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
             pass_(loc, [(ctx.roots[loc], fired[loc])],
-                  [m for m in ctx.out[loc] if m[0] not in locs], nodes[loc], waits[loc])
+                  [m for m in ctx.out[loc] if m[0] not in locs] if cyclic else ctx.out[loc],
+                  nodes[loc], waits[loc])
     final = {loc: out for loc, groups in final.items()
              if (out := {seq: zs for seq, zs in groups.items() if zs})}
     return {loc: zs for loc, zs in fired.items() if zs}, final
-
-
-def _kept(carry, zs: dict) -> dict:
-    """The states of `zs` that a location's cap test `carry` carries:
-    all of them, uncopied, when it is True."""
-    if carry is True:
-        return zs
-    return {z: d for z, d in zs.items() if carry(z)} if carry else {}
 
 
 def _seeded(ctx: EngineContext, locations) -> dict:
@@ -739,9 +709,10 @@ class OnlineMatcher:
         # a fresh start copy in place of the carried ones
         loc = self._start
         final.pop(loc, None)
-        seed = _kept(ctx.carries[loc], {zn.point_zone(ctx.clock_names, cur): self.semiring.one})
-        if seed:
-            final[loc] = {ctx.roots[loc]: seed}
+        # its bridges have no guard and reset every clock, so its cap
+        # test is True or False
+        if ctx.carries[loc]:
+            final[loc] = {ctx.roots[loc]: {zn.point_zone(ctx.clock_names, cur): self.semiring.one}}
         self._weight = final
         self._elapsed = end
         self._names = names

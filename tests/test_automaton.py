@@ -1,5 +1,6 @@
 """Specification DSL, cost functions, and the matching extension."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -134,21 +135,40 @@ def test_pairing_enforced(fig_automaton):
 
 
 def test_fractional_clock_guard_is_rejected():
-    def automaton(guard_const, label_const):
+    def automaton(guard_const, label_const, label_var="x", label_op="<", guard_op="<",
+                  clock="c", resets=("c",), target="l1"):
         return Automaton(
             ("x",),
             ("c",),
             (
-                Location("l0", (Atom("x", "<", label_const),), True, False),
+                Location("l0", (Atom(label_var, label_op, label_const),), True, False),
                 Location("l1", (), False, True),
             ),
-            (Transition("l0", (Atom("c", "<", guard_const),), ("c",), "l1"),),
+            (Transition("l0", (Atom(clock, guard_op, guard_const),), resets, target),),
         )
 
-    with pytest.raises(ValueError, match=r"l0 -> l1.*c < 5/2"):
-        WeightedAutomaton(automaton(Fraction(5, 2), Fraction(15)), SUPINF, CostKind.MIN_MARGIN)
-    # data constants in location labels may be fractional
+    def rejected(a, match):
+        with pytest.raises(ValueError, match=match):
+            WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN)
+
+    rejected(automaton(Fraction(5, 2), Fraction(15)), r"l0 -> l1.*c < 5/2")
+    # a float is no exact bound for the engine's integral zones
+    rejected(automaton(5.0, Fraction(15)), r"l0 -> l1.*c < 5\.0")
+    # a malformed programmatic automaton is named where it is wrong,
+    # not misread nor left to fail inside the engine
+    rejected(automaton(Fraction(5), Fraction(15), label_op="=="), r"location l0.*x == 15")
+    rejected(automaton(Fraction(5), Fraction(15), label_var="y"), r"location l0.*y < 15")
+    a = automaton(Fraction(5), Fraction(15))
+    rejected(replace(a, locations=(*a.locations, a.locations[0])), r"location l0: declared twice")
+    rejected(automaton(Fraction(5), Fraction(15), guard_op="=="), r"l0 -> l1.*c == 5")
+    rejected(automaton(Fraction(5), Fraction(15), target="l9"), r"l0 -> l9.*undeclared location")
+    rejected(automaton(Fraction(5), Fraction(15), clock="d"), r"l0 -> l1.*undeclared clock 'd'")
+    rejected(automaton(Fraction(5), Fraction(15), resets=("c", "d")),
+             r"l0 -> l1.*undeclared clock 'd'")
+    # data constants in location labels may be fractional, and an int
+    # guard constant is an integer
     WeightedAutomaton(automaton(Fraction(5), Fraction(5, 2)), SUPINF, CostKind.MIN_MARGIN)
+    WeightedAutomaton(automaton(5, 2.5), SUPINF, CostKind.MIN_MARGIN)
 
 
 LOW = (Atom("x", "<", Fraction(15)),)

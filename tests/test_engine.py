@@ -24,7 +24,6 @@ from quantimatch.engine import (
     EngineContext,
     OnlineMatcher,
     _explore,
-    _kept,
     shortest_distance,
     trace_value,
 )
@@ -107,17 +106,20 @@ def moves_with_references(ctx, loc):
 def carried(ctx, weight):
     """The entries of a flat table {(location, zone, sequence): weight}
     that their location's cap test (`EngineContext.carries`) carries."""
-    return {st: w for st, w in weight.items() if _kept(ctx.carries[st[0]], {st[1]: w})}
+    return {st: w for st, w in weight.items()
+            if (carry := ctx.carries[st[0]]) is True or carry and carry(st[1])}
 
 
 def keeping_everything(monkeypatch):
-    """Switch pruning off: every context's cap tests carry every
-    pinned state."""
+    """Switch pruning off: every location of every context waits, and
+    its cap test carries every pinned state."""
     real = EngineContext.set_scale
 
     def set_scale(self, scale):
         real(self, scale)
         self.carries = dict.fromkeys(self.carries, True)
+        self.waits = {loc: zn.elapse_kernel(self.t_index + 1, self.t_index, self.dead[loc])
+                      for loc in self.carries}
 
     monkeypatch.setattr(EngineContext, "set_scale", set_scale)
 
@@ -172,6 +174,8 @@ def test_context_buckets_and_waits():
     def tables(spec):
         ctx = OnlineMatcher(WeightedAutomaton(parse_automaton(spec), SUPINF,
                                               CostKind.MIN_MARGIN))._ctx
+        # a location waits exactly where its cap test can carry a state
+        assert set(ctx.waits) == {l for l, c in ctx.carries.items() if c is not False}
         return [(set(locs), cyclic) for locs, cyclic in ctx.buckets], set(ctx.waits)
 
     trivial = [({"start"}, False), ({"l0"}, False), ({"l1"}, False), ({"l2"}, False)]
@@ -914,6 +918,36 @@ def test_a_cyclic_bucket_weighs_its_waiting_states_only(monkeypatch):
     assert totals == {"nodes": 2240, "edges": 3026, "cycles": 270}, totals
 
 
+@pytest.mark.parametrize("spec, graphs", [
+    pytest.param(OVERSHOOT_SPEC, 0, id="overshoot"),
+    pytest.param(UNBOUNDED_SPEC, 0, id="unbounded"),
+    pytest.param(CYCLIC_SPEC, 1, id="cyclic"),
+])
+def test_only_a_cyclic_bucket_is_weighed_as_a_graph(monkeypatch, spec, graphs):
+    """A trivial bucket never becomes a graph: the overshoot streams,
+    bounded or not, whose buckets are all trivial, never call
+    `shortest_distance`, and the cyclic overshoot, whose l0 and l1 are
+    one cyclic bucket, calls it once per segment, in every pairing."""
+    calls = 0
+    real = engine.shortest_distance
+
+    def shortest_distance(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "shortest_distance", shortest_distance)
+    rng = random.Random(23)
+    fed = rows = 0
+    for wa in weighted_variants(parse_automaton(spec)):
+        m = OnlineMatcher(wa)
+        for _ in range(12):
+            rows += len(m.feed(segment({"x": float(rng.randint(-2, 20))},
+                                       Fraction(rng.randint(1, 10), rng.randint(1, 4)))))
+            fed += 1
+    assert calls == graphs * fed and rows > 0, (calls, fed, rows)
+
+
 def test_match_gather_equals_project_match(monkeypatch):
     """The matcher projects each accepting zone with one gather over
     `zone.match_indices`; on every zone a random sweep fires into, it
@@ -950,7 +984,9 @@ def test_match_gather_equals_project_match(monkeypatch):
 def test_carried_table_invariants():
     """After every feed of a random sweep the carried table holds no
     empty location or sequence group, every carried zone is pinned at
-    the elapsed time, and `footprint` counts its flat entries."""
+    the elapsed time, and `footprint` counts its flat entries.  The
+    start location's cap test is a bool, since its bridges have no
+    guard and reset every clock, so `feed` seeds it without a test."""
     rng = random.Random(40)
     carried = 0
     for _ in range(30):
@@ -961,6 +997,7 @@ def test_carried_table_invariants():
             t = m._ctx.t_index
             for seg in sig:
                 m.feed(seg)
+                assert type(m._ctx.carries[m._start]) is bool
                 cur = int(m.matchset.horizon * m._ctx.scale)
                 assert all(m._weight.values())
                 assert all(zs for groups in m._weight.values() for zs in groups.values())

@@ -2,10 +2,11 @@
 
 Locations carry data constraints (conjunctions of `x ⋈ d` atoms) instead
 of alphabet letters; transitions carry integer-bounded clock guards and
-reset sets.  A `WeightedAutomaton` pairs the automaton with a semiring
-and a cost kind; the cost of taking a transition is `cost_value` of the
-source location's label against the value sequence observed since the
-previous transition.
+reset sets.  An `Automaton` checks on construction that it is well
+formed, whether parsed or built in code.  A `WeightedAutomaton` pairs
+the automaton with a semiring and a cost kind; the cost of taking a
+transition is `cost_value` of the source location's label against the
+value sequence observed since the previous transition.
 
 The text format is parsed by a hand-rolled tokenizer/recursive-descent
 pair; names must be declared before use.
@@ -13,6 +14,7 @@ pair; names must be declared before use.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .semiring import INF, Semiring
-from .signals import ValueSeq, value_of
+from .signals import EvaluationError, ValueSeq, value_of  # EvaluationError re-exported
 
 
 class ParseError(ValueError):
@@ -32,10 +34,6 @@ class ParseError(ValueError):
 
 class PairingError(ValueError):
     """Cost kind and semiring do not belong together."""
-
-
-class EvaluationError(ValueError):
-    """A well-formed run could not be scored (e.g. missing variable)."""
 
 
 _OPS = ("<", "<=", ">", ">=")
@@ -70,6 +68,42 @@ class Automaton:
     clocks: tuple[str, ...]
     locations: tuple[Location, ...]
     transitions: tuple[Transition, ...]
+
+    def __post_init__(self):
+        names = [l.name for l in self.locations]
+        if not names:
+            raise ValueError("no locations")
+        for flag in ("initial", "accepting"):
+            if not any(getattr(l, flag) for l in self.locations):
+                raise ValueError(f"no {flag} location")
+        for l in self.locations:
+            if names.count(l.name) > 1:
+                raise ValueError(f"location {l.name}: declared twice")
+            for at in l.label:
+                if at.var not in self.variables or at.op not in _OPS:
+                    raise ValueError(f"location {l.name}: label atom {at.var} {at.op} {at.const} "
+                                     f"is not a comparison {' '.join(_OPS)} of a declared variable")
+                try:  # the engine scores a label against its constant as a float
+                    finite = not isinstance(at.const, bool) \
+                        and isinstance(at.const, (int, Fraction, float)) and math.isfinite(at.const)
+                except OverflowError:  # an int or Fraction beyond the floats
+                    finite = False
+                if not finite:
+                    raise ValueError(f"location {l.name}: label constant {at.const!r} "
+                                     "is not a finite int, Fraction or float")
+        for tr in self.transitions:
+            where = f"transition {tr.source} -> {tr.target}"
+            if tr.source not in names or tr.target not in names:
+                raise ValueError(f"{where}: undeclared location")
+            for c in (*(at.var for at in tr.guard), *tr.resets):
+                if c not in self.clocks:
+                    raise ValueError(f"{where}: undeclared clock {c!r}")
+            for at in tr.guard:
+                # the engine's zones keep integral bounds only for integer guards
+                if at.op not in _OPS or isinstance(at.const, bool) \
+                        or not isinstance(at.const, (int, Fraction)) or at.const.denominator != 1:
+                    raise ValueError(f"{where}: clock guard {at.var} {at.op} {at.const} "
+                                     f"is not a comparison {' '.join(_OPS)} with an integer")
 
     def location(self, name: str) -> Location:
         for loc in self.locations:
@@ -115,28 +149,6 @@ class WeightedAutomaton:
                 f"cost kind {self.cost.value!r} requires the {expected} semiring, "
                 f"not {self.semiring.name}"
             )
-        a = self.automaton
-        names = [l.name for l in a.locations]
-        for l in a.locations:
-            if names.count(l.name) > 1:
-                raise ValueError(f"location {l.name}: declared twice")
-            for at in l.label:
-                if at.var not in a.variables or at.op not in _OPS:
-                    raise ValueError(f"location {l.name}: label atom {at.var} {at.op} {at.const} "
-                                     f"is not a comparison {' '.join(_OPS)} of a declared variable")
-        for tr in a.transitions:
-            where = f"transition {tr.source} -> {tr.target}"
-            if tr.source not in names or tr.target not in names:
-                raise ValueError(f"{where}: undeclared location")
-            for c in (*(at.var for at in tr.guard), *tr.resets):
-                if c not in a.clocks:
-                    raise ValueError(f"{where}: undeclared clock {c!r}")
-            for at in tr.guard:
-                # the engine's zones keep integral bounds only for integer guards
-                if at.op not in _OPS or not isinstance(at.const, (int, Fraction)) \
-                        or at.const.denominator != 1:
-                    raise ValueError(f"{where}: clock guard {at.var} {at.op} {at.const} "
-                                     f"is not a comparison {' '.join(_OPS)} with an integer")
 
 
 def _eval_atom(op: str, d: float, value: float) -> bool:
@@ -165,30 +177,27 @@ def cost_value(kind: CostKind, label: tuple[Atom, ...], seq: ValueSeq):
     """
     # each atom's constant as a float, converted once per call
     atoms = [(at.var, at.op, float(at.const)) for at in label]
-    try:
-        if kind is CostKind.SAT:
-            return all(
-                _eval_atom(op, d, value_of(a, var)) for a in seq for var, op, d in atoms
-            )
-        if kind is CostKind.MIN_MARGIN:
-            return min(
-                (_margin(op, d, value_of(a, var)) for a in seq for var, op, d in atoms),
-                default=INF,
-            )
-        # a plain left fold, which `sum` is not on every Python version
-        total = 0.0
-        for a in seq:
-            for var, op, d in atoms:
-                total += _margin(op, d, value_of(a, var))
-        return total
-    except KeyError as exc:
-        raise _missing(exc) from None
+    if kind is CostKind.SAT:
+        return all(
+            _eval_atom(op, d, value_of(a, var)) for a in seq for var, op, d in atoms
+        )
+    if kind is CostKind.MIN_MARGIN:
+        return min(
+            (_margin(op, d, value_of(a, var)) for a in seq for var, op, d in atoms),
+            default=INF,
+        )
+    # a plain left fold, which `sum` is not on every Python version
+    total = 0.0
+    for a in seq:
+        for var, op, d in atoms:
+            total += _margin(op, d, value_of(a, var))
+    return total
 
 
 def cost_extender(kind: CostKind, label: tuple[Atom, ...]):
     """`cost_value` of a location label as a step per valuation.
 
-    Returns (cost of the empty sequence, extend): `extend(cost, a)` is
+    Returns (cost of the empty sequence, step): `step(cost, a)` is
     the cost of a sequence extended by the valuation `a`, given the
     cost of the sequence.  Stepping from the empty sequence's cost gives
     `cost_value` of every sequence bit for bit: SUM_MARGIN continues the
@@ -220,17 +229,7 @@ def cost_extender(kind: CostKind, label: tuple[Atom, ...]):
                 cost += _margin(op, d, value_of(a, var))
             return cost
 
-    def extend(cost, a):
-        try:
-            return step(cost, a)
-        except KeyError as exc:
-            raise _missing(exc) from None
-
-    return empty, extend
-
-
-def _missing(exc: KeyError) -> EvaluationError:
-    return EvaluationError(f"variable {exc.args[0]!r} missing from signal")
+    return empty, step
 
 
 def matching_automaton(a: Automaton) -> Automaton:
@@ -386,18 +385,11 @@ class _Parser:
                 self.parse_edge()
             else:
                 self.fail(tok, f"expected declaration, got {tok[1]!r}")
-        if not self.locations:
-            self.fail(self.peek(), "no locations")
-        if not any(l.initial for l in self.locations):
-            self.fail(self.peek(), "no initial location")
-        if not any(l.accepting for l in self.locations):
-            self.fail(self.peek(), "no accepting location")
-        return Automaton(
-            tuple(self.variables),
-            tuple(self.clocks),
-            tuple(self.locations),
-            tuple(self.transitions),
-        )
+        try:
+            return Automaton(tuple(self.variables), tuple(self.clocks),
+                             tuple(self.locations), tuple(self.transitions))
+        except ValueError as exc:  # no token is to blame, e.g. for no accepting location
+            raise ParseError(*self.peek()[2:], str(exc)) from None
 
     def parse_location(self):
         name = self.declare(self.ident("location"))

@@ -250,7 +250,7 @@ class EngineContext:
         # op, unscaled constant), the factory of its fire kernel)
         self._moves = {l.name: [] for l in a.locations}
         for tr in a.transitions:
-            # guard constants are integers, as WeightedAutomaton checks
+            # guard constants are integers, as Automaton checks
             atoms = tuple((idx[at.var], at.op, int(at.const)) for at in tr.guard)
             indices = zn.gather(n, (idx[c] for c in tr.resets), self.dead[tr.target])
             positions = tuple(zn.guard_bound(i, op, k)[:2] for i, op, k in atoms)

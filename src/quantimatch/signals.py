@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -43,11 +44,15 @@ def valuation(values: Mapping[str, float]) -> Valuation:
     ))
 
 
+class EvaluationError(ValueError):
+    """A well-formed run could not be scored (e.g. missing variable)."""
+
+
 def value_of(a: Valuation, name: str) -> float:
     for n, v in a:
         if n == name:
             return v
-    raise KeyError(name)
+    raise EvaluationError(f"variable {name!r} missing from signal")
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,11 @@ def check_variables(seg: Segment, names: tuple[str, ...] | None) -> tuple[str, .
 
 def segment(values: Mapping[str, float], duration) -> Segment:
     """Convenience constructor taking a plain mapping and any rational;
-    a bool duration or value is rejected, as by `Segment`."""
+    a bool duration or value, or a duration that names no rational
+    (inf, NaN, "1/0"), is rejected by name, as by `Segment`."""
     if not isinstance(duration, bool):
-        duration = Fraction(duration)
+        with suppress(OverflowError, TypeError, ValueError, ZeroDivisionError):
+            duration = Fraction(duration)
     return Segment(valuation(values), duration)
 
 

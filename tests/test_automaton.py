@@ -1,6 +1,6 @@
 """Specification DSL, cost functions, and the matching extension."""
 
-from dataclasses import replace
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +82,9 @@ def test_parser_tolerates_comments_and_layout():
         ("var x;\nlocation l0 [true];\nfoo;\n", 3, 1, "expected declaration, got 'foo'"),
         ("var x;\nclock c;\nlocation l0 [x<1];\nedge l9 -> l0;\n", 4, 6,
          "unknown location 'l9'"),
+        # a constant beyond the floats is named, at the end of input
+        ("var x;\nlocation l0 init accept [x < 1" + "0" * 400 + "];\n", 3, 1,
+         "is not a finite int, Fraction or float"),
     ],
 )
 def test_parse_diagnostics(text, line, col, fragment):
@@ -136,35 +139,46 @@ def test_pairing_enforced(fig_automaton):
 
 def test_fractional_clock_guard_is_rejected():
     def automaton(guard_const, label_const, label_var="x", label_op="<", guard_op="<",
-                  clock="c", resets=("c",), target="l1"):
+                  clock="c", resets=("c",), target="l1", initial=True, accepting=True, more=()):
         return Automaton(
             ("x",),
             ("c",),
             (
-                Location("l0", (Atom(label_var, label_op, label_const),), True, False),
-                Location("l1", (), False, True),
+                Location("l0", (Atom(label_var, label_op, label_const),), initial, False),
+                Location("l1", (), False, accepting),
+                *more,
             ),
             (Transition("l0", (Atom(clock, guard_op, guard_const),), resets, target),),
         )
 
-    def rejected(a, match):
+    def rejected(match, *args, **kwargs):
+        # the automaton checks itself, whether parsed or built in code
         with pytest.raises(ValueError, match=match):
-            WeightedAutomaton(a, SUPINF, CostKind.MIN_MARGIN)
+            automaton(*args, **kwargs)
 
-    rejected(automaton(Fraction(5, 2), Fraction(15)), r"l0 -> l1.*c < 5/2")
+    rejected(r"l0 -> l1.*c < 5/2", Fraction(5, 2), Fraction(15))
     # a float is no exact bound for the engine's integral zones
-    rejected(automaton(5.0, Fraction(15)), r"l0 -> l1.*c < 5\.0")
+    rejected(r"l0 -> l1.*c < 5\.0", 5.0, Fraction(15))
+    # nor is a bool, though it is an int
+    rejected(r"l0 -> l1.*c < True", True, Fraction(15))
     # a malformed programmatic automaton is named where it is wrong,
     # not misread nor left to fail inside the engine
-    rejected(automaton(Fraction(5), Fraction(15), label_op="=="), r"location l0.*x == 15")
-    rejected(automaton(Fraction(5), Fraction(15), label_var="y"), r"location l0.*y < 15")
-    a = automaton(Fraction(5), Fraction(15))
-    rejected(replace(a, locations=(*a.locations, a.locations[0])), r"location l0: declared twice")
-    rejected(automaton(Fraction(5), Fraction(15), guard_op="=="), r"l0 -> l1.*c == 5")
-    rejected(automaton(Fraction(5), Fraction(15), target="l9"), r"l0 -> l9.*undeclared location")
-    rejected(automaton(Fraction(5), Fraction(15), clock="d"), r"l0 -> l1.*undeclared clock 'd'")
-    rejected(automaton(Fraction(5), Fraction(15), resets=("c", "d")),
-             r"l0 -> l1.*undeclared clock 'd'")
+    rejected(r"location l0.*x == 15", Fraction(5), Fraction(15), label_op="==")
+    rejected(r"location l0.*y < 15", Fraction(5), Fraction(15), label_var="y")
+    rejected(r"location l0: declared twice", Fraction(5), Fraction(15),
+             more=(Location("l0", (), True, False),))
+    rejected(r"l0 -> l1.*c == 5", Fraction(5), Fraction(15), guard_op="==")
+    rejected(r"l0 -> l9.*undeclared location", Fraction(5), Fraction(15), target="l9")
+    rejected(r"l0 -> l1.*undeclared clock 'd'", Fraction(5), Fraction(15), clock="d")
+    rejected(r"l0 -> l1.*undeclared clock 'd'", Fraction(5), Fraction(15), resets=("c", "d"))
+    # an automaton that can match nothing is rejected as the parser rejects it
+    rejected(r"^no initial location$", Fraction(5), Fraction(15), initial=False)
+    rejected(r"^no accepting location$", Fraction(5), Fraction(15), accepting=False)
+    # a label constant is scored as a float: True is not 1, nor "5" 5,
+    # and a constant no float holds is rejected with NaN and the infinities
+    for const in (True, "5", None, float("nan"), float("inf"), float("-inf"), 10**400):
+        rejected(rf"location l0: label constant {re.escape(repr(const))} "
+                 r"is not a finite int, Fraction or float", Fraction(5), const)
     # data constants in location labels may be fractional, and an int
     # guard constant is an integer
     WeightedAutomaton(automaton(Fraction(5), Fraction(5, 2)), SUPINF, CostKind.MIN_MARGIN)

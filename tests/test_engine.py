@@ -1044,6 +1044,11 @@ def test_trace_value_rejects_empty_signal(wa_supinf):
         trace_value(Signal([]), wa_supinf)
 
 
+def test_reachable_graph_rejects_empty_signal(wa_supinf):
+    with pytest.raises(EvaluationError, match="empty signal"):
+        reachable_graph(Signal([]), wa_supinf)
+
+
 def test_reachable_graph_two_step(two_step_signal, wa_supinf):
     g = reachable_graph(two_step_signal, wa_supinf)
     assert g.scale == 2 and g.clock_names == CT

@@ -79,6 +79,10 @@ def test_segment_helper_rejects_what_segment_rejects():
     for v in (True, False, "7", None):
         with pytest.raises(ValueError, match=rf"segment value x={v!r} is not a real number"):
             segment({"x": v}, 1)
+    # nor is a duration that names no rational left to raise as it may
+    for d, shown in ((float("inf"), "inf"), (float("nan"), "nan"), ("1/0", "'1/0'")):
+        with pytest.raises(ValueError, match=f"segment duration {shown} is not an int or Fraction"):
+            segment({"x": 1}, d)
     s = segment({"y": 2, "x": Fraction(1, 2)}, 0.5)
     assert s == Segment((("x", 0.5), ("y", 2.0)), Fraction(1, 2))
     assert all(type(v) is float for _, v in s.values)

@@ -14,7 +14,6 @@ pair; names must be declared before use.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .semiring import INF, Semiring
-from .signals import EvaluationError, ValueSeq, value_of  # EvaluationError re-exported
+from .signals import EvaluationError, ValueSeq, is_finite, value_of  # EvaluationError re-exported
 
 
 class ParseError(ValueError):
@@ -83,12 +82,9 @@ class Automaton:
                 if at.var not in self.variables or at.op not in _OPS:
                     raise ValueError(f"location {l.name}: label atom {at.var} {at.op} {at.const} "
                                      f"is not a comparison {' '.join(_OPS)} of a declared variable")
-                try:  # the engine scores a label against its constant as a float
-                    finite = not isinstance(at.const, bool) \
-                        and isinstance(at.const, (int, Fraction, float)) and math.isfinite(at.const)
-                except OverflowError:  # an int or Fraction beyond the floats
-                    finite = False
-                if not finite:
+                # the engine scores a label against its constant as a float
+                if isinstance(at.const, bool) or not isinstance(at.const, (int, Fraction, float)) \
+                        or not is_finite(at.const):
                     raise ValueError(f"location {l.name}: label constant {at.const!r} "
                                      "is not a finite int, Fraction or float")
         for tr in self.transitions:
@@ -354,6 +350,8 @@ class _Parser:
         const = Fraction(num_tok[1])
         if integral and const.denominator != 1:
             self.fail(num_tok, "clock guard constants must be integers")
+        if not integral and not is_finite(const):
+            self.fail(num_tok, "label constants must fit a float")
         return Atom(name_tok[1], op_tok[1], const)
 
     def constraint(self, domain, role, integral) -> tuple[Atom, ...]:

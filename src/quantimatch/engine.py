@@ -3,24 +3,23 @@
 The engine advances a weight table across one signal segment at a
 time.  A state is a location, a clock zone and the value sequence
 recorded since its last transition; the table maps each to a semiring
-value, grouped as {location: {value sequence: {zone: value}}}, so a
-state costs one zone-keyed dict operation.  Time is rescaled whenever a
-segment's end needs it, so that every boundary so far is an integer;
-zone bounds then stay integral, keeping zone identity exact under
-hashing.
+value, grouped as {location: {sequence length: (cost, {zone: value})}},
+so a state costs one zone-keyed dict operation.  Time is rescaled
+whenever a segment's end needs it, so that every boundary so far is an
+integer; zone bounds then stay integral, keeping zone identity exact
+under hashing.
 
-A value sequence is a node (`_Seq`): its last valuation, its length and
-its cost against its location's label, with no link to the sequence it
-extends.  A segment extends each group's sequence by its valuation in
-O(1) (`_extend`): to the node itself when it ends with an equal
-valuation (the absorbing seam), else to one node made for it in the
-segment, costed once, from its cost (`automaton.cost_extender`).  So no
-sequence is copied, hashed or costed again however long its runs dwell,
-and a segment's work follows its groups, not their lengths.  The only
-carried node an extension can meet is the location's one-valuation node
-equal to the segment's valuation (`_interned`).  So equal sequences
-among a segment's groups are one node; a node then hashes and compares
-by identity, and the table keeps exactly what a sequence-keyed one does.
+A value sequence is named by its length: every sequence the fold
+records is a suffix of the segment valuations fed so far, with equal
+neighbours merged, so two groups of one length at one location hold one
+sequence.  Each group keeps its cost against its location's label.  A
+segment extends a group in O(1): at the absorbing seam, where its
+valuation equals the previous one, a nonempty group keeps its length
+and cost, else it grows by one, costed by one step from its cost
+(`automaton.cost_extender`); the empty group grows to length one,
+costed once per location and segment.  So no sequence is copied, hashed
+or costed again however long its runs dwell, and a segment's work
+follows its groups, not their lengths.
 
 Per segment the table unfolds into a finite move graph, whose states
 that wait are the entries and the states transitions fire into (the
@@ -140,43 +139,6 @@ from .semiring import Semiring
 from .signals import Segment, Signal, Valuation, check_variables
 
 
-class _Seq:
-    """A value sequence recorded at one location, as a node: its last
-    valuation (None if empty), its length and its cost against the
-    location's label.  Equal sequences among a location's groups are one
-    node (`_extend`), so a node hashes and compares by identity, in O(1)."""
-
-    __slots__ = ("last", "length", "cost")
-
-    def __init__(self, last, length: int, cost):
-        self.last = last
-        self.length = length
-        self.cost = cost
-
-
-def _interned(inputs, values: Valuation, root: _Seq) -> dict:
-    """A location's intern table for one segment: {root: q} for its
-    carried one-valuation node q equal to the segment's valuation
-    `values`, the extension of its empty sequence's node `root`; else
-    {}.  Every other carried node ends with the previous segment's
-    valuation, so none is another input's extension by `values`."""
-    return next(({root: q} for q in inputs if q.length == 1 and q.last == values), {})
-
-
-def _extend(q: _Seq, values: Valuation, nodes: dict, step) -> _Seq:
-    """`q` extended by the segment's valuation `values` at its location:
-    `q` itself when it ends with an equal one (the absorbing seam), else
-    the node `nodes` holds for q, the location's intern table for the
-    segment (`_interned`), made on first use and costed by the
-    location's `step` (`automaton.cost_extender`) from q's cost."""
-    if q.last == values:
-        return q
-    node = nodes.get(q)
-    if node is None:
-        node = nodes[q] = _Seq(values, q.length + 1, step(q.cost, values))
-    return node
-
-
 class EngineContext:
     """Lookup tables for one weighted automaton at one time scale,
     which `set_scale` changes."""
@@ -192,12 +154,8 @@ class EngineContext:
         self.clock_names = a.clocks + (t_name,)
         self.t_index = len(a.clocks) + 1  # 1-based matrix index
         self.labels = {l.name: l.label for l in a.locations}
-        # location -> (its empty sequence's node, its cost step)
-        self.roots = {}
-        self.steps = {}
-        for l in a.locations:
-            empty, self.steps[l.name] = cost_extender(self.kind, l.label)
-            self.roots[l.name] = _Seq(None, 0, empty)
+        # location -> (its empty sequence's cost, its cost step)
+        self.steps = {l.name: cost_extender(self.kind, l.label) for l in a.locations}
         self.accepting = frozenset(l.name for l in a.locations if l.accepting)
         idx = {c: i + 1 for i, c in enumerate(a.clocks)}
         # the clocks some guard reads, in the order of the `caps` vectors
@@ -453,25 +411,28 @@ def _close_component(comp, out, dist, sr: Semiring) -> None:
                 dist[v] = oplus(dist[v], otimes(du, w))
 
 
-def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
+def _explore(ctx: EngineContext, weight: dict, prev, values: Valuation, cur: int):
     """Unfold one segment and weigh it, location bucket by bucket.
 
-    `cur` is the segment's end, a scaled boundary time; input entries
-    are expected to be pinned at its start, and are only read.  A wait
-    reads `cur` alone, since every state that waits lies at or after
-    the start: an input is pinned there and an arrival fired after it.
-    The states a transition fires into are ⊕-accumulated at their
+    `prev` is the previous segment's valuation (None before the first),
+    `values` this one's and `cur` its end, a scaled boundary time; input
+    entries are expected to be pinned at its start, and are only read.
+    A wait reads `cur` alone, since every state that waits lies at or
+    after the start: an input is pinned there and an arrival fired after
+    it.  The states a transition fires into are ⊕-accumulated at their
     location as they arrive.  Every bucket waits and fires in one kind
     of pass (`pass_`) over a location's sequence groups:
 
-    1. each group is extended by `values` to a node that carries its
-       cost (`_extend`); every zone that waits is waited once by its
-       location's kernel, its band and wall kept, and it accumulates
-       the ⊕ over its groups of weight ⊗ cost, from groups of nonzero
-       cost alone; each group ⊕-merges its own walls that the
-       location's cap test (`EngineContext.carries`) carries, and the
-       arrivals pinned at `cur` join the empty sequence's group when
-       it carries them;
+    1. each group is extended by `values`: a nonempty one keeps its
+       length and cost when `values == prev` (the absorbing seam), else
+       grows by one, costed by the location's step; the empty one takes
+       the location's one-valuation cost for the segment (`first`).
+       Every zone that waits is waited once by its location's kernel,
+       its band and wall kept, and it accumulates the ⊕ over its groups
+       of weight ⊗ cost, from groups of nonzero cost alone; each group
+       ⊕-merges its own walls that the location's cap test
+       (`EngineContext.carries`) carries, and the arrivals pinned at
+       `cur` join the empty group when it carries them;
     2. the band and the wall of each zone so accumulated fire along the
        pass's moves with the zone's accumulated weight.
 
@@ -489,17 +450,16 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     2. in a cyclic bucket alone, a graph over the arrivals, weighed by
        `shortest_distance`: each waits once and fires along the moves
        that stay in the bucket, an edge from it to each arrival fired
-       into, weighted by the cost of its extended sequence;
-    3. a pass over the weighed arrivals (the empty sequence's group),
-       along the moves that leave the bucket, with the waits of step 2.
+       into, weighted by the location's one-valuation cost;
+    3. a pass over the weighed arrivals (the empty group), along the
+       moves that leave the bucket, with the waits of step 2.
 
     A trivial bucket has no move that stays in it, so its arrivals'
     weights are final once it is reached, and step 3 takes all its
     moves as they are.  An input zone is pinned at the segment's start
-    and an arrival lies after it, so no zone waits in both passes; both
-    extend sequences through the location's one intern table.  Returns
-    (fired, final): the weighed states a transition fired into, as
-    {location: {zone: weight}} since their sequence is empty, and the
+    and an arrival lies after it, so no zone waits in both passes.
+    Returns (fired, final): the weighed states a transition fired into,
+    as {location: {zone: weight}} since their sequence is empty, and the
     carried states pinned at `cur`, grouped as the input is.
     """
     sr = ctx.semiring
@@ -508,11 +468,23 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
     zero = sr.zero
     t = ctx.t_index
     pinned = 1 - 2 * cur  # entry (0, T) of a zone with T = cur
+    seam = values == prev
     fired: dict = {loc: {} for locs, _ in ctx.buckets for loc in locs}  # in bucket order
     final: dict = {}
+    firsts: dict = {}
 
-    def pass_(loc, sources, moves, nodes, waited):
-        """Wait the zones of `sources`, (value sequence, {zone: weight})
+    def first(loc):
+        """The cost at `loc` of the empty sequence extended by `values`,
+        found on first use: at a seam, the carried one-valuation group's
+        cost, if there is one; else one step from the empty cost."""
+        if loc not in firsts:
+            carried = seam and weight.get(loc, {}).get(1)
+            empty, step = ctx.steps[loc]
+            firsts[loc] = carried[0] if carried else step(empty, values)
+        return firsts[loc]
+
+    def pass_(loc, sources, moves, waited):
+        """Wait the zones of `sources`, (length, (cost, {zone: weight}))
         groups at `loc`, and fire them along `moves`.  `waited` maps a
         zone waited at `loc` to [band, wall, its accumulated weight or
         None]; a zone it lacks is waited here."""
@@ -520,16 +492,18 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
         if elapse is None:
             return  # a dead end (an accepting sink): no cap vector, so it keeps no state
         carry = ctx.carries[loc]
-        step = ctx.steps[loc]
-        # extended value sequence -> its carried walls: zone -> weight
+        empty, step = ctx.steps[loc]
+        # extended length -> (its cost, its carried walls: zone -> weight)
         groups = final.setdefault(loc, {})
-        walled = groups.setdefault(ctx.roots[loc], {})  # arrivals pinned at cur
-        for seq, zs in sources:
+        walled = groups.setdefault(0, (empty, {}))[1]  # arrivals pinned at cur
+        for n, (w, zs) in sources:
             if not zs:
                 continue
-            seq2 = _extend(seq, values, nodes, step)
-            walls = groups.setdefault(seq2, {})
-            w = seq2.cost
+            if not n:
+                n, w = 1, first(loc)
+            elif not seam:
+                n, w = n + 1, step(w, values)
+            walls = groups.setdefault(n, (w, {}))[1]
             fires = w != zero
             for z, d in zs.items():
                 if z[t] == pinned:  # only an arrival can be
@@ -560,11 +534,8 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                     arr[z3] = dw if old is None else oplus(old, dw)
 
     for locs, cyclic in ctx.buckets:
-        nodes = {}  # location -> its intern table, which both passes share
         for loc in locs:
-            inputs = weight.get(loc, {})
-            nodes[loc] = _interned(inputs, values, ctx.roots[loc])
-            pass_(loc, inputs.items(), ctx.out[loc], nodes[loc], {})
+            pass_(loc, weight.get(loc, {}).items(), ctx.out[loc], {})
         waits = {loc: {} for loc in locs}  # location -> zone -> [band, wall, None]
         if cyclic:
             # the arrivals, numbered, and found again by zone within
@@ -579,7 +550,6 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                     sources[i] = d
                     states.append((loc, z))
             inside = {loc: [m for m in ctx.out[loc] if m[0] in locs] for loc in locs}
-            costs = {}  # location -> the cost of its arrivals' extended sequence
             edges: list = []  # (waiter id, arrival id, cost)
             stack = list(sources)
             while stack:
@@ -590,9 +560,7 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
                     continue
                 band, wall = elapse(z, cur)
                 waits[loc][z] = [band, wall, None]
-                w = costs.get(loc)
-                if w is None:
-                    w = costs[loc] = _extend(ctx.roots[loc], values, nodes[loc], ctx.steps[loc]).cost
+                w = first(loc)
                 if w == zero:
                     continue
                 for z2 in (band, wall):
@@ -611,39 +579,41 @@ def _explore(ctx: EngineContext, weight: dict, values: Valuation, cur: int):
             for loc in locs:
                 fired[loc] = {z: dist[i] for z, i in arrived[loc].items() if i in dist}
         for loc in locs:
-            pass_(loc, [(ctx.roots[loc], fired[loc])],
+            pass_(loc, [(0, (None, fired[loc]))],
                   [m for m in ctx.out[loc] if m[0] not in locs] if cyclic else ctx.out[loc],
-                  nodes[loc], waits[loc])
+                  waits[loc])
     final = {loc: out for loc, groups in final.items()
-             if (out := {seq: zs for seq, zs in groups.items() if zs})}
+             if (out := {n: g for n, g in groups.items() if g[1]})}
     return {loc: zs for loc, zs in fired.items() if zs}, final
 
 
-def _seeded(ctx: EngineContext, locations) -> dict:
+def _seeded(ctx: EngineContext, locations, at: int = 0) -> dict:
     """The table a fold over `ctx` starts from: one state at each of
-    `locations`, at time 0 with every clock 0 and its empty sequence,
-    weighted one."""
-    z0 = zn.point_zone(ctx.clock_names, 0)
-    return {loc: {ctx.roots[loc]: {z0: ctx.semiring.one}} for loc in locations}
+    `locations`, at scaled time `at` with every clock 0 and its empty
+    sequence, weighted one."""
+    z0 = zn.point_zone(ctx.clock_names, at)
+    return {loc: {0: (ctx.steps[loc][0], {z0: ctx.semiring.one})} for loc in locations}
 
 
-def _advance(ctx: EngineContext, weight: dict, start: Fraction, seg: Segment):
-    """Fold one segment `seg`, starting at time `start`, into the table
-    `weight` pinned there.  When the segment's end needs a finer time
-    scale, the table is rescaled and `ctx` moved to it, and back if the
-    fold raises.  Returns (end, cur, fired, final): the segment's end, as
-    a time and as the scaled boundary, then `_explore`'s two tables."""
+def _advance(ctx: EngineContext, weight: dict, start: Fraction, prev, seg: Segment):
+    """Fold one segment `seg`, starting at time `start` after a segment
+    of valuation `prev`, into the table `weight` pinned there.  When the
+    segment's end needs a finer time scale, the table is rescaled and
+    `ctx` moved to it, and back if the fold raises.  Returns (end, cur,
+    fired, final): the segment's end, as a time and as the scaled
+    boundary, then `_explore`'s two tables."""
     end = start + seg.duration
     old = ctx.scale
     scale = math.lcm(old, end.denominator)
     if scale != old:
         f = scale // old
-        weight = {loc: {q: {zn.scale(z, f): w for z, w in zs.items()} for q, zs in groups.items()}
+        weight = {loc: {n: (w, {zn.scale(z, f): d for z, d in zs.items()})
+                        for n, (w, zs) in groups.items()}
                   for loc, groups in weight.items()}
         ctx.set_scale(scale)
     cur = int(end * scale)
     try:
-        return (end, cur, *_explore(ctx, weight, seg.values, cur))
+        return (end, cur, *_explore(ctx, weight, prev, seg.values, cur))
     except BaseException:
         ctx.set_scale(old)
         raise
@@ -656,9 +626,10 @@ def trace_value(sig: Signal, wa: WeightedAutomaton):
         raise EvaluationError("empty signal")
     ctx = EngineContext(wa)
     weight = _seeded(ctx, (l.name for l in ctx.automaton.initial_locations))
-    end = Fraction(0)
+    end, prev = Fraction(0), None
     for seg in sig:
-        end, cur, fired, weight = _advance(ctx, weight, end, seg)
+        end, cur, fired, weight = _advance(ctx, weight, end, prev, seg)
+        prev = seg.values
     t, pinned = ctx.t_index, 1 - 2 * cur  # entry (0, T) at T = end
     return ctx.semiring.big_oplus(w for loc, zs in fired.items() if loc in ctx.accepting
                                   for z, w in zs.items() if z[t] == pinned)
@@ -694,6 +665,7 @@ class OnlineMatcher:
         self._project = itemgetter(*zn.match_indices(
             len(ctx.clock_names) + 1, ctx.t_index, len(wa.automaton.clocks) + 1))
         self._names = None  # variable names of the first segment
+        self._prev = None  # valuation of the last segment fed
         self.matchset = MatchSet(wa.semiring)
 
     def feed(self, seg: Segment) -> list:
@@ -705,17 +677,18 @@ class OnlineMatcher:
         ctx = self._ctx
         oplus = self.semiring.oplus
         project = self._project
-        end, cur, fired, final = _advance(ctx, self._weight, self._elapsed, seg)
+        end, cur, fired, final = _advance(ctx, self._weight, self._elapsed, self._prev, seg)
         # a fresh start copy in place of the carried ones
         loc = self._start
         final.pop(loc, None)
         # its bridges have no guard and reset every clock, so its cap
         # test is True or False
         if ctx.carries[loc]:
-            final[loc] = {ctx.roots[loc]: {zn.point_zone(ctx.clock_names, cur): self.semiring.one}}
+            final.update(_seeded(ctx, (loc,), cur))
         self._weight = final
         self._elapsed = end
         self._names = names
+        self._prev = seg.values
         rows: dict = {}  # integer-scale region -> value
         for loc, zs in fired.items():
             if loc not in ctx.accepting:
@@ -735,5 +708,5 @@ class OnlineMatcher:
 
     def footprint(self) -> int:
         """Entries carried plus, for each, its value sequence's length."""
-        return sum(len(zs) * (1 + q.length)
-                   for groups in self._weight.values() for q, zs in groups.items())
+        return sum(len(zs) * (1 + n)
+                   for groups in self._weight.values() for n, (_, zs) in groups.items())

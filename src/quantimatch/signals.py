@@ -36,12 +36,24 @@ class SignalFormatError(ValueError):
 
 
 def valuation(values: Mapping[str, float]) -> Valuation:
-    """`values` sorted by name, each real number made a float; a bool or
-    any other value is kept as it is, for `Segment` to reject."""
-    return tuple(sorted(
-        (name, v if isinstance(v, bool) or not isinstance(v, Real) else float(v))
-        for name, v in values.items()
-    ))
+    """`values` sorted by name, each real number made a float; a bool, a
+    number beyond the floats or any other value is kept as it is, for
+    `Segment` to reject."""
+    pairs = []
+    for name, v in values.items():
+        if isinstance(v, Real) and not isinstance(v, bool):
+            with suppress(OverflowError):
+                v = float(v)
+        pairs.append((name, v))
+    return tuple(sorted(pairs))
+
+
+def is_finite(v: Real) -> bool:
+    """`math.isfinite`; an int or Fraction beyond the floats is not finite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 class EvaluationError(ValueError):
@@ -71,7 +83,7 @@ class Segment:
         for name, v in self.values:
             if isinstance(v, bool) or not isinstance(v, Real):
                 raise ValueError(f"segment value {name}={v!r} is not a real number")
-            if not math.isfinite(v):
+            if not is_finite(v):
                 raise ValueError(f"segment value {name}={v} is not finite")
 
 

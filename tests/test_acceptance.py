@@ -8,7 +8,6 @@ collected, so run the file as a whole for full coverage (each test still
 passes standalone).
 """
 
-import gc
 import random
 import time
 from collections import Counter
@@ -17,7 +16,7 @@ from fractions import Fraction
 import quantimatch.zone as zn
 from quantimatch import cli
 from quantimatch.automaton import CostKind, WeightedAutomaton, parse_automaton
-from quantimatch.engine import OnlineMatcher, _Seq, trace_value
+from quantimatch.engine import OnlineMatcher, trace_value
 from quantimatch.oracle import (
     accepts_subsignal,
     arrangement_points,
@@ -349,26 +348,6 @@ def test_criterion_8_streams_carry_pinned_footprints():
     assert (fp100, fp200) == (15354, 60704)
     _, peak, _, _ = _stream(reference_wa(SUPINF, CostKind.MIN_MARGIN), 500)
     assert peak == 16
-
-
-def test_sequence_nodes_live_only_while_carried():
-    """On criterion 8's unbounded stream, whose carried groups grow with
-    the stream, a value-sequence node keeps no other node alive: after
-    200 segments the live nodes are the carried table's groups and the
-    matching automaton's roots, not their ancestries."""
-    def live_nodes():
-        gc.collect()
-        return sum(isinstance(o, _Seq) for o in gc.get_objects())
-
-    before = live_nodes()
-    m = OnlineMatcher(WeightedAutomaton(parse_automaton(UNBOUNDED_SPEC), SUPINF,
-                                        CostKind.MIN_MARGIN))
-    for i in range(200):
-        m.feed(segment({"x": STREAM_VALUES[i % 4]}, 10))
-    nodes = [q for groups in m._weight.values() for q in groups]
-    assert len(nodes) > 200
-    assert not any(isinstance(r, _Seq) for q in nodes for r in gc.get_referents(q))
-    assert live_nodes() - before <= len(nodes) + len(m._expanded.automaton.locations)
 
 
 SEMIRING_POOLS = {

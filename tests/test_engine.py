@@ -1,6 +1,7 @@
 """The online fold, checked in places against the whole-trace
 reference construction in `oracle`."""
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -37,7 +38,6 @@ from conftest import (
     DEAD_BRANCH_SPEC,
     OVERSHOOT_SPEC,
     TWO_CLOCK_SPEC,
-    as_tuple,
     audited,
     elapse_by_clamps,
     flat,
@@ -58,8 +58,19 @@ def zone2(*constraints):
 
 def flat_fired(fired):
     """`_explore`'s fired table {location: {zone: weight}} as flat
-    states; a state a transition fires into has the empty sequence."""
-    return {(loc, z, EMPTY_SEQ): w for loc, zs in fired.items() for z, w in zs.items()}
+    states, named as `flat` names them; a state a transition fires into
+    has the empty sequence."""
+    return {(loc, z, 0): w for loc, zs in fired.items() for z, w in zs.items()}
+
+
+def by_length(table):
+    """A flat reference table {(location, zone, sequence): weight} with
+    each sequence named by its length, as the fold names it, once no two
+    of a location's sequences of one length differ."""
+    seqs = {}
+    for loc, _, seq in table:
+        assert seqs.setdefault((loc, len(seq)), seq) == seq, (loc, seq)
+    return {(loc, z, len(seq)): w for (loc, z, seq), w in table.items()}
 
 
 def _with_dead_branch(rng, a):
@@ -196,7 +207,6 @@ def test_context_buckets_and_waits():
     assert [b for b in buckets if b != ({"l3"}, True)] == trivial
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_waiting_only_where_acceptance_is_reachable_changes_nothing(monkeypatch):
     """Rows and the pruned carried table are the same, segment by
     segment, when every location waits."""
@@ -292,7 +302,6 @@ def test_freeing_dead_clocks_keeps_feed_rows(monkeypatch):
     assert any(any(batch) for rows in with_free for batch in rows)
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_waits_free_dead_clocks_and_change_only_the_carried_table(monkeypatch):
     """A wait frees the clocks dead at its location.  Beside a reference
     matcher whose wait kernels free none, as a fire leaves them, every
@@ -556,13 +565,12 @@ def test_shortest_distance_node_reached_only_through_cycle():
     assert dist == {"s": True, "a": True, "b": True, "c": True}
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_advance_first_segment_exact(wa_supinf):
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    assert flat(w0) == {("l0", zn.point_zone(CT, 0), EMPTY_SEQ): INF}
+    assert flat(w0) == {("l0", zn.point_zone(CT, 0), 0): INF}
     x7 = valuation({"x": 7.0})
-    fired, final = _explore(ctx, w0, x7, 7)
+    fired, final = _explore(ctx, w0, None, x7, 7)
 
     pinned7 = [(2, 0, 7, False), (0, 2, -7, False)]
     z_wall_input = zn.point_zone(CT, 7)
@@ -572,31 +580,31 @@ def test_advance_first_segment_exact(wa_supinf):
     # no path leads on from l2, so nothing waits there, and its cap test
     # carries none of its states
     z_l2 = zone2(*pinned7)
+    # each state's value sequence by its length: (x7,) or empty
     reached = {
-        ("l0", z_wall_input, (x7,)): INF,
-        ("l1", z_fired_wall, EMPTY_SEQ): 8.0,
-        ("l1", z_band_c, (x7,)): 8.0,
-        ("l2", z_l2, EMPTY_SEQ): 2.0,
+        ("l0", z_wall_input, 1): INF,
+        ("l1", z_fired_wall, 0): 8.0,
+        ("l1", z_band_c, 1): 8.0,
+        ("l2", z_l2, 0): 2.0,
     }
     assert flat(final) == _searched_prune(ctx, reached) == {
         st: w for st, w in reached.items() if st[0] != "l2"
     }
-    assert flat_fired(fired)[("l2", z_l2, EMPTY_SEQ)] == 2.0
+    assert flat_fired(fired)[("l2", z_l2, 0)] == 2.0
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_explore_reached_leaves_out_inputs(wa_supinf):
     """`fired` holds the states transitions fired into, inputs never;
     `final` holds the states pinned at `cur` that a search finds a way
     to acceptance from, fired ones included."""
     ctx = EngineContext(wa_supinf, 2)
     w0 = initial_weight(ctx)
-    fired, final = _explore(ctx, w0, valuation({"x": 7.0}), 7)
+    fired, final = _explore(ctx, w0, None, valuation({"x": 7.0}), 7)
     fired, final = flat_fired(fired), flat(final)
     assert fired and not set(flat(w0)) & set(fired)
     # every fired state lies strictly after the segment's start 0, within it
     for state in fired:
-        assert state[2] == EMPTY_SEQ, state
+        assert state[2] == 0, state
         m = zn.matrix(state[1])
         (neg_lo, lo_strict), hi = m[0][2], m[2][0]
         assert -neg_lo > 0 or (neg_lo == 0 and lo_strict), state
@@ -741,7 +749,6 @@ def _flat_explore(ctx, weight, values, prev, cur, zones):
 
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_grouped_explore_equals_flat_reference():
     """On random automata with 1 to 3 clocks, cycles, resets and a dead
     self-looping branch, under all three pairings and on integer-valued
@@ -780,28 +787,35 @@ def test_grouped_explore_equals_flat_reference():
                                     (EngineContext(m._expanded, scale, keep=keep), list(m._weight))):
                     cyclic_seen += any(cyclic for _, cyclic in ctx.buckets)
                     weight = initial_weight(ctx, seeded)
-                    prev = 0
+                    # the reference carries its own table, each sequence a tuple
+                    ref = {(loc, z, EMPTY_SEQ): w for (loc, z, _), w in flat(weight).items()}
+                    start, prev = 0, None
                     for seg, bound in zip(sig.segments, sig.boundaries[1:]):
                         cur = int(bound * scale)
-                        # a copy that keeps the sequence nodes, which compare by identity
-                        before = {loc: {q: dict(zs) for q, zs in groups.items()}
-                                  for loc, groups in weight.items()}
+                        before = copy.deepcopy(weight)
                         want_zones = set()
                         want_fired, want_final, merged = _flat_explore(
-                            ctx, flat(weight), seg.values, prev, cur, want_zones)
+                            ctx, ref, seg.values, start, cur, want_zones)
                         merges[wa.semiring.name] += merged
                         zones.clear()
                         zones.update(z for groups in weight.values()
-                                     for zs in groups.values() for z in zs)
-                        fired, final = _explore(ctx, weight, seg.values, cur)
+                                     for _, zs in groups.values() for z in zs)
+                        fired, final = _explore(ctx, weight, prev, seg.values, cur)
                         assert weight == before
-                        assert flat_fired(fired) == want_fired
-                        assert flat(final) == _searched_prune(ctx, want_final)
+                        assert flat_fired(fired) == by_length(want_fired)
+                        ref = _searched_prune(ctx, want_final)
+                        assert flat(final) == by_length(ref)
+                        # each group's cost is its sequence's, bit for bit
+                        seqs = {(loc, len(seq)): seq for loc, _, seq in ref}
+                        for loc, groups in final.items():
+                            for n, (w, _) in groups.items():
+                                want = cost_value(ctx.kind, ctx.labels[loc], seqs[loc, n])
+                                assert repr(w) == repr(want)
                         assert zones == want_zones
                         fired_seen += len(want_fired)
                         for cyclic, n in _shared_zones(ctx, weight, fired, cur).items():
                             shared[wa.semiring.name, cyclic] += n
-                        weight, prev = final, cur
+                        weight, start, prev = final, cur, seg.values
     assert fired_seen > 1000 and cyclic_seen > 50
     # a bucket waits and fires a zone once, for all the groups that hold
     # it: that merge is exercised under every pairing, in trivial buckets
@@ -824,7 +838,7 @@ def _shared_zones(ctx, weight, fired, cur):
         for loc in locs:
             if loc not in ctx.waits:
                 continue
-            held = Counter(z for zs in weight.get(loc, {}).values() for z in zs)
+            held = Counter(z for _, zs in weight.get(loc, {}).values() for z in zs)
             held.update(z for z in fired.get(loc, {}) if z[t] != pinned)
             count[cyclic] += sum(1 for n in held.values() if n > 1)
     return count
@@ -857,13 +871,13 @@ def test_a_zone_waits_once_per_location_whatever_groups_hold_it(monkeypatch, spe
     real = engine._explore
     pairs = distinct = 0
 
-    def explore(ctx, weight, values, cur):
+    def explore(ctx, weight, prev, values, cur):
         nonlocal pairs, distinct
         calls.clear()
-        fired, final = real(ctx, weight, values, cur)
+        fired, final = real(ctx, weight, prev, values, cur)
         t, pinned = ctx.t_index, 1 - 2 * cur
         for loc in ctx.waits:
-            waiting = [z for zs in weight.get(loc, {}).values() for z in zs]
+            waiting = [z for _, zs in weight.get(loc, {}).values() for z in zs]
             waiting += [z for z in fired.get(loc, {}) if z[t] != pinned]
             assert calls[loc] == len(set(waiting)), (cur, loc)
             pairs += len(waiting)
@@ -894,9 +908,9 @@ def test_a_cyclic_bucket_weighs_its_waiting_states_only(monkeypatch):
         graphs.append((len(nodes), list(edges)))
         return real_sd(nodes, edges, sources, sr)
 
-    def explore(ctx, weight, values, cur):
+    def explore(ctx, weight, prev, values, cur):
         graphs.clear()
-        fired, final = real_explore(ctx, weight, values, cur)
+        fired, final = real_explore(ctx, weight, prev, values, cur)
         ((n, edges),) = graphs
         # every arrival weighs nonzero, so `fired` lists them all
         assert n == sum(len(fired.get(loc, {})) for loc in ("l0", "l1")), (cur, n)
@@ -980,7 +994,6 @@ def test_match_gather_equals_project_match(monkeypatch):
     assert seen > 1000
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_carried_table_invariants():
     """After every feed of a random sweep the carried table holds no
     empty location or sequence group, every carried zone is pinned at
@@ -1000,12 +1013,12 @@ def test_carried_table_invariants():
                 assert type(m._ctx.carries[m._start]) is bool
                 cur = int(m.matchset.horizon * m._ctx.scale)
                 assert all(m._weight.values())
-                assert all(zs for groups in m._weight.values() for zs in groups.values())
+                assert all(zs for groups in m._weight.values() for _, zs in groups.values())
                 entries = flat(m._weight)
                 for _, z, _ in entries:
                     mat = zn.matrix(z)
                     assert mat[0][t] == (-cur, False) and mat[t][0] == (cur, False)
-                assert m.footprint() == sum(1 + len(q) for (_, _, q) in entries)
+                assert m.footprint() == sum(1 + n for (_, _, n) in entries)
                 carried += len(entries)
     assert carried > 1000
 
@@ -1426,7 +1439,7 @@ edge l0 -> l2 when c > 0;
     wa = WeightedAutomaton(parse_automaton(spec), BOOLEAN, CostKind.SAT)
 
     def state(m):
-        return (m._ctx.scale, m._weight, m._elapsed, m._names, m.matchset.pieces())
+        return (m._ctx.scale, m._weight, m._elapsed, m._names, m._prev, m.matchset.pieces())
 
     m, ref = OnlineMatcher(wa), OnlineMatcher(wa)
     first, bad, last = (segment({"x": 0.0}, 1), segment({"x": 10.0}, Fraction(1, 2)),
@@ -1444,7 +1457,7 @@ edge l0 -> l2 when c > 0;
     m = OnlineMatcher(wa)
     with pytest.raises(EvaluationError, match="variable 'y' missing"):
         m.feed(bad)
-    assert m._names is None
+    assert m._names is None and m._prev is None
     m.feed(segment({"x": 10.0, "y": 1.0}, 1))
 
 
@@ -1457,11 +1470,12 @@ def test_a_segment_of_another_type_is_a_named_type_error(wa_supinf, bad):
     seg = segment({"x": 7.0}, 2)
     m.feed(seg)
     ref.feed(seg)
-    before = (m._ctx.scale, m._weight, m._elapsed, m._names, m.matchset.pieces())
+    before = (m._ctx.scale, m._weight, m._elapsed, m._names, m._prev, m.matchset.pieces())
     name = type(bad).__name__
     with pytest.raises(TypeError, match=f"^expected a Segment, got {name}$"):
         m.feed(bad)
-    assert (m._ctx.scale, m._weight, m._elapsed, m._names, m.matchset.pieces()) == before
+    assert (m._ctx.scale, m._weight, m._elapsed, m._names, m._prev,
+            m.matchset.pieces()) == before
     nxt = segment({"x": 12.0}, Fraction(1, 3))
     assert m.feed(nxt) == ref.feed(nxt)
     with pytest.raises(TypeError, match=f"^expected a Segment, got {name}$"):
@@ -1498,17 +1512,15 @@ edge b -> fb;
         assert set(both.values()) == {want}, sr
 
 
-@pytest.mark.usefixtures("sequence_names")
-def test_sequence_nodes_carry_their_cost_and_are_interned():
-    """Value sequences extended one valuation at a time, as `_explore`
-    extends a location's groups segment by segment: under all three
-    cost kinds, on labels of one to three atoms (one sometimes on a
-    variable no valuation has), each node's cost is `cost_value` of its
-    sequence bit for bit (by repr, so -0.0 is told from 0.0), a missing
-    variable raises the same error, and equal sequences among a
-    segment's groups are one node, whether reached by extension,
-    through the absorbing seam or from the empty sequence onto a
-    carried one."""
+def test_sequence_groups_carry_the_cost_of_their_suffix():
+    """Value sequences extended segment by segment by `_explore`: under
+    all three cost kinds, on labels of one to three atoms (one sometimes
+    on a variable no valuation has), each carried group is named by its
+    length, its sequence is the fed stream's suffix of that length, and
+    its cost is `cost_value` of that sequence bit for bit (by repr, so
+    -0.0 is told from 0.0); a missing variable raises the same error.
+    Through the absorbing seam a nonempty group keeps its length and
+    cost, and the empty group meets the carried one-valuation group."""
     rng = random.Random(45)
     # x and y at ±0.0 against constants 0 give margins of both signs of zero
     pool = [valuation({"x": x, "y": y}) for x in (-0.0, 0.0, 1.5, 3.0, 7.25, -2.0)
@@ -1516,7 +1528,7 @@ def test_sequence_nodes_carry_their_cost_and_are_interned():
     pool.append(valuation({"x": 3.0}))  # no y
     ops = ("<", "<=", ">", ">=")
     checked = absorbed = carried = missing = 0
-    for _ in range(120):
+    for _ in range(200):
         names = "xyxyz" if rng.random() < 0.3 else "xy"  # z is in no valuation
         label = tuple(Atom(rng.choice(names), rng.choice(ops),
                            Fraction(rng.choice((0, 0, 0, 3, -2, 5)), rng.choice((1, 2))))
@@ -1527,45 +1539,57 @@ def test_sequence_nodes_carry_their_cost_and_are_interned():
         for sr, kind in ((BOOLEAN, CostKind.SAT), (SUPINF, CostKind.MIN_MARGIN),
                          (TROPICAL, CostKind.SUM_MARGIN)):
             ctx = EngineContext(WeightedAutomaton(a, sr, kind))
-            root, step = ctx.roots["l"], ctx.steps["l"]
-            assert repr(root.cost) == repr(cost_value(kind, label, ()))
-            live = [root]
-            values = None
+            empty = ctx.steps["l"][0]
+            assert repr(empty) == repr(cost_value(kind, label, ()))
+            live = {}  # length -> the nonempty sequence it names at l
+            kept = {}  # length -> its carried group
+            stream = []  # the valuations fed, equal neighbours merged
+            start, prev, values = 0, None, None
             for _ in range(rng.randint(1, 8)):
                 # adjacent values are often equal, so that seams absorb
                 if values is None or rng.random() < 0.6:
                     values = rng.choice(pool)
-                nodes = engine._interned(live, values, root)
-                extended = {}  # sequence -> node
-                for q in live + [root]:
-                    want = absorbing_concat(as_tuple(q), (values,))
-                    try:
-                        cost_value(kind, label, want)
-                    except EvaluationError as exc:
-                        with pytest.raises(EvaluationError) as got:
-                            engine._extend(q, values, nodes, step)
-                        assert str(got.value) == str(exc)
-                        missing += 1
-                        continue
-                    q2 = engine._extend(q, values, nodes, step)
-                    # a carried node found holds its own valuations, which
-                    # equal `values` but may differ from them in a zero's sign
-                    assert as_tuple(q2) == want and q2.length == len(want)
-                    assert repr(q2.cost) == repr(cost_value(kind, label, as_tuple(q2)))
-                    assert extended.setdefault(want, q2) is q2
-                    assert engine._extend(q, values, nodes, step) is q2
-                    absorbed += q2 is q
-                    carried += q is root and q2 in live
+                # the empty group, pinned at the segment's start, goes first
+                weight = {"l": {0: (empty, {zn.point_zone(ctx.clock_names, start): sr.one}),
+                                **kept}}
+                want = {}  # length -> the sequence it names once extended
+                for seq in (*live.values(), ()):
+                    seq2 = absorbing_concat(seq, (values,))
+                    # equal lengths name equal sequences
+                    assert want.setdefault(len(seq2), seq2) == seq2
+                try:
+                    costs = {n: cost_value(kind, label, seq) for n, seq in want.items()}
+                except EvaluationError as exc:
+                    # a segment that raises is not fed
+                    with pytest.raises(EvaluationError) as got:
+                        _explore(ctx, weight, prev, values, start + 1)
+                    assert str(got.value) == str(exc)
+                    missing += 1
+                    continue
+                _, final = _explore(ctx, weight, prev, values, start + 1)
+                groups = final["l"]
+                assert sorted(groups) == sorted(want)
+                if not stream or stream[-1] != values:
+                    stream.append(values)
+                for n, (w, _) in groups.items():
+                    # a carried group holds its own valuations, which equal
+                    # the stream's but may differ from them in a zero's sign
+                    assert want[n] == tuple(stream[-n:])
+                    assert repr(w) == repr(costs[n])
                     checked += 1
-                live = [q for q in extended.values() if rng.random() < 0.7]
+                if values == prev:
+                    absorbed += len(live)
+                    carried += 1 in live
+                live = {n: want[n] for n in groups if rng.random() < 0.7}
+                kept = {n: groups[n] for n in live}
+                start, prev = start + 1, values
     assert checked > 2000 and absorbed > 300 and carried > 200 and missing > 200, (
         checked, absorbed, carried, missing)
 
 
-@pytest.mark.usefixtures("sequence_names")
 def test_footprint_counts_entries_and_history(wa_supinf):
     m = OnlineMatcher(wa_supinf)
     m.feed(segment({"x": 7.0}, 2))
     fp = m.footprint()
-    assert fp == sum(1 + len(q) for (_, _, q) in flat(m._weight))
+    assert fp == sum(1 + n for (_, _, n) in flat(m._weight))
     assert fp > 0

@@ -97,9 +97,12 @@ def test_segment_rejects_a_value_that_is_not_a_real_number():
 
 
 def test_segment_rejects_non_finite_value():
-    for v in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="not finite"):
+    # an int or Fraction beyond the floats is not finite either
+    for v in (float("nan"), float("inf"), float("-inf"), 10**400, -10**400, Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="^segment value y=.* is not finite$"):
             segment({"x": 1.0, "y": v}, 1)
+        with pytest.raises(ValueError, match="^segment value y=.* is not finite$"):
+            Segment((("x", 1.0), ("y", v)), Fraction(1))
 
 
 def test_boundaries_and_duration():

@@ -22,12 +22,21 @@ signals, so runs dwell in a cyclic bucket and its input zones are
 held by several sequence groups.  It prints one line per run: the number of stdout lines and a sha256 over
 every run's stdout and exit code.
 
-The last line, `carried`, is not CLI output.  It feeds every spec's
+The `carried` line is not CLI output.  It feeds every spec's
 coarse signals, under all three pairings, to `engine.OnlineMatcher`
 directly and hashes `footprint()` after every segment; its count is the
 number of segments fed.  A prune that keeps too much or too little
 changes the carried table but, as long as rows stay right, no stdout
 byte, so only this line shows it.
+
+The last line, `seams`, runs `monitor` and `tracevalue` of every spec,
+the `cyclic-dwell` one included, under all three pairings, on seeded
+coarse signals whose neighbouring segments repeat a value about half
+the time, some zeros written `-0`.  Every other line's signals change
+value at each boundary, so only this one runs the absorbing seam, where
+a recorded value sequence does not grow.  Its hash also covers each
+matcher's `footprint()` after every segment of those signals; its count
+is the number of stdout lines.
 
 A change that must keep the output's bytes and the carried table is
 checked by running this on the source trees before and after it: every
@@ -165,6 +174,20 @@ def signal_text(rng: random.Random, duration, segments=SEGMENTS) -> str:
     return "\n".join(rows) + "\n"
 
 
+def seam_signal_text(rng: random.Random) -> str:
+    """A one-variable signal of SEGMENTS segments with coarse durations,
+    each value repeating the previous one with probability 1/2; a zero
+    is written `-0` half the time, which compares equal to `0`."""
+    rows = ["x"]
+    v = None
+    for _ in range(SEGMENTS):
+        if v is None or rng.random() < 0.5:
+            v = rng.randint(-2, 14)
+        text = "-0" if v == 0 and rng.random() < 0.5 else str(v)
+        rows.append(f"{coarse_duration(rng)} {text}")
+    return "\n".join(rows) + "\n"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -181,6 +204,7 @@ def main(argv=None) -> int:
     coarse = [signal_text(rng, coarse_duration) for _ in range(STREAMS)]
     fine = [signal_text(rng, fine_duration) for _ in range(STREAMS)]
     long = [signal_text(rng, coarse_duration, LONG_SEGMENTS) for _ in range(LONG_STREAMS)]
+    seams = [seam_signal_text(rng) for _ in range(STREAMS)]
     # (line name, spec names, signals, commands)
     runs = [(name, (name,), coarse, COMMANDS) for name in SPECS]
     runs.append(("fine-scale", ("overshoot",), fine, COMMANDS))
@@ -188,44 +212,62 @@ def main(argv=None) -> int:
     runs.append(("long-tracevalue", LONG_SPECS, long, (("tracevalue",),)))
     runs.append(("long-monitor", ("unbounded",), long[:1], (("monitor",),)))
     runs.append(("cyclic-dwell", ("cyclic-dwell",), coarse, (("monitor",), ("tracevalue",))))
+
+    def run_commands(digest, tmp, specs, signals, commands) -> int:
+        """Hash each command's stdout and exit code into `digest`; the
+        number of stdout lines."""
+        lines = 0
+        for text, spec, (semiring, cost), command in itertools.product(
+            signals, specs, PAIRINGS, commands
+        ):
+            path = os.path.join(tmp, f"{spec}.tsa")
+            args = [command[0], "--spec", path, "--semiring", semiring,
+                    "--cost", cost, *command[1:]]
+            out = io.StringIO()
+            old_stdin = sys.stdin
+            sys.stdin = io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(args)
+            finally:
+                sys.stdin = old_stdin
+            stdout = out.getvalue()
+            lines += stdout.count("\n")
+            digest.update(stdout.encode())
+            digest.update(f"exit {code}\n".encode())
+        return lines
+
+    def feed_footprints(digest, specs, signals) -> int:
+        """Hash each matcher's footprint after every segment into
+        `digest`; the number of segments fed."""
+        fed = 0
+        for spec, text, (name, cost) in itertools.product(specs, signals, PAIRINGS):
+            wa = WeightedAutomaton(parse_automaton(spec), SEMIRINGS[name], CostKind.from_code(cost))
+            m = OnlineMatcher(wa)
+            for seg in read_stream(text.splitlines()):
+                m.feed(seg)
+                digest.update(f"{m.footprint()}\n".encode())
+                fed += 1
+            digest.update(b"end\n")
+        return fed
+
+    all_specs = {**SPECS, **DWELL_SPECS}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in {**SPECS, **DWELL_SPECS}.items():
+        for name, spec in all_specs.items():
             with open(os.path.join(tmp, f"{name}.tsa"), "w", encoding="utf-8") as fh:
                 fh.write(spec)
         for name, specs, signals, commands in runs:
             digest = hashlib.sha256()
-            lines = 0
-            for text, spec, (semiring, cost), command in itertools.product(
-                signals, specs, PAIRINGS, commands
-            ):
-                path = os.path.join(tmp, f"{spec}.tsa")
-                args = [command[0], "--spec", path, "--semiring", semiring,
-                        "--cost", cost, *command[1:]]
-                out = io.StringIO()
-                old_stdin = sys.stdin
-                sys.stdin = io.StringIO(text)
-                try:
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        code = cli.main(args)
-                finally:
-                    sys.stdin = old_stdin
-                stdout = out.getvalue()
-                lines += stdout.count("\n")
-                digest.update(stdout.encode())
-                digest.update(f"exit {code}\n".encode())
+            lines = run_commands(digest, tmp, specs, signals, commands)
             print(f"{name}\t{lines}\t{digest.hexdigest()}")
-    digest = hashlib.sha256()
-    fed = 0
-    for spec, text, (name, cost) in itertools.product(SPECS.values(), coarse, PAIRINGS):
-        wa = WeightedAutomaton(parse_automaton(spec), SEMIRINGS[name], CostKind.from_code(cost))
-        m = OnlineMatcher(wa)
-        for seg in read_stream(text.splitlines()):
-            m.feed(seg)
-            digest.update(f"{m.footprint()}\n".encode())
-            fed += 1
-        digest.update(b"end\n")
-    print(f"carried\t{fed}\t{digest.hexdigest()}")
+        digest = hashlib.sha256()
+        fed = feed_footprints(digest, SPECS.values(), coarse)
+        print(f"carried\t{fed}\t{digest.hexdigest()}")
+        digest = hashlib.sha256()
+        lines = run_commands(digest, tmp, all_specs, seams, (("monitor",), ("tracevalue",)))
+        feed_footprints(digest, all_specs.values(), seams)
+        print(f"seams\t{lines}\t{digest.hexdigest()}")
     return 0
 
 
